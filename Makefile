@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race test-scale bench bench-sim bench-graph bench-local bench-harness bench-service bench-service-shards race-service race-substrate race-durable chaos fuzz tables cover conform conformance clean
+.PHONY: all build vet test race test-scale bench bench-sim bench-graph bench-local bench-harness bench-service race-service race-substrate race-durable chaos fuzz tables cover conform conformance clean
 
 all: build vet test
 
@@ -50,17 +50,11 @@ bench-harness:
 # of the same document (docs/TESTING.md §Service tests).
 bench-service: bench-harness
 
-# Sharded write-path sweep: same churn script at every shard count,
-# byte-identity vs sequential plus the work-distribution account. The
-# numbers land in the `shard_sweep` section of BENCH_harness.json.
-bench-service-shards: bench-harness
-
-# Concurrent read/write soak of the incremental service under the race
-# detector, plus the shard-sweep equivalence check (the CI race job
-# runs both alongside the full -race sweep).
+# Concurrent read/write soaks of the incremental service under the
+# race detector (the CI race job runs them alongside the full -race
+# sweep).
 race-service:
 	$(GO) test -race -count 2 -run 'Concurrent' ./internal/service
-	$(GO) test -race -run 'TestShardSweep' ./internal/service
 
 # Durability under the race detector: the kill-point recovery
 # differential plus the backpressure soak, both doubled (the CI race

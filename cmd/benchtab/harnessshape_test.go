@@ -90,37 +90,6 @@ func TestHarnessBenchShape(t *testing.T) {
 			t.Errorf("service entry %d (%s): post-churn coloring failed the validity scan", i, e.Workload)
 		}
 	}
-	// The shard-sweep section: every workload replayed at every shard
-	// count, sequential anchor first, byte-identical to the sequential
-	// replay at every count, and for shards > 1 the parallel path must
-	// actually engage with non-degenerate work distribution.
-	sweepShards := bench.ShardSweepShards()
-	sweepWorkloads := bench.ShardSweepWorkloads(true)
-	if len(rep.ShardSweep) != len(sweepShards)*len(sweepWorkloads) {
-		t.Fatalf("shard_sweep has %d entries, want %d", len(rep.ShardSweep), len(sweepShards)*len(sweepWorkloads))
-	}
-	for i, e := range rep.ShardSweep {
-		if e.Shards != sweepShards[i%len(sweepShards)] {
-			t.Errorf("sweep entry %d: shards = %d, want %d", i, e.Shards, sweepShards[i%len(sweepShards)])
-		}
-		if e.Workload == "" || e.Nodes <= 0 || e.Updates <= 0 || e.Batches <= 0 || e.UpdatesPerSec <= 0 {
-			t.Errorf("sweep entry %d: incomplete measurement %+v", i, e)
-		}
-		if !e.IdenticalToSeq {
-			t.Errorf("sweep entry %d (%s, shards=%d): diverged from the sequential replay", i, e.Workload, e.Shards)
-		}
-		if !e.Valid {
-			t.Errorf("sweep entry %d (%s, shards=%d): failed the validity scan", i, e.Workload, e.Shards)
-		}
-		if e.Shards > 1 {
-			if e.ParallelBatches == 0 {
-				t.Errorf("sweep entry %d (%s, shards=%d): parallel path never engaged", i, e.Workload, e.Shards)
-			}
-			if e.ShardBalance <= 0 || e.ShardBalance > 1 {
-				t.Errorf("sweep entry %d (%s, shards=%d): shard balance %v out of (0,1]", i, e.Workload, e.Shards, e.ShardBalance)
-			}
-		}
-	}
 	// The durability section: one entry per WAL sync mode in canonical
 	// order, each with churn throughput through the durable write path
 	// and a timed kill-and-recover that must land identical to the

@@ -165,10 +165,6 @@ func runHarnessBench(out io.Writer, quick bool, seed int64) error {
 	if err != nil {
 		return err
 	}
-	sweep, err := bench.RunShardSweepBench(quick)
-	if err != nil {
-		return err
-	}
 	durab, err := bench.RunDurabilityBench(quick)
 	if err != nil {
 		return err
@@ -183,24 +179,17 @@ func runHarnessBench(out io.Writer, quick bool, seed int64) error {
 			"service = incremental coloring service under churn: updates/sec through the single-writer " +
 			"apply loop (repair included), recolor locality per batch, and read latency through " +
 			"net/http/httptest while a writer keeps applying batches. " +
-			"shard_sweep = the sharded write path replaying one deterministic spatially-local churn " +
-			"script at every shard count: identical_to_seq verifies colors and per-batch reports are " +
-			"byte-identical to shards=1, and shard_balance/parallel_batches/deferred_ops give the " +
-			"deterministic work-distribution account. speedup_vs_seq is bounded by the host's core " +
-			"count — on a single-CPU container it hovers near 1 and the distribution columns carry " +
-			"the signal. " +
 			"durability = the crash-safety layer priced per WAL sync mode (off / batch / always): the same " +
 			"churn script through the durable write path, then a simulated kill (no final checkpoint, no " +
 			"flush) and a timed recovery; recovery_ms_per_100k_ops is the replay-cost unit the checkpoint " +
 			"cadence is tuned against, and recovered_identical verifies the recovered colors equal a fresh " +
 			"reference replay of the recovered prefix. " +
-			"Refresh with `make bench-harness` (or `make bench-service` / `make bench-service-shards`, same file).",
+			"Refresh with `make bench-harness` (or `make bench-service`, same file).",
 		GOMAXPROCS: runtime.GOMAXPROCS(0),
 		NumCPU:     runtime.NumCPU(),
 		Baseline:   bench.HarnessBenchBaseline(),
 		Current:    cur,
 		Service:    svc,
-		ShardSweep: sweep,
 		Durability: durab,
 	}
 	enc := json.NewEncoder(out)

@@ -66,7 +66,6 @@ func run(ctx context.Context, args []string, out, errw io.Writer) int {
 		defect    = fs.Int("defect", 0, "defect budget per list color")
 		budget    = fs.Int("budget", 0, "repair round budget per batch (0 = 2n+16)")
 		compact   = fs.Int("compact", 0, "overlay compaction threshold in patched vertices (0 = max(1024, n/8))")
-		shards    = fs.Int("shards", 0, "write-path shards for parallel batch apply (0 or 1 = sequential)")
 		addr      = fs.String("addr", ":8080", "HTTP listen address (server mode)")
 		pprofAddr = fs.String("pprof", "", "expose net/http/pprof on this address (e.g. localhost:6060; empty = off)")
 		churn     = fs.Int("churn", 0, "scripted mode: apply this many updates and exit (0 = serve HTTP)")
@@ -131,7 +130,6 @@ func run(ctx context.Context, args []string, out, errw io.Writer) int {
 	opts := service.Options{
 		RoundBudget:      *budget,
 		CompactThreshold: *compact,
-		Shards:           *shards,
 	}
 	dopts := service.DurableOptions{
 		Dir:             *dataDir,

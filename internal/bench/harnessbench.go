@@ -56,12 +56,6 @@ type HarnessBenchReport struct {
 	// latency under concurrent write load. Refreshed by
 	// `make bench-service`.
 	Service []ServiceBenchEntry `json:"service"`
-	// ShardSweep holds the sharded write-path measurements
-	// (shardbench.go): the same deterministic churn script replayed at
-	// every shard count, with byte-identity vs the sequential replay
-	// and the per-shard work-distribution account. Refreshed by
-	// `make bench-service-shards`.
-	ShardSweep []ShardSweepEntry `json:"shard_sweep"`
 	// Durability holds the crash-safety measurements
 	// (durabilitybench.go): churn throughput with the WAL in the write
 	// path under each sync mode, and the timed kill-and-recover replay

@@ -21,6 +21,7 @@ import (
 	"listcolor/internal/coloring"
 	"listcolor/internal/graph"
 	"listcolor/internal/service"
+	"listcolor/internal/stats"
 )
 
 // ServiceBenchEntry is one churn-workload measurement.
@@ -175,8 +176,8 @@ func measureServiceWorkload(w serviceWorkload) (ServiceBenchEntry, error) {
 		e.UpdatesPerSec = float64(e.Updates) / churnWall
 	}
 	sort.Float64s(localities)
-	e.LocalityP50 = benchQuantile(localities, 0.50)
-	e.LocalityP95 = benchQuantile(localities, 0.95)
+	e.LocalityP50 = stats.Quantile(localities, 0.50)
+	e.LocalityP95 = stats.Quantile(localities, 0.95)
 	e.LocalityMax = localities[len(localities)-1]
 
 	// Phase 2: read latency through httptest under live write load.
@@ -232,8 +233,8 @@ func measureServiceWorkload(w serviceWorkload) (ServiceBenchEntry, error) {
 	}
 	sort.Float64s(lat)
 	e.Reads = len(lat)
-	e.ReadP50Us = benchQuantile(lat, 0.50)
-	e.ReadP99Us = benchQuantile(lat, 0.99)
+	e.ReadP50Us = stats.Quantile(lat, 0.50)
+	e.ReadP99Us = stats.Quantile(lat, 0.99)
 
 	st := svc.Stats()
 	e.HardConflicts = st.HardConflicts
@@ -245,22 +246,4 @@ func measureServiceWorkload(w serviceWorkload) (ServiceBenchEntry, error) {
 	}
 	e.Valid = svc.ValidateState() == nil
 	return e, nil
-}
-
-// benchQuantile returns the q-quantile of a sorted sample (type-7
-// linear interpolation, matching internal/stats).
-func benchQuantile(sorted []float64, q float64) float64 {
-	if len(sorted) == 0 {
-		return 0
-	}
-	if len(sorted) == 1 {
-		return sorted[0]
-	}
-	pos := q * float64(len(sorted)-1)
-	lo := int(pos)
-	if lo >= len(sorted)-1 {
-		return sorted[len(sorted)-1]
-	}
-	frac := pos - float64(lo)
-	return sorted[lo]*(1-frac) + sorted[lo+1]*frac
 }

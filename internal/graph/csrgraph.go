@@ -236,27 +236,7 @@ func (c *CSR) RawMaxDegree() int {
 // streaming-build fuzz tests and the sharded-execution conformance
 // checks compare the two representations byte-for-byte.
 func (c *CSR) Fingerprint() uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	mix := func(x int) {
-		u := uint64(x)
-		for i := 0; i < 8; i++ {
-			h ^= u & 0xff
-			h *= prime64
-			u >>= 8
-		}
-	}
-	mix(c.n)
-	for v := 0; v < c.n; v++ {
-		mix(c.Degree(v))
-		for _, w := range c.Row(v) {
-			mix(w)
-		}
-	}
-	return h
+	return fingerprint(c.n, c.Row)
 }
 
 // Graph materializes an adjacency-list copy of the CSR. It exists for

@@ -303,6 +303,14 @@ func (g *Graph) Clone() *Graph {
 // object-for-object structure a fresh generation would produce.
 func (g *Graph) Fingerprint() uint64 {
 	g.Normalize()
+	return fingerprint(g.n, func(v int) []int { return g.adj[v] })
+}
+
+// fingerprint is the one structure hash behind Graph, CSR and TopoView
+// Fingerprint: 64-bit FNV-1a over n, then every vertex's degree and
+// sorted neighbors, each int mixed as 8 little-endian bytes. Equal
+// labeled structure gives equal hashes in every representation.
+func fingerprint(n int, row func(v int) []int) uint64 {
 	const (
 		offset64 = 14695981039346656037
 		prime64  = 1099511628211
@@ -316,10 +324,11 @@ func (g *Graph) Fingerprint() uint64 {
 			u >>= 8
 		}
 	}
-	mix(g.n)
-	for v := 0; v < g.n; v++ {
-		mix(len(g.adj[v]))
-		for _, w := range g.adj[v] {
+	mix(n)
+	for v := 0; v < n; v++ {
+		r := row(v)
+		mix(len(r))
+		for _, w := range r {
 			mix(w)
 		}
 	}

@@ -432,49 +432,3 @@ func (o *Overlay) Validate() error {
 func (o *Overlay) String() string {
 	return fmt.Sprintf("Overlay(n=%d, m=%d, patched=%d)", o.n, o.M(), len(o.rows))
 }
-
-// RegionBounds partitions vertices [0, n) into s contiguous ranges
-// balanced by base-CSR degree mass, mirroring the receiver-range
-// sharding of the workers driver (internal/sim/shard.go): boundary i
-// is the first vertex whose base row starts at or past arcs·i/s.
-// Vertices appended beyond the base carry no base mass and land in the
-// last range. Boundaries are a function of (base, n, s) only, so every
-// batch at a given shard count partitions identically.
-func RegionBounds(base *CSR, n, s int) []int {
-	if s > n && n > 0 {
-		s = n
-	}
-	if s < 1 {
-		s = 1
-	}
-	b := make([]int, s+1)
-	arcs := base.Arcs()
-	bn := base.N()
-	v := 0
-	for i := 1; i < s; i++ {
-		target := arcs * int64(i) / int64(s)
-		for v < bn && base.RowStart(v) < target {
-			v++
-		}
-		b[i] = v
-	}
-	b[s] = n
-	return b
-}
-
-// RegionOf returns the index of the bounds range containing v (the
-// last range for vertices at or past the final boundary, which is
-// where appended vertices land).
-func RegionOf(bounds []int, v int) int {
-	s := len(bounds) - 1
-	lo, hi := 0, s-1
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if bounds[mid+1] <= v {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo
-}

@@ -122,6 +122,13 @@ func (t *TopoView) HasEdge(u, v int) bool {
 	return i < len(row) && row[i] == v
 }
 
+// Fingerprint returns the structure hash of the topology at the
+// view's version — the same value CSR.Fingerprint gives for the same
+// labeled graph, whatever the delta chain looks like.
+func (t *TopoView) Fingerprint() uint64 {
+	return fingerprint(t.n, t.Row)
+}
+
 // searchInts is sort.SearchInts without the interface indirection —
 // the view read path stays allocation-free and inlinable.
 func searchInts(row []int, x int) int {

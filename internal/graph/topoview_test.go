@@ -111,97 +111,29 @@ func TestTopoViewCollapse(t *testing.T) {
 	}
 }
 
-// TestOverlayViewMirrorsOverlay applies the same op sequence to an
-// overlay directly and through an OverlayView, then merges the delta
-// and checks the results are identical — including arc accounting,
-// former-neighbor returns, and error text.
-func TestOverlayViewMirrorsOverlay(t *testing.T) {
-	mk := func() (*Overlay, *Overlay) {
-		return NewOverlay(StreamedRing(20)), NewOverlay(StreamedRing(20))
+// TestFingerprintGolden pins the shared structure hash to fixed values,
+// so a change to its mixing cannot silently re-key every recorded
+// fingerprint, and checks that the Graph, CSR and TopoView forms of one
+// labeled graph agree.
+func TestFingerprintGolden(t *testing.T) {
+	g := New(4)
+	g.MustAddEdge(0, 3)
+	g.MustAddEdge(1, 3)
+	cases := []struct {
+		name      string
+		got, want uint64
+	}{
+		{"ring17 csr", StreamedRing(17).Fingerprint(), 0x9c0a643d26174776},
+		{"ring17 view", NewTopoView(StreamedRing(17)).Fingerprint(), 0x9c0a643d26174776},
+		{"gnp csr", StreamedGNP(300, 0.02, 5).Fingerprint(), 0xd888fab75774140f},
+		{"empty graph", New(0).Fingerprint(), 0xa8c7f832281a39c5},
+		{"graph4", g.Fingerprint(), 0x3a20e4515ed0d922},
+		{"graph4 csr", CSRFromGraph(g).Fingerprint(), 0x3a20e4515ed0d922},
 	}
-	direct, viaView := mk()
-	view := viaView.View(nil)
-
-	type step struct {
-		name string
-		dir  func() (any, error)
-		vw   func() (any, error)
-	}
-	steps := []step{
-		{"add 0-7", func() (any, error) { return nil, direct.AddEdge(0, 7) }, func() (any, error) { return nil, view.AddEdge(0, 7) }},
-		{"dup 0-7", func() (any, error) { return nil, direct.AddEdge(7, 0) }, func() (any, error) { return nil, view.AddEdge(7, 0) }},
-		{"self", func() (any, error) { return nil, direct.AddEdge(3, 3) }, func() (any, error) { return nil, view.AddEdge(3, 3) }},
-		{"range", func() (any, error) { return nil, direct.AddEdge(3, 99) }, func() (any, error) { return nil, view.AddEdge(3, 99) }},
-		{"rm 1-2", func() (any, error) { return direct.RemoveEdge(1, 2), nil }, func() (any, error) { return view.RemoveEdge(1, 2), nil }},
-		{"rm absent", func() (any, error) { return direct.RemoveEdge(1, 2), nil }, func() (any, error) { return view.RemoveEdge(1, 2), nil }},
-		{"addnode", func() (any, error) { return direct.AddNode(), nil }, func() (any, error) { return view.AddNode(), nil }},
-		{"edge to new", func() (any, error) { return nil, direct.AddEdge(20, 4) }, func() (any, error) { return nil, view.AddEdge(20, 4) }},
-		{"rmnode 7", func() (any, error) { return direct.RemoveNode(7), nil }, func() (any, error) { return view.RemoveNode(7), nil }},
-		{"rmnode again", func() (any, error) { return direct.RemoveNode(7), nil }, func() (any, error) { return view.RemoveNode(7), nil }},
-		{"rmnode range", func() (any, error) { return direct.RemoveNode(-1), nil }, func() (any, error) { return view.RemoveNode(-1), nil }},
-	}
-	for _, st := range steps {
-		dv, derr := st.dir()
-		vv, verr := st.vw()
-		if !reflect.DeepEqual(dv, vv) {
-			t.Fatalf("%s: direct %v, view %v", st.name, dv, vv)
+	for _, tc := range cases {
+		if tc.got != tc.want {
+			t.Errorf("%s: fingerprint %#x, want %#x", tc.name, tc.got, tc.want)
 		}
-		dmsg, vmsg := "", ""
-		if derr != nil {
-			dmsg = derr.Error()
-		}
-		if verr != nil {
-			vmsg = verr.Error()
-		}
-		if dmsg != vmsg {
-			t.Fatalf("%s: error %q, view error %q", st.name, dmsg, vmsg)
-		}
-	}
-
-	rows, n, arcsDelta := view.Delta()
-	viaView.ApplyDeltas(n, viaView.Arcs()+arcsDelta, rows)
-	if direct.N() != viaView.N() || direct.Arcs() != viaView.Arcs() {
-		t.Fatalf("counts: direct n=%d arcs=%d, view n=%d arcs=%d", direct.N(), direct.Arcs(), viaView.N(), viaView.Arcs())
-	}
-	for v := 0; v < direct.N(); v++ {
-		if !reflect.DeepEqual(append([]int{}, direct.Neighbors(v)...), append([]int{}, viaView.Neighbors(v)...)) {
-			t.Fatalf("row %d: direct %v, merged %v", v, direct.Neighbors(v), viaView.Neighbors(v))
-		}
-	}
-	if err := viaView.Validate(); err != nil {
-		t.Fatalf("merged overlay invalid: %v", err)
-	}
-}
-
-// TestOverlayViewLayering pins the epilogue lookup order: a view with
-// an extra layer sees the extra rows over the overlay, and its own
-// mutations over both, while the overlay never changes until
-// ApplyDeltas.
-func TestOverlayViewLayering(t *testing.T) {
-	ov := NewOverlay(StreamedRing(10))
-	regionRows := map[int][]int{2: {5, 7}} // pretend region delta: 2's row rewritten
-	view := ov.View(func(v int) ([]int, bool) {
-		r, ok := regionRows[v]
-		return r, ok
-	})
-	if got := view.Neighbors(2); !reflect.DeepEqual(got, []int{5, 7}) {
-		t.Fatalf("layered read = %v, want [5 7]", got)
-	}
-	if got := view.Neighbors(3); !reflect.DeepEqual(got, []int{2, 4}) {
-		t.Fatalf("fallthrough read = %v, want ring row", got)
-	}
-	if !view.RemoveEdge(2, 5) {
-		t.Fatal("RemoveEdge through layered row failed")
-	}
-	if got := view.Neighbors(2); !reflect.DeepEqual(got, []int{7}) {
-		t.Fatalf("post-remove layered read = %v, want [7]", got)
-	}
-	// The extra layer and the overlay are untouched.
-	if !reflect.DeepEqual(regionRows[2], []int{5, 7}) {
-		t.Fatal("view mutated the extra layer's row")
-	}
-	if !reflect.DeepEqual(append([]int{}, ov.Neighbors(2)...), []int{1, 3}) {
-		t.Fatal("view mutated the overlay")
 	}
 }
 
@@ -269,44 +201,6 @@ func TestOverlayFreezeRebase(t *testing.T) {
 		if !reflect.DeepEqual(append([]int{}, ov.Neighbors(v)...), append([]int{}, ref.Neighbors(v)...)) {
 			t.Fatalf("post-rebase churn row %d diverged", v)
 		}
-	}
-}
-
-// TestRegionBounds pins the degree-mass partition: bounds are
-// monotone, cover [0, n], depend only on the base for interior
-// boundaries, and RegionOf inverts them.
-func TestRegionBounds(t *testing.T) {
-	base := StreamedPowerLaw(500, 3, 9)
-	for _, s := range []int{1, 2, 4, 7, 16} {
-		b := RegionBounds(base, 520, s) // 20 appended vertices
-		if len(b) != s+1 {
-			t.Fatalf("s=%d: %d bounds", s, len(b))
-		}
-		if b[0] != 0 || b[s] != 520 {
-			t.Fatalf("s=%d: bounds %v not covering [0,520]", s, b)
-		}
-		for i := 1; i <= s; i++ {
-			if b[i] < b[i-1] {
-				t.Fatalf("s=%d: bounds %v not monotone", s, b)
-			}
-		}
-		for _, v := range []int{0, 1, 250, 499, 500, 519} {
-			r := RegionOf(b, v)
-			if v < b[r] || (r+1 < len(b) && v >= b[r+1] && r != s-1) {
-				t.Fatalf("s=%d: RegionOf(%d) = %d with bounds %v", s, v, r, b)
-			}
-		}
-		// Appended vertices land in the last region.
-		if r := RegionOf(b, 510); r != s-1 {
-			t.Fatalf("s=%d: appended vertex in region %d", s, r)
-		}
-	}
-	// Degenerate shapes.
-	if b := RegionBounds(base, 500, 0); len(b) != 2 {
-		t.Fatalf("s=0 bounds %v", b)
-	}
-	if b := RegionBounds(StreamedRing(3), 3, 8); len(b) != 4 {
-		t.Fatalf("s>n bounds %v", b)
 	}
 }
 

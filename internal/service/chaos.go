@@ -70,10 +70,11 @@ type ChaosReport struct {
 	Failures        int            `json:"failures"`
 }
 
-// chaosInstance is slackInstance without the *testing.T plumbing: a
-// shared full palette with one defect of slack per color, sized to
-// the base's max degree.
-func chaosInstance(base *graph.CSR) *coloring.Instance {
+// slackInstance is the churn instance of the chaos matrix and the
+// service tests: a shared full palette of maxdeg+4 colors (so a
+// conflict-minimizing recolor always has room) with one defect of
+// slack per color.
+func slackInstance(base *graph.CSR) *coloring.Instance {
 	maxDeg := 0
 	for v := 0; v < base.N(); v++ {
 		if d := base.Degree(v); d > maxDeg {
@@ -108,7 +109,7 @@ func chaosScript(base *graph.CSR, batches, batchSize int, seed int64) [][]Op {
 		}
 	}
 	draw := adversary.SplitMix64Stream(uint64(seed))
-	space := chaosInstance(base).Space
+	space := slackInstance(base).Space
 	script := make([][]Op, 0, batches)
 	for b := 0; b < batches; b++ {
 		ops := make([]Op, 0, batchSize)
@@ -199,7 +200,7 @@ func RunChaos(cfg ChaosConfig) (ChaosReport, error) {
 	}
 
 	// Uninterrupted reference run, state captured at every version.
-	refSvc, err := New(base, chaosInstance(base), nil, Options{})
+	refSvc, err := New(base, slackInstance(base), nil, Options{})
 	if err != nil {
 		return rep, err
 	}
@@ -257,7 +258,7 @@ func runChaosPoint(pi int, pt adversary.ChaosPoint, base *graph.CSR, script [][]
 		return err
 	}
 	defer os.RemoveAll(dir)
-	svc, err := New(base, chaosInstance(base), nil, Options{})
+	svc, err := New(base, slackInstance(base), nil, Options{})
 	if err != nil {
 		return err
 	}

@@ -28,8 +28,9 @@ import (
 var ErrCheckpoint = errors.New("service: bad checkpoint")
 
 // checkpointMagic opens the checkpoint file; bumping it is a format
-// break (old files are rejected, not misread).
-var checkpointMagic = []byte("LCCKPT01")
+// break (old files are rejected, not misread). LCCKPT01 images also
+// carried the per-shard write-path counters; LCCKPT02 dropped them.
+var checkpointMagic = []byte("LCCKPT02")
 
 const checkpointFile = "checkpoint.ckpt"
 
@@ -116,8 +117,6 @@ func encodeCheckpoint(cs *checkpointState) []byte {
 	for _, x := range cs.totals.counterList() {
 		buf = binary.AppendVarint(buf, x)
 	}
-	buf = appendIntsVarint(buf, int64sToInts(cs.totals.ShardApplied))
-	buf = appendIntsVarint(buf, int64sToInts(cs.totals.ShardRecolored))
 	buf = binary.AppendUvarint(buf, uint64(cs.walSegment))
 	return buf
 }
@@ -131,7 +130,6 @@ func (st *Stats) counterList() []int64 {
 		st.HardConflicts, st.AbsorbedConflicts, st.Recolored,
 		st.RepairRounds, st.Fallbacks,
 		st.MaintenanceMessages, st.MaintenanceBits, st.Compactions,
-		st.ParallelBatches, st.DeferredOps, st.ApplyFallbacks, st.RepairFallbacks,
 	}
 }
 
@@ -141,29 +139,6 @@ func (st *Stats) setCounterList(xs []int64) {
 	st.HardConflicts, st.AbsorbedConflicts, st.Recolored = xs[3], xs[4], xs[5]
 	st.RepairRounds, st.Fallbacks = xs[6], xs[7]
 	st.MaintenanceMessages, st.MaintenanceBits, st.Compactions = xs[8], xs[9], xs[10]
-	st.ParallelBatches, st.DeferredOps, st.ApplyFallbacks, st.RepairFallbacks = xs[11], xs[12], xs[13], xs[14]
-}
-
-func int64sToInts(xs []int64) []int {
-	if xs == nil {
-		return nil
-	}
-	out := make([]int, len(xs))
-	for i, x := range xs {
-		out[i] = int(x)
-	}
-	return out
-}
-
-func intsToInt64s(xs []int) []int64 {
-	if xs == nil {
-		return nil
-	}
-	out := make([]int64, len(xs))
-	for i, x := range xs {
-		out[i] = int64(x)
-	}
-	return out
 }
 
 // decodeCheckpoint parses a checkpoint payload. Corrupt input returns
@@ -295,16 +270,6 @@ func decodeCheckpoint(data []byte) (*checkpointState, error) {
 		counters[i] = c
 	}
 	cs.totals.setCounterList(counters)
-	sa, ok := readInts()
-	if !ok {
-		return nil, fail("shard applied")
-	}
-	sr, ok := readInts()
-	if !ok {
-		return nil, fail("shard recolored")
-	}
-	cs.totals.ShardApplied = intsToInt64s(sa)
-	cs.totals.ShardRecolored = intsToInt64s(sr)
 	seg, ok := readUvarint()
 	if !ok {
 		return nil, fail("wal segment")

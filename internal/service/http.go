@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
 	"strings"
@@ -112,10 +113,8 @@ func NewHandlerWithOptions(s *Service, opts HandlerOptions) http.Handler {
 
 	mux.HandleFunc("POST /v1/updates", func(w http.ResponseWriter, r *http.Request) {
 		r.Body = http.MaxBytesReader(w, r.Body, opts.maxBody())
-		var req UpdateRequest
-		dec := json.NewDecoder(r.Body)
-		dec.DisallowUnknownFields()
-		if err := dec.Decode(&req); err != nil {
+		req, err := decodeUpdate(r.Body)
+		if err != nil {
 			var tooBig *http.MaxBytesError
 			if errors.As(err, &tooBig) {
 				httpError(w, http.StatusRequestEntityTooLarge,
@@ -131,7 +130,6 @@ func NewHandlerWithOptions(s *Service, opts HandlerOptions) http.Handler {
 			return
 		}
 		var rep BatchReport
-		var err error
 		if opts.Ingest != nil {
 			ctx, cancel := context.WithTimeout(r.Context(), opts.requestTimeout())
 			rep, err = opts.Ingest.Submit(ctx, req.Ops)
@@ -236,6 +234,26 @@ func NewHandlerWithOptions(s *Service, opts HandlerOptions) http.Handler {
 	})
 
 	return mux
+}
+
+// decodeUpdate reads a POST /v1/updates body: exactly one JSON object
+// with no unknown fields. A second value or any non-whitespace after
+// the object rejects the whole body, so nothing of it is applied.
+func decodeUpdate(body io.Reader) (UpdateRequest, error) {
+	var req UpdateRequest
+	dec := json.NewDecoder(body)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&req); err != nil {
+		return req, err
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			return req, err
+		}
+		return req, errors.New("trailing data after the request object")
+	}
+	return req, nil
 }
 
 // streamAllColors writes the full color dump as one JSON document —

@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -125,6 +126,37 @@ func TestHTTPEndpoints(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("bad body: %d", resp.StatusCode)
+	}
+
+	// Anything but whitespace after the object rejects the whole body:
+	// neither a second batch nor trailing garbage, and nothing applies.
+	before := s.Stats()
+	for _, body := range []string{
+		`{"ops":[{"action":"add_edge","u":3,"v":11}]}{"ops":[{"action":"add_edge","u":4,"v":12}]}`,
+		`{"ops":[]} garbage`,
+	} {
+		resp, err := http.Post(srv.URL+"/v1/updates", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("trailing data %q: status %d, want 400", body, resp.StatusCode)
+		}
+	}
+	if after := s.Stats(); after.Version != before.Version || after.Batches != before.Batches {
+		t.Fatalf("trailing-data bodies applied: version %d -> %d", before.Version, after.Version)
+	}
+	if s.HasEdge(3, 11) || s.HasEdge(4, 12) {
+		t.Fatal("trailing-data body applied an edge")
+	}
+	resp, err = http.Post(srv.URL+"/v1/updates", "application/json", strings.NewReader("{\"ops\":[]}\n\t "))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("trailing whitespace: status %d, want 200", resp.StatusCode)
 	}
 
 	rep, code = postUpdates(t, srv.URL, []Op{

@@ -20,17 +20,6 @@
 // CSR swapped in deterministically at the next batch boundary, so the
 // fold is off the apply critical path.
 //
-// The same locality also makes the write path parallel: with
-// Options.Shards > 1, each batch is partitioned by the contiguous
-// degree-mass-balanced shard regions its ops' dirty frontiers touch
-// (the receiver-range sharding of internal/sim/shard.go); ops whose
-// frontier stays inside one region apply and repair concurrently,
-// cross-region ops run in a deterministic sequential epilogue, and any
-// divergence risk (op error, repair frontier escaping its region)
-// falls back to replaying the pristine single-writer path — so colors,
-// BatchReport accounting, and error text are byte-identical to
-// Shards=1 at every shard count. See sharded.go.
-//
 // Concurrency contract: writers are serialized by a mutex (ApplyBatch
 // remains externally single-writer); readers never take it — every
 // batch publishes an immutable snapshot (colors, topology view, and
@@ -90,11 +79,6 @@ type Options struct {
 	// CompactThreshold is the patched-vertex count that triggers
 	// overlay compaction after a batch; 0 means max(1024, n/8).
 	CompactThreshold int
-	// Shards enables the parallel sharded write path: batches apply
-	// and repair concurrently across that many contiguous
-	// degree-mass-balanced vertex regions, byte-identical to the
-	// single-writer path. 0 or 1 keeps the sequential path.
-	Shards int
 }
 
 // Snapshot is the immutable read-side state one batch publishes: a
@@ -164,21 +148,6 @@ type Stats struct {
 	// maintenance-locality headline number.
 	RecolorLocality float64 `json:"recolor_locality"`
 	UptimeSec       float64 `json:"uptime_sec"`
-
-	// Sharded write path counters (diagnostics; all zero at Shards≤1).
-	// ParallelBatches counts batches whose apply+repair both completed
-	// on the parallel path; DeferredOps counts ops routed through the
-	// sequential epilogue; ApplyFallbacks/RepairFallbacks count
-	// batches that fell back to the pristine sequential path at the
-	// apply or repair stage. ShardApplied/ShardRecolored break the
-	// parallel-path work down per region.
-	Shards          int     `json:"shards"`
-	ParallelBatches int64   `json:"parallel_batches"`
-	DeferredOps     int64   `json:"deferred_ops"`
-	ApplyFallbacks  int64   `json:"apply_fallbacks"`
-	RepairFallbacks int64   `json:"repair_fallbacks"`
-	ShardApplied    []int64 `json:"shard_applied,omitempty"`
-	ShardRecolored  []int64 `json:"shard_recolored,omitempty"`
 }
 
 // Service maintains the coloring. Construct with New; the zero value
@@ -204,12 +173,6 @@ type Service struct {
 	pendingCompact chan compactResult
 	rebased        bool
 
-	// bounds caches the shard-region boundaries for the current base
-	// CSR (interior boundaries depend only on the base and the shard
-	// count; the final boundary tracks n).
-	bounds     []int
-	boundsBase *graph.CSR
-
 	// accumulated totals, guarded by mu; published into every
 	// snapshot so Stats() never takes the lock.
 	version uint64
@@ -233,9 +196,6 @@ func New(base *graph.CSR, inst *coloring.Instance, colors []int, opts Options) (
 	}
 	if inst.N() != base.N() {
 		return nil, fmt.Errorf("service: instance covers %d nodes, graph has %d", inst.N(), base.N())
-	}
-	if opts.Shards < 0 {
-		return nil, fmt.Errorf("service: negative shard count %d", opts.Shards)
 	}
 	s := &Service{
 		ov:    graph.NewOverlay(base),
@@ -263,20 +223,8 @@ func New(base *graph.CSR, inst *coloring.Instance, colors []int, opts Options) (
 	s.totals.Fallbacks += int64(hr.Fallbacks)
 	s.totals.MaintenanceMessages += int64(hr.Messages)
 	s.totals.MaintenanceBits += int64(hr.Bits)
-	if s.shards() > 1 {
-		s.totals.ShardApplied = make([]int64, s.shards())
-		s.totals.ShardRecolored = make([]int64, s.shards())
-	}
 	s.publish()
 	return s, nil
-}
-
-// shards returns the effective shard count (≥1).
-func (s *Service) shards() int {
-	if s.opts.Shards > 1 {
-		return s.opts.Shards
-	}
-	return 1
 }
 
 // publish seals the batch's overlay mutations, extends the topology
@@ -295,9 +243,6 @@ func (s *Service) publish() {
 	st.Nodes = s.ov.N()
 	st.Edges = s.ov.M()
 	st.Patched = s.ov.Patched()
-	st.Shards = s.shards()
-	st.ShardApplied = append([]int64(nil), s.totals.ShardApplied...)
-	st.ShardRecolored = append([]int64(nil), s.totals.ShardRecolored...)
 	snap := &Snapshot{
 		Version: s.version,
 		Colors:  append([]int(nil), s.colors...),
@@ -359,8 +304,6 @@ func (s *Service) DegreeOf(v int) int {
 // lock-free; only the uptime-derived rates are computed at read time.
 func (s *Service) Stats() Stats {
 	st := s.snap.Load().Stats
-	st.ShardApplied = append([]int64(nil), st.ShardApplied...)
-	st.ShardRecolored = append([]int64(nil), st.ShardRecolored...)
 	st.UptimeSec = time.Since(s.start).Seconds()
 	if st.UptimeSec > 0 {
 		st.UpdatesPerSec = float64(st.Updates) / st.UptimeSec
@@ -375,9 +318,7 @@ func (s *Service) Stats() Stats {
 // dirty set, and publishes a new snapshot. A rejected op stops the
 // batch — prior ops stay applied, repair still runs so the published
 // coloring is valid, and the error (wrapping ErrOp with the op index)
-// is returned alongside the report of what did happen. With
-// Options.Shards > 1 the apply and repair stages run region-parallel;
-// the result is byte-identical either way.
+// is returned alongside the report of what did happen.
 func (s *Service) ApplyBatch(ops []Op) (BatchReport, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -387,13 +328,7 @@ func (s *Service) ApplyBatch(ops []Op) (BatchReport, error) {
 		return rep, err
 	}
 
-	var dirty []int
-	var opErr error
-	if s.shards() > 1 {
-		dirty, opErr = s.applySharded(ops, &rep)
-	} else {
-		dirty, opErr = s.applySeq(ops, &rep)
-	}
+	dirty, opErr := s.applySeq(ops, &rep)
 	rep.Dirty = len(dirty)
 
 	// Pre-repair classification of the dirty set: conflicts the defect
@@ -410,7 +345,7 @@ func (s *Service) ApplyBatch(ops []Op) (BatchReport, error) {
 		}
 	}
 
-	hr := s.repairDirty(dirty)
+	hr := repair.HealLocal(s.ov, s.inst, s.colors, dirty, repair.HealOptions{RoundBudget: s.opts.RoundBudget})
 	rep.Hard = hr.Hard
 	rep.Rounds = hr.Rounds
 	rep.Recolored = hr.Recolored
@@ -441,8 +376,7 @@ func (s *Service) ApplyBatch(ops []Op) (BatchReport, error) {
 
 // applySeq is the single-writer apply loop: ops mutate the overlay in
 // order, stopping at the first rejected op. It returns the sorted
-// dirty seed set. This path is the differential oracle the sharded
-// path must match byte for byte — and its replay target on fallback.
+// dirty seed set.
 func (s *Service) applySeq(ops []Op, rep *BatchReport) ([]int, error) {
 	dirtyMark := make(map[int]bool)
 	addDirty := func(vs ...int) {
@@ -466,21 +400,6 @@ func (s *Service) applySeq(ops []Op, rep *BatchReport) ([]int, error) {
 	return dirty, opErr
 }
 
-// repairDirty heals the dirty seed set: region-parallel when sharding
-// is on and the batch produced seeds, global HealLocal otherwise (and
-// as the fallback whenever any region's repair frontier escapes its
-// region — either way the colors and the report are byte-identical to
-// the sequential schedule).
-func (s *Service) repairDirty(dirty []int) repair.HealReport {
-	if s.shards() > 1 && len(dirty) > 0 {
-		if hr, ok := s.repairSharded(dirty); ok {
-			return hr
-		}
-		s.totals.RepairFallbacks++
-	}
-	return repair.HealLocal(s.ov, s.inst, s.colors, dirty, repair.HealOptions{RoundBudget: s.opts.RoundBudget})
-}
-
 // swapCompaction installs a finished background compaction at the
 // batch boundary: it blocks until the builder goroutine delivers (the
 // build overlaps everything between the two batches), rebases the
@@ -497,8 +416,6 @@ func (s *Service) swapCompaction() error {
 	}
 	s.ov.Rebase(res.csr)
 	s.rebased = true
-	s.bounds = nil
-	s.boundsBase = nil
 	return nil
 }
 
@@ -508,8 +425,7 @@ func (s *Service) swapCompaction() error {
 // reads a consistent state while the writer keeps mutating) and a
 // goroutine folds it into a CSR for swapCompaction to install at the
 // next batch boundary. The launch is deterministic in the update
-// stream, so Compacted/Compactions accounting is identical at every
-// shard count.
+// stream, so Compacted/Compactions accounting is too.
 func (s *Service) maybeCompact(rep *BatchReport) {
 	if s.pendingCompact != nil {
 		return
@@ -655,8 +571,6 @@ func (s *Service) stateImage() *checkpointState {
 		rowsUp:  make([][]int, n),
 		totals:  s.totals,
 	}
-	cs.totals.ShardApplied = append([]int64(nil), s.totals.ShardApplied...)
-	cs.totals.ShardRecolored = append([]int64(nil), s.totals.ShardRecolored...)
 	for v := 0; v < n; v++ {
 		row := s.ov.Neighbors(v)
 		i := sort.SearchInts(row, v+1)
@@ -673,9 +587,6 @@ func (s *Service) stateImage() *checkpointState {
 // batch boundary of a valid state, and the recovery differential test
 // pins the restored image byte-identical to the uninterrupted run.
 func restoreService(cs *checkpointState, opts Options) (*Service, error) {
-	if opts.Shards < 0 {
-		return nil, fmt.Errorf("service: negative shard count %d", opts.Shards)
-	}
 	n := len(cs.colors)
 	if len(cs.lists) != n || len(cs.rowsUp) != n {
 		return nil, fmt.Errorf("%w: %d colors, %d lists, %d rows", ErrCheckpoint, n, len(cs.lists), len(cs.rowsUp))
@@ -701,59 +612,24 @@ func restoreService(cs *checkpointState, opts Options) (*Service, error) {
 	s.ov.EnableSnapshots()
 	s.version = cs.version
 	s.totals = cs.totals
-	// Shard work-distribution counters are diagnostics of one base
-	// CSR's region bounds; a restored base has different bounds, so
-	// they restart at zero when the shard count changed.
-	if s.shards() > 1 {
-		if len(s.totals.ShardApplied) != s.shards() {
-			s.totals.ShardApplied = make([]int64, s.shards())
-			s.totals.ShardRecolored = make([]int64, s.shards())
-		}
-	} else {
-		s.totals.ShardApplied = nil
-		s.totals.ShardRecolored = nil
-	}
 	s.publish()
 	return s, nil
 }
 
-// TopologyFingerprint returns the FNV-1a structure hash of the current
-// snapshot's topology — the same mixing as graph.CSR.Fingerprint, so
-// the value is identical across representations (patched overlay,
-// compacted CSR, checkpoint-rebuilt base). The recovery differential
-// compares it instead of raw row storage.
+// TopologyFingerprint returns the structure hash of the current
+// snapshot's topology (graph.TopoView.Fingerprint) — the same value
+// graph.CSR.Fingerprint gives for the same labeled graph, so it is
+// identical across representations (patched overlay, compacted CSR,
+// checkpoint-rebuilt base). The recovery differential compares it
+// instead of raw row storage.
 func (s *Service) TopologyFingerprint() uint64 {
-	t := s.snap.Load().Topo
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	mix := func(x int) {
-		u := uint64(x)
-		for i := 0; i < 8; i++ {
-			h ^= u & 0xff
-			h *= prime64
-			u >>= 8
-		}
-	}
-	n := t.N()
-	mix(n)
-	for v := 0; v < n; v++ {
-		row := t.Row(v)
-		mix(len(row))
-		for _, w := range row {
-			mix(w)
-		}
-	}
-	return h
+	return s.snap.Load().Topo.Fingerprint()
 }
 
 // CanonicalStats zeroes the representation- and time-dependent fields
 // of a Stats: Patched and Compactions depend on the overlay's current
 // patch layout (a recovered service starts from a freshly compacted
-// base), the shard diagnostics depend on the region bounds of that
-// base, and the rates are read-time derivatives. What remains is a
+// base), and the rates are read-time derivatives. What remains is a
 // pure function of the applied op stream — the exact account recovery
 // must reproduce byte-identically.
 func CanonicalStats(st Stats) Stats {
@@ -762,13 +638,6 @@ func CanonicalStats(st Stats) Stats {
 	st.UpdatesPerSec = 0
 	st.RecolorLocality = 0
 	st.UptimeSec = 0
-	st.Shards = 0
-	st.ParallelBatches = 0
-	st.DeferredOps = 0
-	st.ApplyFallbacks = 0
-	st.RepairFallbacks = 0
-	st.ShardApplied = nil
-	st.ShardRecolored = nil
 	return st
 }
 

@@ -46,14 +46,18 @@ func Summarize(xs []float64) Summary {
 	}
 	sorted := append([]float64(nil), xs...)
 	sort.Float64s(sorted)
-	s.Median = quantile(sorted, 0.5)
-	s.P90 = quantile(sorted, 0.9)
+	s.Median = Quantile(sorted, 0.5)
+	s.P90 = Quantile(sorted, 0.9)
 	return s
 }
 
-// quantile returns the q-quantile of a sorted sample by linear
-// interpolation.
-func quantile(sorted []float64, q float64) float64 {
+// Quantile returns the q-quantile of a sorted sample by linear
+// interpolation between closest ranks (type 7); an empty sample
+// yields 0.
+func Quantile(sorted []float64, q float64) float64 {
+	if len(sorted) == 0 {
+		return 0
+	}
 	if len(sorted) == 1 {
 		return sorted[0]
 	}

@@ -184,12 +184,13 @@ func TestQuantileClosedForm(t *testing.T) {
 		{name: "q0", xs: []float64{5, 9, 7}, q: 0, want: 5},
 		{name: "q1", xs: []float64{5, 9, 7}, q: 1, want: 9},
 		{name: "repeated", xs: []float64{2, 2, 2, 2}, q: 0.9, want: 2},
+		{name: "empty", xs: nil, q: 0.5, want: 0},
 	}
 	for _, tc := range cases {
 		sorted := append([]float64(nil), tc.xs...)
 		sort.Float64s(sorted)
-		if got := quantile(sorted, tc.q); !almostEqual(got, tc.want, 1e-12) {
-			t.Errorf("%s: quantile(%v, %v) = %v, want %v", tc.name, sorted, tc.q, got, tc.want)
+		if got := Quantile(sorted, tc.q); !almostEqual(got, tc.want, 1e-12) {
+			t.Errorf("%s: Quantile(%v, %v) = %v, want %v", tc.name, sorted, tc.q, got, tc.want)
 		}
 		if tc.checkSummarize {
 			s := Summarize(tc.xs)
