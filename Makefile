@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race test-scale bench bench-sim bench-graph bench-local bench-harness bench-service race-service race-substrate race-durable chaos fuzz tables cover conform conformance clean
+.PHONY: all build vet test race test-scale bench bench-sim bench-local bench-harness bench-service race-service race-substrate race-durable chaos fuzz tables cover conform conformance clean
 
 all: build vet test
 
@@ -32,11 +32,6 @@ bench:
 # Engine round-throughput report (docs/TESTING.md §BENCH_sim.json).
 bench-sim:
 	$(GO) run ./cmd/benchtab -sim > BENCH_sim.json
-
-# Parallel graph substrate: segmented multi-core CSR builds and the
-# range-partitioned defect audit vs their sequential references. The
-# rows land in the `graph_build` section of BENCH_sim.json.
-bench-graph: bench-sim
 
 # Local-computation selection report (docs/TESTING.md §BENCH_local.json).
 bench-local:
@@ -69,11 +64,10 @@ race-durable:
 chaos:
 	$(GO) run ./cmd/colord -chaos 200 -seed 1
 
-# Parallel substrate equivalence under the race detector: segmented
-# builds byte-identical to sequential, audit reports identical at
-# every worker count, and the snapshot-audit soak under churn.
+# Parallel audit equivalence under the race detector: audit reports
+# identical at every worker count, and the snapshot-audit soak under
+# churn.
 race-substrate:
-	$(GO) test -race -count 2 -run 'TestBuildCSRParallel|TestSegmented|TestRingSegmented' ./internal/graph
 	$(GO) test -race -count 2 -run 'TestAuditParallel' ./internal/coloring ./internal/service
 
 fuzz:
@@ -85,7 +79,6 @@ fuzz:
 	$(GO) test -fuzz FuzzRouteEquivalence -fuzztime 15s ./internal/sim
 	$(GO) test -fuzz FuzzCorruptedPayloadDecode -fuzztime 15s ./internal/sim
 	$(GO) test -fuzz FuzzStreamingCSRBuild -fuzztime 15s ./internal/graph
-	$(GO) test -fuzz FuzzParallelCSRBuild -fuzztime 15s ./internal/graph
 	$(GO) test -fuzz FuzzWALRecordDecode -fuzztime 15s ./internal/service
 
 # Conformance matrix: CLI summary / heavy go-test tier (docs/TESTING.md).

@@ -140,39 +140,6 @@ func NewStreamedPowerLaw(n, k int, seed int64) *CSRGraph {
 	return graph.StreamedPowerLaw(n, k, seed)
 }
 
-// SegmentedStream is a replayable edge stream that can split into
-// ordered replayable segments for the multi-core CSR build; see
-// BuildCSRParallel. Segment contents must not depend on the requested
-// segment count, so builds are identical at every worker count.
-type SegmentedStream = graph.SegmentedStream
-
-// BuildCSRParallel builds the same CSRGraph as BuildCSR(n, ss.Stream())
-// — byte-identical arrays, identical errors — using up to workers
-// cores over the stream's segments. workers ≤ 0 auto-selects
-// (GOMAXPROCS, with a sequential fallback for small n).
-func BuildCSRParallel(n int, ss SegmentedStream, workers int) (*CSRGraph, error) {
-	return graph.BuildCSRParallel(n, ss, workers)
-}
-
-// NewRingSegmented returns the n-cycle as a segmented stream — the
-// ring is exactly seekable, so any vertex-range partition concatenates
-// to the sequential edge sequence.
-func NewRingSegmented(n int) SegmentedStream { return graph.RingSegmented(n) }
-
-// NewGNPSegmented returns a range-keyed G(n, p) family whose fixed row
-// chunks are skip-sampled under independently derived seeds: the
-// canonical scale workload of the parallel substrate. It is a
-// different (equally valid) G(n, p) member than NewStreamedGNP's.
-func NewGNPSegmented(n int, p float64, seed int64) SegmentedStream {
-	return graph.GNPSegmented(n, p, seed)
-}
-
-// SingleSegment adapts a stream that cannot split (such as the
-// preferential-attachment stream, which is sequential by construction)
-// to the SegmentedStream contract; BuildCSRParallel then takes the
-// sequential path.
-func SingleSegment(s EdgeStream) SegmentedStream { return graph.SingleSegment(s) }
-
 // LineGraph returns the line graph of g and the mapping from
 // line-graph vertices to edges of g. Line graphs have neighborhood
 // independence ≤ 2.

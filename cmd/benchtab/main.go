@@ -9,7 +9,6 @@
 //	benchtab -quick          # smaller sweeps
 //	benchtab -markdown       # markdown output (for EXPERIMENTS.md)
 //	benchtab -sim            # engine round-throughput JSON (BENCH_sim.json)
-//	benchtab -graph          # alias for -sim (graph_build substrate rows)
 //	benchtab -local          # local selection kernel JSON (BENCH_local.json)
 //	benchtab -harness        # sweep-scheduler throughput JSON (BENCH_harness.json)
 //	benchtab -parallel 1     # force the sequential scheduler (same bytes)
@@ -41,7 +40,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		markdown     = fs.Bool("markdown", false, "emit GitHub-flavored markdown tables")
 		outPath      = fs.String("o", "", "write output to a file instead of stdout")
 		simBench     = fs.Bool("sim", false, "measure simulator round throughput and emit BENCH_sim.json content")
-		graphBench   = fs.Bool("graph", false, "alias for -sim: the graph_build substrate rows live in BENCH_sim.json")
 		localBench   = fs.Bool("local", false, "measure local selection kernel and emit BENCH_local.json content")
 		harnessBench = fs.Bool("harness", false, "measure sweep-scheduler throughput and emit BENCH_harness.json content")
 		parallel     = fs.Int("parallel", 0, "sweep worker budget (0 = GOMAXPROCS, 1 = sequential); tables are bit-identical for every value")
@@ -65,7 +63,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		out = f
 	}
 
-	if *simBench || *graphBench {
+	if *simBench {
 		if err := runSimBench(out, *quick); err != nil {
 			fmt.Fprintln(stderr, "benchtab:", err)
 			return 1
@@ -126,25 +124,15 @@ func runSimBench(out io.Writer, quick bool) error {
 	if err != nil {
 		return err
 	}
-	graphBuild, err := bench.RunGraphBuildBench(quick)
-	if err != nil {
-		return err
-	}
 	rep := bench.SimBenchReport{
 		GeneratedAt: time.Now().UTC().Format(time.RFC3339),
 		Note: "Engine round-throughput on the chatter protocol (broadcast 16-bit payload per round). " +
 			"baseline = pre-arena router (per-round inbox allocation + per-inbox sort), recorded once; " +
 			"current = this build; scale = streamed CSR instances at 10^6-10^7 nodes (docs/MEMORY.md). " +
-			"graph_build = parallel substrate: segmented multi-core CSR builds and the range-partitioned " +
-			"defect audit vs their sequential references. identical_to_seq / audit_identical_to_seq verify " +
-			"the byte-identity contract at every worker count; speedups are bounded by the host's core " +
-			"count — on a single-CPU container they hover near 1 and the identity and segment_balance " +
-			"columns carry the signal. " +
-			"Refresh with `make bench-sim` (or `make bench-graph`).",
-		Baseline:   bench.SimBenchBaseline(),
-		Current:    cur,
-		Scale:      scale,
-		GraphBuild: graphBuild,
+			"Refresh with `make bench-sim`.",
+		Baseline: bench.SimBenchBaseline(),
+		Current:  cur,
+		Scale:    scale,
 	}
 	enc := json.NewEncoder(out)
 	enc.SetIndent("", "  ")

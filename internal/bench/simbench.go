@@ -152,11 +152,6 @@ type SimBenchReport struct {
 	// Scale holds the web-scale rows (streamed CSR builds at 10⁶–10⁷
 	// nodes; see simscale.go and docs/MEMORY.md).
 	Scale []SimScaleEntry `json:"scale"`
-	// GraphBuild holds the parallel-substrate rows: segmented
-	// multi-core CSR builds and the range-partitioned defect audit vs
-	// their sequential references, with byte-identity and
-	// work-distribution verdicts (see graphbench.go).
-	GraphBuild []GraphBuildEntry `json:"graph_build"`
 }
 
 // RunSimBench measures every (workload, driver) pair.

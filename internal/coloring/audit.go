@@ -192,8 +192,7 @@ func auditRange(topo Topology, inst *Instance, colors []int, conflicts []int, lo
 
 // AuditReportsEqual reports whether two audit reports agree on every
 // field, comparing violations by presence and text — the equivalence
-// predicate of the seq-vs-par conformance checks and the graph_build
-// benchmark rows.
+// predicate of the seq-vs-par conformance checks.
 func AuditReportsEqual(a, b AuditReport) bool {
 	if a.Nodes != b.Nodes || a.ScannedArcs != b.ScannedArcs ||
 		a.Conflicts != b.Conflicts || a.Absorbed != b.Absorbed ||

@@ -109,7 +109,7 @@ func TestAuditShapeMismatch(t *testing.T) {
 // every worker count, on valid, defective, and invalid colorings.
 func TestAuditParallelMatchesSequential(t *testing.T) {
 	n := 3000
-	g := graph.StreamedGNPSegmented(n, 4.0/float64(n), 7)
+	g := graph.StreamedGNP(n, 4.0/float64(n), 7)
 	colorings := map[string][]int{}
 
 	tight := make([]int, n) // few colors: plenty of conflicts
@@ -142,7 +142,7 @@ func TestAuditParallelMatchesSequential(t *testing.T) {
 // of every node — off-list nodes included — independent of workers.
 func TestAuditIntoFillsConflicts(t *testing.T) {
 	n := 2500
-	csr := graph.StreamedGNPSegmented(n, 5.0/float64(n), 3)
+	csr := graph.StreamedGNP(n, 5.0/float64(n), 3)
 	g := csr.Graph()
 	colors := make([]int, n)
 	for v := range colors {
@@ -188,7 +188,7 @@ func TestAuditParallelAutoFallback(t *testing.T) {
 // passes, the audit one — but valid/invalid never disagrees).
 func TestAuditAgreesWithValidator(t *testing.T) {
 	n := 60
-	csr := graph.StreamedGNPSegmented(n, 0.1, 5)
+	csr := graph.StreamedGNP(n, 0.1, 5)
 	g := csr.Graph()
 	for _, defect := range []int{0, 2} {
 		in := auditInstance(n, 4, defect)
@@ -209,7 +209,7 @@ func TestAuditAgreesWithValidator(t *testing.T) {
 
 func BenchmarkAuditSequential(b *testing.B) {
 	n := 100000
-	g := graph.StreamedGNPSegmented(n, 8.0/float64(n), 2)
+	g := graph.StreamedGNP(n, 8.0/float64(n), 2)
 	in := auditInstance(n, 12, 1)
 	colors := make([]int, n)
 	for v := range colors {

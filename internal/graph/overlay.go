@@ -10,22 +10,17 @@ package graph
 // detaches all incident edges and leaves an isolated tombstone so ids
 // stay stable for the color arrays layered on top.
 //
-// The patch map grows with the touched-vertex count, not the update
-// count; Compact folds everything back into a fresh CSR (via the same
-// two-pass StreamCSR build as the streaming generators) so a
-// long-running service can bound overlay memory by compacting
-// periodically. The service moves that fold off the write path with
-// Freeze (a shallow immutable copy a background goroutine compacts)
-// and Rebase (swap the finished CSR in, keeping only the rows mutated
-// since the freeze).
+// Rows are generational copy-on-write: Publish seals every row
+// mutated since the previous Publish into an immutable TopoView for
+// lock-free readers, and the first later mutation of a sealed row
+// clones it first. Replaced private row buffers are recycled through a
+// small pool so steady-state churn does not allocate per insert.
 //
-// In snapshot mode (EnableSnapshots, used by the service) rows become
-// generational copy-on-write: CommitDelta seals every row mutated in
-// the batch just applied and hands them out as an immutable delta map
-// for a lock-free TopoView, and the first mutation of a sealed row in
-// a later batch clones it first. Replaced private row buffers are
-// recycled through a small pool so steady-state churn does not
-// allocate per insert.
+// The patch map grows with the touched-vertex count, not the update
+// count. A long-running service bounds it by compacting periodically:
+// TopoView.Compact folds a published view into a fresh CSR (via the
+// same two-pass StreamCSR build as the streaming generators) off the
+// write path, and NewOverlay over that CSR starts the next patch map.
 //
 // An Overlay is not safe for concurrent use; the service layer
 // serializes writers and hands readers immutable snapshots instead.
@@ -44,15 +39,14 @@ type Overlay struct {
 	n    int
 	arcs int64
 
-	// Snapshot-mode state: gen counts committed batches (0 = snapshots
-	// disabled), rowGen[v] is the batch generation that owns v's row
-	// buffer, touched lists the rows mutated in the current batch, and
-	// freezeTouched (non-nil while a background compaction is in
-	// flight) accumulates rows mutated since the freeze.
-	gen          int
-	rowGen       map[int]int
-	touched      []int
-	freezeTouched map[int]bool
+	// Copy-on-write state: gen counts publications (starting at 1),
+	// rowGen[v] is the generation that owns v's row buffer, touched
+	// lists the rows mutated since the last Publish, and view is the
+	// last published view.
+	gen     int
+	rowGen  map[int]int
+	touched []int
+	view    *TopoView
 
 	// pool recycles retired private row buffers (rows replaced before
 	// ever being published) so steady-state churn stays allocation-free
@@ -62,17 +56,9 @@ type Overlay struct {
 
 // NewOverlay returns an overlay with no patches over base.
 func NewOverlay(base *CSR) *Overlay {
-	return &Overlay{base: base, rows: make(map[int][]int), n: base.N(), arcs: base.Arcs()}
-}
-
-// EnableSnapshots switches the overlay into generational copy-on-write
-// mode: from now on CommitDelta seals each batch's mutated rows for
-// publication in immutable TopoViews. Must be called before any
-// mutation is published.
-func (o *Overlay) EnableSnapshots() {
-	if o.gen == 0 {
-		o.gen = 1
-		o.rowGen = make(map[int]int)
+	return &Overlay{
+		base: base, rows: make(map[int][]int), n: base.N(), arcs: base.Arcs(),
+		gen: 1, rowGen: make(map[int]int), view: NewTopoView(base),
 	}
 }
 
@@ -86,7 +72,7 @@ func (o *Overlay) M() int64 { return o.arcs / 2 }
 func (o *Overlay) Arcs() int64 { return o.arcs }
 
 // Patched returns the number of vertices with a private row — the
-// overlay memory the next Compact reclaims.
+// overlay memory the next compaction reclaims.
 func (o *Overlay) Patched() int { return len(o.rows) }
 
 // Base returns the immutable CSR under the patches.
@@ -95,7 +81,7 @@ func (o *Overlay) Base() *CSR { return o.base }
 // Neighbors returns v's sorted neighbor list: a zero-copy view into
 // the base CSR for unpatched vertices, the private patch row
 // otherwise. The slice is owned by the overlay and must not be
-// modified; it is valid until the next mutation of v or Compact.
+// modified; it is valid until the next mutation of v.
 func (o *Overlay) Neighbors(v int) []int {
 	if row, ok := o.rows[v]; ok {
 		return row
@@ -123,17 +109,11 @@ func (o *Overlay) HasEdge(u, v int) bool {
 }
 
 // markTouched records that v's row buffer is owned by the current
-// batch generation (snapshot mode only).
+// generation.
 func (o *Overlay) markTouched(v int) {
-	if o.gen == 0 {
-		return
-	}
 	if o.rowGen[v] != o.gen {
 		o.rowGen[v] = o.gen
 		o.touched = append(o.touched, v)
-	}
-	if o.freezeTouched != nil {
-		o.freezeTouched[v] = true
 	}
 }
 
@@ -171,7 +151,7 @@ func (o *Overlay) cloneRow(src []int) []int {
 // snapshot (copy-on-write across batch generations).
 func (o *Overlay) row(v int) []int {
 	if r, ok := o.rows[v]; ok {
-		if o.gen != 0 && o.rowGen[v] != o.gen {
+		if o.rowGen[v] != o.gen {
 			r = o.cloneRow(r)
 			o.rows[v] = r
 			o.markTouched(v)
@@ -242,7 +222,7 @@ func (o *Overlay) RemoveNode(v int) []int {
 	for _, w := range former {
 		o.remove(w, v)
 	}
-	if r, ok := o.rows[v]; ok && (o.gen == 0 || o.rowGen[v] == o.gen) {
+	if r, ok := o.rows[v]; ok && o.rowGen[v] == o.gen {
 		o.recycle(r)
 	}
 	o.rows[v] = []int{}
@@ -277,15 +257,13 @@ func (o *Overlay) remove(v, w int) {
 	}
 }
 
-// CommitDelta seals the current batch's mutated rows and returns them
-// as an immutable delta map for TopoView.Extend (nil when the batch
-// mutated nothing). Snapshot mode only; after the call the returned
-// rows are copy-on-write — the next mutation of any of them clones
-// first.
-func (o *Overlay) CommitDelta() map[int][]int {
-	if o.gen == 0 {
-		return nil
-	}
+// Publish seals the rows mutated since the last Publish and returns
+// the immutable TopoView of the current state: the previous view
+// extended by those rows, or the previous view itself when nothing
+// changed. The sealed rows are copy-on-write from then on — the next
+// mutation of any of them clones first — so the view stays valid while
+// the overlay keeps mutating.
+func (o *Overlay) Publish() *TopoView {
 	var delta map[int][]int
 	if len(o.touched) > 0 {
 		delta = make(map[int][]int, len(o.touched))
@@ -295,87 +273,8 @@ func (o *Overlay) CommitDelta() map[int][]int {
 	}
 	o.touched = o.touched[:0]
 	o.gen++
-	return delta
-}
-
-// RowsSnapshot returns a shallow copy of the patch map (row slices
-// shared). Only valid at a batch boundary in snapshot mode, when every
-// row is sealed.
-func (o *Overlay) RowsSnapshot() map[int][]int {
-	rows := make(map[int][]int, len(o.rows))
-	for v, r := range o.rows {
-		rows[v] = r
-	}
-	return rows
-}
-
-// Freeze returns an immutable shallow copy of the overlay's current
-// state — base reference, patch map, counts — for a background
-// Compact, and begins recording the rows mutated afterwards so Rebase
-// can rebase them onto the finished CSR. Only valid at a batch
-// boundary in snapshot mode (every row sealed by CommitDelta); the
-// returned overlay must not be mutated except via Compact.
-func (o *Overlay) Freeze() *Overlay {
-	frozen := &Overlay{base: o.base, rows: o.RowsSnapshot(), n: o.n, arcs: o.arcs}
-	o.freezeTouched = make(map[int]bool)
-	return frozen
-}
-
-// Rebase swaps the overlay onto a CSR compacted from a Freeze copy:
-// rows untouched since the freeze are baked into c and dropped, rows
-// touched since stay as patches over the new base. Counts are already
-// maintained incrementally and carry over.
-func (o *Overlay) Rebase(c *CSR) {
-	rows := make(map[int][]int, len(o.freezeTouched))
-	for v := range o.freezeTouched {
-		rows[v] = o.rows[v]
-	}
-	o.base = c
-	o.rows = rows
-	o.freezeTouched = nil
-	if o.gen != 0 {
-		// Every surviving row is sealed (published); fresh rowGen forces
-		// copy-on-write on the next mutation.
-		o.rowGen = make(map[int]int, len(rows))
-	}
-	o.pool = nil
-}
-
-// EdgeStream returns a replayable stream of the overlay's current
-// edges ({u,v} with u < v, emitted in ascending u then v) — the input
-// Compact feeds to the two-pass CSR build. Mutating the overlay
-// between the two replays is the caller's bug (StreamCSR detects the
-// divergence).
-func (o *Overlay) EdgeStream() EdgeStream {
-	return func(emit func(u, v int)) {
-		for u := 0; u < o.n; u++ {
-			for _, v := range o.Neighbors(u) {
-				if v > u {
-					emit(u, v)
-				}
-			}
-		}
-	}
-}
-
-// Compact folds base plus patches into a fresh CSR and resets the
-// overlay onto it: patch memory is released and every subsequent read
-// is a zero-copy base read again.
-func (o *Overlay) Compact() (*CSR, error) {
-	c, err := StreamCSR(o.n, o.EdgeStream())
-	if err != nil {
-		return nil, err
-	}
-	o.base = c
-	o.rows = make(map[int][]int)
-	if o.gen != 0 {
-		o.rowGen = make(map[int]int)
-		o.touched = o.touched[:0]
-	}
-	o.freezeTouched = nil
-	o.pool = nil
-	o.arcs = c.Arcs()
-	return c, nil
+	o.view = o.view.extend(delta, o.n, o.arcs)
+	return o.view
 }
 
 // Graph materializes an adjacency-list copy of the overlay's current

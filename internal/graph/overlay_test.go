@@ -119,9 +119,10 @@ func TestOverlayRejects(t *testing.T) {
 	}
 }
 
-// TestOverlayCompact checks that compaction folds patches into a fresh
-// CSR with identical structure, releases the patch map, and keeps the
-// overlay usable afterwards.
+// TestOverlayCompact checks that compacting a published view folds the
+// patches into a fresh CSR with the structure at publication — even
+// after the overlay mutated further — and that a fresh overlay over
+// that CSR starts with no patches and stays usable.
 func TestOverlayCompact(t *testing.T) {
 	o := NewOverlay(StreamedRing(12))
 	rng := rand.New(rand.NewSource(3))
@@ -140,24 +141,31 @@ func TestOverlayCompact(t *testing.T) {
 	}
 	want := o.Graph().Fingerprint()
 	wantM := o.M()
+	view := o.Publish()
 
-	c, err := o.Compact()
+	// Churn after publication must not reach the view's compaction.
+	if len(o.RemoveNode(nv)) == 0 {
+		t.Fatal("post-publish RemoveNode changed nothing")
+	}
+	if err := o.AddEdge(3, 9); err != nil && !errors.Is(err, ErrParallelEdge) {
+		t.Fatalf("post-publish AddEdge: %v", err)
+	}
+
+	c, err := view.Compact()
 	if err != nil {
 		t.Fatalf("Compact: %v", err)
 	}
-	if o.Patched() != 0 {
-		t.Fatalf("Patched = %d after Compact", o.Patched())
-	}
-	if c.Graph().Fingerprint() != want || o.Graph().Fingerprint() != want {
-		t.Fatal("Compact changed the structure")
-	}
-	if o.M() != wantM || c.M() != wantM {
-		t.Fatalf("edge count drifted: overlay %d, csr %d, want %d", o.M(), c.M(), wantM)
+	if c.Graph().Fingerprint() != want || c.M() != wantM {
+		t.Fatalf("compacted CSR m=%d does not match the published state (m=%d)", c.M(), wantM)
 	}
 	if err := c.Validate(); err != nil {
 		t.Fatalf("compacted CSR invalid: %v", err)
 	}
-	// The overlay keeps working on the new base.
+	o = NewOverlay(c)
+	if o.Patched() != 0 || o.Graph().Fingerprint() != want {
+		t.Fatalf("fresh overlay over the compacted CSR: patched=%d, structure changed", o.Patched())
+	}
+	// The fresh overlay keeps working on the new base.
 	if err := o.AddEdge(2, 7); err != nil && !errors.Is(err, ErrParallelEdge) {
 		t.Fatalf("post-compact AddEdge: %v", err)
 	}
@@ -168,7 +176,8 @@ func TestOverlayCompact(t *testing.T) {
 
 // TestOverlayRandomChurnDifferential runs a long random op stream on
 // the overlay and a map-built reference in parallel, with periodic
-// compaction, and demands identical structure throughout.
+// compaction onto a fresh overlay, and demands identical structure
+// throughout.
 func TestOverlayRandomChurnDifferential(t *testing.T) {
 	const n = 40
 	o := NewOverlay(StreamedGNP(n, 0.1, 7))
@@ -206,9 +215,11 @@ func TestOverlayRandomChurnDifferential(t *testing.T) {
 			}
 			ref = g2
 		default:
-			if _, err := o.Compact(); err != nil {
+			c, err := o.Publish().Compact()
+			if err != nil {
 				t.Fatalf("step %d Compact: %v", step, err)
 			}
+			o = NewOverlay(c)
 		}
 		if step%250 == 0 {
 			if err := o.Validate(); err != nil {

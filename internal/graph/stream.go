@@ -122,8 +122,7 @@ var powerLawScratchPool = sync.Pool{New: func() any { return new(powerLawScratch
 //
 // The stream is sequential by construction: every arrival samples the
 // global degree-weighted pool, so no prefix is independent of the
-// rest — there is no segmented form (wrap in SingleSegment for
-// BuildCSRParallel, which then takes the sequential build path).
+// rest. Build it with StreamCSR, like every other stream.
 func PowerLawStream(n, k int, seed int64) EdgeStream {
 	if k < 1 || n < k+1 {
 		panic(fmt.Sprintf("graph: PowerLawStream(%d,%d) infeasible", n, k))

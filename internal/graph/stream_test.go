@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"runtime"
 	"testing"
 )
 
@@ -119,10 +120,10 @@ func TestPowerLawStreamAttachmentInvariantMillion(t *testing.T) {
 		k = 3
 	)
 	var (
-		cur     = -1            // arriving vertex currently being checked
-		seen    [k]int32        // targets of the current arrival
-		cnt     = 0             // attachments of the current arrival
-		badness = 0             // total violations (capped reporting)
+		cur     = -1     // arriving vertex currently being checked
+		seen    [k]int32 // targets of the current arrival
+		cnt     = 0      // attachments of the current arrival
+		badness = 0      // total violations (capped reporting)
 		edges   = int64(0)
 	)
 	flush := func() {
@@ -264,4 +265,49 @@ func FuzzStreamingCSRBuild(f *testing.F) {
 			t.Fatalf("Validate: %v", err)
 		}
 	})
+}
+
+// allocDelta measures the heap bytes fn allocates (single-goroutine
+// accounting via TotalAlloc, the codec tests' technique).
+func allocDelta(fn func()) int64 {
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	fn()
+	runtime.ReadMemStats(&after)
+	return int64(after.TotalAlloc - before.TotalAlloc)
+}
+
+// Guard for the scratch pool: PowerLawStream replays must reuse the
+// pooled sampling scratch instead of reallocating the ≈8·k·n-byte
+// pool per replay. Asserted via allocation accounting over repeated
+// builds after a warm-up populates the pool; the generous bound (one
+// CSR's worth of output per build, plus slack) fails loudly if the
+// per-replay make([]int32, ...) ever returns.
+func TestPowerLawStreamScratchReuse(t *testing.T) {
+	n, k := 20000, 4
+	StreamedPowerLaw(n, k, 1) // warm the pool
+
+	const builds = 4
+	poolBytes := int64(8 * k * n) // one pool reallocation would cost ≈ this
+	// Steady-state cost per build: rowPtr (8(n+1)) + col (8·arcs) for
+	// two CSRs (count+fill temp is the CSR itself) plus RNG + slack.
+	csrBytes := int64(8*(n+1)) + 8*int64(2*((n-k-1)*k+k*(k+1)/2))
+	budget := builds * (csrBytes + poolBytes/4)
+
+	var delta int64
+	for attempt := 0; attempt < 5; attempt++ {
+		delta = allocDelta(func() {
+			for i := 0; i < builds; i++ {
+				StreamedPowerLaw(n, k, int64(2+i))
+			}
+		})
+		if delta <= budget {
+			return
+		}
+		// A GC between warm-up and measurement can empty the pool;
+		// re-warm and retry before declaring a regression.
+		StreamedPowerLaw(n, k, 1)
+	}
+	t.Fatalf("%d builds allocated %d bytes, budget %d (scratch pool not reused?)", builds, delta, budget)
 }

@@ -1,16 +1,17 @@
 package graph
 
-// TopoView is the immutable, lock-free topology snapshot the
-// incremental coloring service publishes next to each color snapshot:
-// a base CSR plus a chain of per-batch delta maps (the rows each batch
-// mutated). Readers resolve a row by walking the chain newest-first
-// and falling back to the base — no locks, no copies — while the
-// writer keeps mutating its own overlay, because overlay rows become
-// copy-on-write the moment they are published into a view.
+// TopoView is the immutable, lock-free topology snapshot an Overlay
+// publishes (Overlay.Publish) and the incremental coloring service
+// serves next to each color snapshot: a base CSR plus a chain of
+// per-publication delta maps (the rows each batch mutated). Readers
+// resolve a row by walking the chain newest-first and falling back to
+// the base — no locks, no copies — while the writer keeps mutating its
+// overlay, because overlay rows become copy-on-write the moment they
+// are published into a view.
 //
-// The chain depth is bounded: it grows by one per batch and collapses
-// to a single delta map whenever the service rebases onto a freshly
-// compacted CSR, or eagerly once it exceeds collapseDepth (so a
+// The chain depth is bounded: it grows by one per publication, starts
+// over on a fresh overlay over a newly compacted CSR, and collapses
+// eagerly to a single delta map once it exceeds collapseDepth (so a
 // service configured never to compact still reads in O(1) map probes).
 type TopoView struct {
 	base   *CSR
@@ -24,7 +25,7 @@ type TopoView struct {
 	depth int
 }
 
-// collapseDepth caps the delta-chain length; beyond it Extend merges
+// collapseDepth caps the delta-chain length; beyond it extend merges
 // the chain into one map so read cost stays bounded between
 // compactions. Every snapshot read of a patched-or-not row probes up
 // to depth maps before falling through to the CSR, so the cap is kept
@@ -37,31 +38,24 @@ func NewTopoView(base *CSR) *TopoView {
 	return &TopoView{base: base, n: base.N(), arcs: base.Arcs()}
 }
 
-// Extend layers one batch's mutated rows over the view. The delta map
-// and its row slices transfer ownership to the view and must not be
-// mutated afterwards. An empty delta with unchanged counts returns
-// the receiver unchanged.
-func (t *TopoView) Extend(delta map[int][]int, n int, arcs int64) *TopoView {
+// extend layers one publication's mutated rows over the view. The
+// delta map and its row slices transfer ownership to the view and must
+// not be mutated afterwards. An empty delta with unchanged counts
+// returns the receiver unchanged.
+func (t *TopoView) extend(delta map[int][]int, n int, arcs int64) *TopoView {
 	if len(delta) == 0 && n == t.n && arcs == t.arcs {
 		return t
 	}
 	nt := &TopoView{base: t.base, parent: t, delta: delta, n: n, arcs: arcs, depth: t.depth + 1}
 	if nt.depth > collapseDepth {
-		return nt.Collapse()
+		return nt.collapse()
 	}
 	return nt
 }
 
-// Rebase returns a fresh single-level view over a newly compacted
-// CSR: rows holds the patches still live over the new base (ownership
-// transfers).
-func RebasedTopoView(base *CSR, rows map[int][]int, n int, arcs int64) *TopoView {
-	return &TopoView{base: base, delta: rows, n: n, arcs: arcs}
-}
-
-// Collapse merges the delta chain into a single-level view (newest
+// collapse merges the delta chain into a single-level view (newest
 // entry wins per row). The receiver is unchanged.
-func (t *TopoView) Collapse() *TopoView {
+func (t *TopoView) collapse() *TopoView {
 	merged := make(map[int][]int)
 	for v := t; v != nil; v = v.parent {
 		for id, row := range v.delta {
@@ -120,6 +114,23 @@ func (t *TopoView) HasEdge(u, v int) bool {
 	row := t.Row(u)
 	i := searchInts(row, v)
 	return i < len(row) && row[i] == v
+}
+
+// Compact folds the view into a fresh CSR with the two-pass StreamCSR
+// build. The delta chain is collapsed first, so each row costs one map
+// probe. The view is immutable, so Compact may run on any goroutine
+// while the overlay that published it keeps mutating.
+func (t *TopoView) Compact() (*CSR, error) {
+	flat := t.collapse()
+	return StreamCSR(t.n, func(emit func(u, v int)) {
+		for u := 0; u < t.n; u++ {
+			for _, v := range flat.Row(u) {
+				if v > u {
+					emit(u, v)
+				}
+			}
+		}
+	})
 }
 
 // Fingerprint returns the structure hash of the topology at the

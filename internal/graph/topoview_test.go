@@ -19,14 +19,13 @@ func mirrorView(t *testing.T, view *TopoView, ov *Overlay, label string) {
 }
 
 // TestTopoViewTracksOverlay drives an overlay through batched churn
-// with CommitDelta/Extend after every batch and checks each published
-// view matches the overlay state at its version — including stale
-// older views staying frozen (immutability across COW generations).
+// with a Publish after every batch and checks each published view
+// matches the overlay state at its version — including stale older
+// views staying frozen (immutability across COW generations).
 func TestTopoViewTracksOverlay(t *testing.T) {
 	base := StreamedRing(24)
 	ov := NewOverlay(base)
-	ov.EnableSnapshots()
-	view := NewTopoView(base)
+	var view *TopoView
 
 	type versioned struct {
 		view *TopoView
@@ -54,8 +53,7 @@ func TestTopoViewTracksOverlay(t *testing.T) {
 				t.Fatalf("batch %d: %v", bi, err)
 			}
 		}
-		delta := ov.CommitDelta()
-		view = view.Extend(delta, ov.N(), ov.Arcs())
+		view = ov.Publish()
 		mirrorView(t, view, ov, "live")
 		record()
 	}
@@ -79,14 +77,12 @@ func TestTopoViewTracksOverlay(t *testing.T) {
 	}
 }
 
-// TestTopoViewCollapse pins the depth bound: a long Extend chain
-// collapses past collapseDepth and the collapsed view is
+// TestTopoViewCollapse pins the depth bound: a long chain of
+// publications collapses past collapseDepth and the collapsed view is
 // row-identical to the chained one.
 func TestTopoViewCollapse(t *testing.T) {
-	base := StreamedRing(16)
-	ov := NewOverlay(base)
-	ov.EnableSnapshots()
-	view := NewTopoView(base)
+	ov := NewOverlay(StreamedRing(16))
+	var view *TopoView
 	for i := 0; i < collapseDepth+10; i++ {
 		u := i % 16
 		w := (u + 3 + i%5) % 16
@@ -97,17 +93,17 @@ func TestTopoViewCollapse(t *testing.T) {
 		} else if ov.HasEdge(u, w) {
 			ov.RemoveEdge(u, w)
 		}
-		view = view.Extend(ov.CommitDelta(), ov.N(), ov.Arcs())
+		view = ov.Publish()
 	}
 	if view.Depth() > collapseDepth {
 		t.Fatalf("depth %d exceeds bound %d", view.Depth(), collapseDepth)
 	}
 	mirrorView(t, view, ov, "collapsed")
-	collapsed := view.Collapse()
+	collapsed := view.collapse()
 	mirrorView(t, collapsed, ov, "explicit collapse")
-	// Extend with an empty delta and unchanged counts is a no-op.
-	if view.Extend(nil, ov.N(), ov.Arcs()) != view {
-		t.Fatal("empty Extend did not return the receiver")
+	// Publishing with nothing mutated returns the same view.
+	if ov.Publish() != view {
+		t.Fatal("empty Publish did not return the previous view")
 	}
 }
 
@@ -137,83 +133,15 @@ func TestFingerprintGolden(t *testing.T) {
 	}
 }
 
-// TestOverlayFreezeRebase pins the background-compaction handoff: the
-// frozen copy compacts to the freeze-time state while the live
-// overlay keeps mutating; Rebase keeps exactly the rows touched since
-// the freeze and the rebased overlay reads identically to an overlay
-// that never compacted.
-func TestOverlayFreezeRebase(t *testing.T) {
-	ref := NewOverlay(StreamedRing(32)) // never compacts: the oracle
-	ov := NewOverlay(StreamedRing(32))
-	ov.EnableSnapshots()
-
-	both := func(f func(o *Overlay) error) {
-		if err := f(ref); err != nil {
-			t.Fatal(err)
-		}
-		if err := f(ov); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	both(func(o *Overlay) error { return o.AddEdge(0, 9) })
-	both(func(o *Overlay) error { return o.AddEdge(4, 13) })
-	both(func(o *Overlay) error { o.RemoveEdge(20, 21); return nil })
-	ov.CommitDelta()
-
-	frozen := ov.Freeze()
-	frozenArcs := frozen.Arcs()
-
-	// Post-freeze churn on the live overlay only.
-	both(func(o *Overlay) error { return o.AddEdge(9, 27) })
-	both(func(o *Overlay) error { o.RemoveNode(13); return nil })
-	both(func(o *Overlay) error { o.AddNode(); return o.AddEdge(32, 0) })
-	ov.CommitDelta()
-
-	csr, err := frozen.Compact()
-	if err != nil {
-		t.Fatalf("frozen compact: %v", err)
-	}
-	if csr.Arcs() != frozenArcs {
-		t.Fatalf("compacted CSR arcs %d, frozen had %d", csr.Arcs(), frozenArcs)
-	}
-	ov.Rebase(csr)
-
-	if ov.N() != ref.N() || ov.Arcs() != ref.Arcs() {
-		t.Fatalf("rebased counts n=%d arcs=%d, want n=%d arcs=%d", ov.N(), ov.Arcs(), ref.N(), ref.Arcs())
-	}
-	for v := 0; v < ref.N(); v++ {
-		if !reflect.DeepEqual(append([]int{}, ov.Neighbors(v)...), append([]int{}, ref.Neighbors(v)...)) {
-			t.Fatalf("row %d: rebased %v, reference %v", v, ov.Neighbors(v), ref.Neighbors(v))
-		}
-	}
-	if err := ov.Validate(); err != nil {
-		t.Fatalf("rebased overlay invalid: %v", err)
-	}
-	// Only post-freeze rows survive as patches.
-	if p := ov.Patched(); p == 0 || p > 8 {
-		t.Fatalf("rebased patch count %d, want the post-freeze touched rows only", p)
-	}
-	// And the rebased overlay keeps working under further churn.
-	both(func(o *Overlay) error { return o.AddEdge(1, 16) })
-	ov.CommitDelta()
-	for v := 0; v < ref.N(); v++ {
-		if !reflect.DeepEqual(append([]int{}, ov.Neighbors(v)...), append([]int{}, ref.Neighbors(v)...)) {
-			t.Fatalf("post-rebase churn row %d diverged", v)
-		}
-	}
-}
-
 // TestOverlayUnpatchedReadAllocs is the satellite pin: steady-state
 // reads on unpatched rows — the overwhelming majority on a compacted
 // substrate — allocate nothing.
 func TestOverlayUnpatchedReadAllocs(t *testing.T) {
 	ov := NewOverlay(StreamedRing(1024))
-	ov.EnableSnapshots()
 	if err := ov.AddEdge(0, 2); err != nil { // one patched row pair
 		t.Fatal(err)
 	}
-	ov.CommitDelta()
+	view := ov.Publish()
 	sink := 0
 	allocs := testing.AllocsPerRun(200, func() {
 		for v := 100; v < 140; v++ {
@@ -227,7 +155,6 @@ func TestOverlayUnpatchedReadAllocs(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("unpatched reads allocate %.1f/op, want 0", allocs)
 	}
-	view := NewTopoView(ov.Base()).Extend(map[int][]int{0: ov.Neighbors(0)}, ov.N(), ov.Arcs())
 	allocs = testing.AllocsPerRun(200, func() {
 		for v := 100; v < 140; v++ {
 			sink += len(view.Row(v))
@@ -248,7 +175,7 @@ func TestOverlayUnpatchedReadAllocs(t *testing.T) {
 // instead of the heap).
 func TestOverlayInsertPoolSteadyState(t *testing.T) {
 	ov := NewOverlay(StreamedRing(256))
-	// No snapshot mode: buffers stay private, pool handles growth.
+	// Nothing is published: buffers stay private, pool handles growth.
 	for v := 0; v < 64; v++ {
 		if err := ov.AddEdge(v, v+100); err != nil {
 			t.Fatal(err)

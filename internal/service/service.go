@@ -16,9 +16,10 @@
 // zero-copy views into the immutable CSR substrate, mutations are
 // per-node patches, and the service compacts the overlay back into a
 // fresh CSR whenever the patch count crosses a threshold — in a
-// background goroutine over a frozen shallow copy, with the finished
-// CSR swapped in deterministically at the next batch boundary, so the
-// fold is off the apply critical path.
+// background goroutine over the immutable topology view the batch just
+// published, with a fresh overlay over the finished CSR swapped in
+// deterministically at the next batch boundary, so the fold is off the
+// apply critical path.
 //
 // Concurrency contract: writers are serialized by a mutex (ApplyBatch
 // remains externally single-writer); readers never take it — every
@@ -162,16 +163,10 @@ type Service struct {
 	snap  atomic.Pointer[Snapshot]
 	start time.Time
 
-	// topo is the writer's handle on the published topology view; it
-	// is extended by one delta per batch and rebuilt on rebase.
-	topo *graph.TopoView
-
 	// pendingCompact is non-nil while a background compaction builds a
-	// CSR from a frozen overlay copy; the writer blocks on it at the
-	// next batch boundary and rebases. rebased marks the publish that
-	// must collapse the topology view onto the new base.
+	// CSR from a published topology view; the writer blocks on it at
+	// the next batch boundary and swaps in an overlay over the CSR.
 	pendingCompact chan compactResult
-	rebased        bool
 
 	// accumulated totals, guarded by mu; published into every
 	// snapshot so Stats() never takes the lock.
@@ -202,9 +197,7 @@ func New(base *graph.CSR, inst *coloring.Instance, colors []int, opts Options) (
 		inst:  inst.Clone(),
 		opts:  opts,
 		start: time.Now(),
-		topo:  graph.NewTopoView(base),
 	}
-	s.ov.EnableSnapshots()
 	if colors == nil {
 		s.colors = repair.GreedyColors(s.ov, s.inst)
 	} else {
@@ -227,17 +220,11 @@ func New(base *graph.CSR, inst *coloring.Instance, colors []int, opts Options) (
 	return s, nil
 }
 
-// publish seals the batch's overlay mutations, extends the topology
-// view, and installs the immutable snapshot. Caller holds mu (or is
-// the constructor).
-func (s *Service) publish() {
-	delta := s.ov.CommitDelta()
-	if s.rebased {
-		s.topo = graph.RebasedTopoView(s.ov.Base(), s.ov.RowsSnapshot(), s.ov.N(), s.ov.Arcs())
-		s.rebased = false
-	} else {
-		s.topo = s.topo.Extend(delta, s.ov.N(), s.ov.Arcs())
-	}
+// publish seals the batch's overlay mutations into a new topology view
+// and installs the immutable snapshot; it returns the view. Caller
+// holds mu (or is the constructor).
+func (s *Service) publish() *graph.TopoView {
+	topo := s.ov.Publish()
 	st := s.totals
 	st.Version = s.version
 	st.Nodes = s.ov.N()
@@ -246,10 +233,11 @@ func (s *Service) publish() {
 	snap := &Snapshot{
 		Version: s.version,
 		Colors:  append([]int(nil), s.colors...),
-		Topo:    s.topo,
+		Topo:    topo,
 		Stats:   st,
 	}
 	s.snap.Store(snap)
+	return topo
 }
 
 // Snapshot returns the current immutable read state.
@@ -354,8 +342,7 @@ func (s *Service) ApplyBatch(ops []Op) (BatchReport, error) {
 	rep.MaintenanceMessages = hr.Messages
 	rep.MaintenanceBits = hr.Bits
 	rep.Converged = hr.Converged
-
-	s.maybeCompact(&rep)
+	rep.Compacted = s.compactionDue()
 
 	s.totals.Batches++
 	s.totals.Updates += int64(rep.Applied)
@@ -367,10 +354,16 @@ func (s *Service) ApplyBatch(ops []Op) (BatchReport, error) {
 	s.totals.Fallbacks += int64(rep.Fallbacks)
 	s.totals.MaintenanceMessages += int64(rep.MaintenanceMessages)
 	s.totals.MaintenanceBits += int64(rep.MaintenanceBits)
+	if rep.Compacted {
+		s.totals.Compactions++
+	}
 
 	s.version++
 	rep.Version = s.version
-	s.publish()
+	topo := s.publish()
+	if rep.Compacted {
+		s.launchCompaction(topo)
+	}
 	return rep, opErr
 }
 
@@ -402,9 +395,11 @@ func (s *Service) applySeq(ops []Op, rep *BatchReport) ([]int, error) {
 
 // swapCompaction installs a finished background compaction at the
 // batch boundary: it blocks until the builder goroutine delivers (the
-// build overlaps everything between the two batches), rebases the
-// overlay onto the new CSR, and marks the next publish to collapse
-// the topology view.
+// build overlaps everything between the two batches) and replaces the
+// overlay with a fresh one over the new CSR. Nothing mutates the
+// overlay between the launch and the swap — both run under the writer
+// lock at adjacent batch boundaries — so the CSR holds exactly the
+// overlay's state and no patch carries over.
 func (s *Service) swapCompaction() error {
 	if s.pendingCompact == nil {
 		return nil
@@ -414,22 +409,15 @@ func (s *Service) swapCompaction() error {
 	if res.err != nil {
 		return fmt.Errorf("service: compaction failed: %w", res.err)
 	}
-	s.ov.Rebase(res.csr)
-	s.rebased = true
+	s.ov = graph.NewOverlay(res.csr)
 	return nil
 }
 
-// maybeCompact launches a background compaction when the patch count
-// crosses the threshold and none is in flight: the overlay is frozen
-// (shallow copy — published rows are copy-on-write, so the builder
-// reads a consistent state while the writer keeps mutating) and a
-// goroutine folds it into a CSR for swapCompaction to install at the
-// next batch boundary. The launch is deterministic in the update
-// stream, so Compacted/Compactions accounting is too.
-func (s *Service) maybeCompact(rep *BatchReport) {
-	if s.pendingCompact != nil {
-		return
-	}
+// compactionDue reports whether the batch just applied launches a
+// background compaction: the patch count crossed the threshold. The
+// decision is deterministic in the update stream, so Compacted/
+// Compactions accounting is too.
+func (s *Service) compactionDue() bool {
 	threshold := s.opts.CompactThreshold
 	if threshold <= 0 {
 		threshold = s.ov.N() / 8
@@ -437,18 +425,20 @@ func (s *Service) maybeCompact(rep *BatchReport) {
 			threshold = 1024
 		}
 	}
-	if s.ov.Patched() <= threshold {
-		return
-	}
-	frozen := s.ov.Freeze()
+	return s.ov.Patched() > threshold
+}
+
+// launchCompaction folds the topology view the launching batch
+// published into a fresh CSR on a goroutine, for swapCompaction to
+// install at the next batch boundary. The view is immutable, so the
+// build reads it without a lock.
+func (s *Service) launchCompaction(topo *graph.TopoView) {
 	ch := make(chan compactResult, 1)
 	go func() {
-		csr, err := frozen.Compact()
+		csr, err := topo.Compact()
 		ch <- compactResult{csr: csr, err: err}
 	}()
 	s.pendingCompact = ch
-	rep.Compacted = true
-	s.totals.Compactions++
 }
 
 // apply executes one op against the overlay/instance/colors state,
@@ -607,9 +597,7 @@ func restoreService(cs *checkpointState, opts Options) (*Service, error) {
 		colors: cs.colors,
 		opts:   opts,
 		start:  time.Now(),
-		topo:   graph.NewTopoView(base),
 	}
-	s.ov.EnableSnapshots()
 	s.version = cs.version
 	s.totals = cs.totals
 	s.publish()

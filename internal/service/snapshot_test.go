@@ -1,6 +1,7 @@
 package service
 
 import (
+	"slices"
 	"sync"
 	"testing"
 
@@ -171,25 +172,61 @@ func BenchmarkSnapshotReadsBusyWriter(b *testing.B) {
 }
 
 // TestBackgroundCompactionSwap pins the off-critical-path compaction
-// protocol: the launch batch reports Compacted, the swap happens at
-// the next batch boundary (patch count drops to the rows mutated
-// since the freeze), and reads through the rebased snapshot stay
-// correct.
+// protocol against an overlay that never compacts: the launch batch
+// reports Compacted; the next batch swaps in a fresh overlay over a
+// CSR equal to the state the launch batch published, so only the rows
+// that batch touched stay patched; and reads after the swap, and under
+// further churn, equal the never-compacted overlay's.
 func TestBackgroundCompactionSwap(t *testing.T) {
 	base := graph.StreamedRing(64)
 	s := mustService(t, base, palInstance(64, 5), Options{CompactThreshold: 8})
+	ref := graph.NewOverlay(base) // never compacts: the oracle
+	apply := func(label string, ops []Op) BatchReport {
+		t.Helper()
+		rep, err := s.ApplyBatch(ops)
+		if err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		for _, op := range ops {
+			switch op.Action {
+			case OpAddEdge:
+				err = ref.AddEdge(op.U, op.V)
+			case OpRemoveEdge:
+				ref.RemoveEdge(op.U, op.V)
+			case OpAddNode:
+				ref.AddNode()
+			case OpRemoveNode:
+				ref.RemoveNode(op.Node)
+			}
+			if err != nil {
+				t.Fatalf("%s: reference: %v", label, err)
+			}
+		}
+		return rep
+	}
+	matchesRef := func(label string) {
+		t.Helper()
+		topo := s.Snapshot().Topo
+		if topo.N() != ref.N() || topo.Arcs() != ref.Arcs() {
+			t.Fatalf("%s: snapshot n=%d arcs=%d, reference n=%d arcs=%d", label, topo.N(), topo.Arcs(), ref.N(), ref.Arcs())
+		}
+		for v := 0; v < ref.N(); v++ {
+			if !slices.Equal(topo.Row(v), ref.Neighbors(v)) {
+				t.Fatalf("%s: row %d: snapshot %v, reference %v", label, v, topo.Row(v), ref.Neighbors(v))
+			}
+		}
+		if err := s.ValidateState(); err != nil {
+			t.Fatalf("%s: state invalid: %v", label, err)
+		}
+	}
 
 	var launched bool
 	for i := 0; i < 12 && !launched; i++ {
 		u := (3 * i) % 64
-		rep, err := s.ApplyBatch([]Op{
+		launched = apply("churn", []Op{
 			{Action: OpAddEdge, U: u, V: (u + 5) % 64},
 			{Action: OpAddEdge, U: (u + 11) % 64, V: (u + 17) % 64},
-		})
-		if err != nil {
-			t.Fatalf("batch %d: %v", i, err)
-		}
-		launched = rep.Compacted
+		}).Compacted
 	}
 	if !launched {
 		t.Fatal("compaction never launched")
@@ -201,32 +238,40 @@ func TestBackgroundCompactionSwap(t *testing.T) {
 	if patchedAtLaunch <= 8 {
 		t.Fatalf("patched = %d at launch, want > threshold", patchedAtLaunch)
 	}
+	atLaunch := s.Snapshot().Topo
 
-	// The next batch blocks on the builder, rebases, and the patch map
-	// keeps only the rows this batch (and any post-freeze churn)
-	// touched.
-	if _, err := s.ApplyBatch([]Op{{Action: OpAddEdge, U: 1, V: 30}}); err != nil {
-		t.Fatalf("swap batch: %v", err)
+	// The next batch waits for the compaction and swaps; the patch map
+	// holds only the two rows this batch touched.
+	apply("swap batch", []Op{{Action: OpAddEdge, U: 1, V: 30}})
+	csr := s.ov.Base()
+	if csr == base {
+		t.Fatal("no compaction swap happened")
 	}
-	if got := s.Stats().Patched; got >= patchedAtLaunch {
-		t.Fatalf("patched = %d after swap, want < %d", got, patchedAtLaunch)
+	if csr.N() != atLaunch.N() || csr.Arcs() != atLaunch.Arcs() {
+		t.Fatalf("compacted CSR n=%d arcs=%d, launch state n=%d arcs=%d", csr.N(), csr.Arcs(), atLaunch.N(), atLaunch.Arcs())
 	}
-	if !s.HasEdge(1, 30) {
-		t.Fatal("post-swap snapshot lost the new edge")
+	for v := 0; v < csr.N(); v++ {
+		if !slices.Equal(csr.Row(v), atLaunch.Row(v)) {
+			t.Fatalf("compacted CSR row %d = %v, launch state %v", v, csr.Row(v), atLaunch.Row(v))
+		}
 	}
-	if !s.HasEdge(0, 5) && !s.HasEdge(3, 8) {
-		// edges from the pre-compaction churn must survive the rebase
-		t.Fatal("post-swap snapshot lost pre-compaction edges")
+	if got := s.Stats().Patched; got != 2 {
+		t.Fatalf("patched = %d after swap, want the 2 rows the swap batch touched", got)
 	}
-	if err := s.ValidateState(); err != nil {
-		t.Fatalf("post-swap state invalid: %v", err)
-	}
+	matchesRef("after swap")
+
+	// Churn continues on the swapped overlay.
+	apply("post-swap churn", []Op{{Action: OpRemoveEdge, U: 1, V: 30}, {Action: OpAddNode}, {Action: OpAddEdge, U: 64, V: 5}})
+	matchesRef("post-swap churn")
+	apply("post-swap node removal", []Op{{Action: OpRemoveNode, Node: 0}, {Action: OpAddEdge, U: 2, V: 40}})
+	matchesRef("post-swap node removal")
 }
 
 // TestTopologyFingerprintMatchesCompactedCSR pins the claim in
 // TopologyFingerprint's doc: after churn and a background compaction
-// swap, the snapshot's topology (rebased CSR plus delta chain) hashes
-// to the same value as the live overlay compacted to a fresh CSR.
+// swap, the snapshot's topology (compacted CSR plus delta chain)
+// hashes to the same value as the live overlay folded into a fresh
+// CSR.
 func TestTopologyFingerprintMatchesCompactedCSR(t *testing.T) {
 	base := graph.StreamedRing(200)
 	inst := slackInstance(base)
@@ -237,10 +282,7 @@ func TestTopologyFingerprintMatchesCompactedCSR(t *testing.T) {
 		if _, err := s.ApplyBatch(ops); err != nil {
 			t.Fatalf("batch %d: %v", bi, err)
 		}
-		csr, err := graph.StreamCSR(s.ov.N(), s.ov.EdgeStream())
-		if err != nil {
-			t.Fatalf("batch %d: compacting the overlay: %v", bi, err)
-		}
+		csr := graph.CSRFromGraph(s.ov.Graph())
 		if got, want := s.TopologyFingerprint(), csr.Fingerprint(); got != want {
 			t.Fatalf("batch %d: TopologyFingerprint %#x, compacted CSR %#x", bi, got, want)
 		}

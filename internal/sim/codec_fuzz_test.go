@@ -39,9 +39,9 @@ func FuzzCorruptedPayloadDecode(f *testing.F) {
 	// BEFORE sizing any buffer — see TestDecodeLengthPrefixAllocation
 	// for the measured allocation ceiling.
 	f.Add([]byte{tagInts, 0xfe, 0xff, 0xff, 0xff, 0x0f})                                     // ~4·10⁹ elements, 0 bytes follow
-	f.Add([]byte{tagInts, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01})      // 2⁶⁴-ish declared count
-	f.Add([]byte{tagInts, 0x04, 0x01, 0x02})                                                // declares 4, carries 2
-	f.Add(append([]byte{tagInts, 0x03}, 0x02, 0x04, 0x06))                                  // declares 3 = remaining, still truncated (no domain)
+	f.Add([]byte{tagInts, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01})       // 2⁶⁴-ish declared count
+	f.Add([]byte{tagInts, 0x04, 0x01, 0x02})                                                 // declares 4, carries 2
+	f.Add(append([]byte{tagInts, 0x03}, 0x02, 0x04, 0x06))                                   // declares 3 = remaining, still truncated (no domain)
 	f.Add([]byte{tagInts, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x01}) // overlong uvarint prefix
 	f.Fuzz(func(t *testing.T, data []byte) {
 		p, err := DecodePayload(data) // must not panic
