@@ -56,9 +56,6 @@ const (
 	// Lockstep runs nodes sequentially each round (deterministic
 	// reference driver).
 	Lockstep = sim.Lockstep
-	// Goroutines runs every node as its own goroutine with round
-	// barriers; results are identical to Lockstep.
-	Goroutines = sim.Goroutines
 	// Workers runs each round's node computations on a worker pool;
 	// results are identical to Lockstep, and it is the fastest driver
 	// for large networks.

@@ -145,23 +145,6 @@ func TestPublicDefectiveColor(t *testing.T) {
 	}
 }
 
-func TestPublicGoroutineDriver(t *testing.T) {
-	g := NewPowerLaw(60, 3, 12)
-	a, err := LinialColor(g, Config{Driver: Lockstep})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := LinialColor(g, Config{Driver: Goroutines})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for v := range a.Colors {
-		if a.Colors[v] != b.Colors[v] {
-			t.Fatal("drivers disagree")
-		}
-	}
-}
-
 func TestPublicHypergraphColoring(t *testing.T) {
 	h := NewRandomHypergraph(12, 9, 3, 21)
 	colors, palette, stats, err := HyperedgeColor(h, Config{})

@@ -407,7 +407,7 @@ func BenchmarkSelectorsEndToEnd(b *testing.B) {
 }
 
 // BenchmarkSimulatorDrivers micro-benchmarks the engine itself:
-// lockstep vs goroutine-per-node on the Linial protocol.
+// lockstep vs the worker pool on the Linial protocol.
 func BenchmarkSimulatorDrivers(b *testing.B) {
 	g := NewRandomRegular(512, 8, 16)
 	b.Run("lockstep", func(b *testing.B) {
@@ -417,9 +417,9 @@ func BenchmarkSimulatorDrivers(b *testing.B) {
 			}
 		}
 	})
-	b.Run("goroutines", func(b *testing.B) {
+	b.Run("workers", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := LinialColor(g, Config{Driver: Goroutines}); err != nil {
+			if _, err := LinialColor(g, Config{Driver: Workers}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -431,7 +431,7 @@ func BenchmarkSimulatorDrivers(b *testing.B) {
 func BenchmarkHarnessQuick(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		tables := bench.All(bench.Options{Seed: 1, Quick: true})
-		if len(tables) != 15 {
+		if len(tables) != len(bench.Registry()) {
 			b.Fatal("harness incomplete")
 		}
 	}

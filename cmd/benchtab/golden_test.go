@@ -2,9 +2,11 @@ package main
 
 import (
 	"bytes"
+	"errors"
 	"flag"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -58,6 +60,24 @@ func TestRunUnknownExperiment(t *testing.T) {
 	var out, errb bytes.Buffer
 	if code := run([]string{"-run", "E99"}, &out, &errb); code != 1 {
 		t.Fatalf("run -run E99 = %d, want 1 (stderr: %s)", code, errb.String())
+	}
+}
+
+// failingWriter rejects every write, like a full disk.
+type failingWriter struct{}
+
+func (failingWriter) Write([]byte) (int, error) { return 0, errors.New("no space left on device") }
+
+// TestRunTableWriteError pins that a table run whose output cannot be
+// written exits 1 and reports the write error instead of claiming
+// success.
+func TestRunTableWriteError(t *testing.T) {
+	var errb bytes.Buffer
+	if code := run([]string{"-run", "E1", "-quick"}, failingWriter{}, &errb); code != 1 {
+		t.Fatalf("run into a failing writer = %d, want 1 (stderr: %s)", code, errb.String())
+	}
+	if !strings.Contains(errb.String(), "no space left on device") {
+		t.Errorf("stderr does not report the write error: %q", errb.String())
 	}
 }
 

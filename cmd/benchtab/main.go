@@ -21,6 +21,7 @@ import (
 	"io"
 	"os"
 	"runtime"
+	"strings"
 	"time"
 
 	"listcolor/internal/bench"
@@ -30,7 +31,7 @@ func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-func run(args []string, stdout, stderr io.Writer) int {
+func run(args []string, stdout, stderr io.Writer) (code int) {
 	fs := flag.NewFlagSet("benchtab", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
@@ -58,6 +59,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		defer func() {
 			if err := f.Close(); err != nil {
 				fmt.Fprintln(stderr, "benchtab:", err)
+				if code == 0 {
+					code = 1
+				}
 			}
 		}()
 		out = f
@@ -99,15 +103,20 @@ func run(args []string, stdout, stderr io.Writer) int {
 	} else {
 		tables = bench.All(opt)
 	}
+	var b strings.Builder
 	for i, tb := range tables {
 		if i > 0 {
-			fmt.Fprintln(out)
+			b.WriteString("\n")
 		}
 		if *markdown {
-			fmt.Fprint(out, tb.Markdown())
+			b.WriteString(tb.Markdown())
 		} else {
-			fmt.Fprint(out, tb.Format())
+			b.WriteString(tb.Format())
 		}
+	}
+	if _, err := io.WriteString(out, b.String()); err != nil {
+		fmt.Fprintln(stderr, "benchtab:", err)
+		return 1
 	}
 	return 0
 }

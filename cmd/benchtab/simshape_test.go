@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"listcolor/internal/bench"
+	"listcolor/internal/sim"
 )
 
 // TestSimBenchShape pins the BENCH_sim.json document shape: the -sim
@@ -31,16 +32,17 @@ func TestSimBenchShape(t *testing.T) {
 	if len(rep.Baseline) == 0 {
 		t.Error("recorded baseline missing")
 	}
-	if want := 3 * len(bench.SimWorkloads(true)); len(rep.Current) != want {
-		t.Fatalf("current has %d entries, want %d (3 drivers per workload)", len(rep.Current), want)
+	drivers := len(sim.AllDrivers())
+	if want := drivers * len(bench.SimWorkloads(true)); len(rep.Current) != want {
+		t.Fatalf("current has %d entries, want %d (%d drivers per workload)", len(rep.Current), want, drivers)
 	}
 	for _, e := range rep.Current {
 		if e.RoundsPerSec <= 0 || e.NsPerRound <= 0 || e.Nodes <= 0 || e.MsgsPerRound <= 0 {
 			t.Errorf("%s/%s: implausible measurement %+v", e.Workload, e.Driver, e)
 		}
 	}
-	if want := 2 * len(bench.SimScaleWorkloads(true)); len(rep.Scale) != want {
-		t.Fatalf("scale has %d entries, want %d (lockstep + workers per workload)", len(rep.Scale), want)
+	if want := drivers * len(bench.SimScaleWorkloads(true)); len(rep.Scale) != want {
+		t.Fatalf("scale has %d entries, want %d (%d drivers per workload)", len(rep.Scale), want, drivers)
 	}
 	for _, e := range rep.Scale {
 		if e.RoundsPerSec <= 0 || e.Nodes <= 0 || e.Edges <= 0 || e.Shards < 1 ||

@@ -41,7 +41,6 @@ func main() {
 		theta     = flag.Int("theta", 2, "neighborhood independence bound for -algo nbhood")
 		seed      = flag.Int64("seed", 1, "workload seed")
 		congest   = flag.Int("congest", 0, "CONGEST bandwidth cap in bits (0 = LOCAL, unlimited)")
-		goroutine = flag.Bool("goroutines", false, "run each node as its own goroutine")
 		load      = flag.String("load", "", "load the graph from an edge-list file instead of generating one")
 		save      = flag.String("save", "", "save the (generated) graph to an edge-list file")
 		traceEach = flag.Int("trace", 0, "print per-round stats every N rounds (0 = off)")
@@ -73,9 +72,6 @@ func main() {
 		}
 	}
 	cfg := listcolor.Config{BandwidthBits: *congest}
-	if *goroutine {
-		cfg.Driver = listcolor.Goroutines
-	}
 	if *traceEach > 0 {
 		every := *traceEach
 		cfg.OnRound = func(rs listcolor.RoundStats) {

@@ -32,7 +32,7 @@ func TestCorruptedPayloadsNeverPanicSolver(t *testing.T) {
 }
 
 // TestPlanBitIdenticalAcrossDrivers runs one solver under one compiled
-// plan on all three drivers and requires identical colors, stats and
+// plan on every driver and requires identical colors, stats and
 // error text — the adversary analogue of the clean-run determinism
 // property.
 func TestPlanBitIdenticalAcrossDrivers(t *testing.T) {

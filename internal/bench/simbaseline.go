@@ -9,13 +9,10 @@ package bench
 func SimBenchBaseline() []SimBenchEntry {
 	return []SimBenchEntry{
 		{Workload: "ring", Driver: "lockstep", Nodes: 256, Edges: 256, Rounds: 4096, MsgsPerRound: 512, RoundsPerSec: 18160, NsPerRound: 55067, BytesPerRound: 49550, AllocsPerRound: 1281.3},
-		{Workload: "ring", Driver: "goroutines", Nodes: 256, Edges: 256, Rounds: 4096, MsgsPerRound: 512, RoundsPerSec: 4997, NsPerRound: 200115, BytesPerRound: 49579, AllocsPerRound: 1281.6},
 		{Workload: "ring", Driver: "workers", Nodes: 256, Edges: 256, Rounds: 4096, MsgsPerRound: 512, RoundsPerSec: 19245, NsPerRound: 51962, BytesPerRound: 53889, AllocsPerRound: 1294.3},
 		{Workload: "gnp", Driver: "lockstep", Nodes: 256, Edges: 1623, Rounds: 4096, MsgsPerRound: 3246, RoundsPerSec: 4341, NsPerRound: 230381, BytesPerRound: 238350, AllocsPerRound: 2050.3},
-		{Workload: "gnp", Driver: "goroutines", Nodes: 256, Edges: 1623, Rounds: 4096, MsgsPerRound: 3246, RoundsPerSec: 2769, NsPerRound: 361196, BytesPerRound: 238379, AllocsPerRound: 2050.6},
 		{Workload: "gnp", Driver: "workers", Nodes: 256, Edges: 1623, Rounds: 4096, MsgsPerRound: 3246, RoundsPerSec: 6138, NsPerRound: 162926, BytesPerRound: 242689, AllocsPerRound: 2063.3},
 		{Workload: "complete", Driver: "lockstep", Nodes: 64, Edges: 2016, Rounds: 1024, MsgsPerRound: 4032, RoundsPerSec: 9656, NsPerRound: 103565, BytesPerRound: 227598, AllocsPerRound: 641.3},
-		{Workload: "complete", Driver: "goroutines", Nodes: 64, Edges: 2016, Rounds: 1024, MsgsPerRound: 4032, RoundsPerSec: 6912, NsPerRound: 144681, BytesPerRound: 227623, AllocsPerRound: 641.6},
 		{Workload: "complete", Driver: "workers", Nodes: 64, Edges: 2016, Rounds: 1024, MsgsPerRound: 4032, RoundsPerSec: 11192, NsPerRound: 89353, BytesPerRound: 228865, AllocsPerRound: 652.3},
 	}
 }

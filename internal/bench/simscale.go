@@ -154,13 +154,11 @@ func MeasureScaleThroughput(w SimScaleWorkload, driver sim.Driver) (SimScaleEntr
 }
 
 // RunSimScale measures every scale workload under the lockstep
-// reference and the sharded workers driver. The goroutine-per-node
-// driver is deliberately absent: 10⁷ goroutine stacks are a memory
-// benchmark of the runtime, not of the engine.
+// reference and the sharded workers driver.
 func RunSimScale(quick bool) ([]SimScaleEntry, error) {
 	var out []SimScaleEntry
 	for _, w := range SimScaleWorkloads(quick) {
-		for _, d := range []sim.Driver{sim.Lockstep, sim.Workers} {
+		for _, d := range sim.AllDrivers() {
 			e, err := MeasureScaleThroughput(w, d)
 			if err != nil {
 				return nil, err

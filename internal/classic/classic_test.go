@@ -193,7 +193,7 @@ func TestDriversAgree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, _, _, _, err := SweepArb(g, init, q, 2, sim.Config{Driver: sim.Goroutines})
+	b, _, _, _, err := SweepArb(g, init, q, 2, sim.Config{Driver: sim.Workers})
 	if err != nil {
 		t.Fatal(err)
 	}

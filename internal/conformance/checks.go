@@ -130,6 +130,28 @@ func truncate(s string) string {
 	return s
 }
 
+// concurrentRun is one run a cell compares against its lockstep
+// reference.
+type concurrentRun struct {
+	name string
+	cfg  sim.Config
+}
+
+// concurrentRuns returns base under every concurrent driver, plus the
+// workers driver routing each round through two receiver shards, so
+// every solver is also checked through the sharded router. Rounds
+// with a drop or corrupt hook route sequentially by contract, so under
+// those hooks the sharded run repeats the plain workers run.
+func concurrentRuns(base sim.Config) []concurrentRun {
+	var runs []concurrentRun
+	for _, d := range sim.AllDrivers()[1:] {
+		runs = append(runs, concurrentRun{d.String(), base.WithDriver(d)})
+	}
+	sharded := base.WithDriver(sim.Workers)
+	sharded.Shards = 2
+	return append(runs, concurrentRun{"workers/2-shards", sharded})
+}
+
 // RunCell executes every conformance check of one matrix cell.
 func RunCell(env *Env, s Solver, opt Options) CellResult {
 	res := CellResult{Workload: env.W.Name, Solver: s.Name}
@@ -179,11 +201,11 @@ func RunCell(env *Env, s Solver, opt Options) CellResult {
 	// message-bit counts under every driver, clean and faulted.
 	if !s.Sequential {
 		refFP := Fingerprint(ref)
-		for _, d := range sim.AllDrivers()[1:] {
-			out := s.Run(c, sim.Config{Driver: d})
+		for _, v := range concurrentRuns(sim.Config{}) {
+			out := s.Run(c, v.cfg)
 			if fp := Fingerprint(out); !bytes.Equal(fp, refFP) {
 				res.Failures = append(res.Failures,
-					fmt.Sprintf("driver %v diverges from lockstep: %s", d, diffFingerprints(refFP, fp)))
+					fmt.Sprintf("driver %s diverges from lockstep: %s", v.name, diffFingerprints(refFP, fp)))
 			}
 		}
 		if opt.Faults {
@@ -209,11 +231,11 @@ func RunCell(env *Env, s Solver, opt Options) CellResult {
 				cfg := fp.plan.Apply(sim.Config{MaxRounds: maxRounds})
 				planRef := s.Run(c, cfg.WithDriver(sim.Lockstep))
 				planFP := Fingerprint(planRef)
-				for _, d := range sim.AllDrivers()[1:] {
-					out := s.Run(c, cfg.WithDriver(d))
+				for _, v := range concurrentRuns(cfg) {
+					out := s.Run(c, v.cfg)
 					if got := Fingerprint(out); !bytes.Equal(got, planFP) {
 						res.Failures = append(res.Failures,
-							fmt.Sprintf("driver %v diverges from lockstep under %s plan: %s", d, fp.name, diffFingerprints(planFP, got)))
+							fmt.Sprintf("driver %s diverges from lockstep under %s plan: %s", v.name, fp.name, diffFingerprints(planFP, got)))
 					}
 				}
 			}

@@ -2,9 +2,10 @@
 // runs every solver over a shared seeded workload matrix (graph family
 // × orientation × instance generator × size) and asserts, per cell:
 //
-//   - driver equivalence — the lockstep, goroutine-per-node and
-//     worker-pool simulator drivers produce byte-identical colors,
-//     rounds and message-bit counts, with and without fault injection;
+//   - driver equivalence — the lockstep and worker-pool simulator
+//     drivers, the latter also routing through two receiver shards,
+//     produce byte-identical colors, rounds and message-bit counts,
+//     with and without fault injection;
 //   - validator pass — the output satisfies the matching
 //     internal/coloring validator AND the theorem's defect/round
 //     guarantee, with the constant-factor headroom recorded

@@ -3,7 +3,7 @@ package conformance
 import "testing"
 
 // TestPaletteKernelRaceCell drives one full workload cell — clean and
-// fault-injected, all three drivers — through the solvers whose hot
+// fault-injected, every driver — through the solvers whose hot
 // paths run on the internal/palette kernel. Its purpose is to put the
 // kernel's node-local state (bitsets, counters, selection scratch)
 // under the concurrent drivers so `go test -race` observes every

@@ -40,7 +40,7 @@ func TestPipelineDriverIndependent(t *testing.T) {
 	g := graph.GNP(60, 0.15, rng)
 	inst := coloring.DegreePlusOne(g, g.MaxDegree()+2, rng)
 	var prev []int
-	for _, driver := range []sim.Driver{sim.Lockstep, sim.Goroutines, sim.Workers} {
+	for _, driver := range sim.AllDrivers() {
 		res, err := Solve(g, inst, sim.Config{Driver: driver})
 		if err != nil {
 			t.Fatalf("driver %d: %v", driver, err)

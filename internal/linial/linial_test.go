@@ -242,7 +242,7 @@ func TestReduceDriversAgree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := ColorFromIDs(g, sim.Config{Driver: sim.Goroutines})
+	b, err := ColorFromIDs(g, sim.Config{Driver: sim.Workers})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -143,7 +143,8 @@ type Report struct {
 
 // Run executes the target under the plan and repairs the result.
 // The returned error covers structural problems only (nil topology,
-// broken instance); fault damage is reported, never returned.
+// broken instance, invalid plan or solve config); fault damage is
+// reported, never returned.
 func Run(t Target, plan adversary.Plan, opt Options) (Report, error) {
 	if t.G == nil || t.Inst == nil {
 		return Report{}, fmt.Errorf("repair: target needs G and Inst")
@@ -155,7 +156,6 @@ func Run(t Target, plan adversary.Plan, opt Options) (Report, error) {
 	if t.Inst.N() != n {
 		return Report{}, fmt.Errorf("repair: instance covers %d nodes, graph has %d", t.Inst.N(), n)
 	}
-	var rep Report
 	base := opt.Base
 	if opt.Driver != 0 {
 		base.Driver = opt.Driver
@@ -164,6 +164,10 @@ func Run(t Target, plan adversary.Plan, opt Options) (Report, error) {
 		base.MaxRounds = opt.MaxRounds
 	}
 	cfg := plan.Apply(base)
+	if err := cfg.Validate(); err != nil {
+		return Report{}, err
+	}
+	var rep Report
 	var colors []int
 	if t.Solve != nil {
 		colors, rep.SolveStats, rep.SolveErr = t.Solve(cfg)

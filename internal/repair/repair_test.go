@@ -1,6 +1,7 @@
 package repair
 
 import (
+	"errors"
 	"math/rand"
 	"reflect"
 	"sync"
@@ -248,6 +249,16 @@ func TestRunStructuralErrors(t *testing.T) {
 	if _, err := Run(Target{G: g, Inst: inst}, bad, Options{}); err == nil {
 		t.Error("invalid plan accepted")
 	}
+	// An invalid solve config is structural too: it must not end up in
+	// SolveErr with repair quietly starting from the fallback.
+	for name, opt := range map[string]Options{
+		"unknown driver":     {Driver: sim.Driver(99)},
+		"negative MaxRounds": {MaxRounds: -1},
+	} {
+		if _, err := Run(Target{G: g, Inst: inst}, adversary.Plan{}, opt); !errors.Is(err, sim.ErrConfig) {
+			t.Errorf("%s: err = %v, want sim.ErrConfig", name, err)
+		}
+	}
 }
 
 // TestRepairDeterministicUnderConcurrency is the race-job test: many
@@ -278,7 +289,8 @@ func TestRepairDeterministicUnderConcurrency(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			rep, err := Run(tgt, plan, Options{MaxRounds: 150, Driver: sim.Driver(i%3 + 1)})
+			drivers := sim.AllDrivers()
+			rep, err := Run(tgt, plan, Options{MaxRounds: 150, Driver: drivers[i%len(drivers)]})
 			if err != nil {
 				t.Error(err)
 				return

@@ -18,7 +18,6 @@ func TestConfigValidate(t *testing.T) {
 	}{
 		{"zero value", Config{}, true},
 		{"lockstep", Config{Driver: Lockstep}, true},
-		{"goroutines", Config{Driver: Goroutines}, true},
 		{"workers", Config{Driver: Workers}, true},
 		{"congest", Config{BandwidthBits: 32, MaxRounds: 100}, true},
 		{"negative bandwidth", Config{BandwidthBits: -1}, false},
@@ -345,7 +344,7 @@ func TestRoundStatsFoldUnderFaults(t *testing.T) {
 
 // TestDriverEquivalenceUnderNodeFaults extends the fault-equivalence
 // property to the new hook axes: random crash/down schedules plus
-// corruption must damage all three drivers identically.
+// corruption must damage every driver identically.
 func TestDriverEquivalenceUnderNodeFaults(t *testing.T) {
 	f := func(seed int64, rawN uint8, rawRate uint8) bool {
 		n := int(rawN%18) + 3

@@ -47,72 +47,6 @@ func BenchmarkRoundThroughput(b *testing.B) {
 	}
 }
 
-// poolChatter is the list-message variant: every round each node rents
-// a Values buffer from a sim.BufferPool, fills it afresh, broadcasts
-// it as an *IntsPayload, and recycles the buffer sent two rounds
-// earlier (its delivery round is over, and no receiver retains it).
-// The two payload boxes are pre-allocated and rotated the same way, so
-// steady-state rounds are allocation-free despite building a new list
-// message each time.
-type poolChatter struct {
-	rounds  int
-	pool    *sim.BufferPool
-	pending [2]*sim.IntsPayload // payloads awaiting recycling, by round parity
-	outbox  []sim.Outgoing
-	sink    int
-}
-
-func (c *poolChatter) Init(ctx *sim.Context) []sim.Outgoing {
-	c.outbox = []sim.Outgoing{{To: sim.Broadcast}}
-	c.pending[0] = &sim.IntsPayload{Domain: 1 << 16, MaxLen: 4}
-	c.pending[1] = &sim.IntsPayload{Domain: 1 << 16, MaxLen: 4}
-	return c.send(0)
-}
-
-func (c *poolChatter) send(round int) []sim.Outgoing {
-	p := c.pending[round%2]
-	if p.Values != nil {
-		c.pool.Put(p.Values)
-	}
-	buf := c.pool.Get(4)
-	for i := range buf {
-		buf[i] = (round + i) % (1 << 16)
-	}
-	p.Values = buf
-	c.outbox[0].Payload = p
-	return c.outbox
-}
-
-func (c *poolChatter) Round(ctx *sim.Context, round int, inbox []sim.Message) ([]sim.Outgoing, bool) {
-	for i := range inbox {
-		c.sink += inbox[i].From
-	}
-	if round >= c.rounds {
-		return nil, true
-	}
-	return c.send(round), false
-}
-
-func BenchmarkRoundThroughputPooledLists(b *testing.B) {
-	g := graph.Ring(256)
-	nw := sim.NewNetwork(g)
-	pool := &sim.BufferPool{}
-	nodes := make([]sim.Node, g.N())
-	for v := range nodes {
-		nodes[v] = &poolChatter{rounds: b.N, pool: pool}
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	res, err := sim.Run(nw, nodes, sim.Config{})
-	b.StopTimer()
-	if err != nil {
-		b.Fatal(err)
-	}
-	if res.Rounds != b.N {
-		b.Fatalf("res.Rounds = %d, want b.N = %d", res.Rounds, b.N)
-	}
-}
-
 // staggeredNode finishes at its own fixed round, so a network of them
 // has a linearly shrinking active set — the shape of sweep and Linial
 // protocols, where most rounds run with a small active tail. The
@@ -161,24 +95,4 @@ func BenchmarkShrinkingActive(b *testing.B) {
 			}
 		})
 	}
-}
-
-// BenchmarkBufferPoolContention hammers one shared pool from all Ps
-// with a mix of size classes — the workers-driver shape, where
-// concurrent nodes rent differently sized payload buffers each round.
-// Steady state must be allocation-free: every Get after warmup is a
-// pooled hit in its own class.
-func BenchmarkBufferPoolContention(b *testing.B) {
-	pool := &sim.BufferPool{}
-	sizes := []int{4, 16, 64, 256}
-	b.ReportAllocs()
-	b.RunParallel(func(pb *testing.PB) {
-		i := 0
-		for pb.Next() {
-			buf := pool.Get(sizes[i%len(sizes)])
-			buf[0] = i
-			pool.Put(buf)
-			i++
-		}
-	})
 }

@@ -8,32 +8,19 @@ import "fmt"
 // command-line tools iterate over this slice instead of hard-coding
 // the set, so a new driver is automatically picked up everywhere.
 func AllDrivers() []Driver {
-	return []Driver{Lockstep, Goroutines, Workers}
+	return []Driver{Lockstep, Workers}
 }
 
-// String returns the driver's canonical name (the one ParseDriver
-// accepts).
+// String returns the driver's canonical name.
 func (d Driver) String() string {
 	switch d {
 	case Lockstep:
 		return "lockstep"
-	case Goroutines:
-		return "goroutines"
 	case Workers:
 		return "workers"
 	default:
 		return fmt.Sprintf("driver(%d)", int(d))
 	}
-}
-
-// ParseDriver maps a canonical driver name to its Driver value.
-func ParseDriver(name string) (Driver, error) {
-	for _, d := range AllDrivers() {
-		if d.String() == name {
-			return d, nil
-		}
-	}
-	return 0, fmt.Errorf("sim: unknown driver %q (known: %v)", name, AllDrivers())
 }
 
 // WithDriver returns a copy of the config running under d. It exists

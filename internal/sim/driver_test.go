@@ -2,25 +2,10 @@ package sim
 
 import "testing"
 
-func TestDriverNamesRoundTrip(t *testing.T) {
-	for _, d := range AllDrivers() {
-		got, err := ParseDriver(d.String())
-		if err != nil {
-			t.Fatalf("ParseDriver(%q): %v", d.String(), err)
-		}
-		if got != d {
-			t.Errorf("ParseDriver(%q) = %v, want %v", d.String(), got, d)
-		}
-	}
-	if _, err := ParseDriver("bogus"); err == nil {
-		t.Error("ParseDriver accepted an unknown name")
-	}
-}
-
 func TestAllDriversReferenceFirst(t *testing.T) {
 	ds := AllDrivers()
-	if len(ds) < 3 || ds[0] != Lockstep {
-		t.Fatalf("AllDrivers() = %v, want Lockstep first and all three drivers", ds)
+	if len(ds) < 2 || ds[0] != Lockstep {
+		t.Fatalf("AllDrivers() = %v, want Lockstep first and at least one concurrent driver", ds)
 	}
 }
 

@@ -25,9 +25,9 @@ func deterministicDrop(seed int64, rate int) func(round, from, to int) bool {
 }
 
 // TestDriverEquivalenceUnderFaults is the determinism property across
-// all three drivers WITH fault injection: whatever damage a dropped
-// message does, it must do identically under every driver — same
-// per-node outputs, same statistics.
+// both drivers WITH fault injection: whatever damage a dropped message
+// does, it must do identically under every driver — same per-node
+// outputs, same statistics.
 func TestDriverEquivalenceUnderFaults(t *testing.T) {
 	f := func(seed int64, rawN uint8, rawHops uint8, rawRate uint8) bool {
 		n := int(rawN%20) + 3
@@ -37,19 +37,17 @@ func TestDriverEquivalenceUnderFaults(t *testing.T) {
 		g := graph.GNP(n, 0.3, rng)
 		nodesA, resA := newFloodMaxNodes(n, hops)
 		nodesB, resB := newFloodMaxNodes(n, hops)
-		nodesC, resC := newFloodMaxNodes(n, hops)
 		cfg := Config{DropMessage: deterministicDrop(seed, rate)}
 		ra, errA := Run(NewNetwork(g), nodesA, cfg.WithDriver(Lockstep))
-		rb, errB := Run(NewNetwork(g), nodesB, cfg.WithDriver(Goroutines))
-		rc, errC := Run(NewNetwork(g), nodesC, cfg.WithDriver(Workers))
-		if errA != nil || errB != nil || errC != nil {
+		rb, errB := Run(NewNetwork(g), nodesB, cfg.WithDriver(Workers))
+		if errA != nil || errB != nil {
 			return false // floodMax terminates by round count regardless of drops
 		}
-		if ra != rb || ra != rc {
+		if ra != rb {
 			return false
 		}
 		for v := range resA {
-			if resA[v] != resB[v] || resA[v] != resC[v] {
+			if resA[v] != resB[v] {
 				return false
 			}
 		}

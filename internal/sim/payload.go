@@ -1,11 +1,6 @@
 package sim
 
-import (
-	"math/bits"
-	"sync"
-
-	"listcolor/internal/logstar"
-)
+import "listcolor/internal/logstar"
 
 // BitsFor returns the number of bits needed to encode a value drawn
 // from a domain of the given size: ⌈log₂(domain)⌉, and at least 1 so
@@ -50,84 +45,6 @@ func (p IntsPayload) SizeBits() int {
 }
 
 var _ Payload = IntsPayload{}
-
-// BufferPool recycles []int scratch buffers for payload construction
-// (typically IntsPayload.Values), so protocols that assemble a fresh
-// list message every round can run allocation-free in steady state.
-// The zero value is ready to use and safe for concurrent use by all
-// drivers.
-//
-// Ownership contract: the engine never copies or recycles payloads —
-// a delivered Payload is exactly the sender's object, and receivers
-// are allowed to retain it. A sender may therefore Put a buffer back
-// only when its protocol guarantees no receiver still references it:
-// the earliest safe point is the round after the message was
-// delivered (send in round r, delivery in r+1, recycle in r+2), and
-// only for message types whose receivers do not retain Values across
-// rounds.
-// BufferPool is a plain freelist rather than a sync.Pool: sync.Pool's
-// Put boxes the slice header on every call, which would put one
-// allocation per recycled payload back on the hot path the pool exists
-// to clear.
-//
-// Buffers are bucketed by power-of-two capacity class with one lock
-// per class, so Get is O(1) instead of a linear first-fit scan over
-// every pooled buffer, and concurrent renters of different sizes (the
-// workers driver's round fan-out) contend only within their own class.
-type BufferPool struct {
-	classes [poolClasses]bufferClass
-}
-
-// poolClasses covers every capacity a []int can have (cap is a
-// positive int, so ⌈log₂ cap⌉ ≤ 63): class c holds buffers with cap
-// in [2^c, 2^(c+1)).
-const poolClasses = 64
-
-type bufferClass struct {
-	mu   sync.Mutex
-	free [][]int
-}
-
-// sizeClass returns the class whose every buffer can hold n values:
-// ceil(log₂ n), so 2^class ≥ n.
-func sizeClass(n int) int {
-	if n <= 1 {
-		return 0
-	}
-	return bits.Len(uint(n - 1))
-}
-
-// Get returns a length-n buffer, reusing a pooled allocation when one
-// is available in n's size class. Contents are unspecified. A miss
-// allocates at the full class capacity so the buffer re-enters the
-// same class on Put regardless of n.
-func (bp *BufferPool) Get(n int) []int {
-	cls := &bp.classes[sizeClass(n)]
-	cls.mu.Lock()
-	if last := len(cls.free) - 1; last >= 0 {
-		buf := cls.free[last]
-		cls.free[last] = nil
-		cls.free = cls.free[:last]
-		cls.mu.Unlock()
-		return buf[:n]
-	}
-	cls.mu.Unlock()
-	return make([]int, n, 1<<sizeClass(n))
-}
-
-// Put returns a buffer to the pool, bucketed by its capacity's class
-// (⌊log₂ cap⌋, so the class invariant cap ≥ 2^class holds for any
-// caller-allocated buffer too). The caller must not use buf (or any
-// payload still referencing it) afterwards.
-func (bp *BufferPool) Put(buf []int) {
-	if cap(buf) == 0 {
-		return
-	}
-	cls := &bp.classes[bits.Len(uint(cap(buf)))-1]
-	cls.mu.Lock()
-	cls.free = append(cls.free, buf)
-	cls.mu.Unlock()
-}
 
 // PairPayload carries two integers from (possibly different) domains,
 // e.g. (initial color, chosen color-space index).

@@ -11,18 +11,16 @@
 // enforce a per-message bandwidth cap so that tests can prove an
 // algorithm is CONGEST-compliant rather than assert it.
 //
-// Protocols are per-node state machines (the Node interface). Three
-// drivers execute them: a deterministic sequential lockstep driver, a
-// goroutine driver that runs every node as its own goroutine
-// synchronized by round barriers, and a worker-pool driver. All must
-// produce identical results; the test suite checks this property on
-// random protocols.
+// Protocols are per-node state machines (the Node interface). Two
+// drivers execute them: a deterministic sequential lockstep driver and
+// a worker-pool driver that steps each round's nodes concurrently.
+// Both must produce identical results; the test suite checks this
+// property on random protocols.
 package sim
 
 import (
 	"errors"
 	"fmt"
-	"sync"
 
 	"listcolor/internal/graph"
 )
@@ -84,9 +82,6 @@ const (
 	// Lockstep runs nodes sequentially in id order each round. It is
 	// the deterministic reference driver.
 	Lockstep Driver = iota + 1
-	// Goroutines runs every node as its own goroutine with a barrier
-	// per round. Results are identical to Lockstep.
-	Goroutines
 	// Workers runs each round's node computations on a fixed pool of
 	// worker goroutines (GOMAXPROCS-sized), then routes sequentially in
 	// id order. Results are identical to Lockstep; this driver is the
@@ -139,8 +134,8 @@ type Config struct {
 	// call-order contract.
 	Shards int
 	// OnRound, if non-nil, is invoked after every round with that
-	// round's statistics (lockstep and goroutine drivers both call it
-	// from the coordinating goroutine).
+	// round's statistics (both drivers call it from the coordinating
+	// goroutine).
 	OnRound func(RoundStats)
 	// DropMessage, if non-nil, is a fault-injection hook: a message
 	// sent by from to to in the given round is silently discarded when
@@ -201,7 +196,7 @@ func (c Config) Validate() error {
 		return fmt.Errorf("%w: negative Shards %d", ErrConfig, c.Shards)
 	}
 	switch c.Driver {
-	case 0, Lockstep, Goroutines, Workers:
+	case 0, Lockstep, Workers:
 	default:
 		return fmt.Errorf("%w: unknown driver %d", ErrConfig, c.Driver)
 	}
@@ -368,19 +363,9 @@ func (nw *Network) Graph() *graph.Graph {
 // Digraph returns the orientation, or nil for an unoriented network.
 func (nw *Network) Digraph() *graph.Digraph { return nw.di }
 
-func (nw *Network) context(v int) *Context {
-	ctx := &Context{ID: v, Neighbors: nw.topo.Row(v)}
-	if nw.di != nil {
-		ctx.Out = nw.di.Out(v)
-		ctx.In = nw.di.In(v)
-	}
-	return ctx
-}
-
 // contexts builds the per-node contexts as one flat array — a single
 // allocation instead of n, with every Neighbors slice a zero-copy view
-// into the CSR column array. The lockstep and workers drivers index
-// it; the goroutines driver builds contexts per node goroutine.
+// into the CSR column array. Both drivers index it.
 func (nw *Network) contexts() []Context {
 	ctxs := make([]Context, nw.N())
 	for v := range ctxs {
@@ -413,8 +398,6 @@ func Run(nw *Network, nodes []Node, cfg Config) (Result, error) {
 	switch cfg.Driver {
 	case Lockstep:
 		return runLockstep(nw, nodes, cfg)
-	case Goroutines:
-		return runGoroutines(nw, nodes, cfg)
 	case Workers:
 		return runWorkers(nw, nodes, cfg)
 	default:
@@ -599,144 +582,6 @@ func runLockstep(nw *Network, nodes []Node, cfg Config) (Result, error) {
 			}
 			if fin {
 				done[v] = true
-				remaining--
-			}
-		}
-		rt.res.Rounds = round
-		if cfg.OnRound != nil {
-			cfg.OnRound(RoundStats{
-				Round:       round,
-				ActiveNodes: active,
-				Messages:    rt.res.Messages - prevMsgs,
-				Bits:        rt.res.TotalBits - prevBits,
-				MaxBits:     rt.roundMax,
-			})
-		}
-	}
-	return rt.res, nil
-}
-
-// runGoroutines executes each node in its own goroutine, synchronized
-// by per-round channels. The coordinator routes messages between
-// rounds, so results are identical to the lockstep driver.
-func runGoroutines(nw *Network, nodes []Node, cfg Config) (Result, error) {
-	n := nw.N()
-	type roundIn struct {
-		round int
-		inbox []Message
-	}
-	type roundOut struct {
-		outs []Outgoing
-		done bool
-		err  error
-	}
-	ins := make([]chan roundIn, n)
-	outs := make([]chan roundOut, n)
-	var wg sync.WaitGroup
-	for v := 0; v < n; v++ {
-		ins[v] = make(chan roundIn)
-		// Buffer of one: a node never has more than one un-collected
-		// round output, so sends never block and an error return in the
-		// coordinator cannot deadlock a mid-send node.
-		outs[v] = make(chan roundOut, 1)
-		wg.Add(1)
-		go func(v int) {
-			defer wg.Done()
-			ctx := nw.context(v)
-			init, err := safeInit(nodes[v], ctx)
-			outs[v] <- roundOut{outs: init, err: err}
-			if err != nil {
-				return
-			}
-			for ri := range ins[v] {
-				o, d, err := safeRound(nodes[v], ctx, ri.round, ri.inbox)
-				outs[v] <- roundOut{outs: o, done: d, err: err}
-				if d || err != nil {
-					return
-				}
-			}
-		}(v)
-	}
-	// Ensure the node goroutines are released even on an error return:
-	// close every input channel still open.
-	alive := make([]bool, n)
-	for v := range alive {
-		alive[v] = true
-	}
-	defer func() {
-		for v, a := range alive {
-			if a {
-				close(ins[v])
-			}
-		}
-		wg.Wait()
-	}()
-
-	rt := newRouter(nw, cfg)
-	for v := 0; v < n; v++ {
-		ro := <-outs[v]
-		if ro.err != nil {
-			alive[v] = false // its goroutine has already returned
-			return rt.res, ro.err
-		}
-		if err := rt.route(v, ro.outs); err != nil {
-			return rt.res, fmt.Errorf("init of node %d: %w", v, err)
-		}
-	}
-	remaining := n
-	// status records the NodeDown verdict of every alive node for the
-	// round being coordinated, so the collect pass skips the nodes the
-	// kick pass never started. All zeros (NodeUp) when the hook is nil.
-	status := make([]NodeStatus, n)
-	for round := 1; remaining > 0; round++ {
-		if round > cfg.MaxRounds {
-			return rt.res, fmt.Errorf("%w: %d", ErrRoundLimit, cfg.MaxRounds)
-		}
-		inboxes := rt.flush()
-		rt.round = round
-		prevMsgs, prevBits := rt.res.Messages, rt.res.TotalBits
-		active := 0
-		// Kick off all alive nodes for this round, then collect in id
-		// order so routing is deterministic. The NodeDown hook runs
-		// here, on the coordinator, in ascending id order — the same
-		// schedule as the other drivers.
-		for v := 0; v < n; v++ {
-			if !alive[v] {
-				continue
-			}
-			st := NodeUp
-			if cfg.NodeDown != nil {
-				st = cfg.NodeDown(round, v)
-			}
-			status[v] = st
-			switch st {
-			case NodeDowned:
-				// Skipped this round; its goroutine idles at the
-				// channel receive until a later round or shutdown.
-			case NodeCrashed:
-				close(ins[v])
-				alive[v] = false
-				remaining--
-			default:
-				active++
-				ins[v] <- roundIn{round: round, inbox: inboxes[v]}
-			}
-		}
-		for v := 0; v < n; v++ {
-			if !alive[v] || status[v] != NodeUp {
-				continue
-			}
-			ro := <-outs[v]
-			if ro.err != nil {
-				alive[v] = false // its goroutine has already returned
-				return rt.res, ro.err
-			}
-			if err := rt.route(v, ro.outs); err != nil {
-				return rt.res, fmt.Errorf("round %d, node %d: %w", round, v, err)
-			}
-			if ro.done {
-				close(ins[v])
-				alive[v] = false
 				remaining--
 			}
 		}

@@ -94,18 +94,16 @@ func TestDriverEquivalence(t *testing.T) {
 		g := graph.GNP(n, 0.3, rng)
 		nodesA, resA := newFloodMaxNodes(n, hops)
 		nodesB, resB := newFloodMaxNodes(n, hops)
-		nodesC, resC := newFloodMaxNodes(n, hops)
 		ra, errA := Run(NewNetwork(g), nodesA, Config{Driver: Lockstep})
-		rb, errB := Run(NewNetwork(g), nodesB, Config{Driver: Goroutines})
-		rc, errC := Run(NewNetwork(g), nodesC, Config{Driver: Workers})
-		if errA != nil || errB != nil || errC != nil {
+		rb, errB := Run(NewNetwork(g), nodesB, Config{Driver: Workers})
+		if errA != nil || errB != nil {
 			return false
 		}
-		if ra != rb || ra != rc {
+		if ra != rb {
 			return false
 		}
 		for v := range resA {
-			if resA[v] != resB[v] || resA[v] != resC[v] {
+			if resA[v] != resB[v] {
 				return false
 			}
 		}
@@ -219,14 +217,6 @@ func TestRoundLimit(t *testing.T) {
 	}
 }
 
-func TestRoundLimitGoroutines(t *testing.T) {
-	nodes := []Node{forever{}, forever{}, forever{}}
-	_, err := Run(NewNetwork(graph.Ring(3)), nodes, Config{MaxRounds: 10, Driver: Goroutines})
-	if !errors.Is(err, ErrRoundLimit) {
-		t.Errorf("err = %v, want ErrRoundLimit", err)
-	}
-}
-
 func TestOnRoundStats(t *testing.T) {
 	n, h := 5, 3
 	nodes, _ := newFloodMaxNodes(n, h)
@@ -291,7 +281,7 @@ func TestInboxSortedBySender(t *testing.T) {
 		v := v
 		nodes[v] = &inboxProbe{n: n, record: func(froms []int) { order[v] = froms }}
 	}
-	if _, err := Run(NewNetwork(graph.Complete(n)), nodes, Config{Driver: Goroutines}); err != nil {
+	if _, err := Run(NewNetwork(graph.Complete(n)), nodes, Config{Driver: Workers}); err != nil {
 		t.Fatal(err)
 	}
 	for v := 0; v < n; v++ {

@@ -64,7 +64,7 @@ func TestContextContents(t *testing.T) {
 	g := graph.Path(3)
 	d := graph.OrientByID(g)
 	nw := NewOrientedNetwork(d)
-	ctx := nw.context(1)
+	ctx := nw.contexts()[1]
 	if ctx.ID != 1 {
 		t.Errorf("ID = %d", ctx.ID)
 	}

@@ -115,7 +115,7 @@ func TestLocalOpsDeterministic(t *testing.T) {
 	}
 	inst := coloring.MinSlackOriented(d, 40, 2, 0, rng)
 	var prev int64 = -1
-	for _, driver := range []sim.Driver{sim.Lockstep, sim.Goroutines, sim.Workers} {
+	for _, driver := range sim.AllDrivers() {
 		res, err := Solve(d, inst, initRes.Colors, initRes.Palette, 2, sim.Config{Driver: driver})
 		if err != nil {
 			t.Fatal(err)

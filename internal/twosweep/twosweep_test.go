@@ -251,7 +251,7 @@ func TestSolveDriversAgree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Solve(d, inst, init, q, p, sim.Config{Driver: sim.Goroutines})
+	b, err := Solve(d, inst, init, q, p, sim.Config{Driver: sim.Workers})
 	if err != nil {
 		t.Fatal(err)
 	}
