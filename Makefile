@@ -79,6 +79,7 @@ fuzz:
 	$(GO) test -fuzz FuzzRouteEquivalence -fuzztime 15s ./internal/sim
 	$(GO) test -fuzz FuzzCorruptedPayloadDecode -fuzztime 15s ./internal/sim
 	$(GO) test -fuzz FuzzStreamingCSRBuild -fuzztime 15s ./internal/graph
+	$(GO) test -fuzz FuzzTopoViewCompact -fuzztime 15s ./internal/graph
 	$(GO) test -fuzz FuzzWALRecordDecode -fuzztime 15s ./internal/service
 
 # Conformance matrix: CLI summary / heavy go-test tier (docs/TESTING.md).

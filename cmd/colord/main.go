@@ -30,6 +30,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"net/http"
 	_ "net/http/pprof"
@@ -94,6 +95,16 @@ func run(ctx context.Context, args []string, out, errw io.Writer) int {
 		fmt.Fprintf(errw, "colord: %v\n", err)
 		return 2
 	}
+	build, err := substrate(*graphKind, *n, *prob, *k, *seed)
+	if err != nil {
+		fmt.Fprintf(errw, "colord: %v\n", err)
+		return 2
+	}
+	serverMode := *churn == 0
+	if !serverMode && (*batch < 1 || *n < 2) {
+		fmt.Fprintf(errw, "colord: scripted churn needs -batch ≥ 1 and -n ≥ 2 (got -batch %d, -n %d)\n", *batch, *n)
+		return 2
+	}
 
 	if *pprofAddr != "" {
 		// The default mux already carries the pprof handlers via the
@@ -109,18 +120,7 @@ func run(ctx context.Context, args []string, out, errw io.Writer) int {
 	}
 
 	start := time.Now()
-	var base *graph.CSR
-	switch *graphKind {
-	case "ring":
-		base = graph.StreamedRing(*n)
-	case "gnp":
-		base = graph.StreamedGNP(*n, *prob, *seed)
-	case "powerlaw":
-		base = graph.StreamedPowerLaw(*n, *k, *seed)
-	default:
-		fmt.Fprintf(errw, "colord: unknown graph family %q\n", *graphKind)
-		return 2
-	}
+	base := build()
 	fmt.Fprintf(out, "substrate: %v built in %.2fs\n", base, time.Since(start).Seconds())
 
 	space := base.RawMaxDegree() + *headroom
@@ -155,7 +155,6 @@ func run(ctx context.Context, args []string, out, errw io.Writer) int {
 		return service.BatchReport{}, errors.New("colord: writer not ready")
 	}
 
-	serverMode := *churn == 0
 	ingest := service.NewIngest(applyBatch, *queueCap)
 	var srv *http.Server
 	var serveErr = make(chan error, 1)
@@ -279,6 +278,29 @@ func run(ctx context.Context, args []string, out, errw io.Writer) int {
 	}
 	fmt.Fprintf(out, "shutdown: complete at version %d\n", svc.Snapshot().Version)
 	return 0
+}
+
+// substrate checks the -graph family and its size flags against what
+// its streamed generator accepts, and returns the build.
+func substrate(kind string, n int, prob float64, k int, seed int64) (func() *graph.CSR, error) {
+	switch kind {
+	case "ring":
+		if n < 3 {
+			return nil, fmt.Errorf("-graph ring needs -n ≥ 3, got %d", n)
+		}
+		return func() *graph.CSR { return graph.StreamedRing(n) }, nil
+	case "gnp":
+		if n < 0 || !(prob >= 0 && prob <= 1) {
+			return nil, fmt.Errorf("-graph gnp needs -n ≥ 0 and 0 ≤ -prob ≤ 1, got -n %d, -prob %v", n, prob)
+		}
+		return func() *graph.CSR { return graph.StreamedGNP(n, prob, seed) }, nil
+	case "powerlaw":
+		if k < 1 || n < k+1 || int64(n) > math.MaxInt32 {
+			return nil, fmt.Errorf("-graph powerlaw needs -k ≥ 1 and k+1 ≤ -n < 2³¹, got -k %d, -n %d", k, n)
+		}
+		return func() *graph.CSR { return graph.StreamedPowerLaw(n, k, seed) }, nil
+	}
+	return nil, fmt.Errorf("unknown graph family %q", kind)
 }
 
 // hardenedServer applies the slowloris-resistant timeouts to every

@@ -242,17 +242,38 @@ func TestRunChaosFlag(t *testing.T) {
 	}
 }
 
-// TestRunFlagErrors: bad flags and bad modes exit 2 without panicking.
+// TestRunFlagErrors: bad flags and bad modes exit 2 without
+// panicking. Each case runs under a deadline, so a flag value that
+// hangs run (an empty churn batch, a substrate with no insertable
+// edge) fails the case instead of stalling the suite.
 func TestRunFlagErrors(t *testing.T) {
 	cases := [][]string{
 		{"-definitely-not-a-flag"},
 		{"-graph", "torus", "-churn", "1"},
 		{"-wal-sync", "sometimes"},
+		{"-graph", "ring", "-n", "2", "-churn", "10"},
+		{"-graph", "gnp", "-n", "100", "-prob", "1.5", "-churn", "10"},
+		{"-graph", "gnp", "-n", "100", "-prob", "NaN", "-churn", "10"},
+		{"-graph", "gnp", "-n", "-5", "-prob", "0.1"},
+		{"-graph", "powerlaw", "-n", "3", "-k", "3", "-churn", "10"},
+		{"-graph", "powerlaw", "-n", "100", "-k", "0", "-churn", "10"},
+		{"-graph", "ring", "-n", "100", "-churn", "10", "-batch", "0"},
+		{"-graph", "ring", "-n", "100", "-churn", "10", "-batch", "-3"},
+		{"-graph", "gnp", "-n", "1", "-prob", "0", "-churn", "10"},
 	}
 	for _, args := range cases {
+		ctx, cancel := context.WithCancel(context.Background())
 		var out, errw bytes.Buffer
-		if code := run(context.Background(), args, &out, &errw); code != 2 {
-			t.Fatalf("args %v: exit %d, want 2\nstderr:\n%s", args, code, errw.String())
+		done := make(chan int, 1)
+		go func() { done <- run(ctx, args, &out, &errw) }()
+		select {
+		case code := <-done:
+			if code != 2 {
+				t.Errorf("args %v: exit %d, want 2\nstderr:\n%s", args, code, errw.String())
+			}
+		case <-time.After(10 * time.Second):
+			t.Errorf("args %v: run did not return within 10s", args)
 		}
+		cancel()
 	}
 }

@@ -258,37 +258,52 @@ func (c *CSR) Graph() *Graph {
 // duplicate-free rows, no self-loops, in-range neighbors, symmetry —
 // and returns an error describing the first violation. The large-n
 // generator property tests run it on million-node streamed builds.
+// The offsets are checked in full before any row is read, so malformed
+// offsets are reported, never indexed.
 func (c *CSR) Validate() error {
-	if len(c.rowPtr) != c.n+1 || c.rowPtr[0] != 0 {
-		return fmt.Errorf("graph: CSR rowPtr malformed (len %d, first %d)", len(c.rowPtr), c.rowPtr[0])
+	if c.n < 0 || len(c.rowPtr) != c.n+1 {
+		return fmt.Errorf("graph: CSR rowPtr malformed (len %d for %d vertices)", len(c.rowPtr), c.n)
 	}
-	if c.rowPtr[c.n] != int64(len(c.col)) {
-		return fmt.Errorf("graph: CSR rowPtr[n]=%d, len(col)=%d", c.rowPtr[c.n], len(c.col))
+	if c.rowPtr[0] != 0 || c.rowPtr[c.n] != int64(len(c.col)) {
+		return fmt.Errorf("graph: CSR offsets span [%d, %d], len(col)=%d", c.rowPtr[0], c.rowPtr[c.n], len(c.col))
 	}
 	for v := 0; v < c.n; v++ {
 		if c.rowPtr[v] > c.rowPtr[v+1] {
 			return fmt.Errorf("graph: CSR offsets decrease at vertex %d", v)
 		}
+	}
+	for v := 0; v < c.n; v++ {
 		row := c.Row(v)
-		prev := -1
+		if err := checkRow(v, row, c.n); err != nil {
+			return err
+		}
 		for _, w := range row {
-			if w == v {
-				return fmt.Errorf("%w at vertex %d", ErrSelfLoop, v)
-			}
-			if w < 0 || w >= c.n {
-				return fmt.Errorf("%w: neighbor %d of %d", ErrVertexRange, w, v)
-			}
-			if w == prev {
-				return fmt.Errorf("%w: {%d,%d}", ErrParallelEdge, v, w)
-			}
-			if w < prev {
-				return fmt.Errorf("graph: CSR row %d not sorted", v)
-			}
-			prev = w
 			if !c.HasEdge(w, v) {
 				return fmt.Errorf("graph: asymmetric adjacency %d->%d", v, w)
 			}
 		}
+	}
+	return nil
+}
+
+// checkRow returns the first way row breaks the CSR row invariants as
+// vertex v's row in a graph on n vertices: a self-loop, a neighbor
+// outside [0, n), a repeated neighbor, or an unsorted row. Symmetry is
+// left to the caller.
+func checkRow(v int, row []int, n int) error {
+	prev := -1
+	for _, w := range row {
+		switch {
+		case w == v:
+			return fmt.Errorf("%w at vertex %d", ErrSelfLoop, v)
+		case w < 0 || w >= n:
+			return fmt.Errorf("%w: neighbor %d of %d", ErrVertexRange, w, v)
+		case w == prev:
+			return fmt.Errorf("%w: {%d,%d}", ErrParallelEdge, v, w)
+		case w < prev:
+			return fmt.Errorf("graph: row %d not sorted", v)
+		}
+		prev = w
 	}
 	return nil
 }

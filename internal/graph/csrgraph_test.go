@@ -123,6 +123,37 @@ func TestStreamCSRRejectsBadStreams(t *testing.T) {
 	}
 }
 
+// TestCSRValidateRejectsMalformed hand-builds broken CSRs, malformed
+// offsets included; Validate must return an error for each, not panic.
+func TestCSRValidateRejectsMalformed(t *testing.T) {
+	cases := []struct {
+		name string
+		c    *CSR
+		want error // nil: any error
+	}{
+		{"zero CSR", new(CSR), nil},
+		{"short rowPtr", &CSR{n: 2, rowPtr: []int64{}}, nil},
+		{"negative n", &CSR{n: -1}, nil},
+		{"offsets past col", &CSR{n: 2, rowPtr: []int64{0, 10, 2}, col: []int{1, 0}}, nil},
+		{"self-loop", &CSR{n: 2, rowPtr: []int64{0, 1, 2}, col: []int{0, 1}}, ErrSelfLoop},
+		{"out of range", &CSR{n: 2, rowPtr: []int64{0, 1, 2}, col: []int{2, 0}}, ErrVertexRange},
+		{"duplicate", &CSR{n: 2, rowPtr: []int64{0, 2, 4}, col: []int{1, 1, 0, 0}}, ErrParallelEdge},
+		{"unsorted", &CSR{n: 3, rowPtr: []int64{0, 2, 3, 4}, col: []int{2, 1, 0, 0}}, nil},
+		{"asymmetric", &CSR{n: 3, rowPtr: []int64{0, 1, 2, 2}, col: []int{1, 2}}, nil},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			err := tc.c.Validate()
+			if err == nil {
+				t.Fatal("Validate accepted a malformed CSR")
+			}
+			if tc.want != nil && !errors.Is(err, tc.want) {
+				t.Fatalf("err = %v, want %v", err, tc.want)
+			}
+		})
+	}
+}
+
 // TestStreamCSRDetectsDivergence feeds a stream that emits different
 // edges on its second invocation; the builder must refuse it instead
 // of producing a corrupted CSR.

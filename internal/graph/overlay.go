@@ -18,9 +18,9 @@ package graph
 //
 // The patch map grows with the touched-vertex count, not the update
 // count. A long-running service bounds it by compacting periodically:
-// TopoView.Compact folds a published view into a fresh CSR (via the
-// same two-pass StreamCSR build as the streaming generators) off the
-// write path, and NewOverlay over that CSR starts the next patch map.
+// TopoView.Compact folds a published view into a fresh CSR off the
+// write path — a run-copy merge of the base rows and the patched rows —
+// and NewOverlay over that CSR starts the next patch map.
 //
 // An Overlay is not safe for concurrent use; the service layer
 // serializes writers and hands readers immutable snapshots instead.
@@ -301,21 +301,10 @@ func (o *Overlay) Validate() error {
 	for v := 0; v < o.n; v++ {
 		row := o.Neighbors(v)
 		arcs += int64(len(row))
-		prev := -1
+		if err := checkRow(v, row, o.n); err != nil {
+			return err
+		}
 		for _, w := range row {
-			if w == v {
-				return fmt.Errorf("%w at vertex %d", ErrSelfLoop, v)
-			}
-			if w < 0 || w >= o.n {
-				return fmt.Errorf("%w: neighbor %d of %d", ErrVertexRange, w, v)
-			}
-			if w == prev {
-				return fmt.Errorf("%w: {%d,%d}", ErrParallelEdge, v, w)
-			}
-			if w < prev {
-				return fmt.Errorf("graph: overlay row %d not sorted", v)
-			}
-			prev = w
 			if !o.HasEdge(w, v) {
 				return fmt.Errorf("graph: asymmetric overlay adjacency %d->%d", v, w)
 			}

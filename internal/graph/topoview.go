@@ -1,5 +1,7 @@
 package graph
 
+import "fmt"
+
 // TopoView is the immutable, lock-free topology snapshot an Overlay
 // publishes (Overlay.Publish) and the incremental coloring service
 // serves next to each color snapshot: a base CSR plus a chain of
@@ -116,21 +118,97 @@ func (t *TopoView) HasEdge(u, v int) bool {
 	return i < len(row) && row[i] == v
 }
 
-// Compact folds the view into a fresh CSR with the two-pass StreamCSR
-// build. The delta chain is collapsed first, so each row costs one map
-// probe. The view is immutable, so Compact may run on any goroutine
-// while the overlay that published it keeps mutating.
+// Compact folds the view into a fresh CSR by a run-copy merge: the
+// patched rows are taken once from the delta chain (newest entry
+// wins), one pass over the ids sets the row offsets, and the column
+// array is filled with one copy per maximal run of unpatched base rows
+// and one per patched row. Base rows were checked when their CSR was
+// built; a patched row that is unsorted, repeats a neighbor, or holds
+// its own id or an id outside [0, n), and rows that do not sum to the
+// view's arc count, make Compact return an error instead of a CSR.
+// Symmetry is not rechecked: the overlay's API keeps rows symmetric.
+// The view is immutable, so Compact may run on any goroutine while the
+// overlay that published it keeps mutating.
 func (t *TopoView) Compact() (*CSR, error) {
-	flat := t.collapse()
-	return StreamCSR(t.n, func(emit func(u, v int)) {
-		for u := 0; u < t.n; u++ {
-			for _, v := range flat.Row(u) {
-				if v > u {
-					emit(u, v)
-				}
+	patches, err := t.patches()
+	if err != nil {
+		return nil, err
+	}
+	n, base := t.n, t.base
+	rowPtr := make([]int64, n+1)
+	k := 0
+	for v := 0; v < n; v++ {
+		d := 0
+		if k < len(patches) && patches[k].id == v {
+			d = len(patches[k].row)
+			k++
+		} else if v < base.N() {
+			d = base.Degree(v)
+		}
+		rowPtr[v+1] = rowPtr[v] + int64(d)
+	}
+	arcs := rowPtr[n]
+	if arcs != t.arcs {
+		return nil, fmt.Errorf("graph: view has %d arcs, its rows sum to %d", t.arcs, arcs)
+	}
+	if err := checkArcCount(arcs, maxIntArcs); err != nil {
+		return nil, err
+	}
+	col := make([]int, arcs)
+	// copyBase copies the unpatched base rows [lo, hi) in one run; ids
+	// past the base that no delta covers are isolated.
+	copyBase := func(lo, hi int) {
+		if hi = min(hi, base.N()); lo < hi {
+			copy(col[rowPtr[lo]:rowPtr[hi]], base.col[base.rowPtr[lo]:base.rowPtr[hi]])
+		}
+	}
+	lo := 0
+	for _, p := range patches {
+		if err := checkRow(p.id, p.row, n); err != nil {
+			return nil, err
+		}
+		copyBase(lo, p.id)
+		copy(col[rowPtr[p.id]:], p.row)
+		lo = p.id + 1
+	}
+	copyBase(lo, n)
+	return &CSR{n: n, rowPtr: rowPtr, col: col}, nil
+}
+
+// patchRow is a patched vertex and its newest delta row.
+type patchRow struct {
+	id  int
+	row []int
+}
+
+// patches returns the view's patched rows in ascending id order, each
+// id once with its newest delta entry. A newest-first walk of the
+// chain keeps the first row it finds per id (slot[id] is 1 + its index
+// in found); a scan of slot then puts them in id order.
+func (t *TopoView) patches() ([]patchRow, error) {
+	size := 0
+	for view := t; view != nil; view = view.parent {
+		size += len(view.delta)
+	}
+	found, slot := make([][]int, 0, size), make([]int, t.n)
+	for view := t; view != nil; view = view.parent {
+		for id, row := range view.delta {
+			if id < 0 || id >= t.n {
+				return nil, fmt.Errorf("%w: patched row %d in a view on %d vertices", ErrVertexRange, id, t.n)
+			}
+			if slot[id] == 0 {
+				found = append(found, row)
+				slot[id] = len(found)
 			}
 		}
-	})
+	}
+	out := make([]patchRow, 0, len(found))
+	for id, s := range slot {
+		if s > 0 {
+			out = append(out, patchRow{id, found[s-1]})
+		}
+	}
+	return out, nil
 }
 
 // Fingerprint returns the structure hash of the topology at the
