@@ -18,6 +18,7 @@ package coloring
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
 	"listcolor/internal/graph"
@@ -103,7 +104,13 @@ func (in *Instance) MinSlack(g *graph.Graph) float64 {
 	return minS
 }
 
-// Clone returns a deep copy.
+// Clone returns a copy that shares no storage with the receiver. A
+// run of adjacent nodes with identical lists and defects — the shared
+// full palette every node of a service instance starts with — is
+// copied once, and the run's nodes share that copy, the same
+// same-as-previous rule the service checkpoint uses. Writing through
+// one node's list in the clone therefore reaches the rest of its run;
+// callers replace a node's list instead of mutating it in place.
 func (in *Instance) Clone() *Instance {
 	out := &Instance{
 		Lists:   make([][]int, len(in.Lists)),
@@ -111,6 +118,10 @@ func (in *Instance) Clone() *Instance {
 		Space:   in.Space,
 	}
 	for v := range in.Lists {
+		if v > 0 && slices.Equal(in.Lists[v], in.Lists[v-1]) && slices.Equal(in.Defects[v], in.Defects[v-1]) {
+			out.Lists[v], out.Defects[v] = out.Lists[v-1], out.Defects[v-1]
+			continue
+		}
 		out.Lists[v] = append([]int(nil), in.Lists[v]...)
 		out.Defects[v] = append([]int(nil), in.Defects[v]...)
 	}

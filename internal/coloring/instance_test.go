@@ -3,6 +3,7 @@ package coloring
 import (
 	"errors"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -208,5 +209,48 @@ func TestMaxListSize(t *testing.T) {
 	in := &Instance{Lists: [][]int{{0}, {0, 1, 2}, {0, 1}}, Defects: [][]int{{0}, {0, 0, 0}, {0, 0}}, Space: 3}
 	if got := in.MaxListSize(); got != 3 {
 		t.Errorf("MaxListSize = %d, want 3", got)
+	}
+}
+
+// TestCloneSharesIdenticalRuns: Clone copies each run of adjacent
+// nodes with identical lists and defects once and shares that copy
+// across the run; distinct lists, and equal lists with different
+// budgets, get their own copies. Nothing the source does afterwards —
+// replacing an outer entry or writing into a list — reaches the clone.
+func TestCloneSharesIdenticalRuns(t *testing.T) {
+	a, za := []int{0, 1, 2}, []int{0, 0, 0}
+	in := &Instance{
+		Space:   4,
+		Lists:   [][]int{a, a, {0, 1, 2}, {1, 3}, {0, 1, 2}, {0, 1, 2}},
+		Defects: [][]int{za, za, {0, 0, 0}, {0, 1}, {0, 0, 0}, {1, 0, 0}},
+	}
+	c := in.Clone()
+	if !reflect.DeepEqual(c, in) {
+		t.Fatalf("clone %+v differs from source %+v", c, in)
+	}
+	same := func(x, y []int) bool { return &x[0] == &y[0] }
+	if !same(c.Lists[0], c.Lists[1]) || !same(c.Lists[1], c.Lists[2]) || !same(c.Defects[0], c.Defects[2]) {
+		t.Fatal("run 0..2 of identical lists does not share one copy")
+	}
+	if same(c.Lists[0], a) || same(c.Defects[0], za) {
+		t.Fatal("clone shares storage with the source")
+	}
+	if same(c.Lists[3], c.Lists[2]) || same(c.Lists[4], c.Lists[0]) || same(c.Lists[4], c.Lists[3]) {
+		t.Fatal("distinct or non-adjacent lists share a copy")
+	}
+	if same(c.Lists[5], c.Lists[4]) || same(c.Defects[5], c.Defects[4]) {
+		t.Fatal("equal lists with different budgets share a copy")
+	}
+
+	want := &Instance{Space: 4,
+		Lists:   [][]int{{0, 1, 2}, {0, 1, 2}, {0, 1, 2}, {1, 3}, {0, 1, 2}, {0, 1, 2}},
+		Defects: [][]int{{0, 0, 0}, {0, 0, 0}, {0, 0, 0}, {0, 1}, {0, 0, 0}, {1, 0, 0}},
+	}
+	a[0], za[1] = 3, 7
+	in.Lists[2][1] = 3
+	in.Lists[3] = []int{2}
+	in.Defects[4] = []int{9, 9, 9}
+	if !reflect.DeepEqual(c, want) {
+		t.Fatalf("source mutations reached the clone: %+v", c)
 	}
 }

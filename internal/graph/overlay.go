@@ -10,17 +10,20 @@ package graph
 // detaches all incident edges and leaves an isolated tombstone so ids
 // stay stable for the color arrays layered on top.
 //
-// Rows are generational copy-on-write: Publish seals every row
-// mutated since the previous Publish into an immutable TopoView for
-// lock-free readers, and the first later mutation of a sealed row
-// clones it first. Replaced private row buffers are recycled through a
-// small pool so steady-state churn does not allocate per insert.
+// The private rows live in one dense slice, found through a
+// per-vertex slot index, so a read or a mutation costs one array
+// probe rather than a hash lookup. Rows are generational
+// copy-on-write: Publish seals every row mutated since the previous
+// Publish into an immutable TopoView for lock-free readers, and the
+// first later mutation of a sealed row clones it first. Replaced
+// private row buffers are recycled through a small pool so
+// steady-state churn does not allocate per insert.
 //
-// The patch map grows with the touched-vertex count, not the update
+// The row slice grows with the touched-vertex count, not the update
 // count. A long-running service bounds it by compacting periodically:
 // TopoView.Compact folds a published view into a fresh CSR off the
 // write path — a run-copy merge of the base rows and the patched rows —
-// and NewOverlay over that CSR starts the next patch map.
+// and NewOverlay over that CSR starts again with no private rows.
 //
 // An Overlay is not safe for concurrent use; the service layer
 // serializes writers and hands readers immutable snapshots instead.
@@ -32,19 +35,19 @@ import (
 // Overlay layers per-vertex insert/delete patches over a base CSR.
 type Overlay struct {
 	base *CSR
-	// rows holds the private adjacency of every patched vertex,
-	// including all vertices ≥ base.N(). A present entry fully
-	// replaces the base row (copy-on-write semantics).
-	rows map[int][]int
+	// slot[v] is 1 + the index of v's private row in rows, or 0 when
+	// v reads through to the base row. Every vertex ≥ base.N() has a
+	// private row. A private row fully replaces the base row
+	// (copy-on-write semantics).
+	slot []int32
+	rows []ownedRow
 	n    int
 	arcs int64
 
 	// Copy-on-write state: gen counts publications (starting at 1),
-	// rowGen[v] is the generation that owns v's row buffer, touched
-	// lists the rows mutated since the last Publish, and view is the
-	// last published view.
+	// touched lists the rows mutated since the last Publish, and view
+	// is the last published view.
 	gen     int
-	rowGen  map[int]int
 	touched []int
 	view    *TopoView
 
@@ -54,11 +57,19 @@ type Overlay struct {
 	pool [][]int
 }
 
+// ownedRow is a patched vertex's private adjacency and the generation
+// that owns its buffer: a row whose gen is older than the overlay's
+// was sealed by a Publish and is cloned before its next mutation.
+type ownedRow struct {
+	adj []int
+	gen int
+}
+
 // NewOverlay returns an overlay with no patches over base.
 func NewOverlay(base *CSR) *Overlay {
 	return &Overlay{
-		base: base, rows: make(map[int][]int), n: base.N(), arcs: base.Arcs(),
-		gen: 1, rowGen: make(map[int]int), view: NewTopoView(base),
+		base: base, slot: make([]int32, base.N()), n: base.N(), arcs: base.Arcs(),
+		gen: 1, view: NewTopoView(base),
 	}
 }
 
@@ -83,16 +94,16 @@ func (o *Overlay) Base() *CSR { return o.base }
 // otherwise. The slice is owned by the overlay and must not be
 // modified; it is valid until the next mutation of v.
 func (o *Overlay) Neighbors(v int) []int {
-	if row, ok := o.rows[v]; ok {
-		return row
+	if s := o.slot[v]; s != 0 {
+		return o.rows[s-1].adj
 	}
 	return o.base.Row(v)
 }
 
 // Degree returns the degree of v.
 func (o *Overlay) Degree(v int) int {
-	if row, ok := o.rows[v]; ok {
-		return len(row)
+	if s := o.slot[v]; s != 0 {
+		return len(o.rows[s-1].adj)
 	}
 	return o.base.Degree(v)
 }
@@ -108,11 +119,20 @@ func (o *Overlay) HasEdge(u, v int) bool {
 	return i < len(row) && row[i] == v
 }
 
-// markTouched records that v's row buffer is owned by the current
-// generation.
-func (o *Overlay) markTouched(v int) {
-	if o.rowGen[v] != o.gen {
-		o.rowGen[v] = o.gen
+// setRow installs adj as v's private row, owned by the current
+// generation, and records v as touched the first time this generation
+// owns it.
+func (o *Overlay) setRow(v int, adj []int) {
+	s := o.slot[v]
+	if s == 0 {
+		o.rows = append(o.rows, ownedRow{})
+		s = int32(len(o.rows))
+		o.slot[v] = s
+	}
+	r := &o.rows[s-1]
+	r.adj = adj
+	if r.gen != o.gen {
+		r.gen = o.gen
 		o.touched = append(o.touched, v)
 	}
 }
@@ -150,20 +170,17 @@ func (o *Overlay) cloneRow(src []int) []int {
 // row on first mutation, and re-cloning a row sealed by a published
 // snapshot (copy-on-write across batch generations).
 func (o *Overlay) row(v int) []int {
-	if r, ok := o.rows[v]; ok {
-		if o.rowGen[v] != o.gen {
-			r = o.cloneRow(r)
-			o.rows[v] = r
-			o.markTouched(v)
-		}
-		return r
-	}
 	var r []int
-	if v < o.base.N() {
+	if s := o.slot[v]; s != 0 {
+		owned := o.rows[s-1]
+		if owned.gen == o.gen {
+			return owned.adj
+		}
+		r = o.cloneRow(owned.adj)
+	} else if v < o.base.N() {
 		r = o.cloneRow(o.base.Row(v))
 	}
-	o.rows[v] = r
-	o.markTouched(v)
+	o.setRow(v, r)
 	return r
 }
 
@@ -171,8 +188,8 @@ func (o *Overlay) row(v int) []int {
 func (o *Overlay) AddNode() int {
 	v := o.n
 	o.n++
-	o.rows[v] = nil
-	o.markTouched(v)
+	o.slot = append(o.slot, 0)
+	o.setRow(v, nil)
 	return v
 }
 
@@ -222,11 +239,10 @@ func (o *Overlay) RemoveNode(v int) []int {
 	for _, w := range former {
 		o.remove(w, v)
 	}
-	if r, ok := o.rows[v]; ok && o.rowGen[v] == o.gen {
-		o.recycle(r)
+	if s := o.slot[v]; s != 0 && o.rows[s-1].gen == o.gen {
+		o.recycle(o.rows[s-1].adj)
 	}
-	o.rows[v] = []int{}
-	o.markTouched(v)
+	o.setRow(v, nil)
 	o.arcs -= 2 * int64(len(former))
 	return former
 }
@@ -245,7 +261,7 @@ func (o *Overlay) insert(v, w int) {
 	row = append(row, 0)
 	copy(row[i+1:], row[i:])
 	row[i] = w
-	o.rows[v] = row
+	o.rows[o.slot[v]-1].adj = row
 }
 
 // remove deletes w from v's private row.
@@ -253,7 +269,7 @@ func (o *Overlay) remove(v, w int) {
 	row := o.row(v)
 	i := searchInts(row, w)
 	if i < len(row) && row[i] == w {
-		o.rows[v] = append(row[:i], row[i+1:]...)
+		o.rows[o.slot[v]-1].adj = append(row[:i], row[i+1:]...)
 	}
 }
 
@@ -268,7 +284,7 @@ func (o *Overlay) Publish() *TopoView {
 	if len(o.touched) > 0 {
 		delta = make(map[int][]int, len(o.touched))
 		for _, v := range o.touched {
-			delta[v] = o.rows[v]
+			delta[v] = o.rows[o.slot[v]-1].adj
 		}
 	}
 	o.touched = o.touched[:0]

@@ -12,7 +12,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sync"
+	"sync/atomic"
 )
 
 // RingStream returns the edge stream of the n-cycle (n ≥ 3).
@@ -99,16 +99,23 @@ func StreamedGNP(n int, p float64, seed int64) *CSR {
 // powerLawScratch is the reusable working memory of one
 // PowerLawStream replay: the degree-weighted sampling pool (4 bytes
 // per attachment endpoint, int32 entries) and the per-arrival chosen
-// set. Pooled across replays — the pool is by far the dominant build
-// allocation (≈ 8·k·n bytes per replay, and StreamCSR replays twice) —
-// the same lifecycle pattern as palette.SelectScratch's arena;
-// TestPowerLawStreamScratchReuse guards the allocation bound.
+// set. The pool is by far the dominant build allocation (≈ 8·k·n bytes
+// per replay, and StreamCSR replays twice), so replays reuse it
+// through powerLawCache: a single slot that keeps at most one scratch,
+// the one the last finished replay gave back, reachable until the next
+// replay takes it. A replay takes the slot
+// with Swap(nil), allocating a fresh scratch when it is empty (the
+// first replay, or one overlapping another), and gives its scratch
+// back with CompareAndSwap(nil, sc), so concurrent replays never share
+// one. Unlike a sync.Pool, the slot is never emptied by a GC or by the
+// race detector; TestPowerLawStreamScratchReuse guards the allocation
+// bound.
 type powerLawScratch struct {
 	targets []int32
 	chosen  []int32
 }
 
-var powerLawScratchPool = sync.Pool{New: func() any { return new(powerLawScratch) }}
+var powerLawCache atomic.Pointer[powerLawScratch]
 
 // PowerLawStream returns the edge stream of a preferential-attachment
 // (Barabási–Albert style) graph on n vertices drawn deterministically
@@ -116,7 +123,7 @@ var powerLawScratchPool = sync.Pool{New: func() any { return new(powerLawScratch
 // attaches to k distinct existing vertices chosen proportionally to
 // degree with 5% uniform smoothing — the same skewed-degree family as
 // PowerLaw, in streaming form. Each replay rebuilds its state from a
-// pooled scratch (reset, never reread), so replays stay independent
+// cached scratch (reset, never reread), so replays stay independent
 // while steady-state builds stop reallocating the sampling pool; n
 // must stay below 2³¹ (int32 pool entries).
 //
@@ -132,8 +139,11 @@ func PowerLawStream(n, k int, seed int64) EdgeStream {
 	}
 	return func(emit func(u, v int)) {
 		rng := rand.New(rand.NewSource(seed))
-		sc := powerLawScratchPool.Get().(*powerLawScratch)
-		defer powerLawScratchPool.Put(sc)
+		sc := powerLawCache.Swap(nil)
+		if sc == nil {
+			sc = new(powerLawScratch)
+		}
+		defer powerLawCache.CompareAndSwap(nil, sc)
 		if need := 2*(n-k-1)*k + k*(k+1); cap(sc.targets) < need {
 			sc.targets = make([]int32, 0, need)
 		}

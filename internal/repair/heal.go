@@ -43,6 +43,29 @@ type Topology interface {
 type HealOptions struct {
 	// RoundBudget caps repair rounds; 0 means DefaultBudget(n).
 	RoundBudget int
+	// Scratch is the per-vertex working memory the run borrows; nil
+	// means a fresh one for this run. A caller that heals repeatedly
+	// lends the same scratch to every call, so a seeded run costs
+	// O(frontier) instead of two n-sized allocations.
+	Scratch *HealScratch
+}
+
+// HealScratch is a heal run's per-vertex working memory: the hardness
+// flags and the candidate marks. Every run leaves it all-false,
+// clearing only the entries it set, so one scratch serves any number
+// of sequential runs on topologies of any size (it grows to the
+// largest). It is not safe for concurrent runs.
+type HealScratch struct {
+	hard, mark []bool
+}
+
+// grow extends the scratch to cover n vertices; the new entries are
+// false, like the old ones between runs.
+func (sc *HealScratch) grow(n int) {
+	if len(sc.hard) < n {
+		sc.hard = append(sc.hard, make([]bool, n-len(sc.hard))...)
+		sc.mark = append(sc.mark, make([]bool, n-len(sc.mark))...)
+	}
 }
 
 // HealReport is the outcome and bill of one heal run.
@@ -50,9 +73,16 @@ type HealReport struct {
 	// Rounds is the number of repair rounds driven (0 when the seeds
 	// were already clean).
 	Rounds int
+	// Seeds is the number of distinct in-range seeds: the candidates
+	// of the entry scan.
+	Seeds int
 	// Hard is the number of hard nodes found at entry — the damage the
 	// run started from.
 	Hard int
+	// Absorbed is the conflict count the defect budgets absorbed at
+	// the entry scan: the sum of same-colored neighbors over the
+	// seeds that were not hard.
+	Absorbed int
 	// Recolored is the total number of recolor operations (the
 	// service's locality numerator: nodes touched per update batch).
 	Recolored int
@@ -81,7 +111,7 @@ func Heal(topo Topology, inst *coloring.Instance, colors []int, opt HealOptions)
 	for v := range seeds {
 		seeds[v] = v
 	}
-	return healCore(topo, inst, colors, seeds, opt.RoundBudget)
+	return healCore(topo, inst, colors, seeds, opt)
 }
 
 // HealLocal drives the seeded repair schedule: only the seeds are
@@ -92,7 +122,7 @@ func Heal(topo Topology, inst *coloring.Instance, colors []int, opt HealOptions)
 // HealLocal produces byte-identical colors to Heal at a fraction of
 // the scan cost. Out-of-range and duplicate seeds are ignored.
 func HealLocal(topo Topology, inst *coloring.Instance, colors []int, seeds []int, opt HealOptions) HealReport {
-	return healCore(topo, inst, colors, seeds, opt.RoundBudget)
+	return healCore(topo, inst, colors, seeds, opt)
 }
 
 // healCore is the shared schedule: per round, dirty = hard nodes among
@@ -101,12 +131,13 @@ func HealLocal(topo Topology, inst *coloring.Instance, colors []int, seeds []int
 // while dirty is non-empty); each eligible node recolors to the list
 // color minimizing (excess over budget, conflicts, list order); the
 // next candidate set is dirty ∪ N(eligible).
-func healCore(topo Topology, inst *coloring.Instance, colors []int, seeds []int, budget int) HealReport {
+func healCore(topo Topology, inst *coloring.Instance, colors []int, seeds []int, opt HealOptions) HealReport {
 	n := topo.N()
 	var hr HealReport
 	if len(colors) != n || inst.N() != n {
 		return hr
 	}
+	budget := opt.RoundBudget
 	if budget <= 0 {
 		budget = DefaultBudget(n)
 	}
@@ -121,13 +152,6 @@ func healCore(topo Topology, inst *coloring.Instance, colors []int, seeds []int,
 			}
 		}
 		return c
-	}
-	isHard := func(v int) bool {
-		allowed, ok := inst.DefectOf(v, colors[v])
-		if !ok {
-			return true
-		}
-		return conflicts(v) > allowed
 	}
 	// recolor re-enters v with its residual list and reports whether it
 	// had to overdraw the budget (no compliant color existed).
@@ -153,8 +177,12 @@ func healCore(topo Topology, inst *coloring.Instance, colors []int, seeds []int,
 		return bestExcess > 0
 	}
 
-	hard := make([]bool, n)
-	mark := make([]bool, n)
+	sc := opt.Scratch
+	if sc == nil {
+		sc = new(HealScratch)
+	}
+	sc.grow(n)
+	hard, mark := sc.hard, sc.mark
 	cand := make([]int, 0, len(seeds))
 	for _, v := range seeds {
 		if v >= 0 && v < n && !mark[v] {
@@ -167,21 +195,27 @@ func healCore(topo Topology, inst *coloring.Instance, colors []int, seeds []int,
 	}
 	sort.Ints(cand)
 
-	scan := func() []int {
-		var dirty []int
+	// scan classifies the candidates: a node is hard when its color is
+	// off its list or its conflicts exceed the color's budget;
+	// otherwise the budget absorbs its conflicts.
+	scan := func() (dirty []int, absorbed int) {
 		for _, v := range cand {
-			h := isHard(v)
-			hard[v] = h
-			if h {
-				dirty = append(dirty, v)
+			if allowed, ok := inst.DefectOf(v, colors[v]); ok {
+				if c := conflicts(v); c <= allowed {
+					hard[v] = false
+					absorbed += c
+					continue
+				}
 			}
+			hard[v] = true
+			dirty = append(dirty, v)
 		}
 		hr.Scanned += len(cand)
-		return dirty
+		return dirty, absorbed
 	}
 
-	dirty := scan()
-	hr.Hard = len(dirty)
+	dirty, absorbed := scan()
+	hr.Seeds, hr.Hard, hr.Absorbed = len(cand), len(dirty), absorbed
 	var next []int
 	for len(dirty) > 0 && hr.Rounds < budget {
 		hr.Rounds++
@@ -228,9 +262,14 @@ func healCore(topo Topology, inst *coloring.Instance, colors []int, seeds []int,
 			mark[v] = false
 		}
 		sort.Ints(cand)
-		dirty = scan()
+		dirty, _ = scan()
 	}
 	hr.Converged = len(dirty) == 0
+	// Every node hard in the last scan is still flagged; every other
+	// flag was cleared when its node was last a candidate.
+	for _, v := range dirty {
+		hard[v] = false
+	}
 	return hr
 }
 

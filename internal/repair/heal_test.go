@@ -3,6 +3,7 @@ package repair
 import (
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"listcolor/internal/coloring"
@@ -303,5 +304,160 @@ func TestHealSeedHygiene(t *testing.T) {
 	}
 	if hr := Heal(g, inst, make([]int, 3), HealOptions{}); hr.Converged || hr.Rounds != 0 {
 		t.Fatalf("length mismatch not rejected: %+v", hr)
+	}
+}
+
+// classifyReference is the service's pre-repair classification loop
+// as it stood before the heal entry scan took it over: over the
+// distinct in-range seeds, the conflicts of every node whose color is
+// on its list and within that color's budget. It returns the distinct
+// seed count and the absorbed conflicts.
+func classifyReference(topo Topology, inst *coloring.Instance, colors, seeds []int) (distinct, absorbed int) {
+	seen := make(map[int]bool)
+	for _, v := range seeds {
+		if v < 0 || v >= topo.N() || seen[v] {
+			continue
+		}
+		seen[v] = true
+		conf := 0
+		for _, u := range topo.Neighbors(v) {
+			if colors[u] == colors[v] {
+				conf++
+			}
+		}
+		if allowed, ok := inst.DefectOf(v, colors[v]); ok && conf <= allowed {
+			absorbed += conf
+		}
+	}
+	return len(seen), absorbed
+}
+
+// TestHealScratchReuse replays one random churn sequence with nonzero
+// defect budgets twice — once lending a single scratch to every
+// HealLocal call, once with a fresh scratch per call — and requires
+// identical colors and reports after every call, including calls that
+// run out of a small round budget. The lent scratch must be all-false
+// after each run, and the entry scan's seed and absorbed counts must
+// match the classification loop it replaced, on every batch.
+func TestHealScratchReuse(t *testing.T) {
+	for seed := int64(1); seed <= 4; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		base := graph.StreamedGNP(300, 0.03, seed)
+		ov := graph.NewOverlay(base)
+		n, space := ov.N(), 6
+		// randomList draws a sorted list of 2..space colors with
+		// budgets in [0, 2].
+		randomList := func() ([]int, []int) {
+			var list, defects []int
+			for x := 0; x < space; x++ {
+				if rng.Intn(3) > 0 {
+					list = append(list, x)
+					defects = append(defects, rng.Intn(3))
+				}
+			}
+			if len(list) < 2 {
+				return []int{0, 1}, []int{1, 2}
+			}
+			return list, defects
+		}
+		inst := &coloring.Instance{Space: space, Lists: make([][]int, n), Defects: make([][]int, n)}
+		for v := 0; v < n; v++ {
+			inst.Lists[v], inst.Defects[v] = randomList()
+		}
+		lent := append([]int(nil), GreedyColors(ov, inst)...)
+		fresh := append([]int(nil), lent...)
+		var sc HealScratch
+		var absorbedSeen, exhausted bool
+		for batch := 0; batch < 60; batch++ {
+			var seeds []int
+			for op := 0; op < 8; op++ {
+				u, v := rng.Intn(n), rng.Intn(n)
+				switch {
+				case u == v:
+					// A list change: the node may now hold an off-list color.
+					inst.Lists[u], inst.Defects[u] = randomList()
+					seeds = append(seeds, u)
+				case ov.HasEdge(u, v):
+					ov.RemoveEdge(u, v)
+					seeds = append(seeds, u, v)
+				default:
+					if err := ov.AddEdge(u, v); err != nil {
+						t.Fatalf("seed %d batch %d AddEdge: %v", seed, batch, err)
+					}
+					seeds = append(seeds, u, v, u)
+				}
+			}
+			seeds = append(seeds, -1, n+3)
+			budget := []int{0, 1, 2}[batch%3]
+
+			wantSeeds, wantAbsorbed := classifyReference(ov, inst, lent, seeds)
+			hl := HealLocal(ov, inst, lent, seeds, HealOptions{RoundBudget: budget, Scratch: &sc})
+			hf := HealLocal(ov, inst, fresh, seeds, HealOptions{RoundBudget: budget})
+			if !reflect.DeepEqual(lent, fresh) {
+				t.Fatalf("seed %d batch %d: lent-scratch colors diverge from fresh-scratch colors", seed, batch)
+			}
+			if hl != hf {
+				t.Fatalf("seed %d batch %d: reports diverge: lent %+v, fresh %+v", seed, batch, hl, hf)
+			}
+			if hl.Seeds != wantSeeds || hl.Absorbed != wantAbsorbed {
+				t.Fatalf("seed %d batch %d: entry scan seeds %d absorbed %d, classification loop %d and %d",
+					seed, batch, hl.Seeds, hl.Absorbed, wantSeeds, wantAbsorbed)
+			}
+			for v := range sc.hard {
+				if sc.hard[v] || sc.mark[v] {
+					t.Fatalf("seed %d batch %d: scratch entry %d left set (hard %v, mark %v)", seed, batch, v, sc.hard[v], sc.mark[v])
+				}
+			}
+			absorbedSeen = absorbedSeen || hl.Absorbed > 0
+			exhausted = exhausted || (budget > 0 && !hl.Converged)
+		}
+		if !absorbedSeen || !exhausted {
+			t.Fatalf("seed %d: sequence too tame (absorbed seen %v, budget exhausted %v)", seed, absorbedSeen, exhausted)
+		}
+	}
+}
+
+// allocBytes reports the bytes fn allocates.
+func allocBytes(fn func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	fn()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// TestHealLocalScratchAllocs guards the lent scratch: a seeded heal on
+// a 5·10⁵-node ring must cost O(frontier) memory, not the 2·n bytes of
+// hardness flags and candidate marks a fresh scratch takes.
+func TestHealLocalScratchAllocs(t *testing.T) {
+	const n = 500_000
+	ring := graph.StreamedRing(n)
+	inst := &coloring.Instance{Space: 3, Lists: make([][]int, n), Defects: make([][]int, n)}
+	for v := range inst.Lists {
+		inst.Lists[v], inst.Defects[v] = []int{0, 1, 2}, []int{0, 0, 0}
+	}
+	colors := GreedyColors(ring, inst)
+	var sc HealScratch
+	damage := func() []int {
+		var seeds []int
+		for i := 1; i <= 5; i++ {
+			v := i * (n / 7)
+			colors[v] = colors[v+1]
+			seeds = append(seeds, v, v+1)
+		}
+		return seeds
+	}
+	HealLocal(ring, inst, colors, damage(), HealOptions{Scratch: &sc}) // size the scratch
+	seeds := damage()
+	var hr HealReport
+	got := allocBytes(func() {
+		hr = HealLocal(ring, inst, colors, seeds, HealOptions{Scratch: &sc})
+	})
+	if hr.Seeds != 10 || hr.Hard == 0 || !hr.Converged {
+		t.Fatalf("damage not healed as expected: %+v", hr)
+	}
+	if got >= 64<<10 {
+		t.Fatalf("HealLocal with a lent scratch allocated %d bytes on %d nodes, want < 64 KiB", got, n)
 	}
 }

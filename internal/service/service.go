@@ -7,10 +7,11 @@
 // changes in its immediate neighborhood, so an update batch yields a
 // small *dirty set* (endpoints of inserted or deleted edges, former
 // neighbors of removed nodes, nodes whose lists changed), which is
-// classified into defect-budget-absorbed vs hard conflicts and handed
-// to repair.HealLocal for bounded deterministic recoloring seeded at
-// exactly those nodes. The maintenance cost (recolor broadcasts,
-// rounds, locality) is billed separately per batch.
+// handed to repair.HealLocal: its entry scan classifies the set into
+// defect-budget-absorbed vs hard conflicts, and bounded deterministic
+// recoloring starts from exactly those nodes. The maintenance cost
+// (recolor broadcasts, rounds, locality) is billed separately per
+// batch.
 //
 // Topology lives in a graph.Overlay: reads on untouched vertices stay
 // zero-copy views into the immutable CSR substrate, mutations are
@@ -104,7 +105,8 @@ type BatchReport struct {
 	Applied int `json:"applied"`
 	// NewNodes lists the ids assigned to add_node ops, in order.
 	NewNodes []int `json:"new_nodes,omitempty"`
-	// Dirty is the seed-set size handed to repair.
+	// Dirty is the number of distinct nodes the batch dirtied: the
+	// seeds repair starts from.
 	Dirty int `json:"dirty"`
 	// Hard is the number of dirty nodes in hard violation before
 	// repair; Absorbed is the conflict count the defect budgets soaked
@@ -160,6 +162,12 @@ type Service struct {
 	colors []int
 	opts   Options
 
+	// seeds and heal are the writer's reused per-batch state, guarded
+	// by mu: the batch's dirty seeds (duplicates included; HealLocal
+	// dedupes them) and the scratch every heal run borrows.
+	seeds []int
+	heal  repair.HealScratch
+
 	snap  atomic.Pointer[Snapshot]
 	start time.Time
 
@@ -179,8 +187,10 @@ type compactResult struct {
 	err error
 }
 
-// New builds a service over the CSR substrate. The instance is cloned
-// (the service mutates lists on add_node/set_list). When colors is
+// New builds a service over the CSR substrate. The instance is cloned,
+// because add_node appends lists and set_list replaces them; lists
+// are never mutated in place, so the clone shares each run of
+// identical adjacent lists (coloring.Instance.Clone). When colors is
 // nil the service initializes with repair.GreedyColors; either way it
 // runs a global Heal so the published state is valid from version 0 —
 // an invalid initial state that cannot be healed within the budget is
@@ -206,7 +216,7 @@ func New(base *graph.CSR, inst *coloring.Instance, colors []int, opts Options) (
 		}
 		s.colors = append([]int(nil), colors...)
 	}
-	hr := repair.Heal(s.ov, s.inst, s.colors, repair.HealOptions{RoundBudget: opts.RoundBudget})
+	hr := repair.Heal(s.ov, s.inst, s.colors, repair.HealOptions{RoundBudget: opts.RoundBudget, Scratch: &s.heal})
 	if !hr.Converged {
 		return nil, fmt.Errorf("service: initial coloring does not heal (%d hard nodes left)", hr.Hard)
 	}
@@ -316,25 +326,14 @@ func (s *Service) ApplyBatch(ops []Op) (BatchReport, error) {
 		return rep, err
 	}
 
-	dirty, opErr := s.applySeq(ops, &rep)
-	rep.Dirty = len(dirty)
-
-	// Pre-repair classification of the dirty set: conflicts the defect
-	// budgets absorb outright vs hard violations repair must fix.
-	for _, v := range dirty {
-		conf := 0
-		for _, u := range s.ov.Neighbors(v) {
-			if s.colors[u] == s.colors[v] {
-				conf++
-			}
-		}
-		if allowed, ok := s.inst.DefectOf(v, s.colors[v]); ok && conf <= allowed {
-			rep.Absorbed += conf
-		}
-	}
-
-	hr := repair.HealLocal(s.ov, s.inst, s.colors, dirty, repair.HealOptions{RoundBudget: s.opts.RoundBudget})
+	seeds, opErr := s.applySeq(ops, &rep)
+	// HealLocal's entry scan is the pre-repair classification of the
+	// dirty set: conflicts the defect budgets absorb outright vs hard
+	// violations repair must fix.
+	hr := repair.HealLocal(s.ov, s.inst, s.colors, seeds, repair.HealOptions{RoundBudget: s.opts.RoundBudget, Scratch: &s.heal})
+	rep.Dirty = hr.Seeds
 	rep.Hard = hr.Hard
+	rep.Absorbed = hr.Absorbed
 	rep.Rounds = hr.Rounds
 	rep.Recolored = hr.Recolored
 	rep.Scanned = hr.Scanned
@@ -368,29 +367,19 @@ func (s *Service) ApplyBatch(ops []Op) (BatchReport, error) {
 }
 
 // applySeq is the single-writer apply loop: ops mutate the overlay in
-// order, stopping at the first rejected op. It returns the sorted
-// dirty seed set.
+// order, stopping at the first rejected op. It returns the batch's
+// dirty seeds, duplicates included, in a buffer reused across batches.
 func (s *Service) applySeq(ops []Op, rep *BatchReport) ([]int, error) {
-	dirtyMark := make(map[int]bool)
-	addDirty := func(vs ...int) {
-		for _, v := range vs {
-			dirtyMark[v] = true
-		}
-	}
+	s.seeds = s.seeds[:0]
 	var opErr error
 	for i, op := range ops {
-		if err := s.apply(op, rep, addDirty); err != nil {
+		if err := s.apply(op, rep); err != nil {
 			opErr = fmt.Errorf("%w: op %d (%s): %v", ErrOp, i, op.Action, err)
 			break
 		}
 		rep.Applied++
 	}
-	dirty := make([]int, 0, len(dirtyMark))
-	for v := range dirtyMark {
-		dirty = append(dirty, v)
-	}
-	sort.Ints(dirty)
-	return dirty, opErr
+	return s.seeds, opErr
 }
 
 // swapCompaction installs a finished background compaction at the
@@ -442,19 +431,19 @@ func (s *Service) launchCompaction(topo *graph.TopoView) {
 }
 
 // apply executes one op against the overlay/instance/colors state,
-// recording dirty seeds. Caller holds mu.
-func (s *Service) apply(op Op, rep *BatchReport, addDirty func(...int)) error {
+// appending its dirty seeds to s.seeds. Caller holds mu.
+func (s *Service) apply(op Op, rep *BatchReport) error {
 	switch op.Action {
 	case OpAddEdge:
 		if err := s.ov.AddEdge(op.U, op.V); err != nil {
 			return err
 		}
-		addDirty(op.U, op.V)
+		s.seeds = append(s.seeds, op.U, op.V)
 	case OpRemoveEdge:
 		if !s.ov.RemoveEdge(op.U, op.V) {
 			return fmt.Errorf("edge {%d,%d} not present", op.U, op.V)
 		}
-		addDirty(op.U, op.V)
+		s.seeds = append(s.seeds, op.U, op.V)
 	case OpAddNode:
 		list, defects, err := s.newNodeConstraints(op)
 		if err != nil {
@@ -465,14 +454,13 @@ func (s *Service) apply(op Op, rep *BatchReport, addDirty func(...int)) error {
 		s.inst.Defects = append(s.inst.Defects, defects)
 		s.colors = append(s.colors, list[0])
 		rep.NewNodes = append(rep.NewNodes, v)
-		addDirty(v)
+		s.seeds = append(s.seeds, v)
 	case OpRemoveNode:
 		if op.Node < 0 || op.Node >= s.ov.N() {
 			return fmt.Errorf("node %d out of range", op.Node)
 		}
 		former := s.ov.RemoveNode(op.Node)
-		addDirty(op.Node)
-		addDirty(former...)
+		s.seeds = append(append(s.seeds, op.Node), former...)
 	case OpSetList:
 		if op.Node < 0 || op.Node >= s.ov.N() {
 			return fmt.Errorf("node %d out of range", op.Node)
@@ -483,7 +471,7 @@ func (s *Service) apply(op Op, rep *BatchReport, addDirty func(...int)) error {
 		}
 		s.inst.Lists[op.Node] = list
 		s.inst.Defects[op.Node] = defects
-		addDirty(op.Node)
+		s.seeds = append(s.seeds, op.Node)
 	default:
 		return fmt.Errorf("unknown action %q", op.Action)
 	}

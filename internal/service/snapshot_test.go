@@ -240,7 +240,7 @@ func TestBackgroundCompactionSwap(t *testing.T) {
 	}
 	atLaunch := s.Snapshot().Topo
 
-	// The next batch waits for the compaction and swaps; the patch map
+	// The next batch waits for the compaction and swaps; the overlay
 	// holds only the two rows this batch touched.
 	apply("swap batch", []Op{{Action: OpAddEdge, U: 1, V: 30}})
 	csr := s.ov.Base()
