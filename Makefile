@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race test-scale bench bench-sim bench-local bench-harness bench-service race-service race-substrate race-durable chaos fuzz tables cover conform conformance clean
+.PHONY: all build vet test race test-scale bench bench-sim bench-harness race-service race-substrate race-durable chaos fuzz tables cover conform conformance clean
 
 all: build vet test
 
@@ -29,21 +29,15 @@ test-scale:
 bench:
 	$(GO) test -run '^$$' -bench . -benchmem -benchtime 1x .
 
-# Engine round-throughput report (docs/TESTING.md §BENCH_sim.json).
+# Web-scale simulator report (docs/TESTING.md §BENCH_sim.json). -o
+# writes only after a successful run, so a failure keeps the old file.
 bench-sim:
-	$(GO) run ./cmd/benchtab -sim > BENCH_sim.json
+	$(GO) run ./cmd/benchtab -sim -o BENCH_sim.json
 
-# Local-computation selection report (docs/TESTING.md §BENCH_local.json).
-bench-local:
-	$(GO) run ./cmd/benchtab -local > BENCH_local.json
-
-# Sweep-scheduler throughput report (docs/TESTING.md §BENCH_harness.json).
+# Sweep-scheduler and durability report (docs/TESTING.md
+# §BENCH_harness.json).
 bench-harness:
-	$(GO) run ./cmd/benchtab -harness > BENCH_harness.json
-
-# Incremental-service churn measurements live in the `service` section
-# of the same document (docs/TESTING.md §Service tests).
-bench-service: bench-harness
+	$(GO) run ./cmd/benchtab -harness -o BENCH_harness.json
 
 # Concurrent read/write soaks of the incremental service under the
 # race detector (the CI race job runs them alongside the full -race

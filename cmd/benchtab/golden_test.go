@@ -81,6 +81,29 @@ func TestRunTableWriteError(t *testing.T) {
 	}
 }
 
+// TestRunFailureKeepsOutputFile pins that a failed run leaves an
+// existing -o file byte-identical: the output is rendered in memory and
+// written only after the run succeeds, so a bad experiment ID cannot
+// wipe a committed report.
+func TestRunFailureKeepsOutputFile(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "out.txt")
+	want := []byte("prior run\n")
+	if err := os.WriteFile(path, want, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var out, errb bytes.Buffer
+	if code := run([]string{"-run", "E99", "-o", path}, &out, &errb); code != 1 {
+		t.Fatalf("run -run E99 -o = %d, want 1 (stderr: %s)", code, errb.String())
+	}
+	got, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("failed run rewrote the -o file: got %q, want %q", got, want)
+	}
+}
+
 func TestRunBadFlag(t *testing.T) {
 	var out, errb bytes.Buffer
 	if code := run([]string{"-nope"}, &out, &errb); code != 2 {

@@ -3,10 +3,12 @@ package bench
 // durabilitybench.go prices the crash-safety layer: the same churn
 // script pushed through the durable write path under each WAL sync
 // mode (off / batch / always), then a simulated kill and a timed
-// recovery. The entries land in the `durability` section of
-// BENCH_harness.json (refreshed by `make bench-harness`); the
-// recovery_ms_per_100k_ops column is the replay-cost unit the
-// checkpoint cadence is tuned against.
+// recovery. cmd/benchtab -harness renders the entries as the
+// `durability` section of BENCH_harness.json; the
+// recovery_ms_per_100k_ops column is the replay-cost unit a recovery
+// budget (and the checkpoint cadence derived from it) is set against.
+// Unlike perfbench's serve workload, it prices every sync mode side by
+// side and differences each recovery against a reference replay.
 
 import (
 	"fmt"
@@ -14,6 +16,7 @@ import (
 	"os"
 	"time"
 
+	"listcolor/internal/coloring"
 	"listcolor/internal/graph"
 	"listcolor/internal/service"
 )
@@ -166,6 +169,58 @@ func measureDurability(w durabilityWorkload, mode service.SyncMode) (DurabilityB
 	e.RecoveredIdentical = colorsEqual(ref, d2.Service()) &&
 		ref.TopologyFingerprint() == d2.Service().TopologyFingerprint()
 	return e, nil
+}
+
+// servicePalette builds the shared full-palette proper instance the
+// churn script runs over.
+func servicePalette(n, space int) *coloring.Instance {
+	full := make([]int, space)
+	for i := range full {
+		full[i] = i
+	}
+	zeros := make([]int, space)
+	inst := &coloring.Instance{Space: space, Lists: make([][]int, n), Defects: make([][]int, n)}
+	for v := 0; v < n; v++ {
+		inst.Lists[v] = full
+		inst.Defects[v] = zeros
+	}
+	return inst
+}
+
+// churnBatch generates one feasibility-guarded batch of random edge
+// inserts/deletes against the service's current topology.
+func churnBatch(svc *service.Service, rng *rand.Rand, space, size int) []service.Op {
+	type ekey [2]int
+	pending := make(map[ekey]bool)
+	degDelta := make(map[int]int)
+	ops := make([]service.Op, 0, size)
+	for len(ops) < size {
+		u, v := rng.Intn(svc.N()), rng.Intn(svc.N())
+		if u == v {
+			continue
+		}
+		k := ekey{u, v}
+		if u > v {
+			k = ekey{v, u}
+		}
+		present, seen := pending[k]
+		if !seen {
+			present = svc.HasEdge(u, v)
+		}
+		switch {
+		case present:
+			ops = append(ops, service.Op{Action: service.OpRemoveEdge, U: u, V: v})
+			pending[k] = false
+			degDelta[u]--
+			degDelta[v]--
+		case svc.DegreeOf(u)+degDelta[u] < space-2 && svc.DegreeOf(v)+degDelta[v] < space-2:
+			ops = append(ops, service.Op{Action: service.OpAddEdge, U: u, V: v})
+			pending[k] = true
+			degDelta[u]++
+			degDelta[v]++
+		}
+	}
+	return ops
 }
 
 // colorsEqual compares the full color vectors of two services.

@@ -311,9 +311,9 @@ func RunE5(opt Options) Table {
 // highlights: the Two-Sweep Phase-I selection is a sort
 // (O(Λ log Λ) local work) while the [MT20, FK23a]-style subset search
 // is exponential in the list size. Both sides report deterministic
-// elementary-operation counts — wall-clock versions of the same
-// comparison live in BENCH_local.json, keeping table cells pure
-// functions of their seed (the scheduler's determinism contract).
+// elementary-operation counts, keeping table cells pure functions of
+// their seed (the scheduler's determinism contract); wall-clock timing
+// of the selection kernel is BenchmarkSelection's job.
 func RunE6(opt Options) Table {
 	t := Table{
 		ID:      "E6",

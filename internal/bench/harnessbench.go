@@ -40,26 +40,23 @@ type HarnessBenchEntry struct {
 }
 
 // HarnessBenchReport is the BENCH_harness.json document: this
-// machine's measurements next to the recorded sequential baseline.
+// machine's measurements of the sweep scheduler and of the durable
+// write path.
 type HarnessBenchReport struct {
 	GeneratedAt string `json:"generated_at"`
 	Note        string `json:"note"`
 	// GOMAXPROCS and NumCPU qualify the speedups: on a single-core
 	// host every parallel speedup is bounded by 1 regardless of the
 	// scheduler.
-	GOMAXPROCS int                 `json:"gomaxprocs"`
-	NumCPU     int                 `json:"num_cpu"`
-	Baseline   []HarnessBenchEntry `json:"baseline"`
-	Current    []HarnessBenchEntry `json:"current"`
-	// Service holds the incremental-service churn measurements
-	// (servicebench.go): updates/sec, recolor locality, and p99 read
-	// latency under concurrent write load. Refreshed by
-	// `make bench-service`.
-	Service []ServiceBenchEntry `json:"service"`
+	GOMAXPROCS int `json:"gomaxprocs"`
+	NumCPU     int `json:"num_cpu"`
+	// Current holds one scheduler entry per worker budget, the
+	// sequential anchor first.
+	Current []HarnessBenchEntry `json:"current"`
 	// Durability holds the crash-safety measurements
 	// (durabilitybench.go): churn throughput with the WAL in the write
 	// path under each sync mode, and the timed kill-and-recover replay
-	// cost per 10^5 ops. Refreshed by `make bench-harness`.
+	// cost per 10^5 ops.
 	Durability []DurabilityBenchEntry `json:"durability"`
 }
 

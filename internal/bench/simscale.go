@@ -2,10 +2,14 @@ package bench
 
 // simscale.go measures the web-scale simulation path: streamed
 // CSR-native builds at 10⁶–10⁷ nodes driven through the chatter
-// protocol, reporting build time, round throughput, per-round
-// allocation, and process peak RSS. cmd/benchtab -sim renders the
-// result as the "scale" section of BENCH_sim.json; the memory budget
-// these rows are checked against is derived in docs/MEMORY.md.
+// protocol, reporting build time, round throughput, live heap and
+// process peak RSS. cmd/benchtab -sim renders the result as the
+// "scale" section of BENCH_sim.json; the memory budget these rows are
+// checked against is derived in docs/MEMORY.md. There is no per-round
+// allocation column: with no warmup and a handful of rounds it would
+// read as setup divided by rounds, so internal/sim's
+// TestScaleSteadyStateAllocs measures steady-state allocation by
+// differencing two run lengths instead.
 
 import (
 	"bufio"
@@ -53,16 +57,15 @@ func SimScaleWorkloads(quick bool) []SimScaleWorkload {
 
 // SimScaleEntry is one (workload, driver) scale measurement.
 type SimScaleEntry struct {
-	Workload       string  `json:"workload"`
-	Driver         string  `json:"driver"`
-	Shards         int     `json:"shards"`
-	Nodes          int     `json:"nodes"`
-	Edges          int64   `json:"edges"`
-	Rounds         int     `json:"rounds"`
-	BuildSec       float64 `json:"build_sec"`
-	RoundsPerSec   float64 `json:"rounds_per_sec"`
-	NsPerRound     float64 `json:"ns_per_round"`
-	AllocsPerRound float64 `json:"allocs_per_round"`
+	Workload     string  `json:"workload"`
+	Driver       string  `json:"driver"`
+	Shards       int     `json:"shards"`
+	Nodes        int     `json:"nodes"`
+	Edges        int64   `json:"edges"`
+	Rounds       int     `json:"rounds"`
+	BuildSec     float64 `json:"build_sec"`
+	RoundsPerSec float64 `json:"rounds_per_sec"`
+	NsPerRound   float64 `json:"ns_per_round"`
 	// HeapLiveBytes is HeapAlloc sampled at the instant the run
 	// returns, while the topology, nodes, contexts, and inbox arena are
 	// all still reachable — the figure docs/MEMORY.md budgets as
@@ -103,10 +106,10 @@ func PeakRSSBytes() uint64 {
 
 // MeasureScaleThroughput streams the workload's CSR build, runs the
 // chatter protocol on it once under the given driver, and reports
-// build time, round throughput, allocation, and memory. Unlike the
-// small-graph harness there is no warmup run — a 10⁷-node run is too
-// expensive to execute twice, and the one-time setup cost is exactly
-// what the build_sec and per-round split is reporting.
+// build time, round throughput, and memory. There is no warmup run —
+// a 10⁷-node run is too expensive to execute twice, and the one-time
+// setup cost is exactly what the build_sec and per-round split is
+// reporting.
 func MeasureScaleThroughput(w SimScaleWorkload, driver sim.Driver) (SimScaleEntry, error) {
 	runtime.GC()
 	b0 := time.Now()
@@ -120,12 +123,11 @@ func MeasureScaleThroughput(w SimScaleWorkload, driver sim.Driver) (SimScaleEntr
 	}
 	cfg := sim.Config{Driver: driver, Shards: shards}
 	runtime.GC()
-	var m0, m1 runtime.MemStats
-	runtime.ReadMemStats(&m0)
 	t0 := time.Now()
 	res, err := sim.Run(nw, nodes, cfg)
 	dt := time.Since(t0)
-	runtime.ReadMemStats(&m1)
+	var m runtime.MemStats
+	runtime.ReadMemStats(&m)
 	if err != nil {
 		return SimScaleEntry{}, fmt.Errorf("bench: scale run %s/%s: %w", w.Name, driver, err)
 	}
@@ -134,19 +136,18 @@ func MeasureScaleThroughput(w SimScaleWorkload, driver sim.Driver) (SimScaleEntr
 	}
 	rounds := float64(w.Rounds)
 	e := SimScaleEntry{
-		Workload:       w.Name,
-		Driver:         driver.String(),
-		Shards:         shards,
-		Nodes:          c.N(),
-		Edges:          c.M(),
-		Rounds:         w.Rounds,
-		BuildSec:       buildSec,
-		RoundsPerSec:   rounds / dt.Seconds(),
-		NsPerRound:     float64(dt.Nanoseconds()) / rounds,
-		AllocsPerRound: float64(m1.Mallocs-m0.Mallocs) / rounds,
-		HeapLiveBytes:  m1.HeapAlloc,
-		BytesPerNode:   float64(m1.HeapAlloc) / float64(c.N()),
-		PeakRSSBytes:   PeakRSSBytes(),
+		Workload:      w.Name,
+		Driver:        driver.String(),
+		Shards:        shards,
+		Nodes:         c.N(),
+		Edges:         c.M(),
+		Rounds:        w.Rounds,
+		BuildSec:      buildSec,
+		RoundsPerSec:  rounds / dt.Seconds(),
+		NsPerRound:    float64(dt.Nanoseconds()) / rounds,
+		HeapLiveBytes: m.HeapAlloc,
+		BytesPerNode:  float64(m.HeapAlloc) / float64(c.N()),
+		PeakRSSBytes:  PeakRSSBytes(),
 	}
 	runtime.KeepAlive(nw)
 	runtime.KeepAlive(nodes)

@@ -8,9 +8,9 @@ package sim_test
 // steady-state routing loop is allocation-free: the ring/lockstep
 // benchmark must report 0 allocs/op.
 //
-// The workloads and protocol are shared with `cmd/benchtab -sim`
-// (internal/bench/simbench.go), which renders the same measurement as
-// BENCH_sim.json.
+// The workloads and the protocol live in internal/bench/simbench.go;
+// the BENCH_sim.json scale rows and the scale tests run the same
+// protocol at 10⁶–10⁷ nodes.
 
 import (
 	"testing"
@@ -36,7 +36,7 @@ func benchRoundThroughput(b *testing.B, g *graph.Graph, d sim.Driver) {
 }
 
 func BenchmarkRoundThroughput(b *testing.B) {
-	for _, w := range bench.SimWorkloads(false) {
+	for _, w := range bench.SimWorkloads() {
 		g := w.Build()
 		for _, d := range sim.AllDrivers() {
 			d := d

@@ -7,7 +7,8 @@ package workload
 // are generated once and shared read-only, and per-graph derived
 // values (orientations, Linial bootstraps) are memoized next to the
 // graph they belong to. Hit/miss counters make cross-experiment reuse
-// observable; BENCH_harness.json records them.
+// observable; the sweep-scheduler rows of BENCH_harness.json record
+// them.
 
 import (
 	"sync"
