@@ -276,7 +276,7 @@ func run(ctx context.Context, args []string, out, errw io.Writer) int {
 			return 1
 		}
 	}
-	fmt.Fprintf(out, "shutdown: complete at version %d\n", svc.Snapshot().Version)
+	fmt.Fprintf(out, "shutdown: complete at version %d\n", svc.Version())
 	return 0
 }
 

@@ -56,9 +56,11 @@ func (t *TopoView) extend(delta map[int][]int, n int, arcs int64) *TopoView {
 }
 
 // collapse merges the delta chain into a single-level view (newest
-// entry wins per row). The receiver is unchanged.
+// entry wins per row). The map is sized for the chain's entries, a
+// bound on its distinct rows, so it never grows. The receiver is
+// unchanged.
 func (t *TopoView) collapse() *TopoView {
-	merged := make(map[int][]int)
+	merged := make(map[int][]int, t.chainEntries())
 	for v := t; v != nil; v = v.parent {
 		for id, row := range v.delta {
 			if _, ok := merged[id]; !ok {
@@ -67,6 +69,16 @@ func (t *TopoView) collapse() *TopoView {
 		}
 	}
 	return &TopoView{base: t.base, delta: merged, n: t.n, arcs: t.arcs}
+}
+
+// chainEntries returns the number of delta entries along the chain,
+// repeats of a row included.
+func (t *TopoView) chainEntries() int {
+	size := 0
+	for view := t; view != nil; view = view.parent {
+		size += len(view.delta)
+	}
+	return size
 }
 
 // N returns the vertex count at the view's version.
@@ -186,11 +198,7 @@ type patchRow struct {
 // chain keeps the first row it finds per id (slot[id] is 1 + its index
 // in found); a scan of slot then puts them in id order.
 func (t *TopoView) patches() ([]patchRow, error) {
-	size := 0
-	for view := t; view != nil; view = view.parent {
-		size += len(view.delta)
-	}
-	found, slot := make([][]int, 0, size), make([]int, t.n)
+	found, slot := make([][]int, 0, t.chainEntries()), make([]int, t.n)
 	for view := t; view != nil; view = view.parent {
 		for id, row := range view.delta {
 			if id < 0 || id >= t.n {

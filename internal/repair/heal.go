@@ -54,10 +54,18 @@ type HealOptions struct {
 // flags and the candidate marks. Every run leaves it all-false,
 // clearing only the entries it set, so one scratch serves any number
 // of sequential runs on topologies of any size (it grows to the
-// largest). It is not safe for concurrent runs.
+// largest). It also records the ids the last run recolored. It is not
+// safe for concurrent runs.
 type HealScratch struct {
 	hard, mark []bool
+	recolored  []int
 }
+
+// Recolored returns the ids the last run that borrowed the scratch
+// recolored, in recolor order, with a repeat for each further recolor
+// of the same node: a superset of the ids whose color changed. The
+// slice is reused by the next run.
+func (sc *HealScratch) Recolored() []int { return sc.recolored }
 
 // grow extends the scratch to cover n vertices; the new entries are
 // false, like the old ones between runs.
@@ -134,6 +142,11 @@ func HealLocal(topo Topology, inst *coloring.Instance, colors []int, seeds []int
 func healCore(topo Topology, inst *coloring.Instance, colors []int, seeds []int, opt HealOptions) HealReport {
 	n := topo.N()
 	var hr HealReport
+	sc := opt.Scratch
+	if sc == nil {
+		sc = new(HealScratch)
+	}
+	sc.recolored = sc.recolored[:0]
 	if len(colors) != n || inst.N() != n {
 		return hr
 	}
@@ -177,10 +190,6 @@ func healCore(topo Topology, inst *coloring.Instance, colors []int, seeds []int,
 		return bestExcess > 0
 	}
 
-	sc := opt.Scratch
-	if sc == nil {
-		sc = new(HealScratch)
-	}
 	sc.grow(n)
 	hard, mark := sc.hard, sc.mark
 	cand := make([]int, 0, len(seeds))
@@ -247,6 +256,7 @@ func healCore(topo Topology, inst *coloring.Instance, colors []int, seeds []int,
 				hr.Fallbacks++
 			}
 			hr.Recolored++
+			sc.recolored = append(sc.recolored, v)
 			d := topo.Degree(v)
 			hr.Messages += d
 			hr.Bits += d * colorBits

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
+	"slices"
 	"testing"
 
 	"listcolor/internal/coloring"
@@ -337,8 +338,10 @@ func classifyReference(topo Topology, inst *coloring.Instance, colors, seeds []i
 // HealLocal call, once with a fresh scratch per call — and requires
 // identical colors and reports after every call, including calls that
 // run out of a small round budget. The lent scratch must be all-false
-// after each run, and the entry scan's seed and absorbed counts must
-// match the classification loop it replaced, on every batch.
+// after each run, the entry scan's seed and absorbed counts must
+// match the classification loop it replaced, and the scratch's
+// recorded ids must be one per recolor and cover every changed color,
+// on every batch.
 func TestHealScratchReuse(t *testing.T) {
 	for seed := int64(1); seed <= 4; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -391,6 +394,7 @@ func TestHealScratchReuse(t *testing.T) {
 			budget := []int{0, 1, 2}[batch%3]
 
 			wantSeeds, wantAbsorbed := classifyReference(ov, inst, lent, seeds)
+			prev := append([]int(nil), lent...)
 			hl := HealLocal(ov, inst, lent, seeds, HealOptions{RoundBudget: budget, Scratch: &sc})
 			hf := HealLocal(ov, inst, fresh, seeds, HealOptions{RoundBudget: budget})
 			if !reflect.DeepEqual(lent, fresh) {
@@ -402,6 +406,14 @@ func TestHealScratchReuse(t *testing.T) {
 			if hl.Seeds != wantSeeds || hl.Absorbed != wantAbsorbed {
 				t.Fatalf("seed %d batch %d: entry scan seeds %d absorbed %d, classification loop %d and %d",
 					seed, batch, hl.Seeds, hl.Absorbed, wantSeeds, wantAbsorbed)
+			}
+			if got := len(sc.Recolored()); got != hl.Recolored {
+				t.Fatalf("seed %d batch %d: scratch recorded %d recolors, report says %d", seed, batch, got, hl.Recolored)
+			}
+			for v := range lent {
+				if lent[v] != prev[v] && !slices.Contains(sc.Recolored(), v) {
+					t.Fatalf("seed %d batch %d: node %d changed color but is not among the recorded ids", seed, batch, v)
+				}
 			}
 			for v := range sc.hard {
 				if sc.hard[v] || sc.mark[v] {

@@ -322,12 +322,13 @@ func runChaosPoint(pi int, pt adversary.ChaosPoint, base *graph.CSR, script [][]
 
 	check := func(when string) error {
 		s := d2.Service()
-		v := s.Snapshot().Version
+		snap := s.Snapshot()
+		v := snap.Version
 		if v >= uint64(len(refs)) {
 			return fmt.Errorf("point %d (%s) %s: version %d beyond reference", pi, pt.Mode, when, v)
 		}
 		ref := refs[v]
-		if !reflect.DeepEqual(s.Snapshot().Colors, ref.colors) {
+		if !reflect.DeepEqual(snap.Colors, ref.colors) {
 			return fmt.Errorf("point %d (%s) %s: colors diverge at version %d", pi, pt.Mode, when, v)
 		}
 		if got := CanonicalStats(s.Stats()); !reflect.DeepEqual(got, ref.stats) {
@@ -347,11 +348,11 @@ func runChaosPoint(pi int, pt adversary.ChaosPoint, base *graph.CSR, script [][]
 	// Boundary kills under SyncBatch lose nothing: recovery must land
 	// exactly on the kill batch.
 	if pt.Mode == adversary.ChaosBoundary {
-		if v := d2.Service().Snapshot().Version; v != uint64(pt.Batch) {
+		if v := d2.Service().Version(); v != uint64(pt.Batch) {
 			return fmt.Errorf("point %d (boundary): recovered version %d, want %d", pi, v, pt.Batch)
 		}
 	}
-	v := d2.Service().Snapshot().Version
+	v := d2.Service().Version()
 	for _, ops := range script[v:] {
 		if _, err := d2.ApplyBatch(ops); err != nil && !errors.Is(err, ErrOp) {
 			return fmt.Errorf("point %d (%s): continue: %w", pi, pt.Mode, err)

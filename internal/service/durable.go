@@ -196,7 +196,7 @@ func OpenDurable(opts Options, dopts DurableOptions) (*Durable, *RecoveryInfo, e
 		info.ReplayedBatches++
 		info.ReplayedOps += len(rec.Ops)
 	}
-	info.Version = svc.Snapshot().Version
+	info.Version = svc.Version()
 	w, err := openWALWriter(dopts.Dir, dopts.Sync, dopts.SegmentBytes)
 	if err != nil {
 		return nil, nil, err
@@ -226,7 +226,7 @@ func (d *Durable) ApplyBatch(ops []Op) (BatchReport, error) {
 	if d.dead {
 		return BatchReport{}, ErrWALCrashed
 	}
-	version := d.svc.Snapshot().Version + 1
+	version := d.svc.Version() + 1
 	payload := EncodeWALBatch(version, ops)
 	if err := d.wal.append(payload); err != nil {
 		d.dead = true

@@ -97,7 +97,7 @@ func NewHandler(s *Service) http.Handler {
 // NewHandlerWithOptions wires the service's HTTP surface:
 //
 //	POST /v1/updates        batched ops, single-writer apply
-//	GET  /v1/color/{node}   one color, lock-free snapshot read
+//	GET  /v1/color/{node}   one color from the published snapshot
 //	GET  /v1/colors?nodes=  many colors from one snapshot
 //	GET  /v1/colors         full dump, streamed in bounded chunks
 //	GET  /v1/stats          running maintenance account
@@ -106,8 +106,10 @@ func NewHandler(s *Service) http.Handler {
 //	                        or shedding load)
 //
 // Reads never block on writes: they load the atomically-swapped
-// snapshot the last batch published — including during WAL replay,
-// when they serve the restored checkpoint while /readyz says 503.
+// snapshot the last batch published and hold its color buffer's read
+// lock, which the writer only ever try-locks — including during WAL
+// replay, when they serve the restored checkpoint while /readyz says
+// 503.
 func NewHandlerWithOptions(s *Service, opts HandlerOptions) http.Handler {
 	mux := http.NewServeMux()
 
@@ -179,7 +181,9 @@ func NewHandlerWithOptions(s *Service, opts HandlerOptions) http.Handler {
 	mux.HandleFunc("GET /v1/colors", func(w http.ResponseWriter, r *http.Request) {
 		raw := r.URL.Query().Get("nodes")
 		if raw == "" {
-			streamAllColors(w, s.Snapshot())
+			p := s.acquire(s.pub.Load())
+			defer p.buf.mu.RUnlock()
+			streamAllColors(w, &p.Snapshot)
 			return
 		}
 		parts := strings.Split(raw, ",")
@@ -259,9 +263,11 @@ func decodeUpdate(body io.Reader) (UpdateRequest, error) {
 // streamAllColors writes the full color dump as one JSON document —
 // {"version":V,"n":N,"colors":[...]} — in fixed-size chunks through
 // the ResponseWriter's chunked encoding, so a 10⁶-node dump needs one
-// scratch buffer instead of an O(n) intermediate encoding. The
-// snapshot is immutable, so the stream is consistent even while
-// batches keep applying.
+// scratch buffer instead of an O(n) intermediate encoding. The caller
+// holds the snapshot's color buffer read lock for the whole stream, so
+// it is consistent even while batches keep applying; the writer only
+// try-locks that lock, so a slow client never stalls a batch, and at
+// most costs one batch a full copy of the colors.
 func streamAllColors(w http.ResponseWriter, snap *Snapshot) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(http.StatusOK)

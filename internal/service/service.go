@@ -24,10 +24,13 @@
 //
 // Concurrency contract: writers are serialized by a mutex (ApplyBatch
 // remains externally single-writer); readers never take it — every
-// batch publishes an immutable snapshot (colors, topology view, and
-// counters) through an atomic pointer, so Color/ColorsOf/Stats/
-// HasEdge/DegreeOf are lock-free and safe under any number of
-// concurrent readers while batches apply.
+// batch publishes a snapshot (colors, topology view, and counters)
+// through an atomic pointer, so Stats/HasEdge/DegreeOf/Version are
+// lock-free and safe under any number of concurrent readers while
+// batches apply. Colors live in two buffers: the published version
+// reads one while the writer mutates the other, so Color/ColorsOf
+// hold a per-buffer read lock that the writer only ever try-locks,
+// and never wait for a batch.
 package service
 
 import (
@@ -83,12 +86,14 @@ type Options struct {
 	CompactThreshold int
 }
 
-// Snapshot is the immutable read-side state one batch publishes: a
-// private color slice, a lock-free topology view, the running
-// counters as of the batch, and the batch version that produced it.
+// Snapshot is the immutable read-side state one batch publishes: the
+// colors, a lock-free topology view, the running counters as of the
+// batch, and the batch version that produced it.
 type Snapshot struct {
 	Version uint64
-	Colors  []int
+	// Colors is shared with the service, not a copy, and must not be
+	// modified. It stays unchanged for as long as the caller holds it.
+	Colors []int
 	// Topo is the topology at this version (base CSR plus the
 	// published per-batch delta chain) — HasEdge/DegreeOf serve from
 	// it without touching the writer lock.
@@ -156,11 +161,17 @@ type Stats struct {
 // Service maintains the coloring. Construct with New; the zero value
 // is not usable.
 type Service struct {
-	mu     sync.Mutex // serializes ApplyBatch (the single writer)
-	ov     *graph.Overlay
-	inst   *coloring.Instance
+	mu   sync.Mutex // serializes ApplyBatch (the single writer)
+	ov   *graph.Overlay
+	inst *coloring.Instance
+	opts Options
+
+	// colors is the writer's coloring, guarded by mu. Between batches
+	// it is the published version's; a batch mutates another buffer.
+	// spare holds the previous version's colors, or is nil when there
+	// is none the writer may take back.
 	colors []int
-	opts   Options
+	spare  *colorBuf
 
 	// seeds and heal are the writer's reused per-batch state, guarded
 	// by mu: the batch's dirty seeds (duplicates included; HealLocal
@@ -168,7 +179,7 @@ type Service struct {
 	seeds []int
 	heal  repair.HealScratch
 
-	snap  atomic.Pointer[Snapshot]
+	pub   atomic.Pointer[published]
 	start time.Time
 
 	// pendingCompact is non-nil while a background compaction builds a
@@ -185,6 +196,43 @@ type Service struct {
 type compactResult struct {
 	csr *graph.CSR
 	err error
+}
+
+// colorBuf is one of the service's two color buffers.
+type colorBuf struct {
+	// mu guards the buffer's reuse: readers hold it shared while they
+	// read the colors, and the writer only try-locks it, to bump epoch
+	// when it takes the buffer back.
+	mu    sync.RWMutex
+	epoch uint64
+	// pinned is set once a Snapshot hands the colors out; the writer
+	// never takes a pinned buffer back.
+	pinned atomic.Bool
+	colors []int // the writer's
+}
+
+// reclaim takes the buffer back for the writer. It fails while a
+// reader holds the read lock or once a Snapshot pinned the buffer; on
+// success the epoch bump turns away every reader that reached the
+// buffer through an older version.
+func (b *colorBuf) reclaim() bool {
+	if !b.mu.TryLock() {
+		return false
+	}
+	defer b.mu.Unlock()
+	if b.pinned.Load() {
+		return false
+	}
+	b.epoch++
+	return true
+}
+
+// published is one version's read state: its Snapshot, the buffer its
+// colors live in, and that buffer's epoch when it was published.
+type published struct {
+	Snapshot
+	buf   *colorBuf
+	epoch uint64
 }
 
 // New builds a service over the CSR substrate. The instance is cloned,
@@ -226,72 +274,123 @@ func New(base *graph.CSR, inst *coloring.Instance, colors []int, opts Options) (
 	s.totals.Fallbacks += int64(hr.Fallbacks)
 	s.totals.MaintenanceMessages += int64(hr.Messages)
 	s.totals.MaintenanceBits += int64(hr.Bits)
-	s.publish()
+	s.publish(&colorBuf{})
 	return s, nil
 }
 
+// takeSpare gives the writer a buffer to mutate: the spare, caught up
+// to the published version, when the writer can take it back, else a
+// full copy of the published colors. Caller holds mu.
+func (s *Service) takeSpare() *colorBuf {
+	b := s.spare
+	s.spare = nil
+	if b == nil || !b.reclaim() {
+		b = &colorBuf{colors: append([]int(nil), s.colors...)}
+	} else {
+		// The spare holds the previous version: only the nodes the last
+		// batch appended and the ids its heal recolored differ.
+		b.colors = append(b.colors, s.colors[len(b.colors):]...)
+		for _, v := range s.heal.Recolored() {
+			b.colors[v] = s.colors[v]
+		}
+	}
+	s.colors = b.colors
+	return b
+}
+
 // publish seals the batch's overlay mutations into a new topology view
-// and installs the immutable snapshot; it returns the view. Caller
-// holds mu (or is the constructor).
-func (s *Service) publish() *graph.TopoView {
+// and publishes the colors in b, which the writer now leaves alone;
+// the previous version's buffer becomes the spare. It returns the
+// view. Caller holds mu (or is the constructor).
+func (s *Service) publish(b *colorBuf) *graph.TopoView {
 	topo := s.ov.Publish()
 	st := s.totals
 	st.Version = s.version
 	st.Nodes = s.ov.N()
 	st.Edges = s.ov.M()
 	st.Patched = s.ov.Patched()
-	snap := &Snapshot{
-		Version: s.version,
-		Colors:  append([]int(nil), s.colors...),
-		Topo:    topo,
-		Stats:   st,
+	b.colors = s.colors
+	n := len(s.colors)
+	p := &published{
+		Snapshot: Snapshot{Version: s.version, Colors: s.colors[:n:n], Topo: topo, Stats: st},
+		buf:      b,
+		epoch:    b.epoch,
 	}
-	s.snap.Store(snap)
+	if old := s.pub.Swap(p); old != nil {
+		s.spare = old.buf
+	}
 	return topo
 }
 
-// Snapshot returns the current immutable read state.
-func (s *Service) Snapshot() *Snapshot { return s.snap.Load() }
-
-// Color returns node v's color and the snapshot version, lock-free.
-// ok is false when v is not a known node.
-func (s *Service) Color(v int) (color int, version uint64, ok bool) {
-	snap := s.snap.Load()
-	if v < 0 || v >= len(snap.Colors) {
-		return 0, snap.Version, false
+// acquire read-locks the colors of p, a version the caller loaded, or
+// of the newest version when the writer has taken p's buffer back
+// since; the caller releases the version returned with
+// buf.mu.RUnlock. The writer only takes back the buffer of a version
+// older than the newest, so each retry follows a publish.
+func (s *Service) acquire(p *published) *published {
+	for {
+		p.buf.mu.RLock()
+		if p.buf.epoch == p.epoch {
+			return p
+		}
+		p.buf.mu.RUnlock()
+		p = s.pub.Load()
 	}
-	return snap.Colors[v], snap.Version, true
+}
+
+// Snapshot returns the current read state. Its Colors are pinned: the
+// writer never reuses their buffer, and copies instead.
+func (s *Service) Snapshot() *Snapshot {
+	p := s.acquire(s.pub.Load())
+	p.buf.pinned.Store(true)
+	p.buf.mu.RUnlock()
+	return &p.Snapshot
+}
+
+// Version returns the published version, lock-free.
+func (s *Service) Version() uint64 { return s.pub.Load().Version }
+
+// Color returns node v's color and the snapshot version; it never
+// waits for a batch. ok is false when v is not a known node.
+func (s *Service) Color(v int) (color int, version uint64, ok bool) {
+	p := s.acquire(s.pub.Load())
+	defer p.buf.mu.RUnlock()
+	if v < 0 || v >= len(p.Colors) {
+		return 0, p.Version, false
+	}
+	return p.Colors[v], p.Version, true
 }
 
 // ColorsOf returns the colors of the requested nodes from one
 // consistent snapshot. Unknown nodes yield ok=false.
 func (s *Service) ColorsOf(nodes []int) (colors []int, version uint64, ok bool) {
-	snap := s.snap.Load()
 	colors = make([]int, len(nodes))
+	p := s.acquire(s.pub.Load())
+	defer p.buf.mu.RUnlock()
 	ok = true
 	for i, v := range nodes {
-		if v < 0 || v >= len(snap.Colors) {
+		if v < 0 || v >= len(p.Colors) {
 			ok = false
 			continue
 		}
-		colors[i] = snap.Colors[v]
+		colors[i] = p.Colors[v]
 	}
-	return colors, snap.Version, ok
+	return colors, p.Version, ok
 }
 
 // N returns the current node count (from the read snapshot).
-func (s *Service) N() int { return len(s.snap.Load().Colors) }
+func (s *Service) N() int { return len(s.pub.Load().Colors) }
 
 // HasEdge reports whether {u, v} is present in the current snapshot,
 // lock-free — reads never wait behind a batch in flight.
 func (s *Service) HasEdge(u, v int) bool {
-	return s.snap.Load().Topo.HasEdge(u, v)
+	return s.pub.Load().Topo.HasEdge(u, v)
 }
 
 // DegreeOf returns v's degree in the current snapshot (0 for unknown
 // nodes), lock-free like HasEdge.
 func (s *Service) DegreeOf(v int) int {
-	t := s.snap.Load().Topo
+	t := s.pub.Load().Topo
 	if v < 0 || v >= t.N() {
 		return 0
 	}
@@ -301,7 +400,7 @@ func (s *Service) DegreeOf(v int) int {
 // Stats returns the running account from the current snapshot,
 // lock-free; only the uptime-derived rates are computed at read time.
 func (s *Service) Stats() Stats {
-	st := s.snap.Load().Stats
+	st := s.pub.Load().Stats
 	st.UptimeSec = time.Since(s.start).Seconds()
 	if st.UptimeSec > 0 {
 		st.UpdatesPerSec = float64(st.Updates) / st.UptimeSec
@@ -325,6 +424,7 @@ func (s *Service) ApplyBatch(ops []Op) (BatchReport, error) {
 	if err := s.swapCompaction(); err != nil {
 		return rep, err
 	}
+	buf := s.takeSpare()
 
 	seeds, opErr := s.applySeq(ops, &rep)
 	// HealLocal's entry scan is the pre-repair classification of the
@@ -359,7 +459,7 @@ func (s *Service) ApplyBatch(ops []Op) (BatchReport, error) {
 
 	s.version++
 	rep.Version = s.version
-	topo := s.publish()
+	topo := s.publish(buf)
 	if rep.Compacted {
 		s.launchCompaction(topo)
 	}
@@ -588,7 +688,7 @@ func restoreService(cs *checkpointState, opts Options) (*Service, error) {
 	}
 	s.version = cs.version
 	s.totals = cs.totals
-	s.publish()
+	s.publish(&colorBuf{})
 	return s, nil
 }
 
@@ -599,7 +699,7 @@ func restoreService(cs *checkpointState, opts Options) (*Service, error) {
 // checkpoint-rebuilt base). The recovery differential compares it
 // instead of raw row storage.
 func (s *Service) TopologyFingerprint() uint64 {
-	return s.snap.Load().Topo.Fingerprint()
+	return s.pub.Load().Topo.Fingerprint()
 }
 
 // CanonicalStats zeroes the representation- and time-dependent fields

@@ -77,15 +77,27 @@ func (g *churnGen) batch(ops []Op, k int) []Op {
 
 // BenchmarkServiceApplyBatch times one churn batch at the shape of the
 // repository benchmark's churn workload: a 2·10⁵-node G(n, p) service
-// with average degree 4, the shared full palette of max degree + 4
-// colors, and 1000-op batches of valid edge inserts and deletes
-// generated outside the timer. Compactions launch and swap inside the
-// timed batches, as they do in a long-running service.
+// with average degree 4 and 1000-op batches. Compactions launch and
+// swap inside the timed batches, as they do in a long-running service.
 func BenchmarkServiceApplyBatch(b *testing.B) {
-	const n, avgDegree, headroom, batchOps = 200_000, 4.0, 4, 1000
-	base := graph.StreamedGNP(n, avgDegree/float64(n-1), 1)
+	const n, avgDegree = 200_000, 4.0
+	benchmarkApply(b, graph.StreamedGNP(n, avgDegree/float64(n-1), 1), 1000)
+}
+
+// BenchmarkServiceApplySmallBatch times one write at the shape of the
+// repository benchmark's serve workload: 32-op batches on a 10⁵-node
+// ring. Its B/op is the publish cost, which does not grow with n.
+func BenchmarkServiceApplySmallBatch(b *testing.B) {
+	benchmarkApply(b, graph.StreamedRing(100_000), 32)
+}
+
+// benchmarkApply times ApplyBatch on a service over base with the
+// shared full palette of max degree + 4 colors, fed batches of valid
+// edge inserts and deletes generated outside the timer.
+func benchmarkApply(b *testing.B, base *graph.CSR, batchOps int) {
+	const headroom = 4
 	space := base.RawMaxDegree() + headroom
-	svc, err := New(base, palInstance(n, space), nil, Options{})
+	svc, err := New(base, palInstance(base.N(), space), nil, Options{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -105,10 +117,11 @@ func BenchmarkServiceApplyBatch(b *testing.B) {
 }
 
 // TestApplyBatchAllocs guards the write path's per-batch memory: once
-// warm, a small batch on a 5·10⁵-node ring allocates the snapshot's
-// dense color copy (8·n bytes) plus O(batch), not n-sized heal or
-// dirty-set state. A large CompactThreshold keeps compaction out of
-// the window.
+// warm, a small batch on a 5·10⁵-node ring allocates O(batch), not
+// n-sized colors, heal or dirty-set state. A Snapshot pins its colors,
+// so of the two batches after one, one copies the 8·n bytes of colors
+// instead of reusing their buffer. A large CompactThreshold keeps
+// compaction out of the window.
 func TestApplyBatchAllocs(t *testing.T) {
 	const n = 500_000
 	svc := mustService(t, graph.StreamedRing(n), palInstance(n, 4), Options{CompactThreshold: n})
@@ -127,19 +140,30 @@ func TestApplyBatchAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	ops := chords(OpAddEdge, OpRemoveEdge)
-	var before, after runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&before)
-	rep, err := svc.ApplyBatch(ops)
-	runtime.ReadMemStats(&after)
-	if err != nil || rep.Applied != 10 || !rep.Converged || rep.Compacted {
-		t.Fatalf("measured batch: %+v, err %v", rep, err)
+	// measure applies the batches and returns the bytes they allocated.
+	measure := func(batches ...[]Op) uint64 {
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		for _, ops := range batches {
+			rep, err := svc.ApplyBatch(ops)
+			if err != nil || rep.Applied != 10 || !rep.Converged || rep.Compacted {
+				t.Fatalf("measured batch: %+v, err %v", rep, err)
+			}
+		}
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
 	}
-	got, limit := after.TotalAlloc-before.TotalAlloc, uint64(8*n+256<<10)
+	got, limit := measure(chords(OpAddEdge, OpRemoveEdge)), uint64(256<<10)
 	t.Logf("warm 10-op batch allocated %d bytes (limit %d)", got, limit)
 	if got > limit {
-		t.Fatalf("a warm 10-op batch on %d nodes allocated %d bytes, want ≤ 8·n + 256 KiB = %d", n, got, limit)
+		t.Fatalf("a warm 10-op batch on %d nodes allocated %d bytes, want ≤ 256 KiB", n, got)
+	}
+	svc.Snapshot()
+	got, limit = measure(chords(OpRemoveEdge, OpAddEdge), chords(OpAddEdge, OpRemoveEdge)), uint64(8*n+256<<10)
+	t.Logf("the two 10-op batches after a Snapshot allocated %d bytes (limit %d)", got, limit)
+	if got > limit {
+		t.Fatalf("the two 10-op batches after a Snapshot on %d nodes allocated %d bytes, want ≤ 8·n + 256 KiB = %d", n, got, limit)
 	}
 }
 
