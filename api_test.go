@@ -3,6 +3,7 @@ package listcolor
 import (
 	"bytes"
 	"context"
+	"strings"
 	"testing"
 )
 
@@ -347,5 +348,89 @@ func TestPublicServiceChaos(t *testing.T) {
 	}
 	if rep.Failures != 0 || rep.Points != 4 {
 		t.Fatalf("chaos report: %+v", rep)
+	}
+}
+
+// TestSpanRootsRecordTotals pins the span contract of every composed
+// solver: the caller's root carries the run's total, and sub-solvers
+// record nothing at the top level. The Lemma A.1 pipelines (Theorem
+// 1.3's and Theorem 1.5's) put their bootstrap and one span per scale
+// directly under the root.
+func TestSpanRootsRecordTotals(t *testing.T) {
+	g := NewRandomRegular(60, 4, 1)
+	d := OrientByID(g)
+	base, err := LinialColor(g, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	degInst := NewDegreePlusOneInstance(g, g.MaxDegree()+1, 2)
+	// On a long ring the Lemma A.1 classes hold many nodes each.
+	ring := NewRing(3000)
+	ringInst := NewDegreePlusOneInstance(ring, 3, 6)
+	arbInst := NewSlackInstance(ring, 5, 1, 3)
+	cases := []struct {
+		name   string
+		scales bool // a Lemma A.1 pipeline
+		run    func(cfg Config) (Stats, error)
+	}{
+		{"degplus1", true, func(cfg Config) (Stats, error) {
+			res, err := ColorDegPlusOne(g, degInst, cfg)
+			return res.Stats, err
+		}},
+		{"nbhood", true, func(cfg Config) (Stats, error) {
+			res, err := SolveNeighborhood(ring, ringInst, 2, cfg)
+			return res.Stats, err
+		}},
+		{"arbdefective", true, func(cfg Config) (Stats, error) {
+			res, err := SolveArbdefective(ring, arbInst, cfg)
+			return res.Stats, err
+		}},
+		{"nbhood-branch2", true, func(cfg Config) (Stats, error) {
+			res, err := SolveNeighborhoodBranch2(ring, arbInst, 2, cfg)
+			return res.Stats, err
+		}},
+		{"edgecolor", true, func(cfg Config) (Stats, error) {
+			_, _, stats, err := EdgeColor(NewRing(12), cfg)
+			return stats, err
+		}},
+		{"twosweep-fast", false, func(cfg Config) (Stats, error) {
+			res, err := TwoSweepFast(d, NewMinSlackInstance(d, 40, 2, 1, 4), base.Colors, base.Palette, 2, 1, cfg)
+			return res.Stats, err
+		}},
+		{"csr", false, func(cfg Config) (Stats, error) {
+			res, err := ReduceColorSpace(d, NewSlackInstance(g, 64, 3*8*2, 5), base.Colors, base.Palette, cfg)
+			return res.Stats, err
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			root := NewSpan(tc.name)
+			stats, err := tc.run(Config{Span: root})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if stats.Rounds == 0 || root.Stats != stats {
+				t.Errorf("root span stats %+v, run returned %+v", root.Stats, stats)
+			}
+			if len(root.Children) == 0 {
+				t.Fatal("no child spans recorded")
+			}
+			if !tc.scales {
+				return
+			}
+			scales := 0
+			for i, c := range root.Children {
+				switch {
+				case i == 0 && strings.HasPrefix(c.Label, "Linial bootstrap"):
+				case strings.HasPrefix(c.Label, "scale "):
+					scales++
+				default:
+					t.Errorf("unexpected top-level span %q", c.Label)
+				}
+			}
+			if scales == 0 {
+				t.Error("no scale spans under the root")
+			}
+		})
 	}
 }

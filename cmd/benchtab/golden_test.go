@@ -32,27 +32,40 @@ var goldenCases = []struct {
 
 func TestGoldenE1(t *testing.T) {
 	for _, tc := range goldenCases {
-		t.Run(tc.name, func(t *testing.T) {
-			var out, errb bytes.Buffer
-			if code := run(tc.args, &out, &errb); code != 0 {
-				t.Fatalf("run(%v) = %d, stderr: %s", tc.args, code, errb.String())
-			}
-			path := filepath.Join("testdata", tc.golden)
-			if *update {
-				if err := os.WriteFile(path, out.Bytes(), 0o644); err != nil {
-					t.Fatal(err)
-				}
-				return
-			}
-			want, err := os.ReadFile(path)
-			if err != nil {
-				t.Fatalf("missing golden file (run with -update to create): %v", err)
-			}
-			if !bytes.Equal(out.Bytes(), want) {
-				t.Errorf("output differs from %s (re-run with -update if intended)\ngot:\n%s\nwant:\n%s",
-					path, out.String(), want)
-			}
-		})
+		t.Run(tc.name, func(t *testing.T) { checkGolden(t, tc.args, tc.golden) })
+	}
+}
+
+// TestGoldenQuickAll pins every table of the quick sweep at seed 7 —
+// the byte-identity contract that an algorithm refactor must keep
+// (CONTRIBUTING.md §Changing an algorithm). A diff here means a
+// solver's colors, rounds, messages or bits moved.
+func TestGoldenQuickAll(t *testing.T) {
+	checkGolden(t, []string{"-quick", "-seed", "7"}, "quick_seed7.golden")
+}
+
+// checkGolden runs benchtab with args and compares its stdout with
+// testdata/golden, rewriting the file instead under -update.
+func checkGolden(t *testing.T, args []string, golden string) {
+	t.Helper()
+	var out, errb bytes.Buffer
+	if code := run(args, &out, &errb); code != 0 {
+		t.Fatalf("run(%v) = %d, stderr: %s", args, code, errb.String())
+	}
+	path := filepath.Join("testdata", golden)
+	if *update {
+		if err := os.WriteFile(path, out.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("missing golden file (run with -update to create): %v", err)
+	}
+	if !bytes.Equal(out.Bytes(), want) {
+		t.Errorf("output differs from %s (re-run with -update if intended)\ngot:\n%s\nwant:\n%s",
+			path, out.String(), want)
 	}
 }
 

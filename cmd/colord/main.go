@@ -105,6 +105,26 @@ func run(ctx context.Context, args []string, out, errw io.Writer) int {
 		fmt.Fprintf(errw, "colord: scripted churn needs -batch ≥ 1 and -n ≥ 2 (got -batch %d, -n %d)\n", *batch, *n)
 		return 2
 	}
+	// An out-of-range value is a usage error, not a silent fallback to
+	// the default (or, for -drain, an immediate shutdown).
+	for _, r := range []struct {
+		flag, want string
+		ok         bool
+	}{
+		{"checkpoint-every", "≥ 1", *ckptEvery >= 1},
+		{"queue", "≥ 1", *queueCap >= 1},
+		{"max-body", "≥ 1", *maxBody >= 1},
+		{"request-timeout", "> 0", *reqTO > 0},
+		{"drain", "≥ 0", *drainTO >= 0},
+		{"budget", "≥ 0", *budget >= 0},
+		{"compact", "≥ 0", *compact >= 0},
+		{"defect", "≥ 0", *defect >= 0},
+	} {
+		if !r.ok {
+			fmt.Fprintf(errw, "colord: -%s must be %s, got %s\n", r.flag, r.want, fs.Lookup(r.flag).Value)
+			return 2
+		}
+	}
 
 	if *pprofAddr != "" {
 		// The default mux already carries the pprof handlers via the

@@ -261,6 +261,20 @@ func TestRunFlagErrors(t *testing.T) {
 		{"-graph", "ring", "-n", "100", "-churn", "10", "-batch", "-3"},
 		{"-graph", "gnp", "-n", "1", "-prob", "0", "-churn", "10"},
 	}
+	// Out-of-range values: each would otherwise run (scripted mode
+	// exits 0, or 1 for a negative defect) with a default in its place.
+	for _, bad := range [][]string{
+		{"-checkpoint-every", "-5"}, {"-checkpoint-every", "0"},
+		{"-queue", "-3"}, {"-queue", "0"},
+		{"-max-body", "-1"}, {"-max-body", "0"},
+		{"-request-timeout", "-1s"}, {"-request-timeout", "0s"},
+		{"-drain", "-1s"},
+		{"-budget", "-7"},
+		{"-compact", "-9"},
+		{"-defect", "-1"},
+	} {
+		cases = append(cases, append([]string{"-graph", "ring", "-n", "100", "-churn", "10"}, bad...))
+	}
 	for _, args := range cases {
 		ctx, cancel := context.WithCancel(context.Background())
 		var out, errw bytes.Buffer

@@ -93,7 +93,10 @@ func ValidateListArbdefective(g *graph.Graph, in *Instance, res ArbResult) error
 		return edge{u, v}
 	}
 	oriented := make(map[edge]bool, len(res.Arcs))
-	outCount := make([]int, in.N())
+	var outCount []int // stays nil for a proper coloring
+	if len(res.Arcs) > 0 {
+		outCount = make([]int, in.N())
+	}
 	for _, a := range res.Arcs {
 		u, v := a[0], a[1]
 		if !g.HasEdge(u, v) {
@@ -109,16 +112,19 @@ func ValidateListArbdefective(g *graph.Graph, in *Instance, res ArbResult) error
 		oriented[e] = true
 		outCount[u]++
 	}
-	// Every monochromatic edge must be covered.
-	for _, e := range g.Edges() {
-		if res.Colors[e[0]] == res.Colors[e[1]] && !oriented[e] {
-			return fmt.Errorf("%w: monochromatic edge {%d,%d} left unoriented", ErrViolation, e[0], e[1])
+	// Every monochromatic edge must be covered (in g.Edges order,
+	// without materializing the edge list).
+	for u := 0; u < g.N(); u++ {
+		for _, v := range g.Neighbors(u) {
+			if u < v && res.Colors[u] == res.Colors[v] && !oriented[edge{u, v}] {
+				return fmt.Errorf("%w: monochromatic edge {%d,%d} left unoriented", ErrViolation, u, v)
+			}
 		}
 	}
-	for v := 0; v < in.N(); v++ {
-		if outCount[v] > allowed[v] {
+	for v, c := range outCount {
+		if c > allowed[v] {
 			return fmt.Errorf("%w: node %d has %d outgoing monochromatic arcs > defect %d",
-				ErrViolation, v, outCount[v], allowed[v])
+				ErrViolation, v, c, allowed[v])
 		}
 	}
 	return nil

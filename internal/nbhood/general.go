@@ -7,7 +7,6 @@ import (
 	"listcolor/internal/coloring"
 	"listcolor/internal/csr"
 	"listcolor/internal/graph"
-	"listcolor/internal/linial"
 	"listcolor/internal/sim"
 )
 
@@ -45,7 +44,7 @@ func OLDCAsArb(cfg sim.Config) ArbSolver {
 func GeneralArb2Solver(cfg sim.Config) ArbSolver {
 	return func(g *graph.Graph, inst *coloring.Instance, base []int, q int) (coloring.ArbResult, sim.Result, error) {
 		mu := int(math.Ceil(3 * math.Sqrt(float64(inst.Space))))
-		return SlackReduce2(g, inst, base, q, mu, OLDCAsArb(cfg), cfg)
+		return SlackReduce2(g, inst, base, q, mu, OLDCAsArb(spanFree(cfg)), cfg)
 	}
 }
 
@@ -58,15 +57,7 @@ func SolveArbGeneral(g *graph.Graph, inst *coloring.Instance, cfg sim.Config) (R
 	if err := inst.Validate(); err != nil {
 		return Result{}, err
 	}
-	base, err := linial.ColorFromIDs(g, cfg)
-	if err != nil {
-		return Result{}, fmt.Errorf("nbhood: bootstrap: %w", err)
-	}
-	arb, stats, err := SlackReduce1(g, inst, base.Colors, base.Palette, 2, GeneralArb2Solver(cfg), cfg)
-	if err != nil {
-		return Result{}, err
-	}
-	return Result{Arb: arb, Stats: sim.Seq(base.Stats, stats)}, nil
+	return solveSlack1(g, inst, GeneralArb2Solver(spanFree(cfg)), cfg)
 }
 
 // SolveArbBranch2 implements the second branch of Theorem 1.5's
@@ -81,14 +72,7 @@ func SolveArbBranch2(g *graph.Graph, inst *coloring.Instance, theta int, cfg sim
 	if theta < 1 {
 		return Result{}, fmt.Errorf("nbhood: theta must be ≥ 1, got %d", theta)
 	}
-	base, err := linial.ColorFromIDs(g, cfg)
-	if err != nil {
-		return Result{}, fmt.Errorf("nbhood: bootstrap: %w", err)
-	}
-	s := &solver{theta: theta, cfg: cfg, inner: GeneralArb2Solver(cfg)}
-	arb, stats, err := SlackReduce1(g, inst, base.Colors, base.Palette, 2, s.arb2, cfg)
-	if err != nil {
-		return Result{}, err
-	}
-	return Result{Arb: arb, Stats: sim.Seq(base.Stats, stats)}, nil
+	sub := spanFree(cfg)
+	s := &solver{theta: theta, cfg: sub, inner: GeneralArb2Solver(sub)}
+	return solveSlack1(g, inst, s.arb2, cfg)
 }

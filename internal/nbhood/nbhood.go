@@ -12,7 +12,10 @@
 //     with a slack-μ solver by sequencing over the O(μ²) classes of a
 //     defective coloring (Lemma 3.4) with ε = 1/μ.
 //   - SlackReduce1 (Lemma A.1): same for slack-1 instances, with an
-//     extra degree-halving loop (O(log Δ) scales).
+//     extra degree-halving loop (O(log Δ) scales), DegreeHalving —
+//     the loop package deltaplus1 runs for Theorem 1.3 as well. Both
+//     lemmas share one class step (prune, re-bootstrap, solve,
+//     validate, announce, commit).
 //   - spaceReduce (Lemmas 4.5/4.6): splits the color space into
 //     p = ⌈√C⌉ blocks; the block choice is a list defective instance
 //     solved via Theorem 1.4, and the per-block sub-instances recurse
@@ -186,6 +189,13 @@ func uniformInts(n, val int) []int {
 		out[i] = val
 	}
 	return out
+}
+
+// spanFree returns cfg without its span, for sub-solvers whose runs
+// the calling reduction records itself.
+func spanFree(cfg sim.Config) sim.Config {
+	cfg.Span = nil
+	return cfg
 }
 
 func induceInts(vals []int, orig []int) []int {

@@ -70,17 +70,13 @@ func (s *solver) next() ArbSolver {
 // the high-slack instances to the color space reduction.
 func (s *solver) arb2(g *graph.Graph, inst *coloring.Instance, base []int, q int) (coloring.ArbResult, sim.Result, error) {
 	if g.M() == 0 {
-		return edgelessArb(inst)
+		return edgelessArb(inst, nil)
 	}
 	if inst.Space <= 2 {
 		return trivialArb(g, inst)
 	}
-	sigma := Theorem14Slack(s.theta, g.MaxDegree(), 2)
-	mu := 2 * sigma
-	high := func(g2 *graph.Graph, inst2 *coloring.Instance, base2 []int, q2 int) (coloring.ArbResult, sim.Result, error) {
-		return s.spaceReduce(g2, inst2, base2, q2)
-	}
-	return SlackReduce2(g, inst, base, q, mu, high, s.cfg)
+	mu := 2 * Theorem14Slack(s.theta, g.MaxDegree(), 2)
+	return SlackReduce2(g, inst, base, q, mu, s.spaceReduce, s.cfg)
 }
 
 // spaceReduce implements Lemmas 4.5/4.6: it solves instances of slack
@@ -215,16 +211,27 @@ func SolveArb(g *graph.Graph, inst *coloring.Instance, theta int, cfg sim.Config
 	if theta < 1 {
 		return Result{}, fmt.Errorf("nbhood: theta must be ≥ 1, got %d", theta)
 	}
-	base, err := linial.ColorFromIDs(g, cfg)
+	s := &solver{theta: theta, cfg: spanFree(cfg)}
+	return solveSlack1(g, inst, s.arb2, cfg)
+}
+
+// solveSlack1 is the top level shared by SolveArb, SolveArbGeneral and
+// SolveArbBranch2: a Linial bootstrap, then Lemma A.1 (μ = 2) over the
+// slack-2 solver arb2. The bootstrap and the scales are recorded under
+// cfg.Span, and the total on it; arb2 must not record spans.
+func solveSlack1(g *graph.Graph, inst *coloring.Instance, arb2 ArbSolver, cfg sim.Config) (Result, error) {
+	base, err := linial.ColorFromIDs(g, spanFree(cfg))
 	if err != nil {
 		return Result{}, fmt.Errorf("nbhood: bootstrap: %w", err)
 	}
-	s := &solver{theta: theta, cfg: cfg}
-	arb, stats, err := SlackReduce1(g, inst, base.Colors, base.Palette, 2, s.arb2, cfg)
+	cfg.Span.Child("Linial bootstrap (log* n)").Done(base.Stats)
+	arb, stats, err := SlackReduce1(g, inst, base.Colors, base.Palette, 2, arb2, cfg)
 	if err != nil {
 		return Result{}, err
 	}
-	return Result{Arb: arb, Stats: sim.Seq(base.Stats, stats)}, nil
+	res := Result{Arb: arb, Stats: sim.Seq(base.Stats, stats)}
+	cfg.Span.Done(res.Stats)
+	return res, nil
 }
 
 // HyperedgeColor properly colors the hyperedges of a rank-r

@@ -8,13 +8,14 @@ import (
 	"listcolor/internal/graph"
 	"listcolor/internal/linial"
 	"listcolor/internal/logstar"
+	"listcolor/internal/palette"
 	"listcolor/internal/sim"
 )
 
-// edgelessArb colors an edgeless (sub)graph in one round: with no
-// neighbors, any list color satisfies any defect, so every node takes
-// its first. Returns ok=false when some list is empty.
-func edgelessArb(inst *coloring.Instance) (coloring.ArbResult, sim.Result, error) {
+// edgelessArb colors an edgeless (sub)graph in one round, recorded on
+// span: with no neighbors, any list color satisfies any defect, so
+// every node takes its first. It fails when some list is empty.
+func edgelessArb(inst *coloring.Instance, span *sim.Span) (coloring.ArbResult, sim.Result, error) {
 	colors := make([]int, inst.N())
 	for v := 0; v < inst.N(); v++ {
 		if inst.ListSize(v) == 0 {
@@ -22,35 +23,8 @@ func edgelessArb(inst *coloring.Instance) (coloring.ArbResult, sim.Result, error
 		}
 		colors[v] = inst.Lists[v][0]
 	}
+	span.Done(sim.Result{Rounds: 1})
 	return coloring.ArbResult{Colors: colors}, sim.Result{Rounds: 1}, nil
-}
-
-// prunedInstance returns, for the given nodes (original ids), the
-// residual instance after subtracting already-committed neighbor
-// colors: d'_v(x) = d_v(x) − a_v(x), colors with negative residual
-// defect dropped (the paper's L'_v / d'_v construction used by
-// Lemmas 4.4 and A.1).
-func prunedInstance(g *graph.Graph, inst *coloring.Instance, colors []int, nodes []int) *coloring.Instance {
-	out := &coloring.Instance{
-		Lists:   make([][]int, len(nodes)),
-		Defects: make([][]int, len(nodes)),
-		Space:   inst.Space,
-	}
-	for i, v := range nodes {
-		a := make(map[int]int)
-		for _, u := range g.Neighbors(v) {
-			if colors[u] >= 0 {
-				a[colors[u]]++
-			}
-		}
-		for li, x := range inst.Lists[v] {
-			if nd := inst.Defects[v][li] - a[x]; nd >= 0 {
-				out.Lists[i] = append(out.Lists[i], x)
-				out.Defects[i] = append(out.Defects[i], nd)
-			}
-		}
-	}
-	return out
 }
 
 // announceStats is the cost of the one round in which a batch of
@@ -65,51 +39,121 @@ func announceStats(g *graph.Graph, orig []int, space int) sim.Result {
 	return sim.Result{Rounds: 1, Messages: msgs, TotalBits: msgs * bits, MaxMessageBits: bits}
 }
 
-// rebootstrap re-reduces a proper q-coloring restricted to a subgraph
-// down to O(Δ_sub²) classes with Linial's algorithm (O(log* q)
-// rounds). The class subgraphs of the slack reductions have much
-// smaller degrees than the parent graph, so the sweeps inside the
-// sub-solvers then iterate over far fewer classes.
-func rebootstrap(sub *graph.Graph, base []int, q int, cfg sim.Config) ([]int, int, sim.Result, error) {
-	res, err := linial.ReduceProperUndirected(sub, base, q, cfg)
-	if err != nil {
-		return nil, 0, sim.Result{}, err
-	}
-	return res.Colors, res.Palette, res.Stats, nil
+// classes is the state the slack reductions (Lemmas 4.4 and A.1)
+// share across their sequential class steps: the committed colors and
+// arcs, and the counter that prunes one node's list at a time.
+type classes struct {
+	g      *graph.Graph
+	inst   *coloring.Instance
+	base   []int // proper q-coloring of g
+	q      int
+	arb    ArbSolver
+	cfg    sim.Config // span-free: sub-protocols record nothing
+	colors []int      // −1 until committed
+	arcs   [][2]int
+	count  *palette.Counter // a_v(x) for the node being pruned
+	// sub is the current class's pruned instance, reused from class to
+	// class (a sub-solver does not keep its instance past its return).
+	sub coloring.Instance
 }
 
-// commitBatch writes a sub-result back into the global coloring and
-// arc list: sub arcs are remapped, and each newly colored node gets an
-// outgoing arc to every earlier-colored neighbor sharing its color
-// (those conflicts were pre-paid by the defect reduction in
-// prunedInstance).
-func commitBatch(g *graph.Graph, colors []int, orig []int, res coloring.ArbResult, arcs *[][2]int) {
-	batch := make(map[int]bool, len(orig))
-	for _, v := range orig {
-		batch[v] = true
+func newClasses(g *graph.Graph, inst *coloring.Instance, base []int, q int, arb ArbSolver, cfg sim.Config) *classes {
+	colors := make([]int, g.N())
+	for v := range colors {
+		colors[v] = -1
 	}
-	for i, v := range orig {
-		colors[v] = res.Colors[i]
+	cfg.Span = nil
+	return &classes{g: g, inst: inst, base: base, q: q, arb: arb, cfg: cfg, colors: colors, count: palette.NewCounter(inst.Space)}
+}
+
+// step colors one class, given as ascending original ids: prune the
+// lists by the colors committed so far, re-bootstrap the class
+// subgraph's proper coloring, solve it with arb, validate, and commit.
+// It returns the class's own cost and that cost plus the round that
+// announces the new colors.
+func (c *classes) step(nodes []int) (own, total sim.Result, err error) {
+	sub, _ := c.g.InducedSubgraph(nodes)
+	subInst := c.prune(nodes)
+	// Re-bootstrap: the class subgraph has much smaller degree than g,
+	// so O(log* q) rounds of Linial shrink its proper coloring from
+	// q = O(Δ²) to O(Δ_sub²) classes, and the sweeps inside the
+	// sub-solver then iterate over far fewer classes.
+	reb, err := linial.ReduceProperUndirected(sub, induceInts(c.base, nodes), c.q, c.cfg)
+	if err != nil {
+		return sim.Result{}, sim.Result{}, fmt.Errorf("re-bootstrap: %w", err)
 	}
-	for _, a := range res.Arcs {
-		*arcs = append(*arcs, [2]int{orig[a[0]], orig[a[1]]})
+	res, st, err := c.arb(sub, subInst, reb.Colors, reb.Palette)
+	if err != nil {
+		return sim.Result{}, sim.Result{}, err
 	}
-	for _, v := range orig {
-		for _, u := range g.Neighbors(v) {
-			if !batch[u] && colors[u] >= 0 && colors[u] == colors[v] {
-				*arcs = append(*arcs, [2]int{v, u})
+	if err := coloring.ValidateListArbdefective(sub, subInst, res); err != nil {
+		return sim.Result{}, sim.Result{}, fmt.Errorf("sub-result: %w", err)
+	}
+	c.commit(nodes, res)
+	own = sim.Seq(reb.Stats, st)
+	return own, sim.Seq(own, announceStats(c.g, nodes, c.inst.Space)), nil
+}
+
+// prune returns the residual instance of nodes after subtracting the
+// committed neighbor colors: d'_v(x) = d_v(x) − a_v(x), colors with a
+// negative residual defect dropped (the paper's L'_v / d'_v
+// construction used by Lemmas 4.4 and A.1).
+func (c *classes) prune(nodes []int) *coloring.Instance {
+	c.sub = coloring.Instance{
+		Lists:   make([][]int, len(nodes)),
+		Defects: make([][]int, len(nodes)),
+		Space:   c.inst.Space,
+	}
+	for i, v := range nodes {
+		c.count.Reset()
+		for _, u := range c.g.Neighbors(v) {
+			if c.colors[u] >= 0 {
+				c.count.Add(c.colors[u])
 			}
 		}
+		for li, x := range c.inst.Lists[v] {
+			if nd := c.inst.Defects[v][li] - c.count.Get(x); nd >= 0 {
+				c.sub.Lists[i] = append(c.sub.Lists[i], x)
+				c.sub.Defects[i] = append(c.sub.Defects[i], nd)
+			}
+		}
+	}
+	return &c.sub
+}
+
+// commit writes a sub-result into the coloring and arc list: sub arcs
+// are remapped, and each newly colored node gets an outgoing arc to
+// every earlier-colored neighbor sharing its color (conflicts pre-paid
+// by prune's defect reduction). The batch is still uncolored when the
+// arcs are taken, so every colored neighbor is an earlier one.
+func (c *classes) commit(nodes []int, res coloring.ArbResult) {
+	for _, a := range res.Arcs {
+		c.arcs = append(c.arcs, [2]int{nodes[a[0]], nodes[a[1]]})
+	}
+	for i, v := range nodes {
+		for _, u := range c.g.Neighbors(v) {
+			if c.colors[u] == res.Colors[i] {
+				c.arcs = append(c.arcs, [2]int{v, u})
+			}
+		}
+	}
+	for i, v := range nodes {
+		c.colors[v] = res.Colors[i]
 	}
 }
 
 // SlackReduce2 implements Lemma 4.4: it solves a slack-2 list
 // arbdefective instance using arb, a solver for slack-μ instances, by
 // sequencing over the O(μ²) classes of a defective coloring with
-// ε = 1/μ. base must be a proper q-coloring of g.
+// ε = 1/μ. base must be a proper q-coloring of g. The split and the
+// class steps are recorded under cfg.Span, and the total on it; arb
+// must not record spans of its own.
 func SlackReduce2(g *graph.Graph, inst *coloring.Instance, base []int, q, mu int, arb ArbSolver, cfg sim.Config) (coloring.ArbResult, sim.Result, error) {
 	if g.M() == 0 {
-		return edgelessArb(inst)
+		return edgelessArb(inst, cfg.Span)
+	}
+	if err := inst.Validate(); err != nil {
+		return coloring.ArbResult{}, sim.Result{}, err
 	}
 	n := g.N()
 	for v := 0; v < n; v++ {
@@ -118,19 +162,14 @@ func SlackReduce2(g *graph.Graph, inst *coloring.Instance, base []int, q, mu int
 				ErrSlack, v, inst.SlackSum(v), 2*g.Degree(v))
 		}
 	}
-	rootSpan := cfg.Span
-	cfg.Span = nil
-	psi, err := defective.ColorUndirected(g, base, q, 1/float64(mu), cfg)
+	span := cfg.Span
+	c := newClasses(g, inst, base, q, arb, cfg)
+	psi, err := defective.ColorUndirected(g, base, q, 1/float64(mu), c.cfg)
 	if err != nil {
 		return coloring.ArbResult{}, sim.Result{}, fmt.Errorf("nbhood: Lemma 4.4 split: %w", err)
 	}
-	rootSpan.Child(fmt.Sprintf("Lemma 4.4 split ε=1/%d → %d classes", mu, psi.Palette)).Done(psi.Stats)
+	span.Child(fmt.Sprintf("Lemma 4.4 split ε=1/%d → %d classes", mu, psi.Palette)).Done(psi.Stats)
 	stats := psi.Stats
-	colors := make([]int, n)
-	for v := range colors {
-		colors[v] = -1
-	}
-	var arcs [][2]int
 	for class := 0; class < psi.Palette; class++ {
 		var members []int
 		for v := 0; v < n; v++ {
@@ -141,108 +180,114 @@ func SlackReduce2(g *graph.Graph, inst *coloring.Instance, base []int, q, mu int
 		if len(members) == 0 {
 			continue
 		}
-		sub, orig := g.InducedSubgraph(members)
-		subInst := prunedInstance(g, inst, colors, orig)
-		subBase, subQ, rebStats, err := rebootstrap(sub, induceInts(base, orig), q, cfg)
-		if err != nil {
-			return coloring.ArbResult{}, sim.Result{}, fmt.Errorf("nbhood: Lemma 4.4 class %d re-bootstrap: %w", class, err)
-		}
-		res, subStats, err := arb(sub, subInst, subBase, subQ)
+		own, total, err := c.step(members)
 		if err != nil {
 			return coloring.ArbResult{}, sim.Result{}, fmt.Errorf("nbhood: Lemma 4.4 class %d: %w", class, err)
 		}
-		subStats = sim.Seq(rebStats, subStats)
-		if err := coloring.ValidateListArbdefective(sub, subInst, res); err != nil {
-			return coloring.ArbResult{}, sim.Result{}, fmt.Errorf("nbhood: Lemma 4.4 class %d sub-result: %w", class, err)
-		}
-		rootSpan.Child(fmt.Sprintf("class %d: %d nodes (slack-μ solver)", class, len(members))).Done(subStats)
-		stats = sim.Seq(stats, sim.Seq(subStats, announceStats(g, orig, inst.Space)))
-		commitBatch(g, colors, orig, res, &arcs)
+		span.Child(fmt.Sprintf("class %d: %d nodes (slack-μ solver)", class, len(members))).Done(own)
+		stats = sim.Seq(stats, total)
 	}
-	rootSpan.Done(stats)
-	return coloring.ArbResult{Colors: colors, Arcs: arcs}, stats, nil
+	span.Done(stats)
+	return coloring.ArbResult{Colors: c.colors, Arcs: c.arcs}, stats, nil
 }
 
 // SlackReduce1 implements Lemma A.1: it solves a slack-1 list
-// arbdefective instance using arb, a solver for slack-μ instances. It
-// runs O(log Δ) degree-halving scales; within a scale, a node is
-// processed at its defective-class turn only if at most half of its
-// scale-start neighbors have been colored, which both preserves the
-// slack the sub-solver needs and halves the uncolored degrees between
-// scales.
+// arbdefective instance using arb, a solver for slack-μ instances (see
+// DegreeHalving), in one round when g is edgeless. The scales are
+// recorded under cfg.Span, and the total on it.
 func SlackReduce1(g *graph.Graph, inst *coloring.Instance, base []int, q, mu int, arb ArbSolver, cfg sim.Config) (coloring.ArbResult, sim.Result, error) {
 	if g.M() == 0 {
-		return edgelessArb(inst)
+		return edgelessArb(inst, cfg.Span)
 	}
-	n := g.N()
-	for v := 0; v < n; v++ {
+	if err := inst.Validate(); err != nil {
+		return coloring.ArbResult{}, sim.Result{}, err
+	}
+	for v := 0; v < g.N(); v++ {
 		if inst.SlackSum(v) <= g.Degree(v) {
 			return coloring.ArbResult{}, sim.Result{}, fmt.Errorf("%w: node %d has Σ(d+1)=%d ≤ deg=%d (Lemma A.1)",
 				ErrSlack, v, inst.SlackSum(v), g.Degree(v))
 		}
 	}
-	colors := make([]int, n)
-	for v := range colors {
-		colors[v] = -1
+	res, stats, _, err := DegreeHalving(g, inst, base, q, mu, arb, cfg)
+	if err == nil {
+		cfg.Span.Done(stats)
 	}
-	var arcs [][2]int
+	return res, stats, err
+}
+
+// DegreeHalving is Lemma A.1's loop, which both Theorem 1.3's
+// (deg+1)-list coloring and Theorem 1.5 run: O(log Δ) degree-halving
+// scales over the uncolored subgraph H. Each scale splits H into the
+// classes of a defective coloring with α = 1/(2μ) (Lemma 3.4) and
+// takes the classes in turn; a class member is active at its turn if
+// at most half of its H-neighbors were colored this scale, so its
+// pruned list keeps slack ≥ μ over its active same-class degree, and
+// arb (a slack-μ solver) colors the active members. Nodes never active
+// in a scale have more than half their H-neighbors colored, so the
+// uncolored degrees halve: at most ⌈log Δ⌉+2 scales, capped at
+// ⌈log Δ⌉+3.
+//
+// The caller validates inst and checks the slack precondition
+// Σ(d+1) > deg; base must be a proper q-coloring of g. It returns the
+// scale count with the result. Each scale is recorded under cfg.Span
+// as "scale …" with "defective split …" and "class …" children; arb
+// must not record spans of its own.
+func DegreeHalving(g *graph.Graph, inst *coloring.Instance, base []int, q, mu int, arb ArbSolver, cfg sim.Config) (coloring.ArbResult, sim.Result, int, error) {
+	span := cfg.Span
+	c := newClasses(g, inst, base, q, arb, cfg)
+	alpha := 1 / float64(2*mu)
+	maxScales := logstar.CeilLog2(g.MaxDegree()) + 3
 	var stats sim.Result
-	uncolored := make([]int, n)
+	uncolored := make([]int, g.N())
 	for v := range uncolored {
 		uncolored[v] = v
 	}
-	maxScales := logstar.CeilLog2(g.MaxDegree()) + 3
-	for scale := 0; len(uncolored) > 0; scale++ {
-		if scale > maxScales {
-			return coloring.ArbResult{}, sim.Result{}, fmt.Errorf("nbhood: Lemma A.1 did not converge in %d scales", maxScales)
+	scales := 0
+	for len(uncolored) > 0 {
+		if scales == maxScales {
+			return coloring.ArbResult{}, sim.Result{}, 0, fmt.Errorf("nbhood: Lemma A.1 did not converge in %d scales", maxScales)
 		}
+		scales++
+		// uncolored stays ascending, so origH is too and a rank table
+		// replaces a per-scale map.
 		h, origH := g.InducedSubgraph(uncolored)
-		indexH := make(map[int]int, len(origH))
-		for i, v := range origH {
-			indexH[v] = i
-		}
-		psi, err := defective.ColorUndirected(h, induceInts(base, origH), q, 1/float64(2*mu), cfg)
+		indexH := palette.NewIndex(origH)
+		psi, err := defective.ColorUndirected(h, induceInts(base, origH), q, alpha, c.cfg)
 		if err != nil {
-			return coloring.ArbResult{}, sim.Result{}, fmt.Errorf("nbhood: Lemma A.1 split: %w", err)
+			return coloring.ArbResult{}, sim.Result{}, 0, fmt.Errorf("nbhood: Lemma A.1 split: %w", err)
 		}
-		stats = sim.Seq(stats, psi.Stats)
-		coloredInScale := make([]int, len(origH))
+		scaleSpan := span.Child(fmt.Sprintf("scale %d: %d uncolored", scales, len(origH)))
+		scaleSpan.Child(fmt.Sprintf("defective split α=%.3g → %d classes", alpha, psi.Palette)).Done(psi.Stats)
+		scaleStats := psi.Stats
+		coloredInScale := make([]int, len(origH)) // H-neighbors colored this scale
 		done := make([]bool, len(origH))
 		for class := 0; class < psi.Palette; class++ {
 			var active []int
 			for i, v := range origH {
 				if !done[i] && psi.Colors[i] == class && 2*coloredInScale[i] <= h.Degree(i) {
 					active = append(active, v)
+					done[i] = true
 				}
 			}
 			if len(active) == 0 {
 				continue
 			}
-			sub, orig := g.InducedSubgraph(active)
-			subInst := prunedInstance(g, inst, colors, orig)
-			subBase, subQ, rebStats, err := rebootstrap(sub, induceInts(base, orig), q, cfg)
+			own, total, err := c.step(active)
 			if err != nil {
-				return coloring.ArbResult{}, sim.Result{}, fmt.Errorf("nbhood: Lemma A.1 scale %d class %d re-bootstrap: %w", scale, class, err)
+				return coloring.ArbResult{}, sim.Result{}, 0, fmt.Errorf("nbhood: Lemma A.1 scale %d class %d: %w", scales, class, err)
 			}
-			res, subStats, err := arb(sub, subInst, subBase, subQ)
-			if err != nil {
-				return coloring.ArbResult{}, sim.Result{}, fmt.Errorf("nbhood: Lemma A.1 scale %d class %d: %w", scale, class, err)
-			}
-			subStats = sim.Seq(rebStats, subStats)
-			if err := coloring.ValidateListArbdefective(sub, subInst, res); err != nil {
-				return coloring.ArbResult{}, sim.Result{}, fmt.Errorf("nbhood: Lemma A.1 scale %d class %d sub-result: %w", scale, class, err)
-			}
-			stats = sim.Seq(stats, sim.Seq(subStats, announceStats(g, orig, inst.Space)))
-			commitBatch(g, colors, orig, res, &arcs)
+			scaleSpan.Child(fmt.Sprintf("class %d: %d active", class, len(active))).Done(own)
+			scaleStats = sim.Seq(scaleStats, total)
 			for _, v := range active {
-				done[indexH[v]] = true
 				for _, u := range g.Neighbors(v) {
-					if j, ok := indexH[u]; ok {
+					if j, ok := indexH.Rank(u); ok {
 						coloredInScale[j]++
 					}
 				}
 			}
 		}
+		scaleSpan.Done(scaleStats)
+		stats = sim.Seq(stats, scaleStats)
 		var remaining []int
 		for i, v := range origH {
 			if !done[i] {
@@ -251,5 +296,5 @@ func SlackReduce1(g *graph.Graph, inst *coloring.Instance, base []int, q, mu int
 		}
 		uncolored = remaining
 	}
-	return coloring.ArbResult{Colors: colors, Arcs: arcs}, stats, nil
+	return coloring.ArbResult{Colors: c.colors, Arcs: c.arcs}, stats, scales, nil
 }

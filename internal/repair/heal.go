@@ -155,7 +155,6 @@ func healCore(topo Topology, inst *coloring.Instance, colors []int, seeds []int,
 		budget = DefaultBudget(n)
 	}
 	colorBits := sim.BitsFor(inst.Space)
-	const maxInt = int(^uint(0) >> 1)
 
 	conflicts := func(v int) int {
 		c := 0
@@ -169,25 +168,15 @@ func healCore(topo Topology, inst *coloring.Instance, colors []int, seeds []int,
 	// recolor re-enters v with its residual list and reports whether it
 	// had to overdraw the budget (no compliant color existed).
 	recolor := func(v int) bool {
-		list := inst.Lists[v]
-		if len(list) == 0 {
+		if len(inst.Lists[v]) == 0 {
 			return true
 		}
-		defects := inst.Defects[v]
-		bestX, bestExcess, bestConf := list[0], maxInt, maxInt
-		for i, x := range list {
+		best, excess := bestListColor(inst.Lists[v], inst.Defects[v], func(x int) int {
 			colors[v] = x
-			conf := conflicts(v)
-			excess := conf - defects[i]
-			if excess < 0 {
-				excess = 0
-			}
-			if excess < bestExcess || (excess == bestExcess && conf < bestConf) {
-				bestX, bestExcess, bestConf = x, excess, conf
-			}
-		}
-		colors[v] = bestX
-		return bestExcess > 0
+			return conflicts(v)
+		})
+		colors[v] = best
+		return excess > 0
 	}
 
 	sc.grow(n)
@@ -296,35 +285,40 @@ func GreedyColors(topo Topology, inst *coloring.Instance) []int {
 	n := topo.N()
 	colors := make([]int, n)
 	done := make([]bool, n)
-	const maxInt = int(^uint(0) >> 1)
 	for v := 0; v < n; v++ {
-		list := inst.Lists[v]
-		if len(list) == 0 {
-			done[v] = true
-			continue
-		}
-		defects := inst.Defects[v]
-		bestX, bestExcess, bestConf := list[0], maxInt, maxInt
-		for i, x := range list {
-			conf := 0
-			for _, u := range topo.Neighbors(v) {
-				if done[u] && colors[u] == x {
-					conf++
+		if len(inst.Lists[v]) > 0 {
+			colors[v], _ = bestListColor(inst.Lists[v], inst.Defects[v], func(x int) int {
+				conf := 0
+				for _, u := range topo.Neighbors(v) {
+					if done[u] && colors[u] == x {
+						conf++
+					}
 				}
-			}
-			excess := conf - defects[i]
-			if excess < 0 {
-				excess = 0
-			}
-			if excess < bestExcess || (excess == bestExcess && conf < bestConf) {
-				bestX, bestExcess, bestConf = x, excess, conf
-				if excess == 0 && conf == 0 {
-					break
-				}
-			}
+				return conf
+			})
 		}
-		colors[v] = bestX
 		done[v] = true
 	}
 	return colors
+}
+
+// bestListColor returns the list color minimizing (excess over budget,
+// conflicts), the first in list order on ties, with its excess;
+// conflicts(x) counts the node's conflicts at color x. The list must be
+// non-empty. Nothing beats a conflict-free color, so the scan stops at
+// the first one.
+func bestListColor(list, defects []int, conflicts func(x int) int) (best, excess int) {
+	const maxInt = int(^uint(0) >> 1)
+	best, excess, bestConf := list[0], maxInt, maxInt
+	for i, x := range list {
+		conf := conflicts(x)
+		e := max(conf-defects[i], 0)
+		if e < excess || (e == excess && conf < bestConf) {
+			best, excess, bestConf = x, e, conf
+			if conf == 0 {
+				break
+			}
+		}
+	}
+	return best, excess
 }

@@ -340,27 +340,16 @@ func (t Target) eligible(dirty []bool, dirtyIDs []int) []int {
 }
 
 // recolor re-enters v with its residual list: among the list colors,
-// pick the one minimizing (excess over budget, conflicts, color) —
+// pick the one minimizing (excess over budget, conflicts, list order) —
 // i.e. a budget-respecting color when one exists (guaranteed under
 // the paper's pigeonhole slack Σ(d+1) > β_v), otherwise the least
 // overdrawn one.
 func (t Target) recolor(colors []int, v int) {
-	list := t.Inst.Lists[v]
-	if len(list) == 0 {
+	if len(t.Inst.Lists[v]) == 0 {
 		return
 	}
-	defects := t.Inst.Defects[v]
-	bestX, bestExcess, bestConf := list[0], int(^uint(0)>>1), int(^uint(0)>>1)
-	for i, x := range list {
+	colors[v], _ = bestListColor(t.Inst.Lists[v], t.Inst.Defects[v], func(x int) int {
 		colors[v] = x
-		conf := t.conflicts(colors, v)
-		excess := conf - defects[i]
-		if excess < 0 {
-			excess = 0
-		}
-		if excess < bestExcess || (excess == bestExcess && conf < bestConf) {
-			bestX, bestExcess, bestConf = x, excess, conf
-		}
-	}
-	colors[v] = bestX
+		return t.conflicts(colors, v)
+	})
 }

@@ -48,24 +48,33 @@ func TestIngestAppliesInOrder(t *testing.T) {
 // rejected fast with ErrQueueFull — the handler never blocks.
 func TestIngestQueueFull(t *testing.T) {
 	gate := make(chan struct{})
-	var started sync.WaitGroup
+	entered := make(chan struct{}, 1)
 	apply := func(ops []Op) (BatchReport, error) {
+		select {
+		case entered <- struct{}{}:
+		default:
+		}
 		<-gate
 		return BatchReport{}, nil
 	}
 	in := NewIngest(apply, 4)
-	// One submission occupies the worker...
-	started.Add(5)
 	var wg sync.WaitGroup
-	for i := 0; i < 5; i++ {
+	submit := func() {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			started.Done()
 			in.Submit(context.Background(), nil)
 		}()
 	}
-	started.Wait()
+	// One submission occupies the worker before the other four queue:
+	// sent together, a fifth could find the queue full while the
+	// worker has not yet dequeued, and the overflow submit below would
+	// then be queued and block on the closed gate.
+	submit()
+	<-entered
+	for i := 0; i < 4; i++ {
+		submit()
+	}
 	// ...wait until the worker holds one and the queue holds four.
 	deadline := time.Now().Add(2 * time.Second)
 	for int(in.depth.Load()) < 5 {

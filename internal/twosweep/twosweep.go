@@ -356,8 +356,14 @@ func validateInputs(d *graph.Digraph, inst *coloring.Instance, initColors []int,
 // SolveFast runs Algorithm 2 (Fast-Two-Sweep): under the (1+ε) slack
 // condition (Eq. 7) it solves the OLDC instance in
 // O(min{q, (p/ε)² + log* q}) rounds. For ε = 0 it falls back to
-// Solve. initColors must be a proper q-coloring.
-func SolveFast(d *graph.Digraph, inst *coloring.Instance, initColors []int, q, p int, eps float64, cfg sim.Config) (Result, error) {
+// Solve. initColors must be a proper q-coloring. The split and the
+// sweep are recorded under cfg.Span, and the total on it.
+func SolveFast(d *graph.Digraph, inst *coloring.Instance, initColors []int, q, p int, eps float64, cfg sim.Config) (res Result, err error) {
+	defer func() {
+		if err == nil {
+			cfg.Span.Done(res.Stats)
+		}
+	}()
 	if eps < 0 {
 		return Result{}, fmt.Errorf("twosweep: negative ε %v", eps)
 	}
