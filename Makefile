@@ -71,7 +71,6 @@ fuzz:
 	$(GO) test -fuzz FuzzSolve -fuzztime 30s ./internal/twosweep
 	$(GO) test -fuzz FuzzSelectorEquivalence -fuzztime 15s ./internal/twosweep
 	$(GO) test -fuzz FuzzRouteEquivalence -fuzztime 15s ./internal/sim
-	$(GO) test -fuzz FuzzCorruptedPayloadDecode -fuzztime 15s ./internal/sim
 	$(GO) test -fuzz FuzzStreamingCSRBuild -fuzztime 15s ./internal/graph
 	$(GO) test -fuzz FuzzTopoViewCompact -fuzztime 15s ./internal/graph
 	$(GO) test -fuzz FuzzWALRecordDecode -fuzztime 15s ./internal/service

@@ -351,11 +351,12 @@ func TestPublicServiceChaos(t *testing.T) {
 	}
 }
 
-// TestSpanRootsRecordTotals pins the span contract of every composed
-// solver: the caller's root carries the run's total, and sub-solvers
-// record nothing at the top level. The Lemma A.1 pipelines (Theorem
+// TestSpanRootsRecordTotals pins the span contract of every solver
+// that takes a Config: the caller's root carries the run's total.
+// Composed solvers record their steps under the root and sub-solvers
+// record nothing at the top level; the Lemma A.1 pipelines (Theorem
 // 1.3's and Theorem 1.5's) put their bootstrap and one span per scale
-// directly under the root.
+// directly under the root. Leaf solvers record no children.
 func TestSpanRootsRecordTotals(t *testing.T) {
 	g := NewRandomRegular(60, 4, 1)
 	d := OrientByID(g)
@@ -368,36 +369,57 @@ func TestSpanRootsRecordTotals(t *testing.T) {
 	ring := NewRing(3000)
 	ringInst := NewDegreePlusOneInstance(ring, 3, 6)
 	arbInst := NewSlackInstance(ring, 5, 1, 3)
+	const (
+		leaf     = iota // no child spans
+		composed        // child spans of its steps
+		pipeline        // a Lemma A.1 pipeline: bootstrap, then scales
+	)
 	cases := []struct {
-		name   string
-		scales bool // a Lemma A.1 pipeline
-		run    func(cfg Config) (Stats, error)
+		name string
+		kind int
+		run  func(cfg Config) (Stats, error)
 	}{
-		{"degplus1", true, func(cfg Config) (Stats, error) {
+		{"linial", leaf, func(cfg Config) (Stats, error) {
+			res, err := LinialColor(g, cfg)
+			return res.Stats, err
+		}},
+		{"defective", leaf, func(cfg Config) (Stats, error) {
+			res, err := DefectiveColor(g, base.Colors, base.Palette, 0.25, cfg)
+			return res.Stats, err
+		}},
+		{"twosweep", leaf, func(cfg Config) (Stats, error) {
+			res, err := TwoSweep(d, NewMinSlackInstance(d, 40, 2, 0, 4), base.Colors, base.Palette, 2, cfg)
+			return res.Stats, err
+		}},
+		{"luby", leaf, func(cfg Config) (Stats, error) {
+			_, stats, err := LubyColor(g, 1, cfg)
+			return stats, err
+		}},
+		{"degplus1", pipeline, func(cfg Config) (Stats, error) {
 			res, err := ColorDegPlusOne(g, degInst, cfg)
 			return res.Stats, err
 		}},
-		{"nbhood", true, func(cfg Config) (Stats, error) {
+		{"nbhood", pipeline, func(cfg Config) (Stats, error) {
 			res, err := SolveNeighborhood(ring, ringInst, 2, cfg)
 			return res.Stats, err
 		}},
-		{"arbdefective", true, func(cfg Config) (Stats, error) {
+		{"arbdefective", pipeline, func(cfg Config) (Stats, error) {
 			res, err := SolveArbdefective(ring, arbInst, cfg)
 			return res.Stats, err
 		}},
-		{"nbhood-branch2", true, func(cfg Config) (Stats, error) {
+		{"nbhood-branch2", pipeline, func(cfg Config) (Stats, error) {
 			res, err := SolveNeighborhoodBranch2(ring, arbInst, 2, cfg)
 			return res.Stats, err
 		}},
-		{"edgecolor", true, func(cfg Config) (Stats, error) {
+		{"edgecolor", pipeline, func(cfg Config) (Stats, error) {
 			_, _, stats, err := EdgeColor(NewRing(12), cfg)
 			return stats, err
 		}},
-		{"twosweep-fast", false, func(cfg Config) (Stats, error) {
+		{"twosweep-fast", composed, func(cfg Config) (Stats, error) {
 			res, err := TwoSweepFast(d, NewMinSlackInstance(d, 40, 2, 1, 4), base.Colors, base.Palette, 2, 1, cfg)
 			return res.Stats, err
 		}},
-		{"csr", false, func(cfg Config) (Stats, error) {
+		{"csr", composed, func(cfg Config) (Stats, error) {
 			res, err := ReduceColorSpace(d, NewSlackInstance(g, 64, 3*8*2, 5), base.Colors, base.Palette, cfg)
 			return res.Stats, err
 		}},
@@ -412,10 +434,12 @@ func TestSpanRootsRecordTotals(t *testing.T) {
 			if stats.Rounds == 0 || root.Stats != stats {
 				t.Errorf("root span stats %+v, run returned %+v", root.Stats, stats)
 			}
-			if len(root.Children) == 0 {
+			switch {
+			case tc.kind == leaf && len(root.Children) != 0:
+				t.Fatalf("leaf solver recorded %d child spans", len(root.Children))
+			case tc.kind != leaf && len(root.Children) == 0:
 				t.Fatal("no child spans recorded")
-			}
-			if !tc.scales {
+			case tc.kind != pipeline:
 				return
 			}
 			scales := 0

@@ -339,7 +339,7 @@ func hardenedServer(addr string, handler http.Handler) *http.Server {
 // initService builds the coloring service over the substrate.
 func initService(out io.Writer, base *graph.CSR, space, defect int, opts service.Options) (*service.Service, error) {
 	start := time.Now()
-	svc, err := service.New(base, sharedPalette(base.N(), space, defect), nil, opts)
+	svc, err := service.New(base, coloring.FullPalette(base.N(), space, defect), nil, opts)
 	if err != nil {
 		return nil, fmt.Errorf("service init: %w", err)
 	}
@@ -368,32 +368,14 @@ func runChaosMode(out, errw io.Writer, seed int64, points int) int {
 	return 0
 }
 
-// sharedPalette gives every node the full palette [0, space) with a
-// uniform defect budget — the maintenance-friendly instance shape:
-// feasibility survives any churn that keeps degrees below
-// space·(defect+1).
-func sharedPalette(n, space, defect int) *coloring.Instance {
-	full := make([]int, space)
-	defs := make([]int, space)
-	for i := range full {
-		full[i] = i
-		defs[i] = defect
-	}
-	inst := &coloring.Instance{Space: space, Lists: make([][]int, n), Defects: make([][]int, n)}
-	for v := 0; v < n; v++ {
-		inst.Lists[v] = full
-		inst.Defects[v] = defs
-	}
-	return inst
-}
-
 // runChurn is the scripted mode: a deterministic random edge churn
-// stream (inserts and deletes in roughly equal measure, degrees kept
-// within palette feasibility), applied in batches through the given
-// writer with the maintenance account printed at the end. With -verify
-// every batch is followed by a full conflict scan; any violation exits
-// nonzero. Context cancellation (SIGTERM) stops between batches — with
-// a durable writer the state on disk stays recoverable.
+// stream (service.EdgeChurnBatch: inserts and deletes in roughly equal
+// measure, degrees kept within palette feasibility), applied in
+// batches through the given writer with the maintenance account
+// printed at the end. With -verify every batch is followed by a full
+// conflict scan; any violation exits nonzero. Context cancellation
+// (SIGTERM) stops between batches — with a durable writer the state on
+// disk stays recoverable.
 func runChurn(ctx context.Context, out, errw io.Writer, svc *service.Service,
 	apply func([]service.Op) (service.BatchReport, error),
 	space, churn, batchSize int, seed int64, verify bool) int {
@@ -401,34 +383,17 @@ func runChurn(ctx context.Context, out, errw io.Writer, svc *service.Service,
 	applied, batches, maxRounds, violations := 0, 0, 0, 0
 	scans, scannedArcs, scanSec := 0, int64(0), 0.0
 	start := time.Now()
-	probe := newEdgeProbe(svc)
 	interrupted := false
 	for applied < churn {
 		if ctx.Err() != nil {
 			interrupted = true
 			break
 		}
-		var ops []service.Op
-		for len(ops) < batchSize {
-			u, v := rng.Intn(svc.N()), rng.Intn(svc.N())
-			if u == v {
-				continue
-			}
-			switch {
-			case probe.hasEdge(u, v):
-				ops = append(ops, service.Op{Action: service.OpRemoveEdge, U: u, V: v})
-				probe.note(u, v, false)
-			case probe.degree(u) < space-2 && probe.degree(v) < space-2:
-				ops = append(ops, service.Op{Action: service.OpAddEdge, U: u, V: v})
-				probe.note(u, v, true)
-			}
-		}
-		rep, err := apply(ops)
+		rep, err := apply(service.EdgeChurnBatch(svc, rng, space, batchSize))
 		if err != nil {
 			fmt.Fprintf(errw, "colord: batch %d: %v\n", batches, err)
 			return 1
 		}
-		probe.reset()
 		applied += rep.Applied
 		batches++
 		if rep.Rounds > maxRounds {
@@ -468,51 +433,4 @@ func runChurn(ctx context.Context, out, errw io.Writer, svc *service.Service,
 		fmt.Fprintln(out, "verified: zero validity violations between batches")
 	}
 	return 0
-}
-
-// edgeProbe answers hasEdge/degree questions for churn generation:
-// the service's read API plus the delta of the current (not yet
-// applied) batch, reset once the batch lands. Since the generator is
-// the only writer, its view stays exact.
-type edgeProbe struct {
-	svc   *service.Service
-	delta map[[2]int]bool // edge states pending in the current batch
-	deg   map[int]int     // degree deltas pending in the current batch
-}
-
-func newEdgeProbe(svc *service.Service) *edgeProbe {
-	return &edgeProbe{svc: svc, delta: make(map[[2]int]bool), deg: make(map[int]int)}
-}
-
-func key(u, v int) [2]int {
-	if u > v {
-		u, v = v, u
-	}
-	return [2]int{u, v}
-}
-
-func (p *edgeProbe) hasEdge(u, v int) bool {
-	if state, ok := p.delta[key(u, v)]; ok {
-		return state
-	}
-	return p.svc.HasEdge(u, v)
-}
-
-func (p *edgeProbe) degree(v int) int {
-	return p.svc.DegreeOf(v) + p.deg[v]
-}
-
-func (p *edgeProbe) reset() {
-	clear(p.delta)
-	clear(p.deg)
-}
-
-func (p *edgeProbe) note(u, v int, present bool) {
-	p.delta[key(u, v)] = present
-	d := -1
-	if present {
-		d = 1
-	}
-	p.deg[u] += d
-	p.deg[v] += d
 }

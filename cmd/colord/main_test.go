@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"listcolor/internal/coloring"
 	"listcolor/internal/graph"
 	"listcolor/internal/service"
 )
@@ -34,23 +35,10 @@ func (b *syncBuffer) String() string {
 	return b.buf.String()
 }
 
-func TestSharedPalette(t *testing.T) {
-	inst := sharedPalette(10, 5, 1)
-	if inst.N() != 10 || inst.Space != 5 {
-		t.Fatalf("inst = n %d, space %d", inst.N(), inst.Space)
-	}
-	if err := inst.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if d, ok := inst.DefectOf(3, 4); !ok || d != 1 {
-		t.Fatalf("DefectOf = (%d, %v)", d, ok)
-	}
-}
-
 func TestScriptedChurnSmoke(t *testing.T) {
 	base := graph.StreamedRing(2000)
 	space := base.RawMaxDegree() + 4
-	svc, err := service.New(base, sharedPalette(base.N(), space, 0), nil, service.Options{})
+	svc, err := service.New(base, coloring.FullPalette(base.N(), space, 0), nil, service.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,30 +60,6 @@ func TestScriptedChurnSmoke(t *testing.T) {
 func run2churn(t *testing.T, out io.Writer, svc *service.Service, space, churn, batch int, seed int64, verify bool) int {
 	t.Helper()
 	return runChurn(context.Background(), out, out, svc, svc.ApplyBatch, space, churn, batch, seed, verify)
-}
-
-func TestEdgeProbeTracksPendingBatch(t *testing.T) {
-	base := graph.StreamedRing(10)
-	svc, err := service.New(base, sharedPalette(10, 5, 0), nil, service.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := newEdgeProbe(svc)
-	if !p.hasEdge(0, 1) || p.hasEdge(0, 5) {
-		t.Fatal("probe disagrees with substrate")
-	}
-	p.note(0, 5, true)
-	if !p.hasEdge(0, 5) || !p.hasEdge(5, 0) || p.degree(0) != 3 {
-		t.Fatal("pending insert not visible")
-	}
-	p.note(0, 1, false)
-	if p.hasEdge(0, 1) || p.degree(0) != 2 {
-		t.Fatal("pending delete not visible")
-	}
-	p.reset()
-	if !p.hasEdge(0, 1) || p.hasEdge(0, 5) || p.degree(0) != 2 {
-		t.Fatal("reset did not drop pending state")
-	}
 }
 
 // TestRunScriptedDurableChurn: a full run() in scripted mode with a

@@ -264,7 +264,11 @@ func run(g *listcolor.Graph, algo string, p int, eps, alpha float64, space, thet
 		if err != nil {
 			return err
 		}
-		report(listcolor.Stats{Rounds: g.N()}, "sequential greedy list coloring (baseline)", space,
+		// GreedyList runs no simulation and takes no Config: record
+		// its reported total on the root span here.
+		stats := listcolor.Stats{Rounds: g.N()}
+		cfg.Span.Done(stats)
+		report(stats, "sequential greedy list coloring (baseline)", space,
 			listcolor.ValidateProperList(g, inst, colors))
 		maybeAnalyze(inst, colors)
 	default:

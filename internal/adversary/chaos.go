@@ -2,16 +2,12 @@
 // layer to the process layer: a ChaosPlan is a deterministic,
 // seed-derived schedule of writer kills and log damage for the durable
 // coloring service — kill at a batch boundary, kill mid-record, flip a
-// WAL byte, truncate the tail. Like Plan, a ChaosPlan is pure data
-// (JSON round-trip) and every choice derives from the seed via
-// splitmix64, so a chaos matrix replays the identical kill schedule
-// under every driver and across reruns.
+// WAL byte, truncate the tail. Like Plan, every choice derives from
+// the seed via splitmix64, so a chaos matrix replays the identical
+// kill schedule under every driver and across reruns.
 package adversary
 
-import (
-	"encoding/json"
-	"fmt"
-)
+import "fmt"
 
 // ChaosMode is the process-level fault taxonomy.
 type ChaosMode string
@@ -52,16 +48,16 @@ func SplitMix64Stream(seed uint64) func() uint64 {
 // apply the mode's damage. Draw seeds the mode's free choice (tear
 // prefix, flip offset, truncate length).
 type ChaosPoint struct {
-	Batch int       `json:"batch"`
-	Mode  ChaosMode `json:"mode"`
-	Draw  uint64    `json:"draw"`
+	Batch int
+	Mode  ChaosMode
+	Draw  uint64
 }
 
 // ChaosPlan is a complete kill schedule over a batches-long script.
 type ChaosPlan struct {
-	Seed    int64        `json:"seed"`
-	Batches int          `json:"batches"`
-	Points  []ChaosPoint `json:"points"`
+	Seed    int64
+	Batches int
+	Points  []ChaosPoint
 }
 
 // NewChaosPlan derives a points-long kill schedule for a script of
@@ -103,19 +99,4 @@ func (p ChaosPlan) Validate() error {
 		}
 	}
 	return nil
-}
-
-// MarshalPlan/UnmarshalPlan mirror Plan's JSON round-trip contract.
-func (p ChaosPlan) Marshal() ([]byte, error) { return json.MarshalIndent(p, "", "  ") }
-
-// UnmarshalChaosPlan parses and validates a serialized chaos plan.
-func UnmarshalChaosPlan(data []byte) (ChaosPlan, error) {
-	var p ChaosPlan
-	if err := json.Unmarshal(data, &p); err != nil {
-		return ChaosPlan{}, fmt.Errorf("adversary: parsing chaos plan: %w", err)
-	}
-	if err := p.Validate(); err != nil {
-		return ChaosPlan{}, err
-	}
-	return p, nil
 }

@@ -151,7 +151,7 @@ func (l *lubyNode) Round(ctx *sim.Context, round int, inbox []sim.Message) ([]si
 // Luby runs the randomized (Δ+1)-coloring protocol and returns the
 // coloring plus simulation statistics. Each node's palette is
 // [0, Δ+1); randomness is drawn from per-node generators seeded from
-// seed, so runs are reproducible.
+// seed, so runs are reproducible. The total is recorded on cfg.Span.
 func Luby(g *graph.Graph, seed int64, cfg sim.Config) ([]int, sim.Result, error) {
 	n := g.N()
 	space := g.RawMaxDegree() + 1
@@ -171,6 +171,7 @@ func Luby(g *graph.Graph, seed int64, cfg sim.Config) ([]int, sim.Result, error)
 	if err != nil {
 		return nil, stats, fmt.Errorf("baseline: luby: %w", err)
 	}
+	cfg.Span.Done(stats)
 	return colors, stats, nil
 }
 

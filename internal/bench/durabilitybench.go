@@ -44,9 +44,10 @@ type DurabilityBenchEntry struct {
 	// (0 when nothing replayed — SyncOff can lose the whole buffered
 	// tail between rotations).
 	RecoveryMsPer100KOps float64 `json:"recovery_ms_per_100k_ops"`
-	// RecoveredIdentical verifies the recovered colors equal a fresh
-	// reference run of the same script prefix — the differential
-	// contract, checked on every measurement.
+	// RecoveredIdentical is the recovery differential
+	// (service.RefState.Diff) against a fresh reference run of the same
+	// script prefix: colors, canonical stats and topology fingerprint
+	// equal, and a clean audit — checked on every measurement.
 	RecoveredIdentical bool `json:"recovered_identical"`
 	Valid              bool `json:"valid"`
 }
@@ -100,7 +101,7 @@ func measureDurability(w durabilityWorkload, mode service.SyncMode) (DurabilityB
 	if space < 6 {
 		space = 6
 	}
-	svc, err := service.New(base, servicePalette(base.N(), space), nil, service.Options{})
+	svc, err := service.New(base, coloring.FullPalette(base.N(), space, 0), nil, service.Options{})
 	if err != nil {
 		return DurabilityBenchEntry{}, err
 	}
@@ -122,7 +123,7 @@ func measureDurability(w durabilityWorkload, mode service.SyncMode) (DurabilityB
 	var script [][]service.Op
 	start := time.Now()
 	for e.Updates < w.updates {
-		ops := churnBatch(svc, rng, space, w.batch)
+		ops := service.EdgeChurnBatch(svc, rng, space, w.batch)
 		rep, err := d.ApplyBatch(ops)
 		if err != nil {
 			return e, err
@@ -155,84 +156,17 @@ func measureDurability(w durabilityWorkload, mode service.SyncMode) (DurabilityB
 	}
 	e.Valid = d2.Service().ValidateState() == nil
 
-	// Phase 3: differential — a fresh service replaying the recovered
-	// prefix of the script must land on the identical colors.
-	ref, err := service.New(graph.StreamedRing(w.nodes), servicePalette(w.nodes, space), nil, service.Options{})
+	// Phase 3: the recovery differential — a fresh service replaying
+	// the recovered prefix of the script must match the recovered one.
+	ref, err := service.New(graph.StreamedRing(w.nodes), coloring.FullPalette(w.nodes, space, 0), nil, service.Options{})
 	if err != nil {
 		return e, err
 	}
-	for i := uint64(0); i < info.Version; i++ {
-		if _, err := ref.ApplyBatch(script[i]); err != nil {
+	for _, ops := range script[:info.Version] {
+		if _, err := ref.ApplyBatch(ops); err != nil {
 			return e, err
 		}
 	}
-	e.RecoveredIdentical = colorsEqual(ref, d2.Service()) &&
-		ref.TopologyFingerprint() == d2.Service().TopologyFingerprint()
+	e.RecoveredIdentical = service.CaptureRef(ref).Diff(d2.Service()) == nil
 	return e, nil
-}
-
-// servicePalette builds the shared full-palette proper instance the
-// churn script runs over.
-func servicePalette(n, space int) *coloring.Instance {
-	full := make([]int, space)
-	for i := range full {
-		full[i] = i
-	}
-	zeros := make([]int, space)
-	inst := &coloring.Instance{Space: space, Lists: make([][]int, n), Defects: make([][]int, n)}
-	for v := 0; v < n; v++ {
-		inst.Lists[v] = full
-		inst.Defects[v] = zeros
-	}
-	return inst
-}
-
-// churnBatch generates one feasibility-guarded batch of random edge
-// inserts/deletes against the service's current topology.
-func churnBatch(svc *service.Service, rng *rand.Rand, space, size int) []service.Op {
-	type ekey [2]int
-	pending := make(map[ekey]bool)
-	degDelta := make(map[int]int)
-	ops := make([]service.Op, 0, size)
-	for len(ops) < size {
-		u, v := rng.Intn(svc.N()), rng.Intn(svc.N())
-		if u == v {
-			continue
-		}
-		k := ekey{u, v}
-		if u > v {
-			k = ekey{v, u}
-		}
-		present, seen := pending[k]
-		if !seen {
-			present = svc.HasEdge(u, v)
-		}
-		switch {
-		case present:
-			ops = append(ops, service.Op{Action: service.OpRemoveEdge, U: u, V: v})
-			pending[k] = false
-			degDelta[u]--
-			degDelta[v]--
-		case svc.DegreeOf(u)+degDelta[u] < space-2 && svc.DegreeOf(v)+degDelta[v] < space-2:
-			ops = append(ops, service.Op{Action: service.OpAddEdge, U: u, V: v})
-			pending[k] = true
-			degDelta[u]++
-			degDelta[v]++
-		}
-	}
-	return ops
-}
-
-// colorsEqual compares the full color vectors of two services.
-func colorsEqual(a, b *service.Service) bool {
-	sa, sb := a.Snapshot(), b.Snapshot()
-	if len(sa.Colors) != len(sb.Colors) {
-		return false
-	}
-	for i := range sa.Colors {
-		if sa.Colors[i] != sb.Colors[i] {
-			return false
-		}
-	}
-	return true
 }

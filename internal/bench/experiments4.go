@@ -75,7 +75,7 @@ func RunE16(opt Options) Table {
 						// Full-palette lists: Luby's (Δ+1)-coloring output
 						// is directly list-relative, so the damage columns
 						// measure fault impact, not a list-mapping artifact.
-						tgt.Inst = fullListInstance(g.N(), g.RawMaxDegree()+1)
+						tgt.Inst = coloring.FullPalette(g.N(), g.RawMaxDegree()+1, 0)
 						tgt.Solve = func(cfg sim.Config) ([]int, sim.Result, error) {
 							return baseline.Luby(g, seed, cfg)
 						}
@@ -96,7 +96,7 @@ func RunE16(opt Options) Table {
 					tgt.Solve = func(cfg sim.Config) ([]int, sim.Result, error) {
 						return inner(rec.Attach(cfg))
 					}
-					rep, err := repair.Run(tgt, plan, repair.Options{MaxRounds: solveMaxRounds})
+					rep, err := repair.Run(tgt, plan, repair.Options{Base: sim.Config{MaxRounds: solveMaxRounds}})
 					if err != nil {
 						panic(err)
 					}
@@ -113,25 +113,4 @@ func RunE16(opt Options) Table {
 	t.Rows = rowsOf(RunCells(opt, "E16", cells))
 	t.Notes = "faults = planned fault events (crash-stops + corruption windows); absorbed = post-repair conflicts inside defect budgets; budget 2n+16 repair rounds"
 	return t
-}
-
-// fullListInstance gives every node the complete palette [0, space)
-// with zero defects — the proper-coloring instance a palette-indexed
-// solver (Luby) solves natively.
-func fullListInstance(n, space int) *coloring.Instance {
-	inst := &coloring.Instance{
-		Lists:   make([][]int, n),
-		Defects: make([][]int, n),
-		Space:   space,
-	}
-	all := make([]int, space)
-	for x := range all {
-		all[x] = x
-	}
-	zero := make([]int, space)
-	for v := 0; v < n; v++ {
-		inst.Lists[v] = all
-		inst.Defects[v] = zero
-	}
-	return inst
 }

@@ -167,6 +167,25 @@ func ThreeColor(n, defect int) *Instance {
 	return in
 }
 
+// FullPalette returns the instance where every node has the whole
+// palette [0, space) with uniform defect d: the coloring service's
+// maintenance shape (feasible under any churn that keeps degrees below
+// space·(d+1)) and, at d = 0, the proper-coloring instance of edge
+// coloring and Luby. All nodes share one list slice and one defect
+// slice; nothing writes into either.
+func FullPalette(n, space, defect int) *Instance {
+	list := make([]int, space)
+	defects := make([]int, space)
+	for c := range list {
+		list[c], defects[c] = c, defect
+	}
+	in := &Instance{Lists: make([][]int, n), Defects: make([][]int, n), Space: space}
+	for v := range in.Lists {
+		in.Lists[v], in.Defects[v] = list, defects
+	}
+	return in
+}
+
 // Restrict returns a copy of the instance where node v's list is
 // filtered by keep(v, i, x, d): color x at index i with defect d is
 // retained iff keep returns true. Used by the recursive algorithms

@@ -131,6 +131,7 @@ func TestGeneratorsStructurallyValid(t *testing.T) {
 			DegreePlusOne(g, n+space, rng),
 			WithSlack(g, space+n, 2.5, rng),
 			ThreeColor(n, 4),
+			FullPalette(n, space, 2),
 		}
 		for _, in := range instances {
 			if in.Validate() != nil {
@@ -153,6 +154,24 @@ func TestWithSlackMeetsSlack(t *testing.T) {
 	}
 	if s := in.MinSlack(g); s <= 3 {
 		t.Errorf("MinSlack = %v, want > 3", s)
+	}
+}
+
+// TestFullPalette: every node gets [0, space) at the uniform defect,
+// through one shared list and one shared defect slice.
+func TestFullPalette(t *testing.T) {
+	in := FullPalette(10, 5, 1)
+	if in.N() != 10 || in.Space != 5 {
+		t.Fatalf("instance = n %d, space %d", in.N(), in.Space)
+	}
+	if err := in.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	if d, ok := in.DefectOf(3, 4); !ok || d != 1 {
+		t.Fatalf("DefectOf = (%d, %v)", d, ok)
+	}
+	if &in.Lists[0][0] != &in.Lists[9][0] || &in.Defects[0][0] != &in.Defects[9][0] {
+		t.Fatal("nodes do not share one list and one defect slice")
 	}
 }
 

@@ -12,7 +12,8 @@
 // The implementation delegates to the defect-tolerant polynomial
 // color-reduction machinery in package linial, whose per-node hot path
 // (received-color table, point-value arrays, coefficient buffers) runs
-// on the internal/palette kernel and allocates nothing per round.
+// on the internal/palette kernel and allocates nothing per round, and
+// which records the run's total on cfg.Span.
 package defective
 
 import (

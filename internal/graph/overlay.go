@@ -15,9 +15,8 @@ package graph
 // probe rather than a hash lookup. Rows are generational
 // copy-on-write: Publish seals every row mutated since the previous
 // Publish into an immutable TopoView for lock-free readers, and the
-// first later mutation of a sealed row clones it first. Replaced
-// private row buffers are recycled through a small pool so
-// steady-state churn does not allocate per insert.
+// first later mutation of a sealed row clones it first, into a buffer
+// with spare capacity so growth within a batch rarely reallocates.
 //
 // The row slice grows with the touched-vertex count, not the update
 // count. A long-running service bounds it by compacting periodically:
@@ -50,11 +49,6 @@ type Overlay struct {
 	gen     int
 	touched []int
 	view    *TopoView
-
-	// pool recycles retired private row buffers (rows replaced before
-	// ever being published) so steady-state churn stays allocation-free
-	// on the insert path.
-	pool [][]int
 }
 
 // ownedRow is a patched vertex's private adjacency and the generation
@@ -137,33 +131,13 @@ func (o *Overlay) setRow(v int, adj []int) {
 	}
 }
 
-// getBuf returns a row buffer with capacity ≥ want, recycling the
-// pool when possible.
-func (o *Overlay) getBuf(want int) []int {
-	for i := len(o.pool) - 1; i >= 0; i-- {
-		if cap(o.pool[i]) >= want {
-			r := o.pool[i]
-			o.pool[i] = o.pool[len(o.pool)-1]
-			o.pool = o.pool[:len(o.pool)-1]
-			return r[:0]
-		}
-	}
-	return make([]int, 0, want+4)
-}
+// newRow returns an empty private row buffer with room for want
+// entries plus spare capacity.
+func newRow(want int) []int { return make([]int, 0, want+4) }
 
-// recycle returns a retired private buffer to the pool. Only buffers
-// that were never published into a snapshot may be recycled.
-func (o *Overlay) recycle(r []int) {
-	if cap(r) == 0 || len(o.pool) >= 64 {
-		return
-	}
-	o.pool = append(o.pool, r[:0])
-}
-
-// cloneRow copies src into a pooled private buffer.
-func (o *Overlay) cloneRow(src []int) []int {
-	r := o.getBuf(len(src) + 1)
-	return append(r, src...)
+// cloneRow copies src into a fresh private buffer with room to grow.
+func cloneRow(src []int) []int {
+	return append(newRow(len(src)+1), src...)
 }
 
 // row returns v's private patch row, creating it as a copy of the base
@@ -176,9 +150,9 @@ func (o *Overlay) row(v int) []int {
 		if owned.gen == o.gen {
 			return owned.adj
 		}
-		r = o.cloneRow(owned.adj)
+		r = cloneRow(owned.adj)
 	} else if v < o.base.N() {
-		r = o.cloneRow(o.base.Row(v))
+		r = cloneRow(o.base.Row(v))
 	}
 	o.setRow(v, r)
 	return r
@@ -239,24 +213,17 @@ func (o *Overlay) RemoveNode(v int) []int {
 	for _, w := range former {
 		o.remove(w, v)
 	}
-	if s := o.slot[v]; s != 0 && o.rows[s-1].gen == o.gen {
-		o.recycle(o.rows[s-1].adj)
-	}
 	o.setRow(v, nil)
 	o.arcs -= 2 * int64(len(former))
 	return former
 }
 
-// insert places w into v's private row, keeping it sorted. A growth
-// past capacity retires the old private buffer into the pool.
+// insert places w into v's private row, keeping it sorted.
 func (o *Overlay) insert(v, w int) {
 	row := o.row(v)
 	i := searchInts(row, w)
 	if len(row) == cap(row) {
-		grown := o.getBuf(2*len(row) + 1)
-		grown = append(grown, row...)
-		o.recycle(row)
-		row = grown
+		row = append(newRow(2*len(row)+1), row...)
 	}
 	row = append(row, 0)
 	copy(row[i+1:], row[i:])

@@ -169,13 +169,13 @@ func TestOverlayUnpatchedReadAllocs(t *testing.T) {
 	_ = sink
 }
 
-// TestOverlayInsertPoolSteadyState pins the pooled write path: after
-// warm-up, repeatedly toggling edges on already-patched rows
-// allocates nothing per op (row buffers cycle through the pool
-// instead of the heap).
-func TestOverlayInsertPoolSteadyState(t *testing.T) {
+// TestOverlayToggleSpareCapacity pins the unpublished write path:
+// after warm-up, repeatedly toggling edges on already-patched rows
+// allocates nothing per op, because a private row's spare capacity
+// absorbs the regrowth.
+func TestOverlayToggleSpareCapacity(t *testing.T) {
 	ov := NewOverlay(StreamedRing(256))
-	// Nothing is published: buffers stay private, pool handles growth.
+	// Nothing is published: the rows stay private and mutable in place.
 	for v := 0; v < 64; v++ {
 		if err := ov.AddEdge(v, v+100); err != nil {
 			t.Fatal(err)

@@ -140,6 +140,7 @@ func (n *reduceNode) Round(ctx *sim.Context, round int, inbox []sim.Message) ([]
 // given m-coloring. If avoidOut is true the conflict set of each node
 // is its out-neighbor set (the network must be oriented); otherwise it
 // is the full neighborhood. cfg.BandwidthBits can enforce CONGEST.
+// The run's total is recorded on cfg.Span.
 func Reduce(nw *sim.Network, colors []int, m int, steps []Step, avoidOut bool, cfg sim.Config) (Result, error) {
 	n := nw.N()
 	if len(colors) != n {
@@ -171,6 +172,7 @@ func Reduce(nw *sim.Network, colors []int, m int, steps []Step, avoidOut bool, c
 	if err != nil {
 		return Result{}, fmt.Errorf("linial: %w", err)
 	}
+	cfg.Span.Done(stats)
 	palette := m
 	if len(steps) > 0 {
 		palette = steps[len(steps)-1].ColorsOut()

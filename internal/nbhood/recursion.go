@@ -258,20 +258,7 @@ func HyperedgeColor(h *hypergraph.Hypergraph, cfg sim.Config) (edgeColors []int,
 	if lgDelta := lg.RawMaxDegree(); palette < lgDelta+1 {
 		palette = lgDelta + 1 // parallel hyperedges can exceed the bound
 	}
-	full := make([]int, palette)
-	for i := range full {
-		full[i] = i
-	}
-	inst := &coloring.Instance{
-		Lists:   make([][]int, lg.N()),
-		Defects: make([][]int, lg.N()),
-		Space:   palette,
-	}
-	for v := 0; v < lg.N(); v++ {
-		inst.Lists[v] = full
-		inst.Defects[v] = make([]int, palette)
-	}
-	res, err := SolveArb(lg, inst, rank, cfg)
+	res, err := SolveArb(lg, coloring.FullPalette(lg.N(), palette, 0), rank, cfg)
 	if err != nil {
 		return nil, 0, sim.Result{}, fmt.Errorf("nbhood: hyperedge coloring: %w", err)
 	}
@@ -288,20 +275,7 @@ func HyperedgeColor(h *hypergraph.Hypergraph, cfg sim.Config) (edgeColors []int,
 func EdgeColor(g *graph.Graph, cfg sim.Config) (edgeColors []int, palette int, stats sim.Result, err error) {
 	lg, _ := graph.LineGraph(g)
 	palette = 2*g.MaxDegree() - 1
-	full := make([]int, palette)
-	for i := range full {
-		full[i] = i
-	}
-	inst := &coloring.Instance{
-		Lists:   make([][]int, lg.N()),
-		Defects: make([][]int, lg.N()),
-		Space:   palette,
-	}
-	for v := 0; v < lg.N(); v++ {
-		inst.Lists[v] = full
-		inst.Defects[v] = make([]int, palette)
-	}
-	res, err := SolveArb(lg, inst, 2, cfg)
+	res, err := SolveArb(lg, coloring.FullPalette(lg.N(), palette, 0), 2, cfg)
 	if err != nil {
 		return nil, 0, sim.Result{}, fmt.Errorf("nbhood: edge coloring: %w", err)
 	}

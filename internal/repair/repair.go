@@ -69,14 +69,6 @@ type Options struct {
 	// pass through to the faulted run. The zero Base is the plain
 	// LOCAL lockstep configuration.
 	Base sim.Config
-	// Driver for the solve run; overrides Base.Driver when non-zero
-	// (Lockstep is the zero driver, so an explicit Base.Driver wins
-	// only over an unset field here).
-	Driver sim.Driver
-	// MaxRounds caps the faulted solve (crash-stalled protocols hit
-	// it deterministically); overrides Base.MaxRounds when non-zero.
-	// 0 in both means sim.DefaultMaxRounds.
-	MaxRounds int
 	// RoundBudget caps repair rounds; 0 means DefaultBudget(n).
 	RoundBudget int
 }
@@ -156,14 +148,7 @@ func Run(t Target, plan adversary.Plan, opt Options) (Report, error) {
 	if t.Inst.N() != n {
 		return Report{}, fmt.Errorf("repair: instance covers %d nodes, graph has %d", t.Inst.N(), n)
 	}
-	base := opt.Base
-	if opt.Driver != 0 {
-		base.Driver = opt.Driver
-	}
-	if opt.MaxRounds != 0 {
-		base.MaxRounds = opt.MaxRounds
-	}
-	cfg := plan.Apply(base)
+	cfg := plan.Apply(opt.Base)
 	if err := cfg.Validate(); err != nil {
 		return Report{}, err
 	}

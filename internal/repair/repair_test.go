@@ -115,7 +115,7 @@ func TestRepairRecoversFromCrashedSolve(t *testing.T) {
 			return out, res, err
 		},
 	}
-	rep, err := Run(tgt, plan, Options{MaxRounds: 150})
+	rep, err := Run(tgt, plan, Options{Base: sim.Config{MaxRounds: 150}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,8 +252,8 @@ func TestRunStructuralErrors(t *testing.T) {
 	// An invalid solve config is structural too: it must not end up in
 	// SolveErr with repair quietly starting from the fallback.
 	for name, opt := range map[string]Options{
-		"unknown driver":     {Driver: sim.Driver(99)},
-		"negative MaxRounds": {MaxRounds: -1},
+		"unknown driver":     {Base: sim.Config{Driver: sim.Driver(99)}},
+		"negative MaxRounds": {Base: sim.Config{MaxRounds: -1}},
 	} {
 		if _, err := Run(Target{G: g, Inst: inst}, adversary.Plan{}, opt); !errors.Is(err, sim.ErrConfig) {
 			t.Errorf("%s: err = %v, want sim.ErrConfig", name, err)
@@ -290,7 +290,7 @@ func TestRepairDeterministicUnderConcurrency(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			drivers := sim.AllDrivers()
-			rep, err := Run(tgt, plan, Options{MaxRounds: 150, Driver: drivers[i%len(drivers)]})
+			rep, err := Run(tgt, plan, Options{Base: sim.Config{MaxRounds: 150, Driver: drivers[i%len(drivers)]}})
 			if err != nil {
 				t.Error(err)
 				return

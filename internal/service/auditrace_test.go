@@ -19,8 +19,8 @@ import (
 // published snapshot.)
 func TestAuditParallelSnapshotRaceSoak(t *testing.T) {
 	n, space := 600, 8
-	s := mustService(t, graph.StreamedRing(n), palInstance(n, space), Options{})
-	inst := palInstance(n, space) // reader-owned copy, never mutated
+	s := mustService(t, graph.StreamedRing(n), coloring.FullPalette(n, space, 0), Options{})
+	inst := coloring.FullPalette(n, space, 0) // reader-owned copy, never mutated
 
 	const batches = 40
 	var wg sync.WaitGroup

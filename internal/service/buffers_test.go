@@ -37,15 +37,15 @@ func copyingRun(t *testing.T, base *graph.CSR, inst *coloring.Instance, opts Opt
 }
 
 // clashScript builds batches on a copying reference over base with
-// palInstance(n, 4) and returns them with every version's colors. Each
-// batch joins two pairs of ring nodes a quarter to three quarters of
-// the way around from each other that share a color at that point and
-// have no chord yet, so repair recolors one end of each; the batches
-// listed in addNode also append a node.
+// coloring.FullPalette(n, 4, 0) and returns them with every version's
+// colors. Each batch joins two pairs of ring nodes a quarter to three
+// quarters of the way around from each other that share a color at
+// that point and have no chord yet, so repair recolors one end of
+// each; the batches listed in addNode also append a node.
 func clashScript(t *testing.T, base *graph.CSR, batches int, addNode ...int) ([][]Op, [][]int) {
 	t.Helper()
 	n := base.N()
-	ref := mustService(t, base, palInstance(n, 4), Options{})
+	ref := mustService(t, base, coloring.FullPalette(n, 4, 0), Options{})
 	refs := [][]int{slices.Clone(ref.Snapshot().Colors)}
 	used := make([]bool, n)
 	var script [][]Op
@@ -94,7 +94,7 @@ func mustApply(t *testing.T, s *Service, ops []Op, refs [][]int) {
 func TestStaleReaderRereadsNewest(t *testing.T) {
 	base := graph.StreamedRing(64)
 	script, refs := clashScript(t, base, 3)
-	s := mustService(t, base, palInstance(64, 4), Options{})
+	s := mustService(t, base, coloring.FullPalette(64, 4, 0), Options{})
 	mustApply(t, s, script[0], refs)
 	v1 := s.pub.Load()
 	mustApply(t, s, script[1], refs)
@@ -133,7 +133,7 @@ func TestStaleReaderRereadsNewest(t *testing.T) {
 func TestPinnedSnapshotSurvivesReuse(t *testing.T) {
 	base := graph.StreamedRing(64)
 	script, refs := clashScript(t, base, 5, 3, 4)
-	s := mustService(t, base, palInstance(64, 4), Options{})
+	s := mustService(t, base, coloring.FullPalette(64, 4, 0), Options{})
 	mustApply(t, s, script[0], refs)
 	mustApply(t, s, script[1], refs)
 	snap := s.Snapshot()
@@ -167,7 +167,7 @@ func TestPinnedSnapshotSurvivesReuse(t *testing.T) {
 func TestReadLockedSpareNotReused(t *testing.T) {
 	base := graph.StreamedRing(64)
 	script, refs := clashScript(t, base, 4)
-	s := mustService(t, base, palInstance(64, 4), Options{})
+	s := mustService(t, base, coloring.FullPalette(64, 4, 0), Options{})
 	mustApply(t, s, script[0], refs)
 	p := s.acquire(s.pub.Load())
 	held := slices.Clone(p.Colors)

@@ -1,20 +1,25 @@
-// chaos.go executes an adversary.ChaosPlan against the durable
-// service: for every seed-derived kill point it runs a deterministic
-// churn script up to the kill, applies the point's damage (boundary
-// kill, mid-record tear, byte flip, tail truncation), recovers via
-// OpenDurable, and checks the recovered state byte-identically against
-// an uninterrupted reference run at the recovered version — colors,
-// canonical Stats, topology fingerprint, plus a full validity audit —
-// then replays the remainder of the script and checks the final state
-// too. This is `colord -chaos` and the `make chaos` matrix.
+// chaos.go is the durable service's kill-point harness. Its one kill
+// loop, runChaosPoint, churns a deterministic script through a Durable
+// up to a kill point, applies the point's damage (boundary kill,
+// mid-record tear, byte flip, tail truncation), recovers via
+// OpenDurable, and runs the recovery differential (RefState.Diff): the
+// recovered colors, canonical Stats and topology fingerprint must equal
+// an uninterrupted reference run at the recovered version, and a full
+// validity audit must pass. It then replays the rest of the script and
+// diffs the final state too. RunChaos drives the loop over a
+// seed-derived kill schedule (`colord -chaos`, `make chaos`); the
+// recovery tests drive it over explicit points. The file also holds
+// the churn generators: the chaos script and the random edge batches
+// of `colord -churn` and the durability bench.
 package service
 
 import (
 	"errors"
 	"fmt"
+	"math/rand"
 	"os"
 	"path/filepath"
-	"reflect"
+	"slices"
 
 	"listcolor/internal/adversary"
 	"listcolor/internal/coloring"
@@ -75,24 +80,7 @@ type ChaosReport struct {
 // conflict-minimizing recolor always has room) with one defect of
 // slack per color.
 func slackInstance(base *graph.CSR) *coloring.Instance {
-	maxDeg := 0
-	for v := 0; v < base.N(); v++ {
-		if d := base.Degree(v); d > maxDeg {
-			maxDeg = d
-		}
-	}
-	space := maxDeg + 4
-	full := make([]int, space)
-	ones := make([]int, space)
-	for i := range full {
-		full[i], ones[i] = i, 1
-	}
-	inst := &coloring.Instance{Space: space, Lists: make([][]int, base.N()), Defects: make([][]int, base.N())}
-	for v := 0; v < base.N(); v++ {
-		inst.Lists[v] = full
-		inst.Defects[v] = ones
-	}
-	return inst
+	return coloring.FullPalette(base.N(), base.RawMaxDegree()+4, 1)
 }
 
 // chaosScript generates the deterministic churn script: every op
@@ -179,11 +167,101 @@ func chaosScript(base *graph.CSR, batches, batchSize int, seed int64) [][]Op {
 	return script
 }
 
-// chaosRef is one reference version's observable state.
-type chaosRef struct {
-	colors []int
-	stats  Stats
-	fp     uint64
+// EdgeChurnBatch draws one batch of size random edge toggles against
+// s's current topology, for colord -churn and the durability bench:
+// each draw picks two distinct nodes and removes their edge if it is
+// present (counting the batch's own earlier toggles), else adds it if
+// both endpoints stay below space-2, so every full-palette list stays
+// feasible. s must not be written while the batch is drawn.
+func EdgeChurnBatch(s *Service, rng *rand.Rand, space, size int) []Op {
+	pending := make(map[[2]int]bool) // edge states toggled earlier in the batch
+	degDelta := make(map[int]int)
+	ops := make([]Op, 0, size)
+	for len(ops) < size {
+		u, v := rng.Intn(s.N()), rng.Intn(s.N())
+		if u == v {
+			continue
+		}
+		key := [2]int{min(u, v), max(u, v)}
+		present, seen := pending[key]
+		if !seen {
+			present = s.HasEdge(u, v)
+		}
+		switch {
+		case present:
+			ops = append(ops, Op{Action: OpRemoveEdge, U: u, V: v})
+			pending[key] = false
+			degDelta[u]--
+			degDelta[v]--
+		case s.DegreeOf(u)+degDelta[u] < space-2 && s.DegreeOf(v)+degDelta[v] < space-2:
+			ops = append(ops, Op{Action: OpAddEdge, U: u, V: v})
+			pending[key] = true
+			degDelta[u]++
+			degDelta[v]++
+		}
+	}
+	return ops
+}
+
+// RefState is a service's observable state at one version, captured
+// from an uninterrupted reference run: the right-hand side of the
+// recovery differential.
+type RefState struct {
+	Version     uint64
+	Colors      []int
+	Stats       Stats // canonical: see CanonicalStats
+	Fingerprint uint64
+}
+
+// CaptureRef copies s's observable state at its current version.
+func CaptureRef(s *Service) RefState {
+	snap := s.Snapshot()
+	return RefState{
+		Version:     snap.Version,
+		Colors:      append([]int(nil), snap.Colors...),
+		Stats:       CanonicalStats(s.Stats()),
+		Fingerprint: s.TopologyFingerprint(),
+	}
+}
+
+// Diff is the recovery differential: nil when s has the reference's
+// version, colors, canonical Stats and topology fingerprint, and passes
+// a full validity audit; otherwise the first divergence.
+func (r RefState) Diff(s *Service) error {
+	snap := s.Snapshot()
+	if snap.Version != r.Version {
+		return fmt.Errorf("version %d, reference at %d", snap.Version, r.Version)
+	}
+	if !slices.Equal(snap.Colors, r.Colors) {
+		return fmt.Errorf("colors diverge at version %d", r.Version)
+	}
+	if got := CanonicalStats(s.Stats()); got != r.Stats {
+		return fmt.Errorf("stats diverge at version %d:\n got %+v\nwant %+v", r.Version, got, r.Stats)
+	}
+	if fp := s.TopologyFingerprint(); fp != r.Fingerprint {
+		return fmt.Errorf("topology fingerprint diverges at version %d: %x vs %x", r.Version, fp, r.Fingerprint)
+	}
+	if audit := s.AuditState(0); !audit.Valid() {
+		return fmt.Errorf("audit at version %d: %w", r.Version, audit.Err())
+	}
+	return nil
+}
+
+// referenceRun plays script on a fresh service over (base, inst) and
+// captures every version: refs[v] is the state after v batches.
+func referenceRun(base *graph.CSR, inst *coloring.Instance, script [][]Op) ([]RefState, error) {
+	s, err := New(base, inst, nil, Options{})
+	if err != nil {
+		return nil, err
+	}
+	refs := []RefState{CaptureRef(s)}
+	for bi, ops := range script {
+		if _, err := s.ApplyBatch(ops); err != nil && !errors.Is(err, ErrOp) {
+			return nil, fmt.Errorf("reference batch %d: %w", bi, err)
+		}
+		refs = append(refs, CaptureRef(s))
+	}
+	return refs, nil
 }
 
 // RunChaos executes the kill-point matrix and returns its report. A
@@ -193,31 +271,15 @@ func RunChaos(cfg ChaosConfig) (ChaosReport, error) {
 	cfg.defaults()
 	rep := ChaosReport{PerMode: map[string]int{}}
 	base := graph.StreamedRing(cfg.Nodes)
+	inst := slackInstance(base)
 	script := chaosScript(base, cfg.Batches, cfg.BatchSize, cfg.Seed)
 	plan := adversary.NewChaosPlan(cfg.Seed, cfg.Batches, cfg.Points)
 	if err := plan.Validate(); err != nil {
 		return rep, err
 	}
-
-	// Uninterrupted reference run, state captured at every version.
-	refSvc, err := New(base, slackInstance(base), nil, Options{})
+	refs, err := referenceRun(base, inst, script)
 	if err != nil {
-		return rep, err
-	}
-	refs := make([]chaosRef, 0, cfg.Batches+1)
-	capture := func(s *Service) chaosRef {
-		return chaosRef{
-			colors: append([]int(nil), s.Snapshot().Colors...),
-			stats:  CanonicalStats(s.Stats()),
-			fp:     s.TopologyFingerprint(),
-		}
-	}
-	refs = append(refs, capture(refSvc))
-	for bi, ops := range script {
-		if _, err := refSvc.ApplyBatch(ops); err != nil && !errors.Is(err, ErrOp) {
-			return rep, fmt.Errorf("chaos reference batch %d: %w", bi, err)
-		}
-		refs = append(refs, capture(refSvc))
+		return rep, fmt.Errorf("chaos %w", err)
 	}
 
 	root := cfg.Dir
@@ -233,7 +295,18 @@ func RunChaos(cfg ChaosConfig) (ChaosReport, error) {
 	for pi, pt := range plan.Points {
 		rep.Points++
 		rep.PerMode[string(pt.Mode)]++
-		if err := runChaosPoint(pi, pt, base, script, refs, cfg, root, &rep); err != nil {
+		dir := filepath.Join(root, fmt.Sprintf("pt-%04d", pi))
+		info, err := runChaosPoint(pt, base, inst, script, refs,
+			DurableOptions{Dir: dir, Sync: SyncBatch, CheckpointEvery: cfg.CheckpointEvery})
+		os.RemoveAll(dir)
+		if info != nil {
+			if info.Tail != nil {
+				rep.TailsDiscarded++
+			}
+			rep.ReplayedBatches += info.ReplayedBatches
+		}
+		if err != nil {
+			err = fmt.Errorf("point %d (%s at batch %d): %w", pi, pt.Mode, pt.Batch, err)
 			rep.Failures++
 			if firstErr == nil {
 				firstErr = err
@@ -249,23 +322,31 @@ func RunChaos(cfg ChaosConfig) (ChaosReport, error) {
 	return rep, firstErr
 }
 
-// runChaosPoint executes one kill: churn to the kill point, damage,
-// recover, differential-check, finish the script, check again.
-func runChaosPoint(pi int, pt adversary.ChaosPoint, base *graph.CSR, script [][]Op,
-	refs []chaosRef, cfg ChaosConfig, root string, rep *ChaosReport) error {
-	dir := filepath.Join(root, fmt.Sprintf("pt-%04d", pi))
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-	defer os.RemoveAll(dir)
-	svc, err := New(base, slackInstance(base), nil, Options{})
+// runChaosPoint is the one kill loop. In dopts.Dir it churns script
+// through a fresh durable service over (base, inst) up to pt's kill,
+// applies pt's damage, recovers with OpenDurable and diffs against
+// refs at the recovered version, then finishes the script and diffs
+// against the final reference. Beyond the differential it checks what
+// each kill promises:
+//   - a torn append reports ErrWALCrashed, and the dead Durable refuses
+//     the next write;
+//   - unless dopts.Sync is SyncOff, a boundary kill or a tear loses no
+//     batch before it: recovery lands exactly on pt.Batch;
+//   - a flipped byte is detected: a tail is discarded and recovery
+//     lands before pt.Batch;
+//   - a discarded tail carries a typed reason.
+//
+// The recovery account is returned whenever OpenDurable succeeded,
+// also alongside a failed check.
+func runChaosPoint(pt adversary.ChaosPoint, base *graph.CSR, inst *coloring.Instance,
+	script [][]Op, refs []RefState, dopts DurableOptions) (*RecoveryInfo, error) {
+	svc, err := New(base, inst, nil, Options{})
 	if err != nil {
-		return err
+		return nil, err
 	}
-	dopts := DurableOptions{Dir: dir, Sync: SyncBatch, CheckpointEvery: cfg.CheckpointEvery}
 	d, err := NewDurable(svc, dopts)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	upTo := pt.Batch
 	if pt.Mode == adversary.ChaosMidRecord {
@@ -281,84 +362,73 @@ func runChaosPoint(pi int, pt adversary.ChaosPoint, base *graph.CSR, script [][]
 				crashed = true
 				break
 			}
-			return fmt.Errorf("point %d: apply: %w", pi, err)
+			return nil, fmt.Errorf("apply: %w", err)
 		}
 	}
-	if pt.Mode == adversary.ChaosMidRecord && !crashed {
-		return fmt.Errorf("point %d: armed crash never fired", pi)
+	if pt.Mode == adversary.ChaosMidRecord {
+		if !crashed {
+			return nil, errors.New("armed crash never fired")
+		}
+		if _, err := d.ApplyBatch(script[pt.Batch]); !errors.Is(err, ErrWALCrashed) {
+			return nil, fmt.Errorf("dead durable accepted a write: %v", err)
+		}
 	}
 	d.Abort()
 
+	flipped := false
 	switch pt.Mode {
 	case adversary.ChaosFlipByte:
-		if err := damageLastSegment(dir, func(img []byte) []byte {
-			if len(img) <= 8 {
+		err = damageLastSegment(dopts.Dir, func(img []byte) []byte {
+			magic := len(walSegmentMagic)
+			if len(img) <= magic {
 				return img
 			}
+			flipped = true
 			out := append([]byte(nil), img...)
-			out[8+int(pt.Draw%uint64(len(img)-8))] ^= 0x20
+			out[magic+int(pt.Draw%uint64(len(img)-magic))] ^= 0x20
 			return out
-		}); err != nil {
-			return err
-		}
+		})
 	case adversary.ChaosTruncate:
-		if err := damageLastSegment(dir, func(img []byte) []byte {
+		err = damageLastSegment(dopts.Dir, func(img []byte) []byte {
 			cut := int(pt.Draw % uint64(len(img)+1))
 			return img[:len(img)-cut]
-		}); err != nil {
-			return err
-		}
+		})
+	}
+	if err != nil {
+		return nil, err
 	}
 
 	d2, info, err := OpenDurable(Options{}, dopts)
 	if err != nil {
-		return fmt.Errorf("point %d (%s): recovery: %w", pi, pt.Mode, err)
+		return nil, fmt.Errorf("recovery: %w", err)
 	}
 	defer d2.Close()
-	if info.Tail != nil {
-		rep.TailsDiscarded++
+	s := d2.Service()
+	v := s.Version()
+	if v >= uint64(len(refs)) {
+		return info, fmt.Errorf("recovered version %d beyond the reference run", v)
 	}
-	rep.ReplayedBatches += info.ReplayedBatches
-
-	check := func(when string) error {
-		s := d2.Service()
-		snap := s.Snapshot()
-		v := snap.Version
-		if v >= uint64(len(refs)) {
-			return fmt.Errorf("point %d (%s) %s: version %d beyond reference", pi, pt.Mode, when, v)
-		}
-		ref := refs[v]
-		if !reflect.DeepEqual(snap.Colors, ref.colors) {
-			return fmt.Errorf("point %d (%s) %s: colors diverge at version %d", pi, pt.Mode, when, v)
-		}
-		if got := CanonicalStats(s.Stats()); !reflect.DeepEqual(got, ref.stats) {
-			return fmt.Errorf("point %d (%s) %s: stats diverge at version %d", pi, pt.Mode, when, v)
-		}
-		if fp := s.TopologyFingerprint(); fp != ref.fp {
-			return fmt.Errorf("point %d (%s) %s: fingerprint diverges at version %d", pi, pt.Mode, when, v)
-		}
-		if audit := s.AuditState(0); !audit.Valid() {
-			return fmt.Errorf("point %d (%s) %s: audit: %w", pi, pt.Mode, when, audit.Err())
-		}
-		return nil
+	if err := refs[v].Diff(s); err != nil {
+		return info, fmt.Errorf("recovered: %w", err)
 	}
-	if err := check("recovered"); err != nil {
-		return err
+	lossless := dopts.Sync != SyncOff && (pt.Mode == adversary.ChaosBoundary || pt.Mode == adversary.ChaosMidRecord)
+	switch {
+	case info.Tail != nil && info.Tail.Reason == "":
+		return info, fmt.Errorf("untyped tail: %v", info.Tail)
+	case lossless && v != uint64(pt.Batch):
+		return info, fmt.Errorf("recovered version %d, want the kill batch %d", v, pt.Batch)
+	case flipped && (info.Tail == nil || v >= uint64(pt.Batch)):
+		return info, fmt.Errorf("flipped byte undetected: version %d, tail %v", v, info.Tail)
 	}
-	// Boundary kills under SyncBatch lose nothing: recovery must land
-	// exactly on the kill batch.
-	if pt.Mode == adversary.ChaosBoundary {
-		if v := d2.Service().Version(); v != uint64(pt.Batch) {
-			return fmt.Errorf("point %d (boundary): recovered version %d, want %d", pi, v, pt.Batch)
-		}
-	}
-	v := d2.Service().Version()
 	for _, ops := range script[v:] {
 		if _, err := d2.ApplyBatch(ops); err != nil && !errors.Is(err, ErrOp) {
-			return fmt.Errorf("point %d (%s): continue: %w", pi, pt.Mode, err)
+			return info, fmt.Errorf("continue: %w", err)
 		}
 	}
-	return check("final")
+	if err := refs[len(refs)-1].Diff(s); err != nil {
+		return info, fmt.Errorf("final: %w", err)
+	}
+	return info, nil
 }
 
 // damageLastSegment rewrites the newest WAL segment through damage.

@@ -12,6 +12,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"listcolor/internal/coloring"
 	"listcolor/internal/graph"
 )
 
@@ -47,7 +48,7 @@ func getJSON(t *testing.T, url string, out any) int {
 }
 
 func TestHTTPEndpoints(t *testing.T) {
-	s := mustService(t, graph.StreamedRing(16), palInstance(16, 4), Options{})
+	s := mustService(t, graph.StreamedRing(16), coloring.FullPalette(16, 4, 0), Options{})
 	srv := httptest.NewServer(NewHandler(s))
 	defer srv.Close()
 
@@ -227,7 +228,7 @@ func TestStreamAllColorsAllocationBounded(t *testing.T) {
 // read-latency benchmark measures.
 func TestHTTPConcurrentReads(t *testing.T) {
 	const n = 500
-	s := mustService(t, graph.StreamedRing(n), palInstance(n, 5), Options{})
+	s := mustService(t, graph.StreamedRing(n), coloring.FullPalette(n, 5, 0), Options{})
 	srv := httptest.NewServer(NewHandler(s))
 	defer srv.Close()
 

@@ -14,24 +14,6 @@ import (
 	"listcolor/internal/repair"
 )
 
-// palInstance builds the shared-palette proper instance the churn
-// tests use: every node may take any color in [0, space) with zero
-// defect budget, so validity = proper coloring and feasibility holds
-// while degrees stay below space.
-func palInstance(n, space int) *coloring.Instance {
-	full := make([]int, space)
-	for i := range full {
-		full[i] = i
-	}
-	zeros := make([]int, space)
-	inst := &coloring.Instance{Space: space, Lists: make([][]int, n), Defects: make([][]int, n)}
-	for v := 0; v < n; v++ {
-		inst.Lists[v] = full
-		inst.Defects[v] = zeros
-	}
-	return inst
-}
-
 func mustService(t *testing.T, base *graph.CSR, inst *coloring.Instance, opts Options) *Service {
 	t.Helper()
 	s, err := New(base, inst, nil, opts)
@@ -42,7 +24,7 @@ func mustService(t *testing.T, base *graph.CSR, inst *coloring.Instance, opts Op
 }
 
 func TestServiceLifecycle(t *testing.T) {
-	s := mustService(t, graph.StreamedRing(12), palInstance(12, 4), Options{})
+	s := mustService(t, graph.StreamedRing(12), coloring.FullPalette(12, 4, 0), Options{})
 	if err := s.ValidateState(); err != nil {
 		t.Fatalf("initial state invalid: %v", err)
 	}
@@ -86,7 +68,7 @@ func TestServiceLifecycle(t *testing.T) {
 }
 
 func TestServiceNodeChurn(t *testing.T) {
-	s := mustService(t, graph.StreamedRing(8), palInstance(8, 4), Options{})
+	s := mustService(t, graph.StreamedRing(8), coloring.FullPalette(8, 4, 0), Options{})
 	rep, err := s.ApplyBatch([]Op{
 		{Action: OpAddNode},
 		{Action: OpAddNode, List: []int{1, 2}, Defects: []int{0, 0}},
@@ -142,7 +124,7 @@ func TestServiceNodeChurn(t *testing.T) {
 }
 
 func TestServiceBatchRejection(t *testing.T) {
-	s := mustService(t, graph.StreamedRing(10), palInstance(10, 4), Options{})
+	s := mustService(t, graph.StreamedRing(10), coloring.FullPalette(10, 4, 0), Options{})
 	rep, err := s.ApplyBatch([]Op{
 		{Action: OpAddEdge, U: 0, V: 5},
 		{Action: OpAddEdge, U: 2, V: 2}, // self-loop: rejected
@@ -180,7 +162,7 @@ func TestServiceBatchRejection(t *testing.T) {
 }
 
 func TestServiceCompaction(t *testing.T) {
-	s := mustService(t, graph.StreamedRing(64), palInstance(64, 5), Options{CompactThreshold: 8})
+	s := mustService(t, graph.StreamedRing(64), coloring.FullPalette(64, 5, 0), Options{CompactThreshold: 8})
 	rng := rand.New(rand.NewSource(2))
 	sawCompact := false
 	for b := 0; b < 10; b++ {
@@ -223,7 +205,7 @@ func TestServiceDifferentialGlobalRepair(t *testing.T) {
 	for seed := int64(0); seed < 5; seed++ {
 		base := graph.StreamedGNP(50, 0.08, seed)
 		space := 2*base.RawMaxDegree() + 10
-		inst := palInstance(50, space)
+		inst := coloring.FullPalette(50, space, 0)
 		s := mustService(t, base, inst, Options{})
 
 		ref := graph.NewOverlay(base)
@@ -313,7 +295,7 @@ func TestServiceDifferentialGlobalRepair(t *testing.T) {
 // monotone) plus stats reads.
 func TestServiceConcurrentReadWrite(t *testing.T) {
 	const n = 2000
-	s := mustService(t, graph.StreamedRing(n), palInstance(n, 6), Options{})
+	s := mustService(t, graph.StreamedRing(n), coloring.FullPalette(n, 6, 0), Options{})
 	var stop atomic.Bool
 	var wg sync.WaitGroup
 

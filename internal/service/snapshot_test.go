@@ -5,6 +5,7 @@ import (
 	"sync"
 	"testing"
 
+	"listcolor/internal/coloring"
 	"listcolor/internal/graph"
 )
 
@@ -13,7 +14,7 @@ import (
 // snapshot and never take the writer lock — calling them while the
 // lock is held must not deadlock.
 func TestSnapshotReadsLockFree(t *testing.T) {
-	s := mustService(t, graph.StreamedRing(32), palInstance(32, 4), Options{})
+	s := mustService(t, graph.StreamedRing(32), coloring.FullPalette(32, 4, 0), Options{})
 	if _, err := s.ApplyBatch([]Op{{Action: OpAddEdge, U: 0, V: 2}}); err != nil {
 		t.Fatalf("ApplyBatch: %v", err)
 	}
@@ -118,7 +119,7 @@ func benchReads(s *Service, i, n int) int {
 func BenchmarkSnapshotReadsIdleWriter(b *testing.B) {
 	const n = 4096
 	base := graph.StreamedRing(n)
-	s, err := New(base, palInstance(n, 4), nil, Options{})
+	s, err := New(base, coloring.FullPalette(n, 4, 0), nil, Options{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -179,7 +180,7 @@ func BenchmarkSnapshotReadsBusyWriter(b *testing.B) {
 // further churn, equal the never-compacted overlay's.
 func TestBackgroundCompactionSwap(t *testing.T) {
 	base := graph.StreamedRing(64)
-	s := mustService(t, base, palInstance(64, 5), Options{CompactThreshold: 8})
+	s := mustService(t, base, coloring.FullPalette(64, 5, 0), Options{CompactThreshold: 8})
 	ref := graph.NewOverlay(base) // never compacts: the oracle
 	apply := func(label string, ops []Op) BatchReport {
 		t.Helper()

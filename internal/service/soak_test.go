@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"listcolor/internal/coloring"
 	"listcolor/internal/graph"
 )
 
@@ -24,7 +25,7 @@ func TestServiceChurnSoakMillion(t *testing.T) {
 		batchSize = 1000
 		space     = 6
 	)
-	s := mustService(t, graph.StreamedRing(n), palInstance(n, space), Options{CompactThreshold: 50_000})
+	s := mustService(t, graph.StreamedRing(n), coloring.FullPalette(n, space, 0), Options{CompactThreshold: 50_000})
 	if err := s.ValidateState(); err != nil {
 		t.Fatalf("initial state: %v", err)
 	}

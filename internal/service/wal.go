@@ -12,8 +12,7 @@
 // were damaged afterwards — is detected by the length bound and the
 // CRC-32C check, and the tail from the first bad byte on is cleanly
 // discarded with a typed *WALTailError. Decoding never panics and
-// never allocates beyond the input length, mirroring the
-// sim.DecodePayload hostile-input contract.
+// never allocates beyond the input length.
 package service
 
 import (
@@ -197,8 +196,7 @@ func EncodeWALBatch(version uint64, ops []Op) []byte {
 // DecodeWALBatch parses a WAL record payload back into (version, ops).
 // Arbitrary (corrupted) input yields an error — never a panic and
 // never an allocation beyond O(len(data)): declared op and list counts
-// are checked against the remaining bytes before any slice is sized,
-// the same length-bound discipline as sim.DecodePayload.
+// are checked against the remaining bytes before any slice is sized.
 func DecodeWALBatch(data []byte) (version uint64, ops []Op, err error) {
 	rest := data
 	readUvarint := func() (uint64, error) {

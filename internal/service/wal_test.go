@@ -290,9 +290,8 @@ func TestParseSyncMode(t *testing.T) {
 	}
 }
 
-// FuzzWALRecordDecode is the WAL-level "corruption never panics"
-// contract, mirroring sim's FuzzCorruptedPayloadDecode: arbitrary
-// bytes decode to a record or an ErrWALRecord — never a panic, never
+// FuzzWALRecordDecode is the WAL's "corruption never panics"
+// contract: arbitrary bytes decode to a record or an ErrWALRecord — never a panic, never
 // an allocation beyond the input length — and accepted records
 // re-encode value-stably.
 func FuzzWALRecordDecode(f *testing.F) {

@@ -6,6 +6,7 @@ import (
 	"slices"
 	"testing"
 
+	"listcolor/internal/coloring"
 	"listcolor/internal/graph"
 )
 
@@ -97,7 +98,7 @@ func BenchmarkServiceApplySmallBatch(b *testing.B) {
 func benchmarkApply(b *testing.B, base *graph.CSR, batchOps int) {
 	const headroom = 4
 	space := base.RawMaxDegree() + headroom
-	svc, err := New(base, palInstance(base.N(), space), nil, Options{})
+	svc, err := New(base, coloring.FullPalette(base.N(), space, 0), nil, Options{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -124,7 +125,7 @@ func benchmarkApply(b *testing.B, base *graph.CSR, batchOps int) {
 // compaction out of the window.
 func TestApplyBatchAllocs(t *testing.T) {
 	const n = 500_000
-	svc := mustService(t, graph.StreamedRing(n), palInstance(n, 4), Options{CompactThreshold: n})
+	svc := mustService(t, graph.StreamedRing(n), coloring.FullPalette(n, 4, 0), Options{CompactThreshold: n})
 	// chords returns 5 inserts between distant degree-2 nodes, or the
 	// 5 deletes that undo them, plus 5 ring-edge deletes or re-inserts.
 	chords := func(action, ring string) []Op {
@@ -172,7 +173,7 @@ func TestApplyBatchAllocs(t *testing.T) {
 // node's list and budgets, never write through them — its neighbors in
 // the run keep the palette, and so does the caller's instance.
 func TestSetListLeavesSharedRunIntact(t *testing.T) {
-	inst := palInstance(12, 5)
+	inst := coloring.FullPalette(12, 5, 0)
 	full := slices.Clone(inst.Lists[0])
 	svc := mustService(t, graph.StreamedRing(12), inst, Options{})
 	if &svc.inst.Lists[4][0] != &svc.inst.Lists[6][0] {

@@ -1,10 +1,6 @@
 package sim
 
-import (
-	"encoding/binary"
-	"errors"
-	"fmt"
-)
+import "encoding/binary"
 
 // Corrupted is a payload damaged in transit: the adversary layer
 // replaces a delivery's payload with one of these via
@@ -25,29 +21,6 @@ type Corrupted struct {
 func (c Corrupted) SizeBits() int { return c.Bits }
 
 var _ Payload = Corrupted{}
-
-// ErrDecode wraps payload decoding failures: corrupted or truncated
-// bytes decode to an error, never a panic.
-var ErrDecode = errors.New("sim: payload decode failed")
-
-// LengthBoundError is the typed rejection of a hostile length prefix:
-// the input declared a list of Declared elements, but only Remaining
-// bytes follow the prefix — since every encoded element costs at least
-// one byte, the declaration is provably corrupt. Returning it BEFORE
-// sizing any buffer is what bounds the decoder's allocation at
-// O(len(data)) regardless of what the prefix claims (a flipped bit can
-// otherwise declare a multi-GiB list). It unwraps to ErrDecode, so
-// errors.Is(err, ErrDecode) keeps matching.
-type LengthBoundError struct {
-	Declared  uint64 // element count the varint prefix claims
-	Remaining int    // bytes actually left after the prefix
-}
-
-func (e *LengthBoundError) Error() string {
-	return fmt.Sprintf("sim: payload decode failed: declared length %d exceeds %d remaining bytes", e.Declared, e.Remaining)
-}
-
-func (e *LengthBoundError) Unwrap() error { return ErrDecode }
 
 // Wire-format tags of EncodePayload.
 const (
@@ -88,95 +61,4 @@ func EncodePayload(p Payload) ([]byte, bool) {
 	default:
 		return nil, false
 	}
-}
-
-// DecodePayload parses bytes produced by EncodePayload back into a
-// payload value. Arbitrary (corrupted) input yields an error — never a
-// panic and never an unbounded allocation: list lengths are checked
-// against the remaining input before any buffer is sized.
-func DecodePayload(data []byte) (Payload, error) {
-	if len(data) == 0 {
-		return nil, fmt.Errorf("%w: empty", ErrDecode)
-	}
-	rest := data[1:]
-	readVarint := func() (int64, error) {
-		v, n := binary.Varint(rest)
-		if n <= 0 {
-			return 0, fmt.Errorf("%w: bad varint", ErrDecode)
-		}
-		rest = rest[n:]
-		return v, nil
-	}
-	readUvarint := func() (uint64, error) {
-		v, n := binary.Uvarint(rest)
-		if n <= 0 {
-			return 0, fmt.Errorf("%w: bad uvarint", ErrDecode)
-		}
-		rest = rest[n:]
-		return v, nil
-	}
-	var out Payload
-	switch data[0] {
-	case tagInt:
-		v, err := readVarint()
-		if err != nil {
-			return nil, err
-		}
-		d, err := readUvarint()
-		if err != nil {
-			return nil, err
-		}
-		out = IntPayload{Value: int(v), Domain: int(d)}
-	case tagInts:
-		n, err := readUvarint()
-		if err != nil {
-			return nil, err
-		}
-		// Every value costs ≥ 1 byte, so a length beyond the remaining
-		// input is corrupt — reject before allocating.
-		if n > uint64(len(rest)) {
-			return nil, &LengthBoundError{Declared: n, Remaining: len(rest)}
-		}
-		values := make([]int, n)
-		for i := range values {
-			v, err := readVarint()
-			if err != nil {
-				return nil, err
-			}
-			values[i] = int(v)
-		}
-		d, err := readUvarint()
-		if err != nil {
-			return nil, err
-		}
-		m, err := readUvarint()
-		if err != nil {
-			return nil, err
-		}
-		out = IntsPayload{Values: values, Domain: int(d), MaxLen: int(m)}
-	case tagPair:
-		a, err := readVarint()
-		if err != nil {
-			return nil, err
-		}
-		b, err := readVarint()
-		if err != nil {
-			return nil, err
-		}
-		da, err := readUvarint()
-		if err != nil {
-			return nil, err
-		}
-		db, err := readUvarint()
-		if err != nil {
-			return nil, err
-		}
-		out = PairPayload{A: int(a), B: int(b), DomainA: int(da), DomainB: int(db)}
-	default:
-		return nil, fmt.Errorf("%w: unknown tag %d", ErrDecode, data[0])
-	}
-	if len(rest) != 0 {
-		return nil, fmt.Errorf("%w: %d trailing bytes", ErrDecode, len(rest))
-	}
-	return out, nil
 }

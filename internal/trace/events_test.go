@@ -1,7 +1,6 @@
 package trace
 
 import (
-	"bytes"
 	"reflect"
 	"strings"
 	"testing"
@@ -27,37 +26,6 @@ func TestAnnotateAndEvents(t *testing.T) {
 	rec.Reset()
 	if len(rec.Events()) != 0 || rec.Len() != 0 {
 		t.Error("Reset did not clear events")
-	}
-}
-
-func TestEventsJSONLRoundTrip(t *testing.T) {
-	var rec Recorder
-	rec.Annotate(3, "link-down", "link {0,4} dead through round 6")
-	rec.Annotate(1, "crash-recover", "node 2 down through round 2")
-	var buf bytes.Buffer
-	if err := rec.WriteEventsJSONL(&buf); err != nil {
-		t.Fatal(err)
-	}
-	back, err := ReadEventsJSONL(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(back, rec.Events()) {
-		t.Errorf("round trip: %+v vs %+v", back, rec.Events())
-	}
-	// The event stream must not contaminate the round-stats stream.
-	var rbuf bytes.Buffer
-	if err := rec.WriteJSONL(&rbuf); err != nil {
-		t.Fatal(err)
-	}
-	if rbuf.Len() != 0 {
-		t.Errorf("round stream contains %d bytes for an events-only recorder", rbuf.Len())
-	}
-}
-
-func TestReadEventsJSONLRejectsGarbage(t *testing.T) {
-	if _, err := ReadEventsJSONL(strings.NewReader("{nope")); err == nil {
-		t.Error("garbage accepted")
 	}
 }
 

@@ -1,14 +1,11 @@
 // Package trace records the per-round progression of a simulator run
-// — active nodes, message volume, bit volume — and renders it for
-// humans (a sparkline-style ASCII timeline) or machines (JSON lines).
-// It plugs into sim.Config.OnRound, so tracing requires no changes to
-// protocols.
+// — active nodes, message volume, bit volume — and renders it as a
+// sparkline-style ASCII timeline. It plugs into sim.Config.OnRound, so
+// tracing requires no changes to protocols.
 package trace
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
 	"strings"
 
 	"listcolor/internal/sim"
@@ -27,9 +24,9 @@ type Recorder struct {
 // phase transition, anything worth seeing next to the per-round
 // statistics.
 type Event struct {
-	Round  int    `json:"round"`
-	Kind   string `json:"kind"`
-	Detail string `json:"detail,omitempty"`
+	Round  int
+	Kind   string
+	Detail string
 }
 
 // Annotate records an event at the given round. Events are kept in
@@ -69,58 +66,6 @@ func (r *Recorder) Rounds() []sim.RoundStats { return r.rounds }
 
 // Reset discards all recorded rounds and events.
 func (r *Recorder) Reset() { r.rounds, r.events = nil, nil }
-
-// WriteEventsJSONL emits one JSON object per recorded annotation.
-// Kept separate from WriteJSONL so the round stream stays parseable
-// by ReadJSONL.
-func (r *Recorder) WriteEventsJSONL(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	for _, e := range r.events {
-		if err := enc.Encode(e); err != nil {
-			return fmt.Errorf("trace: encoding event at round %d: %w", e.Round, err)
-		}
-	}
-	return nil
-}
-
-// ReadEventsJSONL parses a stream written by WriteEventsJSONL.
-func ReadEventsJSONL(rd io.Reader) ([]Event, error) {
-	dec := json.NewDecoder(rd)
-	var out []Event
-	for dec.More() {
-		var e Event
-		if err := dec.Decode(&e); err != nil {
-			return nil, fmt.Errorf("trace: decoding event %d: %w", len(out)+1, err)
-		}
-		out = append(out, e)
-	}
-	return out, nil
-}
-
-// WriteJSONL emits one JSON object per recorded round.
-func (r *Recorder) WriteJSONL(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	for _, rs := range r.rounds {
-		if err := enc.Encode(rs); err != nil {
-			return fmt.Errorf("trace: encoding round %d: %w", rs.Round, err)
-		}
-	}
-	return nil
-}
-
-// ReadJSONL parses a stream written by WriteJSONL.
-func ReadJSONL(rd io.Reader) ([]sim.RoundStats, error) {
-	dec := json.NewDecoder(rd)
-	var out []sim.RoundStats
-	for dec.More() {
-		var rs sim.RoundStats
-		if err := dec.Decode(&rs); err != nil {
-			return nil, fmt.Errorf("trace: decoding round %d: %w", len(out)+1, err)
-		}
-		out = append(out, rs)
-	}
-	return out, nil
-}
 
 // sparkLevels are the eight block characters used by the timeline.
 var sparkLevels = []rune("▁▂▃▄▅▆▇█")

@@ -1,7 +1,6 @@
 package trace
 
 import (
-	"bytes"
 	"math/rand"
 	"strings"
 	"testing"
@@ -43,32 +42,6 @@ func TestAttachChains(t *testing.T) {
 	}
 	if called != rec.Len() || called == 0 {
 		t.Errorf("chained hook called %d times, recorder has %d", called, rec.Len())
-	}
-}
-
-func TestJSONLRoundTrip(t *testing.T) {
-	rec := recordLinialRun(t)
-	var buf bytes.Buffer
-	if err := rec.WriteJSONL(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadJSONL(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != rec.Len() {
-		t.Fatalf("round trip lost rounds: %d vs %d", len(got), rec.Len())
-	}
-	for i := range got {
-		if got[i] != rec.Rounds()[i] {
-			t.Fatalf("round %d differs: %+v vs %+v", i, got[i], rec.Rounds()[i])
-		}
-	}
-}
-
-func TestReadJSONLRejectsGarbage(t *testing.T) {
-	if _, err := ReadJSONL(strings.NewReader("not json")); err == nil {
-		t.Error("garbage accepted")
 	}
 }
 

@@ -257,6 +257,7 @@ func Solve(d *graph.Digraph, inst *coloring.Instance, initColors []int, q, p int
 // Any selector that maximizes Σ_{x∈S}(d_v(x)+1−k_v(x)) over ≤p-subsets
 // yields a correct algorithm (the Lemma 3.1 remark); selectors differ
 // only in local computation, which is reported in Result.LocalOps.
+// The total is recorded on cfg.Span.
 func SolveWithSelector(d *graph.Digraph, inst *coloring.Instance, initColors []int, q, p int, sel Selector, cfg sim.Config) (Result, error) {
 	if err := validateInputs(d, inst, initColors, q, p); err != nil {
 		return Result{}, err
@@ -264,7 +265,11 @@ func SolveWithSelector(d *graph.Digraph, inst *coloring.Instance, initColors []i
 	if err := CheckSlack(d, inst, p, 0); err != nil {
 		return Result{}, err
 	}
-	return solveUnchecked(d, inst, initColors, q, p, sel, cfg)
+	res, err := solveUnchecked(d, inst, initColors, q, p, sel, cfg)
+	if err == nil {
+		cfg.Span.Done(res.Stats)
+	}
+	return res, err
 }
 
 // solveUnchecked runs the protocol without the slack precondition
