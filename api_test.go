@@ -356,7 +356,8 @@ func TestPublicServiceChaos(t *testing.T) {
 // Composed solvers record their steps under the root and sub-solvers
 // record nothing at the top level; the Lemma A.1 pipelines (Theorem
 // 1.3's and Theorem 1.5's) put their bootstrap and one span per scale
-// directly under the root. Leaf solvers record no children.
+// directly under the root. Leaf solvers record no children. A run
+// without a span returns the same statistics.
 func TestSpanRootsRecordTotals(t *testing.T) {
 	g := NewRandomRegular(60, 4, 1)
 	d := OrientByID(g)
@@ -433,6 +434,11 @@ func TestSpanRootsRecordTotals(t *testing.T) {
 			}
 			if stats.Rounds == 0 || root.Stats != stats {
 				t.Errorf("root span stats %+v, run returned %+v", root.Stats, stats)
+			}
+			// Labels are built only under a span; skipping them must
+			// not skip any work.
+			if bare, err := tc.run(Config{}); err != nil || bare != stats {
+				t.Errorf("span-free run returned %+v (err %v), spanned run %+v", bare, err, stats)
 			}
 			switch {
 			case tc.kind == leaf && len(root.Children) != 0:

@@ -114,24 +114,43 @@ func BenchmarkColorSpaceReduction(b *testing.B) {
 	}
 }
 
-// BenchmarkDegPlusOne is E5, swept over Δ.
+// BenchmarkDegPlusOne is E5, swept over Δ, plus two shapes of the
+// (deg+1)-list pipeline's own cost:
+//   - solve-deep: perfbench's solve-deep shape (500-node 16-regular,
+//     C = 33, a span installed), where the Lemma 3.4 split returns
+//     one class per node, so per-class bookkeeping sets the cost;
+//   - split: n = 20,000 at Δ = 16, where the split engages (OLDC
+//     calls < n) and classes hold many nodes each.
 func BenchmarkDegPlusOne(b *testing.B) {
+	run := func(b *testing.B, g *Graph, space int, spanned bool) {
+		inst := NewDegreePlusOneInstance(g, space, 8)
+		var res DegPlusOneResult
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			cfg := Config{}
+			if spanned {
+				cfg.Span = NewSpan("deltaplus1")
+			}
+			var err error
+			if res, err = ColorDegPlusOne(g, inst, cfg); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.ReportMetric(float64(res.Stats.Rounds), "rounds")
+		b.ReportMetric(float64(res.OLDCCalls), "oldc-calls")
+	}
 	for _, deg := range []int{4, 8, 16} {
 		deg := deg
 		b.Run("delta="+itoa(deg), func(b *testing.B) {
-			g := NewRandomRegular(32*deg, deg, 7)
-			inst := NewDegreePlusOneInstance(g, deg+1, 8)
-			var rounds int
-			for i := 0; i < b.N; i++ {
-				res, err := ColorDegPlusOne(g, inst, Config{})
-				if err != nil {
-					b.Fatal(err)
-				}
-				rounds = res.Stats.Rounds
-			}
-			b.ReportMetric(float64(rounds), "rounds")
+			run(b, NewRandomRegular(32*deg, deg, 7), deg+1, false)
 		})
 	}
+	b.Run("solve-deep/n=500,delta=16", func(b *testing.B) {
+		run(b, NewRandomRegular(500, 16, 7), 33, true)
+	})
+	b.Run("split/n=20000,delta=16", func(b *testing.B) {
+		run(b, NewRandomRegular(20_000, 16, 7), 33, false)
+	})
 }
 
 // BenchmarkLocalComputation is E6: the Phase-I selection, sort vs the

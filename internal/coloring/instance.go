@@ -118,7 +118,7 @@ func (in *Instance) Clone() *Instance {
 		Space:   in.Space,
 	}
 	for v := range in.Lists {
-		if v > 0 && slices.Equal(in.Lists[v], in.Lists[v-1]) && slices.Equal(in.Defects[v], in.Defects[v-1]) {
+		if v > 0 && sameInts(in.Lists[v], in.Lists[v-1]) && sameInts(in.Defects[v], in.Defects[v-1]) {
 			out.Lists[v], out.Defects[v] = out.Lists[v-1], out.Defects[v-1]
 			continue
 		}
@@ -126,6 +126,15 @@ func (in *Instance) Clone() *Instance {
 		out.Defects[v] = append([]int(nil), in.Defects[v]...)
 	}
 	return out
+}
+
+// sameInts is slices.Equal that answers in O(1) for two lists sharing
+// one backing array and length, as a shared full palette's nodes do.
+func sameInts(a, b []int) bool {
+	if len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0]) {
+		return true
+	}
+	return slices.Equal(a, b)
 }
 
 // Validate checks structural invariants: aligned slices, sorted

@@ -272,4 +272,20 @@ func TestCloneSharesIdenticalRuns(t *testing.T) {
 	if !reflect.DeepEqual(c, want) {
 		t.Fatalf("source mutations reached the clone: %+v", c)
 	}
+
+	// All nodes on one shared palette: one shared copy, no alias of
+	// the source's list or defects.
+	full := FullPalette(5, 3, 1)
+	fc := full.Clone()
+	if !reflect.DeepEqual(fc, full) {
+		t.Fatalf("clone %+v differs from source %+v", fc, full)
+	}
+	for v := 1; v < fc.N(); v++ {
+		if !same(fc.Lists[v], fc.Lists[0]) || !same(fc.Defects[v], fc.Defects[0]) {
+			t.Fatalf("node %d of an all-shared instance has its own copy", v)
+		}
+	}
+	if same(fc.Lists[0], full.Lists[0]) || same(fc.Defects[0], full.Defects[0]) {
+		t.Fatal("clone of an all-shared instance aliases the source")
+	}
 }

@@ -70,11 +70,19 @@ func reduceSpaceSpanned(lambda int, kappa float64, a Solver, d *graph.Digraph, i
 	for level := k; level >= 1; level-- {
 		blockSize := powInt(lambda, level)
 		subSize := blockSize / lambda
-		levelSpan := cfgSpan.Child(fmt.Sprintf("level %d: %d group(s), blocks of %d", level, len(groups), blockSize))
+		// Labels are formatted only under a span: class solves run
+		// span-free, and there the labels would be thrown away.
+		var levelSpan *sim.Span
+		if cfgSpan != nil {
+			levelSpan = cfgSpan.Child(fmt.Sprintf("level %d: %d group(s), blocks of %d", level, len(groups), blockSize))
+		}
 		var levelStats sim.Result
 		var next []group
 		for _, grp := range groups {
-			grpSpan := levelSpan.Child(fmt.Sprintf("block@%d (%d nodes)", grp.blockLo, len(grp.nodes)))
+			var grpSpan *sim.Span
+			if levelSpan != nil {
+				grpSpan = levelSpan.Child(fmt.Sprintf("block@%d (%d nodes)", grp.blockLo, len(grp.nodes)))
+			}
 			var stats sim.Result
 			var err error
 			if level == 1 {
@@ -135,14 +143,16 @@ func solveChoice(a Solver, d *graph.Digraph, inst *coloring.Instance, initColors
 	if err := coloring.ValidateOLDC(dInd, choice, colors); err != nil {
 		return nil, sim.Result{}, fmt.Errorf("csr: block choice produced invalid OLDC: %w", err)
 	}
-	children := make(map[int][]int, lambda)
+	// One bucket per block (ValidateOLDC has checked that every block
+	// lies in [0, λ)); empty blocks are then dropped in place.
+	children := make([]group, lambda)
 	for i, blk := range colors {
-		children[blk] = append(children[blk], orig[i])
+		children[blk].nodes = append(children[blk].nodes, orig[i])
 	}
-	out := make([]group, 0, len(children))
-	for blk := 0; blk < lambda; blk++ {
-		if nodes, ok := children[blk]; ok {
-			out = append(out, group{nodes: nodes, blockLo: grp.blockLo + blk*subSize})
+	out := children[:0]
+	for blk, c := range children {
+		if len(c.nodes) > 0 {
+			out = append(out, group{nodes: c.nodes, blockLo: grp.blockLo + blk*subSize})
 		}
 	}
 	return out, stats, nil

@@ -160,10 +160,14 @@ func RandomRegular(n, d int, rng *rand.Rand) *Graph {
 	if d == 0 {
 		return New(n)
 	}
-	g := circulant(n, d)
-	// Randomize: attempt ~20 swaps per edge, maintaining the edge list
-	// incrementally so the whole pass is O(m·Δ).
-	edges := g.Edges()
+	// Randomize: attempt ~20 swaps per edge. The chain keeps the edge
+	// list and a hashed set of its edges, so a swap costs O(1), and
+	// the sorted adjacency is built once at the end.
+	edges := circulant(n, d).Edges()
+	set := newEdgeSet(n, len(edges))
+	for _, e := range edges {
+		set.add(e[0], e[1])
+	}
 	canon := func(u, v int) [2]int {
 		if u > v {
 			u, v = v, u
@@ -182,18 +186,85 @@ func RandomRegular(n, d int, rng *rand.Rand) *Graph {
 		if a == c || a == dd || b == c || b == dd {
 			continue
 		}
-		if g.HasEdge(a, c) || g.HasEdge(b, dd) {
+		if set.has(a, c) || set.has(b, dd) {
 			continue
 		}
-		g.RemoveEdge(a, b)
-		g.RemoveEdge(c, dd)
-		g.MustAddEdge(a, c)
-		g.MustAddEdge(b, dd)
+		set.remove(a, b)
+		set.remove(c, dd)
+		set.add(a, c)
+		set.add(b, dd)
 		edges[i1] = canon(a, c)
 		edges[i2] = canon(b, dd)
 	}
+	g := New(n)
+	for _, e := range edges {
+		g.MustAddEdge(e[0], e[1])
+	}
 	g.Normalize()
 	return g
+}
+
+// edgeSet is an open-addressing set of undirected edges with linear
+// probing. A slot holds 1 + the canonical key u·n+v (u < v), or 0 when
+// empty. The table is kept at most a quarter full: at half full, the
+// longer probe runs made the swap chain no faster than probing the
+// adjacency lists at d = 4.
+type edgeSet struct {
+	n     uint64
+	shift uint // 64 − log2(len(slots)), for the multiplicative hash
+	slots []uint64
+}
+
+func newEdgeSet(n, m int) *edgeSet {
+	bits := uint(1)
+	for 1<<bits < 4*m {
+		bits++
+	}
+	return &edgeSet{n: uint64(n), shift: 64 - bits, slots: make([]uint64, 1<<bits)}
+}
+
+func (s *edgeSet) key(u, v int) uint64 {
+	if u > v {
+		u, v = v, u
+	}
+	return uint64(u)*s.n + uint64(v) + 1
+}
+
+func (s *edgeSet) home(k uint64) int { return int((k * 0x9E3779B97F4A7C15) >> s.shift) }
+
+// find returns the slot holding k, or the empty slot that ends its
+// probe run.
+func (s *edgeSet) find(k uint64) int {
+	mask := len(s.slots) - 1
+	i := s.home(k)
+	for s.slots[i] != 0 && s.slots[i] != k {
+		i = (i + 1) & mask
+	}
+	return i
+}
+
+func (s *edgeSet) has(u, v int) bool { return s.slots[s.find(s.key(u, v))] != 0 }
+
+func (s *edgeSet) add(u, v int) {
+	k := s.key(u, v)
+	s.slots[s.find(k)] = k
+}
+
+// remove deletes the edge {u, v}, which must be present, and shifts
+// later keys of its probe run back into the hole, so no lookup stops
+// early at it (deletion without tombstones).
+func (s *edgeSet) remove(u, v int) {
+	mask := len(s.slots) - 1
+	i := s.find(s.key(u, v))
+	s.slots[i] = 0
+	for j := (i + 1) & mask; s.slots[j] != 0; j = (j + 1) & mask {
+		// The key at j may fill the hole at i when i lies on its probe
+		// path, from its home slot to j.
+		if (j-s.home(s.slots[j]))&mask >= (j-i)&mask {
+			s.slots[i], s.slots[j] = s.slots[j], 0
+			i = j
+		}
+	}
 }
 
 // circulant returns the canonical d-regular circulant on n vertices:

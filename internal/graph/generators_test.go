@@ -2,6 +2,7 @@ package graph
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -120,6 +121,66 @@ func TestRandomRegularDegrees(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)
+	}
+}
+
+// randomRegularRef is RandomRegular's swap chain run on the Graph
+// itself, with a linear-scan HasEdge and RemoveEdge per probe: the
+// reference the hashed chain must match graph for graph.
+func randomRegularRef(n, d int, rng *rand.Rand) *Graph {
+	g := circulant(n, d)
+	edges := g.Edges()
+	canon := func(u, v int) [2]int {
+		if u > v {
+			u, v = v, u
+		}
+		return [2]int{u, v}
+	}
+	for attempt := 0; attempt < 20*len(edges); attempt++ {
+		i1 := rng.Intn(len(edges))
+		i2 := rng.Intn(len(edges))
+		a, b := edges[i1][0], edges[i1][1]
+		c, dd := edges[i2][0], edges[i2][1]
+		if rng.Intn(2) == 0 {
+			c, dd = dd, c
+		}
+		if a == c || a == dd || b == c || b == dd {
+			continue
+		}
+		if g.HasEdge(a, c) || g.HasEdge(b, dd) {
+			continue
+		}
+		g.RemoveEdge(a, b)
+		g.RemoveEdge(c, dd)
+		g.MustAddEdge(a, c)
+		g.MustAddEdge(b, dd)
+		edges[i1] = canon(a, c)
+		edges[i2] = canon(b, dd)
+	}
+	g.Normalize()
+	return g
+}
+
+// TestRandomRegularMatchesReference: the hashed swap chain draws the
+// same random numbers and makes the same swaps as the reference, so
+// every (n, d, seed) gives the same graph, odd d included.
+func TestRandomRegularMatchesReference(t *testing.T) {
+	for _, n := range []int{6, 7, 12, 41, 100, 500} {
+		for _, d := range []int{1, 2, 3, 4, 5, 8, 15, 16} {
+			if d >= n || (n*d)%2 != 0 {
+				continue
+			}
+			for seed := int64(1); seed <= 3; seed++ {
+				got := RandomRegular(n, d, rand.New(rand.NewSource(seed)))
+				want := randomRegularRef(n, d, rand.New(rand.NewSource(seed)))
+				if err := got.Validate(); err != nil {
+					t.Fatalf("n=%d d=%d seed=%d: %v", n, d, seed, err)
+				}
+				if got.M() != want.M() || !reflect.DeepEqual(got.Edges(), want.Edges()) {
+					t.Fatalf("n=%d d=%d seed=%d: edge list differs from the reference", n, d, seed)
+				}
+			}
+		}
 	}
 }
 

@@ -39,6 +39,27 @@ func announceStats(g *graph.Graph, orig []int, space int) sim.Result {
 	return sim.Result{Rounds: 1, Messages: msgs, TotalBits: msgs * bits, MaxMessageBits: bits}
 }
 
+// bucketByClass groups the positions 0..len(colors)−1 by their class
+// in [0, k) with one counting pass: class c's members are
+// members[start[c]:start[c+1]], ascending. A slack reduction's pass
+// over its classes thus costs O(len(colors) + k).
+func bucketByClass(colors []int, k int) (start, members []int) {
+	start = make([]int, k+1)
+	for _, c := range colors {
+		start[c+1]++
+	}
+	for c := 0; c < k; c++ {
+		start[c+1] += start[c]
+	}
+	next := append([]int(nil), start[:k]...)
+	members = make([]int, len(colors))
+	for i, c := range colors {
+		members[next[c]] = i
+		next[c]++
+	}
+	return start, members
+}
+
 // classes is the state the slack reductions (Lemmas 4.4 and A.1)
 // share across their sequential class steps: the committed colors and
 // arcs, and the counter that prunes one node's list at a time.
@@ -168,15 +189,13 @@ func SlackReduce2(g *graph.Graph, inst *coloring.Instance, base []int, q, mu int
 	if err != nil {
 		return coloring.ArbResult{}, sim.Result{}, fmt.Errorf("nbhood: Lemma 4.4 split: %w", err)
 	}
-	span.Child(fmt.Sprintf("Lemma 4.4 split ε=1/%d → %d classes", mu, psi.Palette)).Done(psi.Stats)
+	if span != nil {
+		span.Child(fmt.Sprintf("Lemma 4.4 split ε=1/%d → %d classes", mu, psi.Palette)).Done(psi.Stats)
+	}
 	stats := psi.Stats
+	start, byClass := bucketByClass(psi.Colors, psi.Palette)
 	for class := 0; class < psi.Palette; class++ {
-		var members []int
-		for v := 0; v < n; v++ {
-			if psi.Colors[v] == class {
-				members = append(members, v)
-			}
-		}
+		members := byClass[start[class]:start[class+1]]
 		if len(members) == 0 {
 			continue
 		}
@@ -184,7 +203,9 @@ func SlackReduce2(g *graph.Graph, inst *coloring.Instance, base []int, q, mu int
 		if err != nil {
 			return coloring.ArbResult{}, sim.Result{}, fmt.Errorf("nbhood: Lemma 4.4 class %d: %w", class, err)
 		}
-		span.Child(fmt.Sprintf("class %d: %d nodes (slack-μ solver)", class, len(members))).Done(own)
+		if span != nil {
+			span.Child(fmt.Sprintf("class %d: %d nodes (slack-μ solver)", class, len(members))).Done(own)
+		}
 		stats = sim.Seq(stats, total)
 	}
 	span.Done(stats)
@@ -242,30 +263,39 @@ func DegreeHalving(g *graph.Graph, inst *coloring.Instance, base []int, q, mu in
 	for v := range uncolored {
 		uncolored[v] = v
 	}
+	// posH[v] is 1 + v's position in the current scale's H, 0 when v
+	// is not in H; it is cleared after each scale.
+	posH := make([]int, g.N())
 	scales := 0
 	for len(uncolored) > 0 {
 		if scales == maxScales {
 			return coloring.ArbResult{}, sim.Result{}, 0, fmt.Errorf("nbhood: Lemma A.1 did not converge in %d scales", maxScales)
 		}
 		scales++
-		// uncolored stays ascending, so origH is too and a rank table
-		// replaces a per-scale map.
 		h, origH := g.InducedSubgraph(uncolored)
-		indexH := palette.NewIndex(origH)
+		for i, v := range origH {
+			posH[v] = i + 1
+		}
 		psi, err := defective.ColorUndirected(h, induceInts(base, origH), q, alpha, c.cfg)
 		if err != nil {
 			return coloring.ArbResult{}, sim.Result{}, 0, fmt.Errorf("nbhood: Lemma A.1 split: %w", err)
 		}
-		scaleSpan := span.Child(fmt.Sprintf("scale %d: %d uncolored", scales, len(origH)))
-		scaleSpan.Child(fmt.Sprintf("defective split α=%.3g → %d classes", alpha, psi.Palette)).Done(psi.Stats)
+		var scaleSpan *sim.Span
+		if span != nil {
+			scaleSpan = span.Child(fmt.Sprintf("scale %d: %d uncolored", scales, len(origH)))
+			scaleSpan.Child(fmt.Sprintf("defective split α=%.3g → %d classes", alpha, psi.Palette)).Done(psi.Stats)
+		}
 		scaleStats := psi.Stats
 		coloredInScale := make([]int, len(origH)) // H-neighbors colored this scale
 		done := make([]bool, len(origH))
+		start, byClass := bucketByClass(psi.Colors, psi.Palette)
 		for class := 0; class < psi.Palette; class++ {
+			// The activity test reads coloredInScale at the class's
+			// turn, after every earlier class has committed.
 			var active []int
-			for i, v := range origH {
-				if !done[i] && psi.Colors[i] == class && 2*coloredInScale[i] <= h.Degree(i) {
-					active = append(active, v)
+			for _, i := range byClass[start[class]:start[class+1]] {
+				if 2*coloredInScale[i] <= h.Degree(i) {
+					active = append(active, origH[i])
 					done[i] = true
 				}
 			}
@@ -276,15 +306,20 @@ func DegreeHalving(g *graph.Graph, inst *coloring.Instance, base []int, q, mu in
 			if err != nil {
 				return coloring.ArbResult{}, sim.Result{}, 0, fmt.Errorf("nbhood: Lemma A.1 scale %d class %d: %w", scales, class, err)
 			}
-			scaleSpan.Child(fmt.Sprintf("class %d: %d active", class, len(active))).Done(own)
+			if scaleSpan != nil {
+				scaleSpan.Child(fmt.Sprintf("class %d: %d active", class, len(active))).Done(own)
+			}
 			scaleStats = sim.Seq(scaleStats, total)
 			for _, v := range active {
 				for _, u := range g.Neighbors(v) {
-					if j, ok := indexH.Rank(u); ok {
-						coloredInScale[j]++
+					if p := posH[u]; p > 0 {
+						coloredInScale[p-1]++
 					}
 				}
 			}
+		}
+		for _, v := range origH {
+			posH[v] = 0
 		}
 		scaleSpan.Done(scaleStats)
 		stats = sim.Seq(stats, scaleStats)

@@ -391,7 +391,9 @@ func SolveFast(d *graph.Digraph, inst *coloring.Instance, initColors []int, q, p
 	alpha := eps / float64(p)
 	span := cfg.Span
 	subCfg := cfg
-	subCfg.Span = span.Child(fmt.Sprintf("defective split α=%.3g (Lemma 3.4)", alpha))
+	if span != nil {
+		subCfg.Span = span.Child(fmt.Sprintf("defective split α=%.3g (Lemma 3.4)", alpha))
+	}
 	psi, err := defective.ColorOriented(d, initColors, q, alpha, subCfg)
 	if err != nil {
 		return Result{}, fmt.Errorf("twosweep: defective preprocessing: %w", err)
@@ -420,7 +422,9 @@ func SolveFast(d *graph.Digraph, inst *coloring.Instance, initColors []int, q, p
 	})
 	// Step 3: Two-Sweep over the K = O(p²/ε²) classes of Ψ.
 	sweepCfg := cfg
-	sweepCfg.Span = span.Child(fmt.Sprintf("two-sweep over q'=%d classes (Algorithm 1)", psi.Palette))
+	if span != nil {
+		sweepCfg.Span = span.Child(fmt.Sprintf("two-sweep over q'=%d classes (Algorithm 1)", psi.Palette))
+	}
 	sub, err := solveUnchecked(dPrime, reduced, psi.Colors, psi.Palette, p, SortSelector, sweepCfg)
 	if err != nil {
 		return Result{}, err
