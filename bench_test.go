@@ -68,27 +68,65 @@ func BenchmarkTwoSweepDefect(b *testing.B) {
 	}
 }
 
-// BenchmarkFastTwoSweep is E3: the ε > 0 path on a large-q input.
+// BenchmarkFastTwoSweep runs Algorithm 2 (ε > 0) at two shapes:
+//   - E3: Fast-Two-Sweep from node ids on a large-q input;
+//   - solve-wide: perfbench's solve-wide op, Linial from ids then
+//     Fast-Two-Sweep with p = 2, ε = 1 on MinSlackOriented lists over
+//     4p²+24 colors, round-robin over a pool of distinct 1000-node
+//     4-regular graphs. Its time is mostly the engine's round loop
+//     and node steps.
 func BenchmarkFastTwoSweep(b *testing.B) {
-	n := 1024
-	g := NewRandomRegular(n, 6, 4)
-	d := OrientByID(g)
-	ids := make([]int, n)
-	for v := range ids {
-		ids[v] = v
-	}
-	p, eps := 2, 1.0
-	inst := NewMinSlackInstance(d, 4*p*p+24, p, eps, 5)
-	var rounds int
-	for i := 0; i < b.N; i++ {
-		res, err := TwoSweepFast(d, inst, ids, n, p, eps, Config{})
-		if err != nil {
-			b.Fatal(err)
+	b.Run("E3/n=1024,deg=6", func(b *testing.B) {
+		n := 1024
+		g := NewRandomRegular(n, 6, 4)
+		d := OrientByID(g)
+		ids := make([]int, n)
+		for v := range ids {
+			ids[v] = v
 		}
-		rounds = res.Stats.Rounds
-	}
-	b.ReportMetric(float64(rounds), "rounds")
-	b.ReportMetric(float64(2*n+1), "plain-rounds")
+		p, eps := 2, 1.0
+		inst := NewMinSlackInstance(d, 4*p*p+24, p, eps, 5)
+		var rounds int
+		for i := 0; i < b.N; i++ {
+			res, err := TwoSweepFast(d, inst, ids, n, p, eps, Config{})
+			if err != nil {
+				b.Fatal(err)
+			}
+			rounds = res.Stats.Rounds
+		}
+		b.ReportMetric(float64(rounds), "rounds")
+		b.ReportMetric(float64(2*n+1), "plain-rounds")
+	})
+	b.Run("solve-wide/n=1000,deg=4", func(b *testing.B) {
+		const n, deg, pool, p, eps = 1000, 4, 24, 2, 1.0
+		type instance struct {
+			g    *Graph
+			d    *Digraph
+			inst *Instance
+		}
+		insts := make([]instance, pool)
+		for k := range insts {
+			g := NewRandomRegular(n, deg, int64(k)+1)
+			d := OrientByID(g)
+			insts[k] = instance{g, d, NewMinSlackInstance(d, 4*p*p+24, p, eps, int64(k)+1)}
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		rounds := 0
+		for i := 0; i < b.N; i++ {
+			in := insts[i%pool]
+			lin, err := LinialColor(in.g, Config{})
+			if err != nil {
+				b.Fatal(err)
+			}
+			res, err := TwoSweepFast(in.d, in.inst, lin.Colors, lin.Palette, p, eps, Config{})
+			if err != nil {
+				b.Fatal(err)
+			}
+			rounds += lin.Stats.Rounds + res.Stats.Rounds
+		}
+		b.ReportMetric(float64(rounds)/float64(b.N), "rounds/op")
+	})
 }
 
 // BenchmarkColorSpaceReduction is E4, swept over C.

@@ -3,8 +3,6 @@
 // iterated logarithm log*, and the tower function that inverts it.
 package logstar
 
-import "math"
-
 // CeilLog2 returns ⌈log₂(x)⌉ for x ≥ 1. CeilLog2(1) = 0.
 // It panics if x < 1: the algorithms never take logarithms of
 // non-positive quantities and a silent 0 would mask a slack-arithmetic
@@ -36,9 +34,13 @@ func FloorLog2(x int) int {
 // must be iterated, starting from x, before the result is at most 1.
 // LogStar(x) = 0 for x ≤ 1, LogStar(2) = 1, LogStar(16) = 3,
 // LogStar(65536) = 4.
+//
+// It iterates the integer ⌈log₂⌉ instead of the real log₂, with the
+// same count: log* of a real y > 0 equals log* of ⌈y⌉, because log*
+// steps up only just past the tower values 2↑↑k, which are integers.
 func LogStar(x int) int {
 	n := 0
-	for v := float64(x); v > 1; v = math.Log2(v) {
+	for v := x; v > 1; v = CeilLog2(v) {
 		n++
 	}
 	return n

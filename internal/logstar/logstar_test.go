@@ -61,6 +61,38 @@ func TestLogStar(t *testing.T) {
 	}
 }
 
+// logStarFloat is the real-valued definition of log*, iterating
+// math.Log2 in float64: the reference LogStar's integer loop must
+// match.
+func logStarFloat(x int) int {
+	n := 0
+	for v := float64(x); v > 1; v = math.Log2(v) {
+		n++
+	}
+	return n
+}
+
+// TestLogStarMatchesFloat checks the integer LogStar against the
+// float reference on every int in [-5, 2²⁰], around every power of
+// two an int holds, and at the ends of the int range.
+func TestLogStarMatchesFloat(t *testing.T) {
+	check := func(x int) {
+		if got, want := LogStar(x), logStarFloat(x); got != want {
+			t.Errorf("LogStar(%d) = %d, float reference %d", x, got, want)
+		}
+	}
+	for x := -5; x <= 1<<20; x++ {
+		check(x)
+	}
+	for k := 0; k < 63; k++ {
+		check(1<<k - 1)
+		check(1 << k)
+		check(1<<k + 1)
+	}
+	check(math.MaxInt)
+	check(math.MinInt)
+}
+
 func TestTower(t *testing.T) {
 	want := []int{1, 2, 4, 16, 65536}
 	for k, w := range want {

@@ -2,7 +2,9 @@ package sim
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -138,6 +140,150 @@ func TestSmallestPanickingNodeWins(t *testing.T) {
 		}
 		if !strings.Contains(err.Error(), "node 1 in round 1") {
 			t.Errorf("driver %v: want node 1 reported, got: %v", d, err)
+		}
+	}
+}
+
+// hookPanic is the value the hook tests panic with; recovering it
+// from Run shows the engine let the panic through untouched.
+type hookPanic struct {
+	hook  string
+	round int
+}
+
+// recoverRun runs cfg over a 16-node ring of digest nodes and returns
+// the value Run panicked with, or nil if it returned.
+func recoverRun(t *testing.T, cfg Config) (r any) {
+	t.Helper()
+	defer func() { r = recover() }()
+	nodes, _ := newDigestNodes(16, 4)
+	res, err := Run(NewNetwork(graph.Ring(16)), nodes, cfg)
+	t.Errorf("Run returned (%+v, %v) instead of panicking", res, err)
+	return nil
+}
+
+// TestHookPanicPropagates pins where the engine's recover stops: it
+// covers node code only, so a panic raised by a fault hook or by
+// OnRound is not a node panic and must panic out of Run, under both
+// drivers, with and without routing shards, in the init pass as well
+// as in a round.
+func TestHookPanicPropagates(t *testing.T) {
+	const v = 5
+	cases := []struct {
+		want hookPanic
+		cfg  Config
+	}{
+		{hookPanic{"NodeDown", 2}, Config{NodeDown: func(round, u int) NodeStatus {
+			if round == 2 && u == v {
+				panic(hookPanic{"NodeDown", round})
+			}
+			return NodeUp
+		}}},
+		{hookPanic{"DropMessage", 0}, Config{DropMessage: func(round, from, to int) bool {
+			if round == 0 && from == v {
+				panic(hookPanic{"DropMessage", round})
+			}
+			return false
+		}}},
+		{hookPanic{"DropMessage", 2}, Config{DropMessage: func(round, from, to int) bool {
+			if round == 2 && from == v {
+				panic(hookPanic{"DropMessage", round})
+			}
+			return false
+		}}},
+		{hookPanic{"CorruptMessage", 0}, Config{CorruptMessage: func(round, from, to int, p Payload) (Payload, bool) {
+			if round == 0 && from == v {
+				panic(hookPanic{"CorruptMessage", round})
+			}
+			return p, false
+		}}},
+		{hookPanic{"CorruptMessage", 2}, Config{CorruptMessage: func(round, from, to int, p Payload) (Payload, bool) {
+			if round == 2 && from == v {
+				panic(hookPanic{"CorruptMessage", round})
+			}
+			return p, false
+		}}},
+		{hookPanic{"OnRound", 2}, Config{OnRound: func(rs RoundStats) {
+			if rs.Round == 2 {
+				panic(hookPanic{"OnRound", rs.Round})
+			}
+		}}},
+	}
+	for _, c := range cases {
+		for _, run := range []struct {
+			name   string
+			d      Driver
+			shards int
+		}{{"lockstep", Lockstep, 0}, {"workers", Workers, 0}, {"workers-sharded", Workers, 2}} {
+			cfg := c.cfg.WithDriver(run.d)
+			cfg.Shards = run.shards
+			t.Run(fmt.Sprintf("%s-round%d/%s", c.want.hook, c.want.round, run.name), func(t *testing.T) {
+				if r := recoverRun(t, cfg); r != c.want {
+					t.Errorf("Run panicked with %v, want %v", r, c.want)
+				}
+			})
+		}
+	}
+}
+
+// tally counts its Round calls and panics in round panicAt (0: never);
+// it finishes after round 3.
+type tally struct {
+	calls   *int
+	panicAt int
+}
+
+func (tally) Init(ctx *Context) []Outgoing { return nil }
+
+func (c tally) Round(ctx *Context, round int, inbox []Message) ([]Outgoing, bool) {
+	*c.calls++
+	if round == c.panicAt {
+		panic(fmt.Sprintf("tally %d", ctx.ID))
+	}
+	return nil, round >= 3
+}
+
+// TestWorkerChunkPanicsStepEveryNode: nodes 1 and 2, which share a
+// worker's chunk, panic in the same round. The chunk's one recover must
+// resume after each panic, so every node of the round still steps, each
+// panicking node's error is its own, and the run reports the smaller id.
+func TestWorkerChunkPanicsStepEveryNode(t *testing.T) {
+	const round = 2
+	// At least 5 ids per chunk, so ids 0–4 all fall in the first one.
+	n := 4*runtime.GOMAXPROCS(0) + 4
+	calls := make([]int, n)
+	nodes := make([]Node, n)
+	for v := range nodes {
+		nodes[v] = tally{calls: &calls[v]}
+	}
+	nodes[1] = tally{calls: &calls[1], panicAt: round}
+	nodes[2] = tally{calls: &calls[2], panicAt: round}
+	nw := NewNetwork(graph.Ring(n))
+	_, err := Run(nw, nodes, Config{Driver: Workers})
+	if !errors.Is(err, ErrNodePanic) || !strings.Contains(err.Error(), "node 1 in round 2: tally 1") {
+		t.Fatalf("err = %v, want ErrNodePanic for node 1 in round 2", err)
+	}
+	for v, c := range calls {
+		if c != round {
+			t.Errorf("node %d stepped %d times, want %d", v, c, round)
+		}
+	}
+
+	// One chunk stepped directly: each panic lands on its own node.
+	clear(calls)
+	w := &workerRound{nodes: nodes, ctxs: nw.contexts(), round: round, inboxes: make([][]Message, n),
+		outs: make([][]Outgoing, n), fins: make([]bool, n), errs: make([]error, n)}
+	w.stepAll([]int{0, 1, 2, 3, 4})
+	for v := 0; v < n; v++ {
+		want, stepped := "", v <= 4
+		if v == 1 || v == 2 {
+			want = fmt.Sprintf("node %d in round %d: tally %d", v, round, v)
+		}
+		if got := w.errs[v]; (want == "") != (got == nil) || (got != nil && !strings.Contains(got.Error(), want)) {
+			t.Errorf("errs[%d] = %v, want %q", v, got, want)
+		}
+		if stepped != (calls[v] == 1) {
+			t.Errorf("node %d stepped %d times, stepped in chunk %v", v, calls[v], stepped)
 		}
 	}
 }

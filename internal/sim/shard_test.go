@@ -161,7 +161,7 @@ func TestShardedErrorFallback(t *testing.T) {
 }
 
 // panicAt wraps a protocol node: the node with the given id panics at
-// the given round (surfacing as ErrNodePanic through safeRound), and
+// the given round (surfacing as ErrNodePanic), and
 // behaves as the inner protocol everywhere else.
 type panicAt struct {
 	Node

@@ -16,6 +16,13 @@
 // a worker-pool driver that steps each round's nodes concurrently.
 // Both must produce identical results; the test suite checks this
 // property on random protocols.
+//
+// A node that panics does not crash the process: its panic becomes an
+// ErrNodePanic run error. The drivers step a whole pass of nodes — the
+// init pass, one lockstep round, one worker's chunk of a round — under
+// a single deferred recover, not one per node step, and that recover
+// covers node code only: a panic raised by the engine or by a Config
+// hook still propagates out of Run.
 package sim
 
 import (
@@ -281,28 +288,53 @@ var ErrRoundLimit = errors.New("sim: round limit exceeded")
 // a message lost to fault injection); the engine converts that into a
 // deterministic run error — attributed to the smallest panicking node
 // id of the earliest failing round, under every driver — instead of
-// crashing the process.
+// crashing the process. The recover runs once per pass of nodes (the
+// init pass, a lockstep round, a worker's chunk) and converts only
+// panics raised inside a node's Init or Round: a panicking NodeDown,
+// DropMessage, CorruptMessage or OnRound hook, or the router itself,
+// panics out of Run as before.
 var ErrNodePanic = errors.New("sim: node panicked")
 
-// safeInit calls nd.Init, converting a panic into an error.
-func safeInit(nd Node, ctx *Context) (outs []Outgoing, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = fmt.Errorf("%w: node %d in init: %v", ErrNodePanic, ctx.ID, r)
-		}
-	}()
-	return nd.Init(ctx), nil
+// nodeStep attributes a panic to the node whose code raised it, so a
+// pass of many node steps needs only one deferred recover. A driver
+// sets v to a node's id just before calling its Init or Round and back
+// to -1 right after; everything else the pass runs — routing, the
+// fault hooks — runs with v = -1.
+type nodeStep struct {
+	round int // 0 while stepping Init
+	v     int // the node whose Init or Round is running, or -1
 }
 
-// safeRound calls nd.Round, converting a panic into an error.
-func safeRound(nd Node, ctx *Context, round int, inbox []Message) (outs []Outgoing, done bool, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = fmt.Errorf("%w: node %d in round %d: %v", ErrNodePanic, ctx.ID, round, r)
+// catch is deferred once per pass. A panic raised in node code becomes
+// an ErrNodePanic stored in *err, and the pass returns normally; a
+// panic raised with v = -1 is left alone and keeps unwinding.
+func (s *nodeStep) catch(err *error) {
+	if s.v < 0 {
+		return
+	}
+	if r := recover(); r != nil {
+		if s.round == 0 {
+			*err = fmt.Errorf("%w: node %d in init: %v", ErrNodePanic, s.v, r)
+		} else {
+			*err = fmt.Errorf("%w: node %d in round %d: %v", ErrNodePanic, s.v, s.round, r)
 		}
-	}()
-	outs, done = nd.Round(ctx, round, inbox)
-	return outs, done, nil
+	}
+}
+
+// initNodes calls every node's Init in id order and routes its sends,
+// the init pass both drivers share, under one deferred recover.
+func initNodes(nodes []Node, ctxs []Context, rt *router) (err error) {
+	s := nodeStep{v: -1}
+	defer s.catch(&err)
+	for v := range nodes {
+		s.v = v
+		outs := nodes[v].Init(&ctxs[v])
+		s.v = -1
+		if rerr := rt.route(v, outs); rerr != nil {
+			return fmt.Errorf("init of node %d: %w", v, rerr)
+		}
+	}
+	return nil
 }
 
 // Network is the communication topology: a CSR-form undirected graph
@@ -539,14 +571,8 @@ func runLockstep(nw *Network, nodes []Node, cfg Config) (Result, error) {
 	n := nw.N()
 	ctxs := nw.contexts()
 	rt := newRouter(nw, cfg)
-	for v := 0; v < n; v++ {
-		outs, err := safeInit(nodes[v], &ctxs[v])
-		if err != nil {
-			return rt.res, err
-		}
-		if err := rt.route(v, outs); err != nil {
-			return rt.res, fmt.Errorf("init of node %d: %w", v, err)
-		}
+	if err := initNodes(nodes, ctxs, rt); err != nil {
+		return rt.res, err
 	}
 	done := make([]bool, n)
 	remaining := n
@@ -557,34 +583,11 @@ func runLockstep(nw *Network, nodes []Node, cfg Config) (Result, error) {
 		inboxes := rt.flush()
 		rt.round = round
 		prevMsgs, prevBits := rt.res.Messages, rt.res.TotalBits
-		active := 0
-		for v := 0; v < n; v++ {
-			if done[v] {
-				continue
-			}
-			if cfg.NodeDown != nil {
-				switch cfg.NodeDown(round, v) {
-				case NodeDowned:
-					continue // state kept, round (and this round's inbox) lost
-				case NodeCrashed:
-					done[v] = true
-					remaining--
-					continue
-				}
-			}
-			active++
-			outs, fin, err := safeRound(nodes[v], &ctxs[v], round, inboxes[v])
-			if err != nil {
-				return rt.res, err
-			}
-			if err := rt.route(v, outs); err != nil {
-				return rt.res, fmt.Errorf("round %d, node %d: %w", round, v, err)
-			}
-			if fin {
-				done[v] = true
-				remaining--
-			}
+		active, ended, err := lockstepRound(nodes, ctxs, rt, done, round, inboxes)
+		if err != nil {
+			return rt.res, err
 		}
+		remaining -= ended
 		rt.res.Rounds = round
 		if cfg.OnRound != nil {
 			cfg.OnRound(RoundStats{
@@ -597,4 +600,41 @@ func runLockstep(nw *Network, nodes []Node, cfg Config) (Result, error) {
 		}
 	}
 	return rt.res, nil
+}
+
+// lockstepRound is one lockstep round: each live node in id order
+// consults NodeDown, steps, and has its sends routed before the next
+// node steps. The whole pass shares one deferred recover. It returns
+// how many nodes stepped and how many terminated (finished or crashed).
+func lockstepRound(nodes []Node, ctxs []Context, rt *router, done []bool, round int, inboxes [][]Message) (active, ended int, err error) {
+	down := rt.cfg.NodeDown
+	s := nodeStep{round: round, v: -1}
+	defer s.catch(&err)
+	for v := range nodes {
+		if done[v] {
+			continue
+		}
+		if down != nil {
+			switch down(round, v) {
+			case NodeDowned:
+				continue // state kept, round (and this round's inbox) lost
+			case NodeCrashed:
+				done[v] = true
+				ended++
+				continue
+			}
+		}
+		active++
+		s.v = v
+		outs, fin := nodes[v].Round(&ctxs[v], round, inboxes[v])
+		s.v = -1
+		if rerr := rt.route(v, outs); rerr != nil {
+			return active, ended, fmt.Errorf("round %d, node %d: %w", round, v, rerr)
+		}
+		if fin {
+			done[v] = true
+			ended++
+		}
+	}
+	return active, ended, nil
 }

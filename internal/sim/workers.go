@@ -15,14 +15,8 @@ func runWorkers(nw *Network, nodes []Node, cfg Config) (Result, error) {
 	n := nw.N()
 	ctxs := nw.contexts()
 	rt := newRouter(nw, cfg)
-	for v := 0; v < n; v++ {
-		outs, err := safeInit(nodes[v], &ctxs[v])
-		if err != nil {
-			return rt.res, err
-		}
-		if err := rt.route(v, outs); err != nil {
-			return rt.res, fmt.Errorf("init of node %d: %w", v, err)
-		}
+	if err := initNodes(nodes, ctxs, rt); err != nil {
+		return rt.res, err
 	}
 	workers := runtime.GOMAXPROCS(0)
 	if workers > n {
@@ -51,6 +45,7 @@ func runWorkers(nw *Network, nodes []Node, cfg Config) (Result, error) {
 	if cfg.NodeDown != nil {
 		status = make([]NodeStatus, n)
 	}
+	w := &workerRound{nodes: nodes, ctxs: ctxs, status: status, outs: outs, fins: fins, errs: errs}
 	for round := 1; len(active) > 0; round++ {
 		if round > cfg.MaxRounds {
 			return rt.res, fmt.Errorf("%w: %d", ErrRoundLimit, cfg.MaxRounds)
@@ -71,10 +66,11 @@ func runWorkers(nw *Network, nodes []Node, cfg Config) (Result, error) {
 				}
 			}
 		}
+		w.round, w.inboxes = round, inboxes
 		var wg sync.WaitGroup
 		chunk := (len(active) + workers - 1) / workers
-		for w := 0; w < workers; w++ {
-			lo := w * chunk
+		for k := 0; k < workers; k++ {
+			lo := k * chunk
 			hi := lo + chunk
 			if hi > len(active) {
 				hi = len(active)
@@ -85,12 +81,7 @@ func runWorkers(nw *Network, nodes []Node, cfg Config) (Result, error) {
 			wg.Add(1)
 			go func(ids []int) {
 				defer wg.Done()
-				for _, v := range ids {
-					if status != nil && status[v] != NodeUp {
-						continue
-					}
-					outs[v], fins[v], errs[v] = safeRound(nodes[v], &ctxs[v], round, inboxes[v])
-				}
+				w.stepAll(ids)
 			}(active[lo:hi])
 		}
 		wg.Wait()
@@ -168,4 +159,51 @@ func runWorkers(nw *Network, nodes []Node, cfg Config) (Result, error) {
 		}
 	}
 	return rt.res, nil
+}
+
+// workerRound is what a worker goroutine reads to step its chunk of a
+// round. Workers write outs, fins and errs only at their own chunk's
+// ids, so no two goroutines touch the same element.
+type workerRound struct {
+	nodes   []Node
+	ctxs    []Context
+	status  []NodeStatus // NodeDown verdicts for this round; nil without the hook
+	round   int
+	inboxes [][]Message
+	outs    [][]Outgoing
+	fins    []bool
+	errs    []error
+}
+
+// stepAll steps every up node of ids. A panic ends only the pass it
+// hit: stepAll records that node's error and starts a new pass at the
+// next id, so every node of the chunk steps, as it would if each step
+// had a recover of its own.
+func (w *workerRound) stepAll(ids []int) {
+	for len(ids) > 0 {
+		i, err := w.stepChunk(ids)
+		if err != nil {
+			w.errs[ids[i]] = err
+			i++
+		}
+		ids = ids[i:]
+	}
+}
+
+// stepChunk steps the up nodes of ids in order under one deferred
+// recover. It returns len(ids), or the index of the node that panicked
+// together with its error.
+func (w *workerRound) stepChunk(ids []int) (i int, err error) {
+	s := nodeStep{round: w.round, v: -1}
+	defer s.catch(&err)
+	for ; i < len(ids); i++ {
+		v := ids[i]
+		if w.status != nil && w.status[v] != NodeUp {
+			continue
+		}
+		s.v = v
+		w.outs[v], w.fins[v] = w.nodes[v].Round(&w.ctxs[v], w.round, w.inboxes[v])
+		s.v = -1
+	}
+	return i, nil
 }
