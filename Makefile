@@ -74,6 +74,7 @@ fuzz:
 	$(GO) test -fuzz FuzzStreamingCSRBuild -fuzztime 15s ./internal/graph
 	$(GO) test -fuzz FuzzTopoViewCompact -fuzztime 15s ./internal/graph
 	$(GO) test -fuzz FuzzWALRecordDecode -fuzztime 15s ./internal/service
+	$(GO) test -fuzz FuzzCheckpointDecode -fuzztime 20s ./internal/service
 
 # Conformance matrix: CLI summary / heavy go-test tier (docs/TESTING.md).
 conform:

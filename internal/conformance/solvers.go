@@ -65,16 +65,6 @@ func Solvers() []Solver {
 	}
 }
 
-// SolverNames lists the registered solver names in matrix order.
-func SolverNames() []string {
-	ss := Solvers()
-	out := make([]string, len(ss))
-	for i, s := range ss {
-		out[i] = s.Name
-	}
-	return out
-}
-
 // -- Linial color reduction (bootstrap, [Lin87]) ------------------------
 
 func linialSolver() Solver {

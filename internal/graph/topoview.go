@@ -112,6 +112,30 @@ func (t *TopoView) Row(v int) []int {
 	return nil
 }
 
+// EachRow calls fn(v, Row(v)) for every vertex in ascending id order.
+// It resolves the delta chain once for the whole walk, where a Row
+// call per vertex probes every level of the chain for every vertex.
+func (t *TopoView) EachRow(fn func(v int, row []int)) {
+	patches, err := t.patches()
+	if err != nil {
+		// Only a view no Overlay published holds a delta entry outside
+		// [0, n), and Row never reads one.
+		for v := 0; v < t.n; v++ {
+			fn(v, t.Row(v))
+		}
+		return
+	}
+	for v := 0; v < t.n; v++ {
+		var row []int
+		if len(patches) > 0 && patches[0].id == v {
+			row, patches = patches[0].row, patches[1:]
+		} else if v < t.base.N() {
+			row = t.base.Row(v)
+		}
+		fn(v, row)
+	}
+}
+
 // Neighbors is Row under the repair.Topology method name.
 func (t *TopoView) Neighbors(v int) []int { return t.Row(v) }
 
@@ -198,7 +222,11 @@ type patchRow struct {
 // chain keeps the first row it finds per id (slot[id] is 1 + its index
 // in found); a scan of slot then puts them in id order.
 func (t *TopoView) patches() ([]patchRow, error) {
-	found, slot := make([][]int, 0, t.chainEntries()), make([]int, t.n)
+	entries := t.chainEntries()
+	if entries == 0 {
+		return nil, nil
+	}
+	found, slot := make([][]int, 0, entries), make([]int, t.n)
 	for view := t; view != nil; view = view.parent {
 		for id, row := range view.delta {
 			if id < 0 || id >= t.n {

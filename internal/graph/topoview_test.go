@@ -16,6 +16,16 @@ func mirrorView(t *testing.T, view *TopoView, ov *Overlay, label string) {
 			t.Fatalf("%s: row %d: view %v, overlay %v", label, v, view.Row(v), ov.Neighbors(v))
 		}
 	}
+	next := 0
+	view.EachRow(func(v int, row []int) {
+		if v != next || !reflect.DeepEqual(append([]int{}, row...), append([]int{}, ov.Neighbors(v)...)) {
+			t.Fatalf("%s: EachRow gave row %d as %v, want row %d, overlay %v", label, v, row, next, ov.Neighbors(next))
+		}
+		next++
+	})
+	if next != ov.N() {
+		t.Fatalf("%s: EachRow visited %d of %d rows", label, next, ov.N())
+	}
 }
 
 // TestTopoViewTracksOverlay drives an overlay through batched churn

@@ -49,13 +49,6 @@ func (s *Set) Insert(x int) {
 	s.words[x/wordBits] |= 1 << uint(x%wordBits)
 }
 
-// InsertList adds every color of xs to the set.
-func (s *Set) InsertList(xs []int) {
-	for _, x := range xs {
-		s.Insert(x)
-	}
-}
-
 // Remove deletes x from the set (a no-op if absent).
 func (s *Set) Remove(x int) {
 	s.check(x)

@@ -30,7 +30,7 @@ import (
 	"listcolor/internal/sim"
 )
 
-// Topology is the read-only adjacency view the heal core works over:
+// Topology is the read-only adjacency view Heal and HealLocal work over:
 // vertex count, degrees, and sorted neighbor lists. graph.Graph,
 // graph.CSR and graph.Overlay all satisfy it.
 type Topology interface {
@@ -110,36 +110,33 @@ type HealReport struct {
 	Converged bool
 }
 
-// Heal drives the global repair schedule: every vertex is a seed, so
-// round one is a full hardness scan and the run is byte-identical to
-// the pre-Topology repair loop (TestHealMatchesReferenceLoop pins
-// this). Colors are mutated in place.
+// Heal drives the global repair schedule: HealLocal with every vertex
+// as a seed, so round one is a full hardness scan and the run is
+// byte-identical to the pre-Topology repair loop
+// (TestHealMatchesReferenceLoop pins this). Colors are mutated in
+// place.
 func Heal(topo Topology, inst *coloring.Instance, colors []int, opt HealOptions) HealReport {
 	seeds := make([]int, topo.N())
 	for v := range seeds {
 		seeds[v] = v
 	}
-	return healCore(topo, inst, colors, seeds, opt)
+	return HealLocal(topo, inst, colors, seeds, opt)
 }
 
 // HealLocal drives the seeded repair schedule: only the seeds are
 // scanned in round one, and the frontier grows by the neighborhoods of
-// recolored nodes. When the seeds cover every hard node — which churn
-// guarantees for the dirty set of an update batch, since inserting or
-// deleting an edge changes conflict counts only at its endpoints —
-// HealLocal produces byte-identical colors to Heal at a fraction of
-// the scan cost. Out-of-range and duplicate seeds are ignored.
+// recolored nodes. Per round, dirty = hard nodes among the candidates;
+// eligible = dirty nodes that are the id-maximum of their dirty closed
+// neighborhood (an independent set, never empty while dirty is
+// non-empty); each eligible node recolors to the list color minimizing
+// (excess over budget, conflicts, list order); the next candidate set
+// is dirty ∪ N(eligible). When the seeds cover every hard node — which
+// churn guarantees for the dirty set of an update batch, since
+// inserting or deleting an edge changes conflict counts only at its
+// endpoints — HealLocal produces byte-identical colors to Heal at a
+// fraction of the scan cost. Out-of-range and duplicate seeds are
+// ignored.
 func HealLocal(topo Topology, inst *coloring.Instance, colors []int, seeds []int, opt HealOptions) HealReport {
-	return healCore(topo, inst, colors, seeds, opt)
-}
-
-// healCore is the shared schedule: per round, dirty = hard nodes among
-// the candidates; eligible = dirty nodes that are the id-maximum of
-// their dirty closed neighborhood (an independent set, never empty
-// while dirty is non-empty); each eligible node recolors to the list
-// color minimizing (excess over budget, conflicts, list order); the
-// next candidate set is dirty ∪ N(eligible).
-func healCore(topo Topology, inst *coloring.Instance, colors []int, seeds []int, opt HealOptions) HealReport {
 	n := topo.N()
 	var hr HealReport
 	sc := opt.Scratch

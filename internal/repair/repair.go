@@ -258,7 +258,7 @@ func Classify(t Target, colors []int) Classification {
 // repairLoop drives repair rounds until clean or out of budget,
 // mutating colors in place; returns the rounds driven and bills the
 // recoloring broadcasts into rep. The undirected case delegates to the
-// shared Topology heal core (heal.go) — Heal with every vertex seeded
+// Topology heal (heal.go) — Heal with every vertex seeded
 // runs the identical full-scan schedule, so the delegation is
 // byte-for-byte behavior-preserving (TestHealMatchesReferenceLoop);
 // the oriented case keeps its sink-first schedule here.

@@ -7,11 +7,10 @@
 // because ApplyBatch is deterministic in the op stream, the recovered
 // state is byte-identical to the uninterrupted run.
 //
-// The encoding is the same canonical varint discipline as the WAL
-// records (and sim.EncodePayload): varints end to end, shared color
-// lists deduplicated with a same-as-previous flag, topology rows
-// delta-coded. A CRC-32C trailer rejects damaged checkpoints with a
-// typed error instead of replaying garbage.
+// The encoding goes through the WAL records' codec (codec.go): varints
+// end to end, shared color lists deduplicated with a same-as-previous
+// flag, topology rows delta-coded. A CRC-32C trailer rejects damaged
+// checkpoints with a typed error instead of replaying garbage.
 package service
 
 import (
@@ -21,6 +20,10 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"slices"
+	"sort"
+
+	"listcolor/internal/graph"
 )
 
 // ErrCheckpoint wraps checkpoint load failures: a missing, truncated
@@ -34,29 +37,25 @@ var checkpointMagic = []byte("LCCKPT02")
 
 const checkpointFile = "checkpoint.ckpt"
 
-// checkpointState is the decoded durable image of a service at one
-// batch boundary.
+// checkpointState is the durable image of a service at one batch
+// boundary.
 type checkpointState struct {
 	version uint64
 	colors  []int
 	space   int
 	lists   [][]int
 	defects [][]int
-	// rowsUp[v] holds v's neighbors w > v, ascending — each edge once.
-	rowsUp [][]int
+	// topo is the published topology view stateImage took the image
+	// from. It is immutable, so the encoder reads it without a lock.
+	topo *graph.TopoView
+	// edges replays the topology section of a decoded image, which
+	// decodeCheckpoint has checked; restoreService streams the base CSR
+	// from it.
+	edges  graph.EdgeStream
 	totals Stats
 	// walSegment is the index of the first WAL segment whose records
 	// may exceed the checkpoint version (older segments are garbage).
 	walSegment int
-}
-
-// appendIntsVarint writes len + elements.
-func appendIntsVarint(b []byte, xs []int) []byte {
-	b = binary.AppendUvarint(b, uint64(len(xs)))
-	for _, x := range xs {
-		b = binary.AppendVarint(b, int64(x))
-	}
-	return b
 }
 
 // encodeCheckpoint renders the state into the checkpoint payload
@@ -72,47 +71,26 @@ func encodeCheckpoint(cs *checkpointState) []byte {
 	// Lists/defects with same-as-previous dedup: under the shared-
 	// palette instances colord serves, n nodes cost 1 byte each
 	// instead of re-encoding the full palette n times.
-	sameAsPrev := func(v int) bool {
-		if v == 0 {
-			return false
-		}
-		a, b := cs.lists[v], cs.lists[v-1]
-		da, db := cs.defects[v], cs.defects[v-1]
-		if len(a) != len(b) || len(da) != len(db) {
-			return false
-		}
-		for i := range a {
-			if a[i] != b[i] {
-				return false
-			}
-		}
-		for i := range da {
-			if da[i] != db[i] {
-				return false
-			}
-		}
-		return true
-	}
 	for v := 0; v < n; v++ {
-		if sameAsPrev(v) {
+		if v > 0 && slices.Equal(cs.lists[v], cs.lists[v-1]) && slices.Equal(cs.defects[v], cs.defects[v-1]) {
 			buf = append(buf, 0)
 			continue
 		}
 		buf = append(buf, 1)
-		buf = appendIntsVarint(buf, cs.lists[v])
-		buf = appendIntsVarint(buf, cs.defects[v])
+		buf = appendInts(buf, cs.lists[v])
+		buf = appendInts(buf, cs.defects[v])
 	}
 	// Topology: per node, the neighbors above it, delta-coded (every
 	// delta ≥ 1 since rows are sorted and strictly above v).
-	for v := 0; v < n; v++ {
-		row := cs.rowsUp[v]
+	cs.topo.EachRow(func(v int, row []int) {
+		row = row[sort.SearchInts(row, v+1):]
 		buf = binary.AppendUvarint(buf, uint64(len(row)))
 		prev := v
 		for _, w := range row {
 			buf = binary.AppendUvarint(buf, uint64(w-prev))
 			prev = w
 		}
-	}
+	})
 	// Running counters, in a fixed documented order.
 	for _, x := range cs.totals.counterList() {
 		buf = binary.AppendVarint(buf, x)
@@ -142,143 +120,66 @@ func (st *Stats) setCounterList(xs []int64) {
 }
 
 // decodeCheckpoint parses a checkpoint payload. Corrupt input returns
-// ErrCheckpoint — bounds are checked before any allocation is sized.
+// ErrCheckpoint (codec.go's reader). The topology section is checked
+// here, once, and kept as bytes for restoreService to stream.
 func decodeCheckpoint(data []byte) (*checkpointState, error) {
-	rest := data
-	fail := func(what string) error {
-		return fmt.Errorf("%w: %s at byte %d", ErrCheckpoint, what, len(data)-len(rest))
-	}
-	readUvarint := func() (uint64, bool) {
-		v, n := binary.Uvarint(rest)
-		if n <= 0 {
-			return 0, false
-		}
-		rest = rest[n:]
-		return v, true
-	}
-	readVarint := func() (int64, bool) {
-		v, n := binary.Varint(rest)
-		if n <= 0 {
-			return 0, false
-		}
-		rest = rest[n:]
-		return v, true
-	}
-	readInts := func() ([]int, bool) {
-		n, ok := readUvarint()
-		if !ok || n > uint64(len(rest)) {
-			return nil, false
-		}
-		if n == 0 {
-			return nil, true
-		}
-		xs := make([]int, n)
-		for i := range xs {
-			v, ok := readVarint()
-			if !ok {
-				return nil, false
-			}
-			xs[i] = int(v)
-		}
-		return xs, true
-	}
-
-	cs := &checkpointState{}
-	v, ok := readUvarint()
-	if !ok {
-		return nil, fail("version")
-	}
-	cs.version = v
-	nu, ok := readUvarint()
-	if !ok || nu > uint64(len(rest)) {
-		return nil, fail("node count")
-	}
-	n := int(nu)
+	r := reader{data: data, kind: ErrCheckpoint}
+	cs := &checkpointState{version: r.uvarint("version")}
+	n := r.count("node count")
 	cs.colors = make([]int, n)
 	for i := range cs.colors {
-		c, ok := readVarint()
-		if !ok {
-			return nil, fail("colors")
-		}
-		cs.colors[i] = int(c)
+		cs.colors[i] = int(r.varint("color"))
 	}
-	sp, ok := readUvarint()
-	if !ok {
-		return nil, fail("space")
-	}
-	cs.space = int(sp)
+	cs.space = int(r.uvarint("space"))
 	cs.lists = make([][]int, n)
 	cs.defects = make([][]int, n)
-	for v := 0; v < n; v++ {
-		if len(rest) == 0 {
-			return nil, fail("list flag")
-		}
-		flag := rest[0]
-		rest = rest[1:]
-		switch flag {
-		case 0:
-			if v == 0 {
-				return nil, fail("dangling same-as-previous flag")
-			}
-			cs.lists[v] = cs.lists[v-1]
-			cs.defects[v] = cs.defects[v-1]
-		case 1:
-			var ok bool
-			if cs.lists[v], ok = readInts(); !ok {
-				return nil, fail("list")
-			}
-			if cs.defects[v], ok = readInts(); !ok {
-				return nil, fail("defects")
-			}
+	for v := 0; v < n && r.err == nil; v++ {
+		switch flag := r.u8("list flag"); {
+		case flag == 0 && v > 0:
+			cs.lists[v], cs.defects[v] = cs.lists[v-1], cs.defects[v-1]
+		case flag == 1:
+			cs.lists[v], cs.defects[v] = r.ints("list"), r.ints("defects")
 			if len(cs.lists[v]) != len(cs.defects[v]) {
-				return nil, fail("list/defect length mismatch")
+				r.fail("list/defect length mismatch")
 			}
 		default:
-			return nil, fail("unknown list flag")
+			r.fail("list flag %d at node %d", flag, v)
 		}
 	}
-	cs.rowsUp = make([][]int, n)
-	for v := 0; v < n; v++ {
-		deg, ok := readUvarint()
-		if !ok || deg > uint64(len(rest)) {
-			return nil, fail("row length")
-		}
-		if deg == 0 {
-			continue
-		}
-		row := make([]int, deg)
-		prev := v
-		for i := range row {
-			d, ok := readUvarint()
-			if !ok || d == 0 {
-				return nil, fail("row delta")
-			}
-			prev += int(d)
-			if prev >= n {
-				return nil, fail("neighbor out of range")
-			}
-			row[i] = prev
-		}
-		cs.rowsUp[v] = row
-	}
+	start := r.off
+	readTopology(&r, n, func(u, w int) {})
+	section := data[start:r.off]
 	counters := make([]int64, len(cs.totals.counterList()))
 	for i := range counters {
-		c, ok := readVarint()
-		if !ok {
-			return nil, fail("counters")
-		}
-		counters[i] = c
+		counters[i] = r.varint("counter")
 	}
 	cs.totals.setCounterList(counters)
-	seg, ok := readUvarint()
-	if !ok {
-		return nil, fail("wal segment")
+	cs.walSegment = int(r.uvarint("wal segment"))
+	if err := r.end(); err != nil {
+		return nil, err
 	}
-	cs.walSegment = int(seg)
-	if len(rest) != 0 {
-		return nil, fmt.Errorf("%w: %d trailing bytes", ErrCheckpoint, len(rest))
+	cs.edges = func(emit func(u, v int)) {
+		readTopology(&reader{data: section, kind: ErrCheckpoint}, n, emit)
 	}
 	return cs, nil
+}
+
+// readTopology reads the topology section encodeCheckpoint writes and
+// emits each edge {u, w}, u < w, once from its lower end, in ascending
+// (u, w) order.
+func readTopology(r *reader, n int, emit func(u, w int)) {
+	for u := 0; u < n && r.err == nil; u++ {
+		w := u
+		for deg := r.count("row length"); deg > 0 && r.err == nil; deg-- {
+			d := r.uvarint("row delta")
+			if d == 0 || d >= uint64(n-w) {
+				r.fail("neighbor out of range")
+				return
+			}
+			w += int(d)
+			emit(u, w)
+		}
+	}
 }
 
 // writeCheckpoint persists the state atomically: the full image goes

@@ -45,14 +45,12 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(back.lists, cs.lists) || !reflect.DeepEqual(back.defects, cs.defects) {
 		t.Fatal("constraint drift")
 	}
-	// rowsUp: nil and empty are the same row on the wire.
-	for v := range cs.rowsUp {
-		if len(cs.rowsUp[v]) == 0 && len(back.rowsUp[v]) == 0 {
-			continue
-		}
-		if !reflect.DeepEqual(back.rowsUp[v], cs.rowsUp[v]) {
-			t.Fatalf("row %d drift: %v vs %v", v, back.rowsUp[v], cs.rowsUp[v])
-		}
+	r, err := restoreService(back, Options{})
+	if err != nil {
+		t.Fatalf("restore: %v", err)
+	}
+	if r.TopologyFingerprint() != cs.topo.Fingerprint() {
+		t.Fatal("topology drift")
 	}
 	if !reflect.DeepEqual(back.totals.counterList(), cs.totals.counterList()) {
 		t.Fatal("counter drift")

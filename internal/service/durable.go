@@ -249,17 +249,6 @@ func (d *Durable) ApplyBatch(ops []Op) (BatchReport, error) {
 	return rep, opErr
 }
 
-// Checkpoint forces a checkpoint now (colord uses it on graceful
-// shutdown so restart replays nothing).
-func (d *Durable) Checkpoint() error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.dead {
-		return ErrWALCrashed
-	}
-	return d.checkpointLocked()
-}
-
 // checkpointLocked rotates the WAL (flushing and fsyncing the old
 // segment), writes the checkpoint atomically, and deletes the
 // segments it superseded. Caller holds d.mu.
@@ -283,7 +272,8 @@ func (d *Durable) checkpointLocked() error {
 }
 
 // Close shuts the durable service down cleanly: a final checkpoint
-// (unless the WAL already crashed) and a synced WAL close.
+// (unless the WAL already crashed), so a restart replays nothing, and
+// a synced WAL close.
 func (d *Durable) Close() error {
 	d.mu.Lock()
 	defer d.mu.Unlock()

@@ -632,50 +632,33 @@ func (s *Service) checkConstraints(list, defects []int) ([]int, []int, error) {
 }
 
 // stateImage assembles the checkpoint encoder's view of the full
-// service state under the writer lock. The returned image references
-// live instance slices (lists/defects are replaced, never mutated in
-// place, so sharing is safe) but copies colors and topology rows — the
-// encoder may run after the lock drops.
+// service state under the writer lock: the published topology view,
+// which is immutable, and copies of the colors and of the two outer
+// list slices (lists/defects are replaced, never mutated in place, so
+// the inner slices are shared) — the encoder may run after the lock
+// drops.
 func (s *Service) stateImage() *checkpointState {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	n := s.ov.N()
-	cs := &checkpointState{
+	return &checkpointState{
 		version: s.version,
 		colors:  append([]int(nil), s.colors...),
 		space:   s.inst.Space,
 		lists:   append([][]int(nil), s.inst.Lists...),
 		defects: append([][]int(nil), s.inst.Defects...),
-		rowsUp:  make([][]int, n),
+		topo:    s.pub.Load().Topo,
 		totals:  s.totals,
 	}
-	for v := 0; v < n; v++ {
-		row := s.ov.Neighbors(v)
-		i := sort.SearchInts(row, v+1)
-		if i < len(row) {
-			cs.rowsUp[v] = append([]int(nil), row[i:]...)
-		}
-	}
-	return cs
 }
 
 // restoreService rebuilds a Service from a decoded checkpoint: the
-// topology is folded into a fresh CSR, colors and counters are
-// installed verbatim, and no heal runs — the checkpoint was taken at a
-// batch boundary of a valid state, and the recovery differential test
-// pins the restored image byte-identical to the uninterrupted run.
+// base CSR is streamed straight from the image's topology bytes,
+// colors and counters are installed verbatim, and no heal runs — the
+// checkpoint was taken at a batch boundary of a valid state, and the
+// recovery differential test pins the restored image byte-identical to
+// the uninterrupted run.
 func restoreService(cs *checkpointState, opts Options) (*Service, error) {
-	n := len(cs.colors)
-	if len(cs.lists) != n || len(cs.rowsUp) != n {
-		return nil, fmt.Errorf("%w: %d colors, %d lists, %d rows", ErrCheckpoint, n, len(cs.lists), len(cs.rowsUp))
-	}
-	base, err := graph.StreamCSR(n, func(emit func(u, v int)) {
-		for u, row := range cs.rowsUp {
-			for _, w := range row {
-				emit(u, w)
-			}
-		}
-	})
+	base, err := graph.StreamCSR(len(cs.colors), cs.edges)
 	if err != nil {
 		return nil, fmt.Errorf("%w: rebuilding topology: %v", ErrCheckpoint, err)
 	}

@@ -1,10 +1,10 @@
 // wal.go is the service's write-ahead log: every ApplyBatch appends
 // one checksummed, length-prefixed record — the batch's version plus
-// its full op list, rendered in the same canonical varint discipline
-// as sim.EncodePayload — to a segment-rotated append-only log BEFORE
-// the batch mutates the in-memory state. Replay is therefore exact:
-// ApplyBatch is a deterministic function of the op stream (including
-// partial application on a rejected op), so checkpoint + WAL replay
+// its full op list, rendered through the durable codec (codec.go) —
+// to a segment-rotated append-only log BEFORE the batch mutates the
+// in-memory state. Replay is therefore exact: ApplyBatch is a
+// deterministic function of the op stream (including partial
+// application on a rejected op), so checkpoint + WAL replay
 // reconstructs colors, counters and topology byte-identically.
 //
 // Torn writes are a fact of crashes, not an error condition: a record
@@ -143,20 +143,12 @@ var walSegmentMagic = []byte("LCWAL001")
 
 // EncodeWALBatch renders (version, ops) into a WAL record payload:
 // uvarint version, uvarint op count, then per op a tag byte followed
-// by the action's fields as (u)varints — the same canonical varint
-// codec discipline as sim.EncodePayload. Every op encodes: unknown
-// actions travel under the opaque tag so replay reproduces the same
-// rejection at the same index.
+// by the action's fields as (u)varints (codec.go). Every op encodes:
+// unknown actions travel under the opaque tag so replay reproduces the
+// same rejection at the same index.
 func EncodeWALBatch(version uint64, ops []Op) []byte {
 	buf := binary.AppendUvarint(nil, version)
 	buf = binary.AppendUvarint(buf, uint64(len(ops)))
-	appendInts := func(b []byte, xs []int) []byte {
-		b = binary.AppendUvarint(b, uint64(len(xs)))
-		for _, x := range xs {
-			b = binary.AppendVarint(b, int64(x))
-		}
-		return b
-	}
 	for _, op := range ops {
 		switch op.Action {
 		case OpAddEdge, OpRemoveEdge:
@@ -194,142 +186,55 @@ func EncodeWALBatch(version uint64, ops []Op) []byte {
 }
 
 // DecodeWALBatch parses a WAL record payload back into (version, ops).
-// Arbitrary (corrupted) input yields an error — never a panic and
-// never an allocation beyond O(len(data)): declared op and list counts
-// are checked against the remaining bytes before any slice is sized.
+// Arbitrary (corrupted) input yields an ErrWALRecord — never a panic
+// and never an allocation beyond O(len(data)) (codec.go's reader).
 func DecodeWALBatch(data []byte) (version uint64, ops []Op, err error) {
-	rest := data
-	readUvarint := func() (uint64, error) {
-		v, n := binary.Uvarint(rest)
-		if n <= 0 {
-			return 0, fmt.Errorf("%w: bad uvarint", ErrWALRecord)
-		}
-		rest = rest[n:]
-		return v, nil
-	}
-	readVarint := func() (int, error) {
-		v, n := binary.Varint(rest)
-		if n <= 0 {
-			return 0, fmt.Errorf("%w: bad varint", ErrWALRecord)
-		}
-		rest = rest[n:]
-		return int(v), nil
-	}
-	readInts := func() ([]int, error) {
-		n, err := readUvarint()
-		if err != nil {
-			return nil, err
-		}
-		// Every element costs ≥ 1 byte: a longer declaration is
-		// provably corrupt — reject before allocating.
-		if n > uint64(len(rest)) {
-			return nil, fmt.Errorf("%w: declared length %d exceeds %d remaining bytes", ErrWALRecord, n, len(rest))
-		}
-		if n == 0 {
-			return nil, nil
-		}
-		xs := make([]int, n)
-		for i := range xs {
-			x, err := readVarint()
-			if err != nil {
-				return nil, err
-			}
-			xs[i] = x
-		}
-		return xs, nil
-	}
-	if version, err = readUvarint(); err != nil {
-		return 0, nil, err
-	}
-	nops, err := readUvarint()
-	if err != nil {
-		return 0, nil, err
-	}
-	if nops > uint64(len(rest)) {
-		return 0, nil, fmt.Errorf("%w: declared op count %d exceeds %d remaining bytes", ErrWALRecord, nops, len(rest))
-	}
+	r := reader{data: data, kind: ErrWALRecord}
+	version = r.uvarint("version")
+	nops := r.count("op count")
 	ops = make([]Op, 0, nops)
-	for i := uint64(0); i < nops; i++ {
-		if len(rest) == 0 {
-			return 0, nil, fmt.Errorf("%w: truncated op %d", ErrWALRecord, i)
-		}
-		tag := rest[0]
-		rest = rest[1:]
+	for i := 0; i < nops && r.err == nil; i++ {
 		var op Op
-		switch tag {
+		switch tag := r.u8("op tag"); tag {
 		case walTagAddEdge, walTagRemoveEdge:
 			op.Action = OpAddEdge
 			if tag == walTagRemoveEdge {
 				op.Action = OpRemoveEdge
 			}
-			if op.U, err = readVarint(); err != nil {
-				return 0, nil, err
-			}
-			if op.V, err = readVarint(); err != nil {
-				return 0, nil, err
-			}
+			op.U = int(r.varint("u"))
+			op.V = int(r.varint("v"))
 		case walTagAddNode:
 			op.Action = OpAddNode
-			if op.List, err = readInts(); err != nil {
-				return 0, nil, err
-			}
-			if op.Defects, err = readInts(); err != nil {
-				return 0, nil, err
-			}
+			op.List = r.ints("list")
+			op.Defects = r.ints("defects")
 		case walTagRemoveNode:
 			op.Action = OpRemoveNode
-			if op.Node, err = readVarint(); err != nil {
-				return 0, nil, err
-			}
+			op.Node = int(r.varint("node"))
 		case walTagSetList:
 			op.Action = OpSetList
-			if op.Node, err = readVarint(); err != nil {
-				return 0, nil, err
-			}
-			if op.List, err = readInts(); err != nil {
-				return 0, nil, err
-			}
-			if op.Defects, err = readInts(); err != nil {
-				return 0, nil, err
-			}
+			op.Node = int(r.varint("node"))
+			op.List = r.ints("list")
+			op.Defects = r.ints("defects")
 		case walTagOpaque:
-			alen, err := readUvarint()
-			if err != nil {
-				return 0, nil, err
-			}
-			if alen > uint64(len(rest)) {
-				return 0, nil, fmt.Errorf("%w: declared action length %d exceeds %d remaining bytes", ErrWALRecord, alen, len(rest))
-			}
-			op.Action = string(rest[:alen])
-			rest = rest[alen:]
+			op.Action = string(r.bytes(r.count("action length")))
 			switch op.Action {
 			case OpAddEdge, OpRemoveEdge, OpAddNode, OpRemoveNode, OpSetList:
 				// A known action under the opaque tag is non-canonical:
 				// re-encoding would switch tags and drop fields.
-				return 0, nil, fmt.Errorf("%w: known action %q under opaque tag", ErrWALRecord, op.Action)
+				r.fail("known action %q under opaque tag", op.Action)
 			}
-			if op.U, err = readVarint(); err != nil {
-				return 0, nil, err
-			}
-			if op.V, err = readVarint(); err != nil {
-				return 0, nil, err
-			}
-			if op.Node, err = readVarint(); err != nil {
-				return 0, nil, err
-			}
-			if op.List, err = readInts(); err != nil {
-				return 0, nil, err
-			}
-			if op.Defects, err = readInts(); err != nil {
-				return 0, nil, err
-			}
+			op.U = int(r.varint("u"))
+			op.V = int(r.varint("v"))
+			op.Node = int(r.varint("node"))
+			op.List = r.ints("list")
+			op.Defects = r.ints("defects")
 		default:
-			return 0, nil, fmt.Errorf("%w: unknown op tag %d", ErrWALRecord, tag)
+			r.fail("unknown op tag %d", tag)
 		}
 		ops = append(ops, op)
 	}
-	if len(rest) != 0 {
-		return 0, nil, fmt.Errorf("%w: %d trailing bytes", ErrWALRecord, len(rest))
+	if err := r.end(); err != nil {
+		return 0, nil, err
 	}
 	return version, ops, nil
 }

@@ -245,8 +245,9 @@ func (c tally) Round(ctx *Context, round int, inbox []Message) ([]Outgoing, bool
 
 // TestWorkerChunkPanicsStepEveryNode: nodes 1 and 2, which share a
 // worker's chunk, panic in the same round. The chunk's one recover must
-// resume after each panic, so every node of the round still steps, each
-// panicking node's error is its own, and the run reports the smaller id.
+// resume after each panic, so every node of the round still steps, the
+// chunk keeps its first panic with that node's own error, and the run
+// reports the smaller id.
 func TestWorkerChunkPanicsStepEveryNode(t *testing.T) {
 	const round = 2
 	// At least 5 ids per chunk, so ids 0–4 all fall in the first one.
@@ -269,20 +270,19 @@ func TestWorkerChunkPanicsStepEveryNode(t *testing.T) {
 		}
 	}
 
-	// One chunk stepped directly: each panic lands on its own node.
+	// One chunk stepped directly: every node of it steps, nodes 3 and 4
+	// after node 2's panic too, and the chunk keeps its first panic,
+	// node 1's own error.
 	clear(calls)
 	w := &workerRound{nodes: nodes, ctxs: nw.contexts(), round: round, inboxes: make([][]Message, n),
-		outs: make([][]Outgoing, n), fins: make([]bool, n), errs: make([]error, n)}
-	w.stepAll([]int{0, 1, 2, 3, 4})
+		outs: make([][]Outgoing, n), fins: make([]bool, n)}
+	var first nodePanic
+	w.stepAll([]int{0, 1, 2, 3, 4}, &first)
+	if want := fmt.Sprintf("node 1 in round %d: tally 1", round); first.v != 1 || first.err == nil || !strings.Contains(first.err.Error(), want) {
+		t.Errorf("chunk's first panic = (%d, %v), want node 1's %q", first.v, first.err, want)
+	}
 	for v := 0; v < n; v++ {
-		want, stepped := "", v <= 4
-		if v == 1 || v == 2 {
-			want = fmt.Sprintf("node %d in round %d: tally %d", v, round, v)
-		}
-		if got := w.errs[v]; (want == "") != (got == nil) || (got != nil && !strings.Contains(got.Error(), want)) {
-			t.Errorf("errs[%d] = %v, want %q", v, got, want)
-		}
-		if stepped != (calls[v] == 1) {
+		if stepped := v <= 4; stepped != (calls[v] == 1) {
 			t.Errorf("node %d stepped %d times, stepped in chunk %v", v, calls[v], stepped)
 		}
 	}

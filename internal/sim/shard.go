@@ -86,7 +86,11 @@ func (rt *router) bounds(s int) []int {
 // sequential fallback a pristine router. senders must be ascending;
 // status (when non-nil) marks the nodes whose sends must not be
 // routed this round (downed/crashed under the NodeDown hook).
-func (rt *router) prepare(senders []int, status []NodeStatus, outs [][]Outgoing, errs []error) bool {
+// panicked declines a round in which a node panicked.
+func (rt *router) prepare(senders []int, status []NodeStatus, outs [][]Outgoing, panicked bool) bool {
+	if panicked {
+		return false
+	}
 	rt.prepSenders = rt.prepSenders[:0]
 	rt.prepOff = rt.prepOff[:0]
 	rt.prepBits = rt.prepBits[:0]
@@ -94,9 +98,6 @@ func (rt *router) prepare(senders []int, status []NodeStatus, outs [][]Outgoing,
 	for _, v := range senders {
 		if status != nil && status[v] != NodeUp {
 			continue
-		}
-		if errs != nil && errs[v] != nil {
-			return false
 		}
 		os := outs[v]
 		if len(os) == 0 {

@@ -27,7 +27,6 @@ func runWorkers(nw *Network, nodes []Node, cfg Config) (Result, error) {
 	}
 	outs := make([][]Outgoing, n)
 	fins := make([]bool, n)
-	errs := make([]error, n)
 	// active holds the not-yet-finished node ids in ascending order; it
 	// starts as all nodes and is compacted stably in place during the
 	// routing pass of each round, so per-round cost tracks the shrinking
@@ -45,7 +44,8 @@ func runWorkers(nw *Network, nodes []Node, cfg Config) (Result, error) {
 	if cfg.NodeDown != nil {
 		status = make([]NodeStatus, n)
 	}
-	w := &workerRound{nodes: nodes, ctxs: ctxs, status: status, outs: outs, fins: fins, errs: errs}
+	w := &workerRound{nodes: nodes, ctxs: ctxs, status: status, outs: outs, fins: fins,
+		panics: make([]nodePanic, workers)}
 	for round := 1; len(active) > 0; round++ {
 		if round > cfg.MaxRounds {
 			return rt.res, fmt.Errorf("%w: %d", ErrRoundLimit, cfg.MaxRounds)
@@ -67,6 +67,7 @@ func runWorkers(nw *Network, nodes []Node, cfg Config) (Result, error) {
 			}
 		}
 		w.round, w.inboxes = round, inboxes
+		clear(w.panics)
 		var wg sync.WaitGroup
 		chunk := (len(active) + workers - 1) / workers
 		for k := 0; k < workers; k++ {
@@ -79,15 +80,24 @@ func runWorkers(nw *Network, nodes []Node, cfg Config) (Result, error) {
 				break
 			}
 			wg.Add(1)
-			go func(ids []int) {
+			go func(ids []int, first *nodePanic) {
 				defer wg.Done()
-				w.stepAll(ids)
-			}(active[lo:hi])
+				w.stepAll(ids, first)
+			}(active[lo:hi], &w.panics[k])
 		}
 		wg.Wait()
+		// Chunks are ascending, so the first chunk that recorded a panic
+		// holds the smallest panicking id.
+		panicked := nodePanic{v: -1}
+		for _, p := range w.panics {
+			if p.err != nil {
+				panicked = p
+				break
+			}
+		}
 		// Deliver the round's sends. The sharded path (shard.go) routes
 		// concurrently across receiver ranges after a validation
-		// prepass; it declines rounds containing any node error or
+		// prepass; it declines rounds containing any node panic or
 		// protocol violation, and those fall through to the sequential
 		// reference loop below, which reproduces the exact partial
 		// statistics and error attribution of a sequential run (the
@@ -95,7 +105,7 @@ func runWorkers(nw *Network, nodes []Node, cfg Config) (Result, error) {
 		// every inbox in ascending sender id, send order within a
 		// sender — the engine-wide delivery-order guarantee.
 		routed := false
-		if shards := cfg.routingShards(); shards > 1 && rt.prepare(active, status, outs, errs) {
+		if shards := cfg.routingShards(); shards > 1 && rt.prepare(active, status, outs, panicked.err != nil) {
 			rt.deliverSharded(outs, shards)
 			keep := active[:0]
 			for _, v := range active {
@@ -134,8 +144,8 @@ func runWorkers(nw *Network, nodes []Node, cfg Config) (Result, error) {
 						continue // dropped from the run without a final Round
 					}
 				}
-				if errs[v] != nil {
-					return rt.res, errs[v]
+				if v == panicked.v {
+					return rt.res, panicked.err
 				}
 				if err := rt.route(v, outs[v]); err != nil {
 					return rt.res, fmt.Errorf("round %d, node %d: %w", round, v, err)
@@ -162,8 +172,9 @@ func runWorkers(nw *Network, nodes []Node, cfg Config) (Result, error) {
 }
 
 // workerRound is what a worker goroutine reads to step its chunk of a
-// round. Workers write outs, fins and errs only at their own chunk's
-// ids, so no two goroutines touch the same element.
+// round. Workers write outs and fins only at their own chunk's ids, and
+// panics only at their own chunk's index, so no two goroutines touch
+// the same element.
 type workerRound struct {
 	nodes   []Node
 	ctxs    []Context
@@ -172,18 +183,29 @@ type workerRound struct {
 	inboxes [][]Message
 	outs    [][]Outgoing
 	fins    []bool
-	errs    []error
+	panics  []nodePanic // per worker chunk, reused every round
 }
 
-// stepAll steps every up node of ids. A panic ends only the pass it
-// hit: stepAll records that node's error and starts a new pass at the
-// next id, so every node of the chunk steps, as it would if each step
-// had a recover of its own.
-func (w *workerRound) stepAll(ids []int) {
+// nodePanic is the first node panic of one worker chunk in a round:
+// the node's id and its error, or a nil err when no node panicked.
+// Only the smallest panicking id of a round is reported, so the later
+// panics of a chunk need no record.
+type nodePanic struct {
+	v   int
+	err error
+}
+
+// stepAll steps every up node of ids and keeps the chunk's first panic
+// in first. A panic ends only the pass it hit: stepAll starts a new
+// pass at the next id, so every node of the chunk steps, as it would
+// if each step had a recover of its own.
+func (w *workerRound) stepAll(ids []int, first *nodePanic) {
 	for len(ids) > 0 {
 		i, err := w.stepChunk(ids)
 		if err != nil {
-			w.errs[ids[i]] = err
+			if first.err == nil {
+				*first = nodePanic{v: ids[i], err: err}
+			}
 			i++
 		}
 		ids = ids[i:]
