@@ -234,7 +234,7 @@ func BenchmarkDefectiveFromArb(b *testing.B) {
 	arb := nbhood.ArbSlack2Solver(theta, sim.Config{})
 	var rounds int
 	for i := 0; i < b.N; i++ {
-		colors, stats, err := nbhood.DefectiveFromArb(lg, inst, base.Colors, base.Palette, theta, s, arb)
+		colors, stats, err := nbhood.DefectiveFromArb(new(sim.Engine), graph.CSRFromGraph(lg), inst, base.Colors, base.Palette, theta, s, arb)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -318,7 +318,7 @@ func BenchmarkSlackReduction(b *testing.B) {
 	arb := nbhood.ArbSlack2Solver(2, sim.Config{})
 	var rounds int
 	for i := 0; i < b.N; i++ {
-		res, stats, err := nbhood.SlackReduce2(g, inst, base.Colors, base.Palette, 4, arb, sim.Config{})
+		res, stats, err := nbhood.SlackReduce2(new(sim.Engine), graph.CSRFromGraph(g), inst, base.Colors, base.Palette, 4, arb, sim.Config{})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -118,7 +118,7 @@ func TestPartitionLinksBisectsRing(t *testing.T) {
 		cut[[2]int{e.From, e.To}] = true
 		cut[[2]int{e.To, e.From}] = true
 	}
-	h := g.FilterEdges(func(u, v int) bool { return !cut[[2]int{u, v}] })
+	h := graph.OrientByID(g).Filter(func(u, v int) bool { return !cut[[2]int{u, v}] }).Graph()
 	if comps := countComponents(h); comps != 2 {
 		t.Errorf("after the cut the ring has %d components, want 2", comps)
 	}

@@ -55,7 +55,7 @@ func RunE7(opt Options) Table {
 				need := nbhood.Theorem14Slack(w.theta, g.MaxDegree(), s)
 				inst := coloring.WithSlack(g, 2*need*g.MaxDegree()+40, float64(need)+1, rng)
 				arb := nbhood.ArbSlack2Solver(w.theta, sim.Config{})
-				colors, st, err := nbhood.DefectiveFromArb(g, inst, base, q, w.theta, s, arb)
+				colors, st, err := nbhood.DefectiveFromArb(new(sim.Engine), graph.CSRFromGraph(g), inst, base, q, w.theta, s, arb)
 				if err != nil {
 					panic(err)
 				}
@@ -248,11 +248,11 @@ func RunE11(opt Options) Table {
 				base, q, _ := opt.properBase(g)
 				inst := coloring.WithSlack(g, 64, float64(mu)+0.5, rng)
 				calls := 0
-				counting := func(g2 *graph.Graph, inst2 *coloring.Instance, base2 []int, q2 int) (coloring.ArbResult, sim.Result, error) {
+				counting := func(e *sim.Engine, g2 *graph.CSR, inst2 *coloring.Instance, base2 []int, q2 int) (coloring.ArbResult, sim.Result, error) {
 					calls++
-					return nbhood.ArbSlack2Solver(2, sim.Config{})(g2, inst2, base2, q2)
+					return nbhood.ArbSlack2Solver(2, sim.Config{})(e, g2, inst2, base2, q2)
 				}
-				res, st, err := nbhood.SlackReduce2(g, inst, base, q, mu, counting, sim.Config{})
+				res, st, err := nbhood.SlackReduce2(new(sim.Engine), graph.CSRFromGraph(g), inst, base, q, mu, counting, sim.Config{})
 				if err != nil {
 					panic(err)
 				}

@@ -18,13 +18,13 @@ type Headroom struct {
 }
 
 func budgetHeadroom(in *Instance, colors []int, conflicts func(v int) int) (Headroom, error) {
-	allowed, err := checkColorsInLists(in, colors)
-	if err != nil {
+	if err := checkColorsInLists(in, colors); err != nil {
 		return Headroom{}, err
 	}
 	h := Headroom{Min: math.MaxInt, MinAt: -1}
-	for v := range colors {
-		rem := allowed[v] - conflicts(v)
+	for v, x := range colors {
+		allowed, _ := in.DefectOf(v, x)
+		rem := allowed - conflicts(v)
 		if rem < h.Min {
 			h.Min, h.MinAt = rem, v
 		}

@@ -78,6 +78,19 @@ func (in *Instance) SlackSum(v int) int {
 	return s
 }
 
+// BlockWeight returns W_{v,block} = Σ_{x ∈ L_v ∩ [lo, lo+size)} (d_v(x)+1),
+// the slack mass of v's colors in one block of a color-space split
+// (Lemmas 3.5 and 4.5).
+func (in *Instance) BlockWeight(v, lo, size int) int {
+	w := 0
+	for i, x := range in.Lists[v] {
+		if x >= lo && x < lo+size {
+			w += in.Defects[v][i] + 1
+		}
+	}
+	return w
+}
+
 // Slack returns the instance slack at v per Definition 1.1:
 // SlackSum(v) / deg(v). For isolated nodes it returns SlackSum(v)
 // (treating deg as 1) so the value stays meaningful.

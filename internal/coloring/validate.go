@@ -7,40 +7,54 @@ import (
 )
 
 // checkColorsInLists verifies colors has the right length and every
-// node picked a color from its own list, returning the looked-up
-// defects.
-func checkColorsInLists(in *Instance, colors []int) ([]int, error) {
+// node picked a color from its own list; the checks that follow look
+// each chosen color's defect up again with DefectOf.
+func checkColorsInLists(in *Instance, colors []int) error {
 	if len(colors) != in.N() {
-		return nil, fmt.Errorf("%w: %d colors for %d nodes", ErrViolation, len(colors), in.N())
+		return fmt.Errorf("%w: %d colors for %d nodes", ErrViolation, len(colors), in.N())
 	}
-	defects := make([]int, len(colors))
 	for v, x := range colors {
-		d, ok := in.DefectOf(v, x)
-		if !ok {
-			return nil, fmt.Errorf("%w: node %d chose color %d ∉ L_v", ErrViolation, v, x)
+		if _, ok := in.DefectOf(v, x); !ok {
+			return fmt.Errorf("%w: node %d chose color %d ∉ L_v", ErrViolation, v, x)
 		}
-		defects[v] = d
 	}
-	return defects, nil
+	return nil
+}
+
+// Orientation is the read-only view of an edge orientation that
+// ValidateOLDC and the solvers' slack checks read; graph.Digraph and
+// its CSR form graph.Oriented satisfy it.
+type Orientation interface {
+	N() int
+	Out(v int) []int
+	Outdeg(v int) int
+	Beta(v int) int
+}
+
+// Adjacency is a Topology that answers edge queries, as graph.Graph
+// and graph.CSR do.
+type Adjacency interface {
+	Topology
+	HasEdge(u, v int) bool
 }
 
 // ValidateOLDC checks an oriented list defective coloring: every node
 // v must have at most d_v(colors[v]) out-neighbors with its color.
-func ValidateOLDC(d *graph.Digraph, in *Instance, colors []int) error {
-	allowed, err := checkColorsInLists(in, colors)
-	if err != nil {
+func ValidateOLDC(d Orientation, in *Instance, colors []int) error {
+	if err := checkColorsInLists(in, colors); err != nil {
 		return err
 	}
 	for v := 0; v < in.N(); v++ {
+		allowed, _ := in.DefectOf(v, colors[v])
 		conflicts := 0
 		for _, u := range d.Out(v) {
 			if colors[u] == colors[v] {
 				conflicts++
 			}
 		}
-		if conflicts > allowed[v] {
+		if conflicts > allowed {
 			return fmt.Errorf("%w: node %d color %d has %d conflicting out-neighbors > defect %d",
-				ErrViolation, v, colors[v], conflicts, allowed[v])
+				ErrViolation, v, colors[v], conflicts, allowed)
 		}
 	}
 	return nil
@@ -49,21 +63,21 @@ func ValidateOLDC(d *graph.Digraph, in *Instance, colors []int) error {
 // ValidateListDefective checks a (plain) list defective coloring:
 // every node v must have at most d_v(colors[v]) neighbors with its
 // color.
-func ValidateListDefective(g *graph.Graph, in *Instance, colors []int) error {
-	allowed, err := checkColorsInLists(in, colors)
-	if err != nil {
+func ValidateListDefective(g Topology, in *Instance, colors []int) error {
+	if err := checkColorsInLists(in, colors); err != nil {
 		return err
 	}
 	for v := 0; v < in.N(); v++ {
+		allowed, _ := in.DefectOf(v, colors[v])
 		conflicts := 0
 		for _, u := range g.Neighbors(v) {
 			if colors[u] == colors[v] {
 				conflicts++
 			}
 		}
-		if conflicts > allowed[v] {
+		if conflicts > allowed {
 			return fmt.Errorf("%w: node %d color %d has %d conflicting neighbors > defect %d",
-				ErrViolation, v, colors[v], conflicts, allowed[v])
+				ErrViolation, v, colors[v], conflicts, allowed)
 		}
 	}
 	return nil
@@ -80,9 +94,8 @@ type ArbResult struct {
 // ValidateListArbdefective checks a list arbdefective coloring: every
 // monochromatic edge must appear in Arcs in exactly one direction, and
 // each node v must have at most d_v(colors[v]) outgoing arcs.
-func ValidateListArbdefective(g *graph.Graph, in *Instance, res ArbResult) error {
-	allowed, err := checkColorsInLists(in, res.Colors)
-	if err != nil {
+func ValidateListArbdefective(g Adjacency, in *Instance, res ArbResult) error {
+	if err := checkColorsInLists(in, res.Colors); err != nil {
 		return err
 	}
 	type edge = [2]int
@@ -122,9 +135,9 @@ func ValidateListArbdefective(g *graph.Graph, in *Instance, res ArbResult) error
 		}
 	}
 	for v, c := range outCount {
-		if c > allowed[v] {
+		if allowed, _ := in.DefectOf(v, res.Colors[v]); c > allowed {
 			return fmt.Errorf("%w: node %d has %d outgoing monochromatic arcs > defect %d",
-				ErrViolation, v, c, allowed[v])
+				ErrViolation, v, c, allowed)
 		}
 	}
 	return nil
@@ -134,7 +147,7 @@ func ValidateListArbdefective(g *graph.Graph, in *Instance, res ArbResult) error
 // irrelevant): every node picked from its list and no edge is
 // monochromatic.
 func ValidateProperList(g *graph.Graph, in *Instance, colors []int) error {
-	if _, err := checkColorsInLists(in, colors); err != nil {
+	if err := checkColorsInLists(in, colors); err != nil {
 		return err
 	}
 	return graph.IsProperColoring(g, colors)

@@ -43,7 +43,7 @@ type Result struct {
 
 // CheckSlack verifies Theorem 1.2's condition (zero-out-degree nodes
 // need only a non-empty list).
-func CheckSlack(d *graph.Digraph, inst *coloring.Instance) error {
+func CheckSlack(d coloring.Orientation, inst *coloring.Instance) error {
 	sqrtC := math.Sqrt(float64(inst.Space))
 	for v := 0; v < inst.N(); v++ {
 		if d.Outdeg(v) == 0 {
@@ -64,6 +64,12 @@ func CheckSlack(d *graph.Digraph, inst *coloring.Instance) error {
 // initColors must be a proper q-coloring and inst must satisfy
 // CheckSlack. The result is a valid OLDC coloring.
 func Solve(d *graph.Digraph, inst *coloring.Instance, initColors []int, q int, cfg sim.Config) (Result, error) {
+	return SolveOn(new(sim.Engine), d.Oriented, inst, initColors, q, cfg)
+}
+
+// SolveOn is Solve on the CSR form and the engine set-up e of the
+// calling solve.
+func SolveOn(e *sim.Engine, d *graph.Oriented, inst *coloring.Instance, initColors []int, q int, cfg sim.Config) (Result, error) {
 	if err := inst.Validate(); err != nil {
 		return Result{}, err
 	}
@@ -79,8 +85,8 @@ func Solve(d *graph.Digraph, inst *coloring.Instance, initColors []int, q int, c
 		eps = 1.0 / float64(3*k)
 	}
 	kappa := 2 * (1 + eps)
-	inner := fastTwoSweepSolver(2, eps/2, innerCfg(cfg))
-	colors, stats, err := reduceSpaceSpanned(4, kappa, inner, d, inst, initColors, q, cfg.Span)
+	inner := fastTwoSweepSolver(2, eps/2, cfg.WithoutSpan()) // the recursion records the spans
+	colors, stats, err := reduceSpace(e, 4, kappa, inner, d, inst, initColors, q, cfg.Span)
 	if err != nil {
 		return Result{}, err
 	}
@@ -88,18 +94,11 @@ func Solve(d *graph.Digraph, inst *coloring.Instance, initColors []int, q int, c
 	return Result{Colors: colors, Stats: stats, Levels: k}, nil
 }
 
-// innerCfg strips the span from a config handed to inner solvers (the
-// span tree is structured by the recursion itself, not by the leaves).
-func innerCfg(cfg sim.Config) sim.Config {
-	cfg.Span = nil
-	return cfg
-}
-
 // fastTwoSweepSolver adapts the Fast-Two-Sweep algorithm (Theorem 1.1)
 // to the Solver interface, with fixed p and ε.
 func fastTwoSweepSolver(p int, eps float64, cfg sim.Config) Solver {
-	return func(d *graph.Digraph, inst *coloring.Instance, initColors []int, q int) ([]int, sim.Result, error) {
-		res, err := twosweep.SolveFast(d, inst, initColors, q, p, eps, cfg)
+	return func(e *sim.Engine, d *graph.Oriented, inst *coloring.Instance, initColors []int, q int) ([]int, sim.Result, error) {
+		res, err := twosweep.SolveFastOn(e, d, inst, initColors, q, p, eps, cfg)
 		if err != nil {
 			return nil, sim.Result{}, err
 		}

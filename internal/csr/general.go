@@ -12,9 +12,9 @@ import (
 // Solver solves OLDC instances on (sub)graphs: given an orientation, a
 // structurally valid instance, and a proper q-coloring, it returns a
 // coloring with at most d_v(x_v) same-colored out-neighbors per node.
-// A Solver declares its slack requirement out of band (the κ of
-// Lemma 3.5).
-type Solver func(d *graph.Digraph, inst *coloring.Instance, initColors []int, q int) ([]int, sim.Result, error)
+// Its runs use the engine set-up e of the calling solve. A Solver
+// declares its slack requirement out of band (the κ of Lemma 3.5).
+type Solver func(e *sim.Engine, d *graph.Oriented, inst *coloring.Instance, initColors []int, q int) ([]int, sim.Result, error)
 
 // ReduceSpace implements Lemma 3.5 (Theorem 3 of [FK23a], specialized
 // to this library's solvers): given a Solver a that handles OLDC
@@ -41,8 +41,8 @@ func ReduceSpace(lambda int, kappa float64, a Solver) Solver {
 	if kappa <= 1 {
 		panic(fmt.Sprintf("csr: κ=%v must exceed 1", kappa))
 	}
-	return func(d *graph.Digraph, inst *coloring.Instance, initColors []int, q int) ([]int, sim.Result, error) {
-		return reduceSpace(lambda, kappa, a, d, inst, initColors, q)
+	return func(e *sim.Engine, d *graph.Oriented, inst *coloring.Instance, initColors []int, q int) ([]int, sim.Result, error) {
+		return reduceSpace(e, lambda, kappa, a, d, inst, initColors, q, nil)
 	}
 }
 
@@ -53,11 +53,9 @@ type group struct {
 	blockLo int
 }
 
-func reduceSpace(lambda int, kappa float64, a Solver, d *graph.Digraph, inst *coloring.Instance, initColors []int, q int) ([]int, sim.Result, error) {
-	return reduceSpaceSpanned(lambda, kappa, a, d, inst, initColors, q, nil)
-}
-
-func reduceSpaceSpanned(lambda int, kappa float64, a Solver, d *graph.Digraph, inst *coloring.Instance, initColors []int, q int, cfgSpan *sim.Span) ([]int, sim.Result, error) {
+// reduceSpace is ReduceSpace's recursion; the levels and groups are
+// recorded under cfgSpan when it is non-nil.
+func reduceSpace(e *sim.Engine, lambda int, kappa float64, a Solver, d *graph.Oriented, inst *coloring.Instance, initColors []int, q int, cfgSpan *sim.Span) ([]int, sim.Result, error) {
 	n := d.N()
 	// k = ⌈log_λ C⌉ levels; the space is treated as padded to λ^k.
 	k := 0
@@ -66,7 +64,8 @@ func reduceSpaceSpanned(lambda int, kappa float64, a Solver, d *graph.Digraph, i
 	}
 	out := make([]int, n)
 	var total sim.Result
-	groups := []group{{nodes: allNodes(n), blockLo: 0}}
+	groups := []group{{nodes: graph.Vertices(n), blockLo: 0}}
+	sub := new(flatInstance) // every group's λ-color instance, in turn
 	for level := k; level >= 1; level-- {
 		blockSize := powInt(lambda, level)
 		subSize := blockSize / lambda
@@ -86,10 +85,10 @@ func reduceSpaceSpanned(lambda int, kappa float64, a Solver, d *graph.Digraph, i
 			var stats sim.Result
 			var err error
 			if level == 1 {
-				stats, err = solveBase(a, d, inst, initColors, q, grp, lambda, out)
+				stats, err = solveBase(e, a, d, inst, initColors, q, grp, sub.reset(len(grp.nodes), lambda), out)
 			} else {
 				var children []group
-				children, stats, err = solveChoice(a, d, inst, initColors, q, grp, lambda, subSize, kappa, float64(level-1))
+				children, stats, err = solveChoice(e, a, d, inst, initColors, q, grp, sub.reset(len(grp.nodes), lambda), subSize, kappa, float64(level-1))
 				next = append(next, children...)
 			}
 			if err != nil {
@@ -117,37 +116,31 @@ func reduceSpaceSpanned(lambda int, kappa float64, a Solver, d *graph.Digraph, i
 
 // solveChoice runs one level's block-choice OLDC on a group and
 // returns the child groups.
-func solveChoice(a Solver, d *graph.Digraph, inst *coloring.Instance, initColors []int, q int, grp group, lambda, subSize int, kappa, levelsBelow float64) ([]group, sim.Result, error) {
-	dInd, orig := graph.InduceDigraph(d, grp.nodes)
+func solveChoice(e *sim.Engine, a Solver, d *graph.Oriented, inst *coloring.Instance, initColors []int, q int, grp group, choice *flatInstance, subSize int, kappa, levelsBelow float64) ([]group, sim.Result, error) {
 	weightDiv := math.Pow(kappa, levelsBelow) // κ^{j-1}
-	choice := &coloring.Instance{
-		Lists:   make([][]int, len(orig)),
-		Defects: make([][]int, len(orig)),
-		Space:   lambda,
-	}
-	for i, v := range orig {
+	lambda := choice.Space
+	for i, v := range grp.nodes {
 		for blk := 0; blk < lambda; blk++ {
-			w := blockWeight(inst, v, grp.blockLo+blk*subSize, subSize)
+			w := inst.BlockWeight(v, grp.blockLo+blk*subSize, subSize)
 			if w == 0 {
 				continue // empty block: not a valid choice
 			}
-			choice.Lists[i] = append(choice.Lists[i], blk)
-			choice.Defects[i] = append(choice.Defects[i], int(math.Floor(float64(w)/weightDiv)))
+			choice.add(i, blk, int(math.Floor(float64(w)/weightDiv)))
 		}
 	}
-	initInd := induceInts(initColors, orig)
-	colors, stats, err := a(dInd, choice, initInd, q)
+	dInd := d.Induce(grp.nodes, &e.Index)
+	colors, stats, err := a(e, dInd, &choice.Instance, graph.Restrict(initColors, grp.nodes), q)
 	if err != nil {
 		return nil, sim.Result{}, fmt.Errorf("csr: block choice (block %d, size %d·%d): %w", grp.blockLo, lambda, subSize, err)
 	}
-	if err := coloring.ValidateOLDC(dInd, choice, colors); err != nil {
+	if err := coloring.ValidateOLDC(dInd, &choice.Instance, colors); err != nil {
 		return nil, sim.Result{}, fmt.Errorf("csr: block choice produced invalid OLDC: %w", err)
 	}
 	// One bucket per block (ValidateOLDC has checked that every block
 	// lies in [0, λ)); empty blocks are then dropped in place.
 	children := make([]group, lambda)
 	for i, blk := range colors {
-		children[blk].nodes = append(children[blk].nodes, orig[i])
+		children[blk].nodes = append(children[blk].nodes, grp.nodes[i])
 	}
 	out := children[:0]
 	for blk, c := range children {
@@ -160,60 +153,58 @@ func solveChoice(a Solver, d *graph.Digraph, inst *coloring.Instance, initColors
 
 // solveBase assigns actual colors within a block of ≤ lambda colors,
 // remapping to [0, lambda) so the inner solver sees a λ-sized space.
-func solveBase(a Solver, d *graph.Digraph, inst *coloring.Instance, initColors []int, q int, grp group, lambda int, out []int) (sim.Result, error) {
-	dInd, orig := graph.InduceDigraph(d, grp.nodes)
-	sub := &coloring.Instance{
-		Lists:   make([][]int, len(orig)),
-		Defects: make([][]int, len(orig)),
-		Space:   lambda,
-	}
-	for i, v := range orig {
+func solveBase(e *sim.Engine, a Solver, d *graph.Oriented, inst *coloring.Instance, initColors []int, q int, grp group, sub *flatInstance, out []int) (sim.Result, error) {
+	lambda := sub.Space
+	for i, v := range grp.nodes {
 		for li, x := range inst.Lists[v] {
 			if x >= grp.blockLo && x < grp.blockLo+lambda {
-				sub.Lists[i] = append(sub.Lists[i], x-grp.blockLo)
-				sub.Defects[i] = append(sub.Defects[i], inst.Defects[v][li])
+				sub.add(i, x-grp.blockLo, inst.Defects[v][li])
 			}
 		}
 	}
-	initInd := induceInts(initColors, orig)
-	colors, stats, err := a(dInd, sub, initInd, q)
+	dInd := d.Induce(grp.nodes, &e.Index)
+	colors, stats, err := a(e, dInd, &sub.Instance, graph.Restrict(initColors, grp.nodes), q)
 	if err != nil {
 		return sim.Result{}, fmt.Errorf("csr: base level (block %d): %w", grp.blockLo, err)
 	}
-	if err := coloring.ValidateOLDC(dInd, sub, colors); err != nil {
+	if err := coloring.ValidateOLDC(dInd, &sub.Instance, colors); err != nil {
 		return sim.Result{}, fmt.Errorf("csr: base level produced invalid OLDC: %w", err)
 	}
-	for i, v := range orig {
+	for i, v := range grp.nodes {
 		out[v] = colors[i] + grp.blockLo
 	}
 	return stats, nil
 }
 
-// blockWeight returns W_{v,block} = Σ_{x ∈ L_v ∩ [lo, lo+size)} (d_v(x)+1).
-func blockWeight(inst *coloring.Instance, v, lo, size int) int {
-	w := 0
-	for i, x := range inst.Lists[v] {
-		if x >= lo && x < lo+size {
-			w += inst.Defects[v][i] + 1
-		}
-	}
-	return w
+// flatInstance is a λ-color sub-instance whose lists and defects are
+// windows of two flat arrays, at most λ entries per node. One serves
+// every group of a recursion in turn (a Solver keeps no instance past
+// its return), so the arrays are allocated once, at the largest group.
+type flatInstance struct {
+	coloring.Instance
+	lists, defects []int
 }
 
-func allNodes(n int) []int {
-	out := make([]int, n)
-	for v := range out {
-		out[v] = v
+// reset empties f for n nodes of a λ-color space and returns it.
+func (f *flatInstance) reset(n, lambda int) *flatInstance {
+	if cap(f.Lists) < n {
+		f.Lists, f.Defects = make([][]int, n), make([][]int, n)
 	}
-	return out
+	f.Lists, f.Defects, f.Space = f.Lists[:n], f.Defects[:n], lambda
+	clear(f.Lists)
+	clear(f.Defects)
+	if len(f.lists) < n*lambda {
+		f.lists, f.defects = make([]int, n*lambda), make([]int, n*lambda)
+	}
+	return f
 }
 
-func induceInts(vals []int, orig []int) []int {
-	out := make([]int, len(orig))
-	for i, v := range orig {
-		out[i] = vals[v]
-	}
-	return out
+// add appends color x with defect dx to node i's list, which must stay
+// ascending.
+func (f *flatInstance) add(i, x, dx int) {
+	lo, at := i*f.Space, i*f.Space+len(f.Lists[i])
+	f.lists[at], f.defects[at] = x, dx
+	f.Lists[i], f.Defects[i] = f.lists[lo:at+1:lo+f.Space], f.defects[lo:at+1:lo+f.Space]
 }
 
 func powInt(base, exp int) int {

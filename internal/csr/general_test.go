@@ -31,7 +31,7 @@ func TestReduceSpaceOtherLambdas(t *testing.T) {
 		// Instance with slack κ^3 per unit of out-degree.
 		need := math.Pow(kappa, 3)
 		inst := coloring.WithOrientedSlack(d, space, need, rng)
-		colors, stats, err := solver(d, inst, base, q)
+		colors, stats, err := solver(new(sim.Engine), d.Oriented, inst, base, q)
 		if err != nil {
 			t.Fatalf("λ=%d: %v", lambda, err)
 		}
@@ -113,7 +113,7 @@ func TestReduceSpaceSingleColorSpace(t *testing.T) {
 	inner := fastTwoSweepSolver(2, 0.1, sim.Config{})
 	solver := ReduceSpace(4, 2.5, inner)
 	bad := &coloring.Instance{Space: 1, Lists: [][]int{{0}, {}, {0}, {0}}, Defects: [][]int{{5}, {}, {5}, {5}}}
-	if _, _, err := solver(d, bad, base, q); err == nil {
+	if _, _, err := solver(new(sim.Engine), d.Oriented, bad, base, q); err == nil {
 		t.Error("empty list at C=1 accepted")
 	}
 }
@@ -152,12 +152,12 @@ func TestInnerSolverErrorPropagates(t *testing.T) {
 	g := graph.Ring(6)
 	d := graph.OrientByID(g)
 	base, q := properColoring(t, g)
-	failing := func(*graph.Digraph, *coloring.Instance, []int, int) ([]int, sim.Result, error) {
+	failing := func(*sim.Engine, *graph.Oriented, *coloring.Instance, []int, int) ([]int, sim.Result, error) {
 		return nil, sim.Result{}, twosweep.ErrSlack
 	}
 	rng := rand.New(rand.NewSource(4))
 	inst := coloring.WithOrientedSlack(d, 64, 24, rng)
-	if _, _, err := ReduceSpace(4, 2.5, failing)(d, inst, base, q); err == nil {
+	if _, _, err := ReduceSpace(4, 2.5, failing)(new(sim.Engine), d.Oriented, inst, base, q); err == nil {
 		t.Error("inner failure swallowed")
 	}
 }

@@ -27,16 +27,25 @@ import (
 // node has at most ⌊α·β_v⌋ out-neighbors of its own color. Runs in
 // O(log* m) rounds.
 func ColorOriented(d *graph.Digraph, colors []int, m int, alpha float64, cfg sim.Config) (linial.Result, error) {
-	steps := linial.DefectiveSchedule(m, d.MaxBeta(), alpha)
-	return linial.Reduce(sim.NewOrientedNetwork(d), colors, m, steps, true, cfg)
+	return ColorOn(new(sim.Engine), sim.NewOrientedNetwork(d), colors, m, alpha, cfg)
 }
 
 // ColorUndirected computes a defective coloring of g from a proper
 // m-coloring: the result has Θ(1/α²) colors and every node has at most
 // ⌊α·deg(v)⌋ neighbors of its own color. Runs in O(log* m) rounds.
 func ColorUndirected(g *graph.Graph, colors []int, m int, alpha float64, cfg sim.Config) (linial.Result, error) {
-	steps := linial.DefectiveSchedule(m, g.MaxDegree(), alpha)
-	return linial.Reduce(sim.NewNetwork(g), colors, m, steps, false, cfg)
+	return ColorOn(new(sim.Engine), sim.NewNetwork(g), colors, m, alpha, cfg)
+}
+
+// ColorOn is ColorOriented on an oriented network and ColorUndirected
+// on an unoriented one, run on the engine set-up e of the calling
+// solve.
+func ColorOn(e *sim.Engine, nw *sim.Network, colors []int, m int, alpha float64, cfg sim.Config) (linial.Result, error) {
+	beta := nw.CSR().MaxDegree()
+	if o := nw.Oriented(); o != nil {
+		beta = o.MaxBeta()
+	}
+	return linial.ReduceOn(e, nw, colors, m, linial.DefectiveSchedule(m, beta, alpha), nw.Oriented() != nil, cfg)
 }
 
 // Palette returns the number of colors the defective coloring will

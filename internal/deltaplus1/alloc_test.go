@@ -1,0 +1,39 @@
+package deltaplus1
+
+import (
+	"math/rand"
+	"runtime"
+	"testing"
+
+	"listcolor/internal/coloring"
+	"listcolor/internal/graph"
+	"listcolor/internal/sim"
+)
+
+// TestSolveAllocs pins the allocation cost of one solve at perfbench
+// solve-deep's shape (BenchmarkDegPlusOne/solve-deep: a 500-node
+// 16-regular graph, C = 33, span installed), where Lemma A.1's class
+// loop makes 500 one-node sub-runs. Building every sub-run on a CSR
+// through one dense index, and giving all of a solve's runs one engine
+// set-up, brought a solve from 65,017 objects and 3.85 MB to under
+// half of each; the bounds are those halves.
+func TestSolveAllocs(t *testing.T) {
+	const maxObjects, maxBytes = 65_017 / 2, 3_846_313 / 2
+	g := graph.RandomRegular(500, 16, rand.New(rand.NewSource(7)))
+	inst := coloring.DegreePlusOne(g, 33, rand.New(rand.NewSource(8)))
+	solve := func() {
+		if _, err := Solve(g, inst, sim.Config{Span: sim.NewSpan("deltaplus1")}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if objs := testing.AllocsPerRun(3, solve); objs > maxObjects {
+		t.Errorf("one solve allocates %.0f objects, bound %d", objs, maxObjects)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	solve()
+	runtime.ReadMemStats(&after)
+	if b := after.TotalAlloc - before.TotalAlloc; b > maxBytes {
+		t.Errorf("one solve allocates %d bytes, bound %d", b, maxBytes)
+	}
+}

@@ -76,21 +76,21 @@ func Solve(g *graph.Graph, inst *coloring.Instance, cfg sim.Config) (Result, err
 	if err := Check(g, inst); err != nil {
 		return Result{}, err
 	}
-	sub := cfg // sub-solvers record no spans
-	sub.Span = nil
-	base, err := linial.ColorFromIDs(g, sub)
+	sub := cfg.WithoutSpan() // sub-solvers record no spans
+	c, e := graph.CSRFromGraph(g), new(sim.Engine)
+	base, err := linial.ColorCSRFromIDs(e, c, sub)
 	if err != nil {
 		return Result{}, fmt.Errorf("deltaplus1: bootstrap: %w", err)
 	}
 	cfg.Span.Child("Linial bootstrap (log* n)").Done(base.Stats)
 	var res Result
 	oldc := nbhood.OLDCAsArb(sub)
-	counted := func(class *graph.Graph, classInst *coloring.Instance, classBase []int, q int) (coloring.ArbResult, sim.Result, error) {
+	counted := func(e *sim.Engine, class *graph.CSR, classInst *coloring.Instance, classBase []int, q int) (coloring.ArbResult, sim.Result, error) {
 		res.OLDCCalls++
-		return oldc(class, classInst, classBase, q)
+		return oldc(e, class, classInst, classBase, q)
 	}
 	mu := int(math.Ceil(3 * math.Sqrt(float64(inst.Space))))
-	arb, stats, scales, err := nbhood.DegreeHalving(g, inst, base.Colors, base.Palette, mu, counted, cfg)
+	arb, stats, scales, err := nbhood.DegreeHalving(e, c, inst, base.Colors, base.Palette, mu, counted, cfg)
 	if err != nil {
 		return Result{}, fmt.Errorf("deltaplus1: %w", err)
 	}

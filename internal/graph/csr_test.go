@@ -8,26 +8,19 @@ import (
 func TestDegreesMatchesDegree(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	g := GNP(40, 0.2, rng)
-	deg := g.Degrees()
-	if len(deg) != g.N() {
-		t.Fatalf("Degrees length %d, want %d", len(deg), g.N())
+	c := CSRFromGraph(g)
+	if c.N() != g.N() {
+		t.Fatalf("CSR has %d vertices, want %d", c.N(), g.N())
 	}
 	sum := 0
 	for v := 0; v < g.N(); v++ {
-		if deg[v] != g.Degree(v) {
-			t.Errorf("Degrees()[%d] = %d, Degree = %d", v, deg[v], g.Degree(v))
+		if c.Degree(v) != g.Degree(v) {
+			t.Errorf("CSR Degree(%d) = %d, Graph Degree = %d", v, c.Degree(v), g.Degree(v))
 		}
-		sum += deg[v]
+		sum += c.Degree(v)
 	}
-	if sum != 2*g.M() {
-		t.Errorf("degree sum %d, want 2m = %d", sum, 2*g.M())
-	}
-	// The slice is a copy: mutating it must not corrupt the graph.
-	if g.N() > 0 {
-		deg[0] = -1
-		if g.Degree(0) == -1 {
-			t.Error("Degrees returned an aliased slice")
-		}
+	if sum != 2*g.M() || c.Arcs() != int64(sum) {
+		t.Errorf("degree sum %d, arcs %d, want 2m = %d", sum, c.Arcs(), 2*g.M())
 	}
 }
 
@@ -40,15 +33,15 @@ func TestCSRMatchesNeighbors(t *testing.T) {
 		"gnp":      GNP(30, 0.15, rand.New(rand.NewSource(3))),
 	}
 	for name, g := range graphs {
-		rowPtr, col := g.CSR()
-		if len(rowPtr) != g.N()+1 {
-			t.Fatalf("%s: rowPtr length %d, want %d", name, len(rowPtr), g.N()+1)
+		c := CSRFromGraph(g)
+		if len(c.rowPtr) != g.N()+1 {
+			t.Fatalf("%s: rowPtr length %d, want %d", name, len(c.rowPtr), g.N()+1)
 		}
-		if rowPtr[g.N()] != 2*g.M() || len(col) != 2*g.M() {
-			t.Fatalf("%s: rowPtr[n]=%d len(col)=%d, want 2m=%d", name, rowPtr[g.N()], len(col), 2*g.M())
+		if c.Arcs() != int64(2*g.M()) || len(c.col) != 2*g.M() {
+			t.Fatalf("%s: rowPtr[n]=%d len(col)=%d, want 2m=%d", name, c.Arcs(), len(c.col), 2*g.M())
 		}
 		for v := 0; v < g.N(); v++ {
-			row := col[rowPtr[v]:rowPtr[v+1]]
+			row := c.col[c.rowPtr[v]:c.rowPtr[v+1]]
 			nbrs := g.Neighbors(v)
 			if len(row) != len(nbrs) {
 				t.Fatalf("%s: node %d row length %d, want %d", name, v, len(row), len(nbrs))

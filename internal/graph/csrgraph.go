@@ -201,13 +201,10 @@ func (c *CSR) HasEdge(u, v int) bool {
 	if u < 0 || u >= c.n || v < 0 || v >= c.n || u == v {
 		return false
 	}
-	a, b := u, v
-	if c.Degree(a) > c.Degree(b) {
-		a, b = b, a
+	if c.Degree(u) > c.Degree(v) {
+		u, v = v, u
 	}
-	row := c.Row(a)
-	i := sort.SearchInts(row, b)
-	return i < len(row) && row[i] == b
+	return contains(c.Row(u), v)
 }
 
 // MaxDegree returns Δ as defined in the paper: max(2, max degree).
@@ -239,10 +236,9 @@ func (c *CSR) Fingerprint() uint64 {
 	return fingerprint(c.n, c.Row)
 }
 
-// Graph materializes an adjacency-list copy of the CSR. It exists for
-// the validation and diagnostics paths that predate the CSR-native
-// substrate (proper-coloring checks, induced subgraphs); it allocates
-// per-node slices and a full copy of the column data, so scale paths
+// Graph materializes an adjacency-list copy of the CSR for the code
+// that still wants one (neighborhood independence, tests); it allocates
+// per-node slices and copies the column data, so solve and scale paths
 // must not call it.
 func (c *CSR) Graph() *Graph {
 	g := New(c.n)

@@ -3,66 +3,22 @@ package graph
 import (
 	"fmt"
 	"math/rand"
-	"sort"
 )
 
 // Digraph is an edge-oriented view of an undirected graph: every edge
 // of the underlying graph is given exactly one direction. The oriented
 // list defective coloring problems (Section 3 of the paper) take such
 // an orientation as input; the arbdefective problems produce one as
-// output.
+// output. It is the CSR form (Oriented, whose Out, In, Outdeg, Beta,
+// MaxBeta and HasArc it shares) together with the Graph it was built
+// from, so solvers read a Digraph without converting it.
 type Digraph struct {
-	g   *Graph
-	out [][]int
-	in  [][]int
+	*Oriented
+	g *Graph
 }
 
 // Underlying returns the undirected graph this orientation is over.
 func (d *Digraph) Underlying() *Graph { return d.g }
-
-// N returns the number of vertices.
-func (d *Digraph) N() int { return d.g.n }
-
-// Out returns the sorted out-neighbor list of v (owned by the digraph;
-// read-only for callers).
-func (d *Digraph) Out(v int) []int { return d.out[v] }
-
-// In returns the sorted in-neighbor list of v (owned by the digraph;
-// read-only for callers).
-func (d *Digraph) In(v int) []int { return d.in[v] }
-
-// Outdeg returns the out-degree of v.
-func (d *Digraph) Outdeg(v int) int { return len(d.out[v]) }
-
-// Beta returns β_v := max(1, outdeg(v)), the paper's Section 2
-// convention that keeps slack conditions well defined for sinks.
-func (d *Digraph) Beta(v int) int {
-	if len(d.out[v]) == 0 {
-		return 1
-	}
-	return len(d.out[v])
-}
-
-// MaxBeta returns β(G) := max_v β_v.
-func (d *Digraph) MaxBeta() int {
-	b := 1
-	for v := range d.out {
-		if len(d.out[v]) > b {
-			b = len(d.out[v])
-		}
-	}
-	return b
-}
-
-// HasArc reports whether the edge {u,v} is oriented u → v.
-func (d *Digraph) HasArc(u, v int) bool {
-	if u < 0 || u >= d.g.n || v < 0 || v >= d.g.n {
-		return false
-	}
-	lst := d.out[u]
-	i := sort.SearchInts(lst, v)
-	return i < len(lst) && lst[i] == v
-}
 
 // OrientByRank orients each edge {u,v} from the higher-ranked endpoint
 // to the lower-ranked one: u → v iff rank[u] > rank[v]. Ranks must be
@@ -78,62 +34,37 @@ func OrientByRank(g *Graph, rank []int) (*Digraph, error) {
 		return nil, fmt.Errorf("graph: rank length %d != n %d", len(rank), g.n)
 	}
 	g.Normalize()
-	d := &Digraph{g: g, out: make([][]int, g.n), in: make([][]int, g.n)}
 	for u := 0; u < g.n; u++ {
 		for _, v := range g.adj[u] {
-			if u < v {
-				switch {
-				case rank[u] > rank[v]:
-					d.out[u] = append(d.out[u], v)
-					d.in[v] = append(d.in[v], u)
-				case rank[v] > rank[u]:
-					d.out[v] = append(d.out[v], u)
-					d.in[u] = append(d.in[u], v)
-				default:
-					return nil, fmt.Errorf("graph: edge {%d,%d} has equal ranks %d", u, v, rank[u])
-				}
+			if u < v && rank[u] == rank[v] {
+				return nil, fmt.Errorf("graph: edge {%d,%d} has equal ranks %d", u, v, rank[u])
 			}
 		}
 	}
-	d.sortLists()
-	return d, nil
+	return &Digraph{Oriented: orientCSR(CSRFromGraph(g), func(u, v int) bool { return rank[u] > rank[v] }), g: g}, nil
 }
 
 // OrientByID orients every edge toward the smaller vertex id. It is
 // the canonical deterministic orientation used as a default in tests
-// and examples.
+// and examples; its out-neighbors are the prefix of each sorted row,
+// so it shares the CSR's column array (OrientCSRByID).
 func OrientByID(g *Graph) *Digraph {
-	rank := make([]int, g.n)
-	for v := range rank {
-		rank[v] = v
-	}
-	d, err := OrientByRank(g, rank)
-	if err != nil {
-		// Unreachable: identity ranks are distinct.
-		panic(err)
-	}
-	return d
+	return &Digraph{Oriented: OrientCSRByID(CSRFromGraph(g)), g: g}
 }
 
 // OrientRandom orients every edge in a uniformly random direction
 // drawn from rng.
 func OrientRandom(g *Graph, rng *rand.Rand) *Digraph {
-	g.Normalize()
-	d := &Digraph{g: g, out: make([][]int, g.n), in: make([][]int, g.n)}
-	for u := 0; u < g.n; u++ {
-		for _, v := range g.adj[u] {
+	c := CSRFromGraph(g)
+	up := make([]bool, len(c.col))
+	for u := 0; u < c.n; u++ {
+		for i, v := range c.Row(u) {
 			if u < v {
-				a, b := u, v
-				if rng.Intn(2) == 0 {
-					a, b = v, u
-				}
-				d.out[a] = append(d.out[a], b)
-				d.in[b] = append(d.in[b], a)
+				up[c.rowPtr[u]+int64(i)] = rng.Intn(2) != 0
 			}
 		}
 	}
-	d.sortLists()
-	return d
+	return orientUp(g, c, up)
 }
 
 // OrientByDegeneracy orients every edge along a degeneracy order so
@@ -141,12 +72,9 @@ func OrientRandom(g *Graph, rng *rand.Rand) *Digraph {
 // smallest possible maximum out-degree over all acyclic orientations.
 func OrientByDegeneracy(g *Graph) *Digraph {
 	_, order := Degeneracy(g)
-	// order[i] is the i-th vertex removed; orient edges from
-	// later-removed to earlier-removed so out-neighbors of v are the
-	// neighbors still present when v was removed... inverted: the
-	// degeneracy guarantee is that when v is removed, it has at most k
-	// remaining neighbors; those must be v's OUT-neighbors, and they
-	// are removed after v. So orient v → u iff v is removed before u.
+	// order[i] is the i-th vertex removed. When v is removed it has at
+	// most k remaining neighbors, all removed after it: those are its
+	// out-neighbors, so orient v → u iff v is removed before u.
 	pos := make([]int, g.n)
 	for i, v := range order {
 		pos[v] = i
@@ -166,83 +94,53 @@ func OrientByDegeneracy(g *Graph) *Digraph {
 // set: arcs[i] = (u, v) means u → v. Every edge of g must appear in
 // exactly one direction.
 func OrientArbitraryFrom(g *Graph, arcs [][2]int) (*Digraph, error) {
-	g.Normalize()
+	c := CSRFromGraph(g)
 	if len(arcs) != g.edges {
 		return nil, fmt.Errorf("graph: %d arcs for %d edges", len(arcs), g.edges)
 	}
-	d := &Digraph{g: g, out: make([][]int, g.n), in: make([][]int, g.n)}
-	seen := make(map[[2]int]bool, len(arcs))
+	up, seen := make([]bool, len(c.col)), make([]bool, len(c.col))
 	for _, a := range arcs {
 		u, v := a[0], a[1]
 		if !g.HasEdge(u, v) {
 			return nil, fmt.Errorf("graph: arc (%d,%d) is not an edge", u, v)
 		}
-		key := [2]int{u, v}
-		if u > v {
-			key = [2]int{v, u}
-		}
-		if seen[key] {
+		at := c.arc(min(u, v), max(u, v))
+		if seen[at] {
 			return nil, fmt.Errorf("graph: edge {%d,%d} oriented twice", u, v)
 		}
-		seen[key] = true
-		d.out[u] = append(d.out[u], v)
-		d.in[v] = append(d.in[v], u)
+		seen[at], up[at] = true, u < v
 	}
-	d.sortLists()
-	return d, nil
+	return orientUp(g, c, up), nil
 }
 
-// InduceDigraph returns the subgraph of d induced by keep, preserving
-// arc directions, together with the mapping orig[i] = original id of
-// new vertex i.
-func InduceDigraph(d *Digraph, keep []int) (*Digraph, []int) {
-	sub, orig := d.g.InducedSubgraph(keep)
-	index := make(map[int]int, len(keep))
-	for i, v := range orig {
-		index[v] = i
-	}
-	var arcs [][2]int
-	for i, v := range orig {
-		for _, w := range d.out[v] {
-			if j, ok := index[w]; ok {
-				arcs = append(arcs, [2]int{i, j})
-			}
+// orientUp orients c, the CSR form of g, by one flag per edge held at
+// the arc of its smaller endpoint: up means the edge points from the
+// smaller endpoint to the larger.
+func orientUp(g *Graph, c *CSR, up []bool) *Digraph {
+	return &Digraph{Oriented: orientCSR(c, func(u, v int) bool {
+		if u < v {
+			return up[c.arc(u, v)]
 		}
-	}
-	sd, err := OrientArbitraryFrom(sub, arcs)
-	if err != nil {
-		panic(err) // unreachable: arcs are exactly the induced edges
-	}
-	return sd, orig
+		return !up[c.arc(v, u)]
+	}), g: g}
 }
 
-func (d *Digraph) sortLists() {
-	for v := range d.out {
-		sort.Ints(d.out[v])
-		sort.Ints(d.in[v])
-	}
-}
-
-// Validate checks that the orientation covers every edge exactly once.
+// Validate checks that the orientation covers every edge of the
+// underlying graph exactly once. (In(v) is by construction the rest of
+// v's row, so an arc's reverse is there iff it is not an arc too.)
 func (d *Digraph) Validate() error {
 	if err := d.g.Validate(); err != nil {
 		return err
 	}
 	arcs := 0
-	for u := 0; u < d.g.n; u++ {
-		arcs += len(d.out[u])
-		for _, v := range d.out[u] {
+	for u := 0; u < d.N(); u++ {
+		arcs += d.Outdeg(u)
+		for _, v := range d.Out(u) {
 			if !d.g.HasEdge(u, v) {
 				return fmt.Errorf("graph: arc (%d,%d) without underlying edge", u, v)
 			}
 			if d.HasArc(v, u) {
 				return fmt.Errorf("graph: edge {%d,%d} oriented both ways", u, v)
-			}
-			// In-list consistency.
-			lst := d.in[v]
-			i := sort.SearchInts(lst, u)
-			if i >= len(lst) || lst[i] != u {
-				return fmt.Errorf("graph: arc (%d,%d) missing from in-list", u, v)
 			}
 		}
 	}
@@ -254,5 +152,5 @@ func (d *Digraph) Validate() error {
 
 // String returns a short human-readable summary.
 func (d *Digraph) String() string {
-	return fmt.Sprintf("Digraph(n=%d, m=%d, β=%d)", d.g.n, d.g.edges, d.MaxBeta())
+	return fmt.Sprintf("Digraph(n=%d, m=%d, β=%d)", d.N(), d.g.edges, d.MaxBeta())
 }

@@ -105,9 +105,7 @@ func (g *Graph) HasEdge(u, v int) bool {
 		a, b = b, a
 	}
 	if g.sorted {
-		lst := g.adj[a]
-		i := sort.SearchInts(lst, b)
-		return i < len(lst) && lst[i] == b
+		return contains(g.adj[a], b)
 	}
 	for _, w := range g.adj[a] {
 		if w == b {
@@ -149,35 +147,6 @@ func (g *Graph) CopyNeighbors(v int) []int {
 	return out
 }
 
-// Degrees returns the degree sequence deg[v] = |N(v)| as a fresh
-// slice. Consumers that size per-node buffers from the topology (the
-// simulator's inbox arena, batch schedulers) use it instead of calling
-// Degree in a loop.
-func (g *Graph) Degrees() []int {
-	deg := make([]int, g.n)
-	for v := range g.adj {
-		deg[v] = len(g.adj[v])
-	}
-	return deg
-}
-
-// CSR returns the graph in compressed-sparse-row form: col holds the
-// sorted adjacency lists concatenated in vertex order, and rowPtr has
-// n+1 entries with v's neighbors at col[rowPtr[v]:rowPtr[v+1]]. The
-// returned slices are fresh copies owned by the caller. rowPtr[n] is
-// 2·M, the total directed-edge (delivery-slot) count.
-func (g *Graph) CSR() (rowPtr, col []int) {
-	g.Normalize()
-	rowPtr = make([]int, g.n+1)
-	col = make([]int, 0, 2*g.edges)
-	for v := 0; v < g.n; v++ {
-		rowPtr[v] = len(col)
-		col = append(col, g.adj[v]...)
-	}
-	rowPtr[g.n] = len(col)
-	return rowPtr, col
-}
-
 // Edges returns all edges as pairs (u, v) with u < v, sorted
 // lexicographically.
 func (g *Graph) Edges() [][2]int {
@@ -216,51 +185,6 @@ func (g *Graph) RawMaxDegree() int {
 		}
 	}
 	return d
-}
-
-// InducedSubgraph returns the subgraph induced by keep (a set of
-// vertices), together with the mapping orig[i] = original id of new
-// vertex i.
-func (g *Graph) InducedSubgraph(keep []int) (sub *Graph, orig []int) {
-	g.Normalize()
-	index := make(map[int]int, len(keep))
-	orig = make([]int, len(keep))
-	for i, v := range keep {
-		if v < 0 || v >= g.n {
-			panic(fmt.Sprintf("graph: InducedSubgraph vertex %d out of range", v))
-		}
-		if _, dup := index[v]; dup {
-			panic(fmt.Sprintf("graph: InducedSubgraph duplicate vertex %d", v))
-		}
-		index[v] = i
-		orig[i] = v
-	}
-	sub = New(len(keep))
-	for i, v := range keep {
-		for _, w := range g.adj[v] {
-			if j, ok := index[w]; ok && i < j {
-				sub.MustAddEdge(i, j)
-			}
-		}
-	}
-	sub.Normalize()
-	return sub, orig
-}
-
-// FilterEdges returns a copy of g that keeps only edges for which keep
-// returns true.
-func (g *Graph) FilterEdges(keep func(u, v int) bool) *Graph {
-	g.Normalize()
-	out := New(g.n)
-	for u := 0; u < g.n; u++ {
-		for _, v := range g.adj[u] {
-			if u < v && keep(u, v) {
-				out.MustAddEdge(u, v)
-			}
-		}
-	}
-	out.Normalize()
-	return out
 }
 
 // Relabel returns the isomorphic graph in which vertex v of g becomes

@@ -85,41 +85,45 @@ func TestEdgesListing(t *testing.T) {
 
 func TestInducedSubgraph(t *testing.T) {
 	g := Complete(5)
-	sub, orig := g.InducedSubgraph([]int{1, 3, 4})
+	keep := []int{1, 3, 4}
+	sub := CSRFromGraph(g).Induce(keep, new(Index))
 	if sub.N() != 3 || sub.M() != 3 {
 		t.Fatalf("induced K3: n=%d m=%d", sub.N(), sub.M())
-	}
-	wantOrig := []int{1, 3, 4}
-	for i := range wantOrig {
-		if orig[i] != wantOrig[i] {
-			t.Fatalf("orig = %v, want %v", orig, wantOrig)
-		}
 	}
 	if err := sub.Validate(); err != nil {
 		t.Errorf("induced subgraph invalid: %v", err)
 	}
+	ref, orig := inducedSubgraphRef(g, keep)
+	if sub.Fingerprint() != ref.Fingerprint() || !equalInts(orig, keep) {
+		t.Error("induced subgraph differs from the map-indexed reference")
+	}
 }
 
 func TestInducedSubgraphEmpty(t *testing.T) {
-	g := Complete(4)
-	sub, orig := g.InducedSubgraph(nil)
-	if sub.N() != 0 || sub.M() != 0 || len(orig) != 0 {
+	if sub := CSRFromGraph(Complete(4)).Induce(nil, new(Index)); sub.N() != 0 || sub.M() != 0 {
 		t.Error("empty induced subgraph not empty")
 	}
 }
 
 func TestFilterEdges(t *testing.T) {
 	g := Complete(4)
-	// Keep only edges incident to vertex 0.
-	f := g.FilterEdges(func(u, v int) bool { return u == 0 || v == 0 })
-	if f.M() != 3 {
-		t.Fatalf("filtered M = %d, want 3", f.M())
-	}
-	if f.N() != 4 {
-		t.Fatalf("filtered N = %d, want 4 (vertex set preserved)", f.N())
-	}
-	if err := f.Validate(); err != nil {
-		t.Errorf("filtered graph invalid: %v", err)
+	// Keep only edges incident to vertex 0; directions stay by id.
+	for _, d := range []*Digraph{OrientByID(g), OrientByDegeneracy(g)} {
+		f := d.Filter(func(u, v int) bool { return u == 0 || v == 0 })
+		if f.M() != 3 {
+			t.Fatalf("filtered M = %d, want 3", f.M())
+		}
+		if f.N() != 4 {
+			t.Fatalf("filtered N = %d, want 4 (vertex set preserved)", f.N())
+		}
+		if err := f.Validate(); err != nil {
+			t.Errorf("filtered graph invalid: %v", err)
+		}
+		for v := 1; v < 4; v++ {
+			if f.HasArc(v, 0) != d.HasArc(v, 0) || f.HasArc(0, v) != d.HasArc(0, v) {
+				t.Errorf("edge {0,%d} changed direction", v)
+			}
+		}
 	}
 }
 

@@ -62,14 +62,14 @@ func Degeneracy(g *Graph) (k int, order []int) {
 // experiments only call it on graphs with moderate Δ (≲ 24) or on line
 // graphs where θ is structurally bounded. For an empty graph θ is 0.
 func NeighborhoodIndependence(g *Graph) int {
-	g.Normalize()
+	c, ix := CSRFromGraph(g), new(Index)
 	theta := 0
 	for v := 0; v < g.n; v++ {
 		nb := g.adj[v]
 		if len(nb) <= theta {
 			continue // cannot beat current best
 		}
-		sub, _ := g.InducedSubgraph(nb)
+		sub := c.Induce(nb, ix).Graph()
 		if is := IndependenceNumber(sub); is > theta {
 			theta = is
 		}
@@ -155,14 +155,14 @@ func misBranch(g *Graph, alive []bool) int {
 // clique covers of each neighborhood. Cheap (polynomial) and used by
 // the benchmark harness on graphs too large for the exact computation.
 func GreedyThetaUpperBound(g *Graph) int {
-	g.Normalize()
+	c, ix := CSRFromGraph(g), new(Index)
 	bound := 0
 	for v := 0; v < g.n; v++ {
 		nb := g.adj[v]
 		if len(nb) <= bound {
 			continue
 		}
-		sub, _ := g.InducedSubgraph(nb)
+		sub := c.Induce(nb, ix).Graph()
 		// Greedily peel cliques: the number of cliques needed to cover
 		// the neighborhood upper-bounds its independence number.
 		covered := make([]bool, sub.n)
@@ -200,13 +200,15 @@ func GreedyThetaUpperBound(g *Graph) int {
 // IsProperColoring reports whether colors is a proper vertex coloring
 // of g, i.e. no edge is monochromatic, together with the first
 // violating edge if not. colors must have length n.
-func IsProperColoring(g *Graph, colors []int) error {
-	if len(colors) != g.n {
-		return fmt.Errorf("graph: coloring length %d != n %d", len(colors), g.n)
+func IsProperColoring(g interface {
+	N() int
+	Neighbors(v int) []int
+}, colors []int) error {
+	if len(colors) != g.N() {
+		return fmt.Errorf("graph: coloring length %d != n %d", len(colors), g.N())
 	}
-	g.Normalize()
-	for u := 0; u < g.n; u++ {
-		for _, v := range g.adj[u] {
+	for u := 0; u < g.N(); u++ {
+		for _, v := range g.Neighbors(u) {
 			if u < v && colors[u] == colors[v] {
 				return fmt.Errorf("graph: monochromatic edge {%d,%d} (color %d)", u, v, colors[u])
 			}

@@ -19,73 +19,70 @@ type Result struct {
 	Stats sim.Result
 }
 
-// reduceNode executes a reduction schedule at one node. All per-round
-// scratch (the received-color table indexed by neighbor rank, the
-// point-value arrays, the polynomial coefficient buffers) is allocated
-// once in Init and reused, so steady-state rounds allocate nothing.
-type reduceNode struct {
-	steps    []Step
-	color    int
-	avoidOut bool // conflict set = out-neighbors (else all neighbors)
-	result   *int
+// reduceRun is what every node of one reduction run shares: the
+// schedule, the conflict set, the scratch sizes and the output.
+type reduceRun struct {
+	steps        []Step
+	avoidOut     bool // conflict set = out-neighbors (else all neighbors)
+	maxQ, maxDeg int
+	out          []int
+}
 
-	nbr       palette.Index // rank over ctx.Neighbors (sorted)
-	recv      []int         // received color per neighbor rank, -1 = missing
-	myVals    []int         // my polynomial evaluated at each point
-	conflicts []int         // per-point agreement counts
-	mineBuf   []int         // coefficient scratch for my polynomial
-	theirsBuf []int         // coefficient scratch for neighbor polynomials
+// reduceNode executes a reduction schedule at one node. All its
+// per-round scratch is one array allocated in Init and reused: the
+// received color per neighbor rank, then the point values of its
+// polynomial, the per-point agreement counts and two coefficient
+// buffers. Steady-state rounds allocate only their outgoing messages.
+type reduceNode struct {
+	run     *reduceRun
+	color   int
+	scratch []int
 }
 
 var _ sim.Node = (*reduceNode)(nil)
 
 func (n *reduceNode) Init(ctx *sim.Context) []sim.Outgoing {
-	if len(n.steps) == 0 {
+	r := n.run
+	if len(r.steps) == 0 {
 		return nil
 	}
-	n.nbr = palette.NewIndex(ctx.Neighbors)
-	n.recv = make([]int, n.nbr.Len())
-	maxQ, maxDeg := 0, 0
-	for _, step := range n.steps {
-		if step.Q > maxQ {
-			maxQ = step.Q
-		}
-		if step.Degree > maxDeg {
-			maxDeg = step.Degree
-		}
-	}
-	n.myVals = make([]int, maxQ)
-	n.conflicts = make([]int, maxQ)
-	n.mineBuf = make([]int, maxDeg+1)
-	n.theirsBuf = make([]int, maxDeg+1)
-	return []sim.Outgoing{{To: sim.Broadcast, Payload: sim.IntPayload{Value: n.color, Domain: n.steps[0].ColorsIn}}}
+	n.scratch = make([]int, len(ctx.Neighbors)+2*r.maxQ+2*(r.maxDeg+1))
+	return []sim.Outgoing{{To: sim.Broadcast, Payload: sim.IntPayload{Value: n.color, Domain: n.run.steps[0].ColorsIn}}}
 }
 
 func (n *reduceNode) Round(ctx *sim.Context, round int, inbox []sim.Message) ([]sim.Outgoing, bool) {
-	if len(n.steps) == 0 {
-		*n.result = n.color
+	r := n.run
+	if len(r.steps) == 0 {
+		r.out[ctx.ID] = n.color
 		return nil, true
 	}
-	step := n.steps[round-1]
-	for i := range n.recv {
-		n.recv[i] = -1
+	step := r.steps[round-1]
+	nbr := palette.NewIndex(ctx.Neighbors) // rank over the sorted neighbors
+	deg := len(ctx.Neighbors)
+	recv := n.scratch[:deg]                                // -1 = missing
+	myVals := n.scratch[deg : deg+step.Q]                  // my polynomial at each point
+	conflicts := n.scratch[deg+r.maxQ : deg+r.maxQ+step.Q] // per-point agreement counts
+	coef := n.scratch[deg+2*r.maxQ:]
+	mineBuf, theirsBuf := coef[:len(coef)/2], coef[len(coef)/2:]
+	for i := range recv {
+		recv[i] = -1
 	}
 	for _, m := range inbox {
-		j, ok := n.nbr.Rank(m.From)
+		j, ok := nbr.Rank(m.From)
 		if !ok {
 			continue
 		}
 		// A corrupted payload fails the assertion and is treated as
 		// garbage — equivalent to the message having been dropped.
 		if p, ok := m.Payload.(sim.IntPayload); ok {
-			n.recv[j] = p.Value
+			recv[j] = p.Value
 		}
 	}
 	avoid := ctx.Neighbors
-	if n.avoidOut {
+	if r.avoidOut {
 		avoid = ctx.Out
 	}
-	mine := gf.PolyFromIntInto(n.color, step.Q, step.Degree, n.mineBuf)
+	mine := gf.PolyFromIntInto(n.color, step.Q, step.Degree, mineBuf)
 	// Evaluate every conflict-relevant neighbor's polynomial at every
 	// point and pick the point with the fewest agreements with mine.
 	// Neighbors that currently share our color agree everywhere and
@@ -93,17 +90,15 @@ func (n *reduceNode) Round(ctx *sim.Context, round int, inbox []sim.Message) ([]
 	// argmin — but for the proper (α=0) invariant check we must ignore
 	// them... they cannot exist when the input coloring is proper.
 	bestA, bestConflicts := 0, int(^uint(0)>>1)
-	myVals := n.myVals[:step.Q]
 	for a := 0; a < step.Q; a++ {
 		myVals[a] = mine.Eval(a)
 	}
-	conflicts := n.conflicts[:step.Q]
 	for a := range conflicts {
 		conflicts[a] = 0
 	}
 	for _, u := range avoid {
-		j, inNbr := n.nbr.Rank(u)
-		if !inNbr || n.recv[j] < 0 {
+		j, inNbr := nbr.Rank(u)
+		if !inNbr || recv[j] < 0 {
 			// A neighbor's color is missing — lost or corrupted in
 			// transit. The reliable-network model guarantees this never
 			// happens; under fault injection the node degrades
@@ -111,7 +106,7 @@ func (n *reduceNode) Round(ctx *sim.Context, round int, inbox []sim.Message) ([]
 			// go uncounted) and lets the validators catch any damage.
 			continue
 		}
-		theirs := gf.PolyFromIntInto(n.recv[j], step.Q, step.Degree, n.theirsBuf)
+		theirs := gf.PolyFromIntInto(recv[j], step.Q, step.Degree, theirsBuf)
 		for a := 0; a < step.Q; a++ {
 			if theirs.Eval(a) == myVals[a] {
 				conflicts[a]++
@@ -129,8 +124,8 @@ func (n *reduceNode) Round(ctx *sim.Context, round int, inbox []sim.Message) ([]
 	// damage. Proceeding with the best available point keeps the run
 	// deterministic either way — the validators are the safety net.
 	n.color = gf.PointValue(bestA, myVals[bestA], step.Q)
-	if round == len(n.steps) {
-		*n.result = n.color
+	if round == len(r.steps) {
+		r.out[ctx.ID] = n.color
 		return nil, true
 	}
 	return []sim.Outgoing{{To: sim.Broadcast, Payload: sim.IntPayload{Value: n.color, Domain: step.ColorsOut()}}}, false
@@ -142,6 +137,11 @@ func (n *reduceNode) Round(ctx *sim.Context, round int, inbox []sim.Message) ([]
 // is the full neighborhood. cfg.BandwidthBits can enforce CONGEST.
 // The run's total is recorded on cfg.Span.
 func Reduce(nw *sim.Network, colors []int, m int, steps []Step, avoidOut bool, cfg sim.Config) (Result, error) {
+	return ReduceOn(new(sim.Engine), nw, colors, m, steps, avoidOut, cfg)
+}
+
+// ReduceOn is Reduce on the engine set-up e of the calling solve.
+func ReduceOn(e *sim.Engine, nw *sim.Network, colors []int, m int, steps []Step, avoidOut bool, cfg sim.Config) (Result, error) {
 	n := nw.N()
 	if len(colors) != n {
 		return Result{}, fmt.Errorf("linial: %d colors for %d nodes", len(colors), n)
@@ -151,7 +151,7 @@ func Reduce(nw *sim.Network, colors []int, m int, steps []Step, avoidOut bool, c
 			return Result{}, fmt.Errorf("linial: node %d initial color %d outside [0,%d)", v, c, m)
 		}
 	}
-	if avoidOut && nw.Digraph() == nil {
+	if avoidOut && nw.Oriented() == nil {
 		return Result{}, fmt.Errorf("linial: avoidOut requires an oriented network")
 	}
 	if len(steps) > 0 {
@@ -159,16 +159,21 @@ func Reduce(nw *sim.Network, colors []int, m int, steps []Step, avoidOut bool, c
 		// PROPER input coloring (same-colored neighbors share a
 		// polynomial and could stay merged forever, breaking the defect
 		// accounting).
-		if err := graph.IsProperColoring(nw.Graph(), colors); err != nil {
+		if err := graph.IsProperColoring(nw.CSR(), colors); err != nil {
 			return Result{}, fmt.Errorf("linial: input coloring: %w", err)
 		}
 	}
-	out := make([]int, n)
-	nodes := make([]sim.Node, n)
-	for v := 0; v < n; v++ {
-		nodes[v] = &reduceNode{steps: steps, color: colors[v], avoidOut: avoidOut, result: &out[v]}
+	run := &reduceRun{steps: steps, avoidOut: avoidOut, out: make([]int, n)}
+	for _, step := range steps {
+		run.maxQ, run.maxDeg = max(run.maxQ, step.Q), max(run.maxDeg, step.Degree)
 	}
-	stats, err := sim.Run(nw, nodes, cfg)
+	rn := make([]reduceNode, n)
+	nodes := make([]sim.Node, n)
+	for v := range rn {
+		rn[v] = reduceNode{run: run, color: colors[v]}
+		nodes[v] = &rn[v]
+	}
+	stats, err := e.Run(nw, nodes, cfg)
 	if err != nil {
 		return Result{}, fmt.Errorf("linial: %w", err)
 	}
@@ -177,7 +182,7 @@ func Reduce(nw *sim.Network, colors []int, m int, steps []Step, avoidOut bool, c
 	if len(steps) > 0 {
 		palette = steps[len(steps)-1].ColorsOut()
 	}
-	return Result{Colors: out, Palette: palette, Stats: stats}, nil
+	return Result{Colors: run.out, Palette: palette, Stats: stats}, nil
 }
 
 // ReduceProperOriented reduces a proper m-coloring of the oriented
@@ -191,18 +196,24 @@ func ReduceProperOriented(d *graph.Digraph, colors []int, m int, cfg sim.Config)
 // ReduceProperUndirected reduces a proper m-coloring of g to a proper
 // Θ(Δ²)-coloring in O(log* m) rounds.
 func ReduceProperUndirected(g *graph.Graph, colors []int, m int, cfg sim.Config) (Result, error) {
-	steps := ProperSchedule(m, g.MaxDegree())
-	return Reduce(sim.NewNetwork(g), colors, m, steps, false, cfg)
+	return ReduceProperCSR(new(sim.Engine), graph.CSRFromGraph(g), colors, m, cfg)
+}
+
+// ReduceProperCSR is ReduceProperUndirected on a CSR graph and the
+// engine set-up e of the calling solve.
+func ReduceProperCSR(e *sim.Engine, c *graph.CSR, colors []int, m int, cfg sim.Config) (Result, error) {
+	return ReduceOn(e, sim.NewCSRNetwork(c), colors, m, ProperSchedule(m, c.MaxDegree()), false, cfg)
 }
 
 // ColorFromIDs computes a proper Θ(Δ²)-coloring of g from scratch,
 // using node ids as the initial n-coloring — the standard O(log* n)
 // bootstrap every algorithm in the paper assumes.
 func ColorFromIDs(g *graph.Graph, cfg sim.Config) (Result, error) {
-	n := g.N()
-	ids := make([]int, n)
-	for v := range ids {
-		ids[v] = v
-	}
-	return ReduceProperUndirected(g, ids, n, cfg)
+	return ColorCSRFromIDs(new(sim.Engine), graph.CSRFromGraph(g), cfg)
+}
+
+// ColorCSRFromIDs is ColorFromIDs on a CSR graph and the engine set-up
+// e of the calling solve.
+func ColorCSRFromIDs(e *sim.Engine, c *graph.CSR, cfg sim.Config) (Result, error) {
+	return ReduceProperCSR(e, c, graph.Vertices(c.N()), c.N(), cfg)
 }

@@ -67,7 +67,7 @@ func TestArb2AtMinimumSlack(t *testing.T) {
 	for v := range base {
 		base[v] = v
 	}
-	res, _, err := s.arb2(g, inst, base, g.N())
+	res, _, err := s.arb2(new(sim.Engine), graph.CSRFromGraph(g), inst, base, g.N())
 	if err != nil {
 		t.Fatalf("arb2 at minimum slack 2: %v", err)
 	}
@@ -105,7 +105,7 @@ func TestSpaceReduceRejectsBelowMinimum(t *testing.T) {
 	for v := range base {
 		base[v] = v
 	}
-	if _, _, err := s.spaceReduce(g, inst, base, g.N()); err == nil {
+	if _, _, err := s.spaceReduce(new(sim.Engine), graph.CSRFromGraph(g), inst, base, g.N()); err == nil {
 		t.Fatal("spaceReduce accepted W = 2σ·deg (needs strict >)")
 	}
 }

@@ -17,9 +17,9 @@ import (
 // requires slack > ⌈3√C⌉ (so that Σ(d+1) ≥ 3√C·β_v holds for the
 // id-orientation, whose out-degrees are bounded by the degrees).
 func OLDCAsArb(cfg sim.Config) ArbSolver {
-	return func(g *graph.Graph, inst *coloring.Instance, base []int, q int) (coloring.ArbResult, sim.Result, error) {
-		d := graph.OrientByID(g)
-		res, err := csr.Solve(d, inst, base, q, cfg)
+	return func(e *sim.Engine, g *graph.CSR, inst *coloring.Instance, base []int, q int) (coloring.ArbResult, sim.Result, error) {
+		d := graph.OrientCSRByID(g)
+		res, err := csr.SolveOn(e, d, inst, base, q, cfg)
 		if err != nil {
 			return coloring.ArbResult{}, sim.Result{}, fmt.Errorf("nbhood: OLDC adapter: %w", err)
 		}
@@ -42,9 +42,9 @@ func OLDCAsArb(cfg sim.Config) ArbSolver {
 // solver the Theorem 1.5 proof plugs in at recursion depth i = 1
 // (Equation 20).
 func GeneralArb2Solver(cfg sim.Config) ArbSolver {
-	return func(g *graph.Graph, inst *coloring.Instance, base []int, q int) (coloring.ArbResult, sim.Result, error) {
+	return func(e *sim.Engine, g *graph.CSR, inst *coloring.Instance, base []int, q int) (coloring.ArbResult, sim.Result, error) {
 		mu := int(math.Ceil(3 * math.Sqrt(float64(inst.Space))))
-		return SlackReduce2(g, inst, base, q, mu, OLDCAsArb(spanFree(cfg)), cfg)
+		return SlackReduce2(e, g, inst, base, q, mu, OLDCAsArb(cfg.WithoutSpan()), cfg)
 	}
 }
 
@@ -57,7 +57,7 @@ func SolveArbGeneral(g *graph.Graph, inst *coloring.Instance, cfg sim.Config) (R
 	if err := inst.Validate(); err != nil {
 		return Result{}, err
 	}
-	return solveSlack1(g, inst, GeneralArb2Solver(spanFree(cfg)), cfg)
+	return solveSlack1(g, inst, GeneralArb2Solver(cfg.WithoutSpan()), cfg)
 }
 
 // SolveArbBranch2 implements the second branch of Theorem 1.5's
@@ -72,7 +72,7 @@ func SolveArbBranch2(g *graph.Graph, inst *coloring.Instance, theta int, cfg sim
 	if theta < 1 {
 		return Result{}, fmt.Errorf("nbhood: theta must be ≥ 1, got %d", theta)
 	}
-	sub := spanFree(cfg)
+	sub := cfg.WithoutSpan()
 	s := &solver{theta: theta, cfg: sub, inner: GeneralArb2Solver(sub)}
 	return solveSlack1(g, inst, s.arb2, cfg)
 }

@@ -18,7 +18,7 @@ func TestOLDCAsArb(t *testing.T) {
 	space := 36
 	need := math.Ceil(3 * math.Sqrt(float64(space)))
 	inst := coloring.WithSlack(g, space, need+1, rng)
-	res, _, err := OLDCAsArb(sim.Config{})(g, inst, base, q)
+	res, _, err := OLDCAsArb(sim.Config{})(new(sim.Engine), graph.CSRFromGraph(g), inst, base, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,7 +37,7 @@ func TestGeneralArb2Solver(t *testing.T) {
 	} {
 		base, q := properColoring(t, g)
 		inst := coloring.WithSlack(g, 30, 2.3, rng)
-		res, _, err := GeneralArb2Solver(sim.Config{})(g, inst, base, q)
+		res, _, err := GeneralArb2Solver(sim.Config{})(new(sim.Engine), graph.CSRFromGraph(g), inst, base, q)
 		if err != nil {
 			t.Fatalf("%v: %v", g, err)
 		}

@@ -43,8 +43,9 @@ import (
 
 // ArbSolver solves a list arbdefective coloring instance on g, given a
 // proper q-coloring base, returning colors plus an orientation of the
-// monochromatic edges. Implementations state their slack requirement.
-type ArbSolver func(g *graph.Graph, inst *coloring.Instance, base []int, q int) (coloring.ArbResult, sim.Result, error)
+// monochromatic edges. Its runs and induces use the engine set-up e of
+// the calling solve. Implementations state their slack requirement.
+type ArbSolver func(e *sim.Engine, g *graph.CSR, inst *coloring.Instance, base []int, q int) (coloring.ArbResult, sim.Result, error)
 
 // ErrSlack is returned when an instance violates the slack
 // precondition of the reduction being applied.
@@ -63,9 +64,10 @@ func Theorem14Slack(theta, delta, s int) int {
 
 // DefectiveFromArb implements Theorem 1.4: it solves a list defective
 // coloring instance of slack > Theorem14Slack(θ, Δ, S) on g, using arb
-// to solve list arbdefective instances of slack S on subgraphs of g.
-// base must be a proper q-coloring of g.
-func DefectiveFromArb(g *graph.Graph, inst *coloring.Instance, base []int, q, theta, s int, arb ArbSolver) ([]int, sim.Result, error) {
+// to solve list arbdefective instances of slack S on subgraphs of g,
+// induced and run on the engine set-up e of the calling solve. base
+// must be a proper q-coloring of g.
+func DefectiveFromArb(e *sim.Engine, g *graph.CSR, inst *coloring.Instance, base []int, q, theta, s int, arb ArbSolver) ([]int, sim.Result, error) {
 	n := g.N()
 	delta := g.MaxDegree()
 	iterTop := logstar.CeilLog2(delta) // iterations ⌈log Δ⌉ .. 0
@@ -136,7 +138,7 @@ func DefectiveFromArb(g *graph.Graph, inst *coloring.Instance, base []int, q, th
 			}
 		}
 		if len(members) > 0 {
-			sub, orig := g.InducedSubgraph(members)
+			sub, orig := g.Induce(members, &e.Index), members
 			subInst := &coloring.Instance{
 				Lists:   make([][]int, len(orig)),
 				Defects: make([][]int, len(orig)),
@@ -146,8 +148,8 @@ func DefectiveFromArb(g *graph.Graph, inst *coloring.Instance, base []int, q, th
 				subInst.Lists[i] = lists[v]
 				subInst.Defects[i] = uniformInts(len(lists[v]), di)
 			}
-			baseSub := induceInts(base, orig)
-			res, subStats, err := arb(sub, subInst, baseSub, q)
+			baseSub := graph.Restrict(base, orig)
+			res, subStats, err := arb(e, sub, subInst, baseSub, q)
 			if err != nil {
 				return nil, sim.Result{}, fmt.Errorf("nbhood: Thm 1.4 iteration %d: %w", iter, err)
 			}
@@ -187,21 +189,6 @@ func uniformInts(n, val int) []int {
 	out := make([]int, n)
 	for i := range out {
 		out[i] = val
-	}
-	return out
-}
-
-// spanFree returns cfg without its span, for sub-solvers whose runs
-// the calling reduction records itself.
-func spanFree(cfg sim.Config) sim.Config {
-	cfg.Span = nil
-	return cfg
-}
-
-func induceInts(vals []int, orig []int) []int {
-	out := make([]int, len(orig))
-	for i, v := range orig {
-		out[i] = vals[v]
 	}
 	return out
 }

@@ -17,7 +17,7 @@ import (
 // residual defect usage among already-decided neighbors. It is valid
 // for any instance with slack ≥ 1 (a color with d_v(x) ≥ #decided
 // same-color neighbors always exists by pigeonhole).
-func simpleArb(g *graph.Graph, inst *coloring.Instance, base []int, q int) (coloring.ArbResult, sim.Result, error) {
+func simpleArb(_ *sim.Engine, g *graph.CSR, inst *coloring.Instance, base []int, q int) (coloring.ArbResult, sim.Result, error) {
 	n := g.N()
 	colors := make([]int, n)
 	var arcs [][2]int
@@ -73,7 +73,7 @@ func TestDefectiveFromArb(t *testing.T) {
 		s := 2
 		need := Theorem14Slack(tc.theta, g.MaxDegree(), s)
 		inst := coloring.WithSlack(g, 4*need*g.MaxDegree()+20, float64(need)+1, rng)
-		colors, _, err := DefectiveFromArb(g, inst, base, q, tc.theta, s, simpleArb)
+		colors, _, err := DefectiveFromArb(new(sim.Engine), graph.CSRFromGraph(g), inst, base, q, tc.theta, s, simpleArb)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
@@ -93,7 +93,7 @@ func TestDefectiveFromArbSlackRejected(t *testing.T) {
 	g := graph.Ring(10)
 	base, q := properColoring(t, g)
 	inst := coloring.WithSlack(g, 30, 2, rng) // slack 2 ≪ 21θ(logΔ+1)S
-	if _, _, err := DefectiveFromArb(g, inst, base, q, 2, 1, simpleArb); !errors.Is(err, ErrSlack) {
+	if _, _, err := DefectiveFromArb(new(sim.Engine), graph.CSRFromGraph(g), inst, base, q, 2, 1, simpleArb); !errors.Is(err, ErrSlack) {
 		t.Errorf("err = %v, want ErrSlack", err)
 	}
 }
@@ -103,7 +103,7 @@ func TestSlackReduce2(t *testing.T) {
 	g := graph.RandomRegular(30, 4, rng)
 	base, q := properColoring(t, g)
 	inst := coloring.WithSlack(g, 100, 2.2, rng)
-	res, _, err := SlackReduce2(g, inst, base, q, 3, simpleArb, sim.Config{})
+	res, _, err := SlackReduce2(new(sim.Engine), graph.CSRFromGraph(g), inst, base, q, 3, simpleArb, sim.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +117,7 @@ func TestSlackReduce2Rejected(t *testing.T) {
 	g := graph.Ring(10)
 	base, q := properColoring(t, g)
 	inst := coloring.WithSlack(g, 20, 1.2, rng)
-	if _, _, err := SlackReduce2(g, inst, base, q, 3, simpleArb, sim.Config{}); !errors.Is(err, ErrSlack) {
+	if _, _, err := SlackReduce2(new(sim.Engine), graph.CSRFromGraph(g), inst, base, q, 3, simpleArb, sim.Config{}); !errors.Is(err, ErrSlack) {
 		t.Errorf("err = %v, want ErrSlack", err)
 	}
 }
@@ -131,7 +131,7 @@ func TestSlackReduce1(t *testing.T) {
 	} {
 		base, q := properColoring(t, g)
 		inst := coloring.WithSlack(g, 120, 1.1, rng)
-		res, _, err := SlackReduce1(g, inst, base, q, 2, simpleArb, sim.Config{})
+		res, _, err := SlackReduce1(new(sim.Engine), graph.CSRFromGraph(g), inst, base, q, 2, simpleArb, sim.Config{})
 		if err != nil {
 			t.Fatalf("%v: %v", g, err)
 		}
@@ -148,7 +148,7 @@ func TestTrivialArb(t *testing.T) {
 		inst.Lists[v] = []int{0, 1}
 		inst.Defects[v] = []int{2, 2} // Σ(d+1) = 6 > 2·deg = 4
 	}
-	res, _, err := trivialArb(g, inst)
+	res, _, err := trivialArb(graph.CSRFromGraph(g), inst)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +160,7 @@ func TestTrivialArb(t *testing.T) {
 	gBad := graph.Path(2)
 	badFull := &coloring.Instance{Space: 2, Lists: [][]int{{0}, {0}}, Defects: [][]int{{0}, {0}}}
 	_ = bad
-	if _, _, err := trivialArb(gBad, badFull); !errors.Is(err, ErrSlack) {
+	if _, _, err := trivialArb(graph.CSRFromGraph(gBad), badFull); !errors.Is(err, ErrSlack) {
 		t.Errorf("err = %v, want ErrSlack", err)
 	}
 }

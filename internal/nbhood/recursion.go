@@ -16,7 +16,7 @@ import (
 // colors, the best color has d_v(x) ≥ deg(v), so every node picks its
 // maximum-defect color and any orientation of the monochromatic edges
 // (here: toward the smaller id) respects all defects.
-func trivialArb(g *graph.Graph, inst *coloring.Instance) (coloring.ArbResult, sim.Result, error) {
+func trivialArb(g *graph.CSR, inst *coloring.Instance) (coloring.ArbResult, sim.Result, error) {
 	n := g.N()
 	colors := make([]int, n)
 	for v := 0; v < n; v++ {
@@ -36,9 +36,11 @@ func trivialArb(g *graph.Graph, inst *coloring.Instance) (coloring.ArbResult, si
 		colors[v] = best
 	}
 	var arcs [][2]int
-	for _, e := range g.Edges() {
-		if colors[e[0]] == colors[e[1]] {
-			arcs = append(arcs, [2]int{e[1], e[0]}) // toward smaller id
+	for u := 0; u < n; u++ {
+		for _, v := range g.Row(u) {
+			if u < v && colors[u] == colors[v] {
+				arcs = append(arcs, [2]int{v, u}) // toward smaller id
+			}
 		}
 	}
 	return coloring.ArbResult{Colors: colors, Arcs: arcs}, sim.Result{Rounds: 1}, nil
@@ -68,7 +70,7 @@ func (s *solver) next() ArbSolver {
 // T_A(2, C) of the Theorem 1.5 proof. For C ≤ 2 it uses the O(1)
 // base; otherwise it reduces slack 2 → μ = 2σ (Lemma 4.4) and hands
 // the high-slack instances to the color space reduction.
-func (s *solver) arb2(g *graph.Graph, inst *coloring.Instance, base []int, q int) (coloring.ArbResult, sim.Result, error) {
+func (s *solver) arb2(e *sim.Engine, g *graph.CSR, inst *coloring.Instance, base []int, q int) (coloring.ArbResult, sim.Result, error) {
 	if g.M() == 0 {
 		return edgelessArb(inst, nil)
 	}
@@ -76,7 +78,7 @@ func (s *solver) arb2(g *graph.Graph, inst *coloring.Instance, base []int, q int
 		return trivialArb(g, inst)
 	}
 	mu := 2 * Theorem14Slack(s.theta, g.MaxDegree(), 2)
-	return SlackReduce2(g, inst, base, q, mu, s.spaceReduce, s.cfg)
+	return SlackReduce2(e, g, inst, base, q, mu, s.spaceReduce, s.cfg)
 }
 
 // spaceReduce implements Lemmas 4.5/4.6: it solves instances of slack
@@ -86,7 +88,7 @@ func (s *solver) arb2(g *graph.Graph, inst *coloring.Instance, base []int, q int
 // Theorem 1.4 whose arbdefective sub-instances recurse into arb2 at
 // color space p; the per-block sub-instances have slack > 2 over
 // space ⌈C/p⌉ ≤ p and also recurse into arb2.
-func (s *solver) spaceReduce(g *graph.Graph, inst *coloring.Instance, base []int, q int) (coloring.ArbResult, sim.Result, error) {
+func (s *solver) spaceReduce(e *sim.Engine, g *graph.CSR, inst *coloring.Instance, base []int, q int) (coloring.ArbResult, sim.Result, error) {
 	n := g.N()
 	c := inst.Space
 	p := int(math.Ceil(math.Sqrt(float64(c))))
@@ -107,7 +109,7 @@ func (s *solver) spaceReduce(g *graph.Graph, inst *coloring.Instance, base []int
 				ErrSlack, v, w, 2*sigma*g.Degree(v))
 		}
 		for blk := 0; blk < p; blk++ {
-			wi := blockWeight(inst, v, blk*blockSize, blockSize)
+			wi := inst.BlockWeight(v, blk*blockSize, blockSize)
 			if wi == 0 {
 				continue
 			}
@@ -116,7 +118,7 @@ func (s *solver) spaceReduce(g *graph.Graph, inst *coloring.Instance, base []int
 			choice.Defects[v] = append(choice.Defects[v], dvi)
 		}
 	}
-	chosen, choiceStats, err := DefectiveFromArb(g, choice, base, q, s.theta, 2, s.next())
+	chosen, choiceStats, err := DefectiveFromArb(e, g, choice, base, q, s.theta, 2, s.next())
 	if err != nil {
 		return coloring.ArbResult{}, sim.Result{}, fmt.Errorf("nbhood: block choice (C=%d): %w", c, err)
 	}
@@ -129,18 +131,14 @@ func (s *solver) spaceReduce(g *graph.Graph, inst *coloring.Instance, base []int
 	colors := make([]int, n)
 	var arcs [][2]int
 	var blockStats sim.Result
+	start, byBlock := bucketByClass(chosen, p)
 	for blk := 0; blk < p; blk++ {
-		var members []int
-		for v := 0; v < n; v++ {
-			if chosen[v] == blk {
-				members = append(members, v)
-			}
-		}
+		members := byBlock[start[blk]:start[blk+1]]
 		if len(members) == 0 {
 			continue
 		}
 		lo := blk * blockSize
-		sub, orig := g.InducedSubgraph(members)
+		sub, orig := g.Induce(members, &e.Index), members
 		subInst := &coloring.Instance{
 			Lists:   make([][]int, len(orig)),
 			Defects: make([][]int, len(orig)),
@@ -154,7 +152,7 @@ func (s *solver) spaceReduce(g *graph.Graph, inst *coloring.Instance, base []int
 				}
 			}
 		}
-		res, st, err := s.next()(sub, subInst, induceInts(base, orig), q)
+		res, st, err := s.next()(e, sub, subInst, graph.Restrict(base, orig), q)
 		if err != nil {
 			return coloring.ArbResult{}, sim.Result{}, fmt.Errorf("nbhood: block %d (C=%d): %w", blk, c, err)
 		}
@@ -170,17 +168,6 @@ func (s *solver) spaceReduce(g *graph.Graph, inst *coloring.Instance, base []int
 		}
 	}
 	return coloring.ArbResult{Colors: colors, Arcs: arcs}, sim.Seq(choiceStats, blockStats), nil
-}
-
-// blockWeight returns W_{v,block} = Σ_{x ∈ L_v ∩ [lo, lo+size)} (d_v(x)+1).
-func blockWeight(inst *coloring.Instance, v, lo, size int) int {
-	w := 0
-	for i, x := range inst.Lists[v] {
-		if x >= lo && x < lo+size {
-			w += inst.Defects[v][i] + 1
-		}
-	}
-	return w
 }
 
 // ArbSlack2Solver returns the Theorem 1.5 recursion's solver for
@@ -211,7 +198,7 @@ func SolveArb(g *graph.Graph, inst *coloring.Instance, theta int, cfg sim.Config
 	if theta < 1 {
 		return Result{}, fmt.Errorf("nbhood: theta must be ≥ 1, got %d", theta)
 	}
-	s := &solver{theta: theta, cfg: spanFree(cfg)}
+	s := &solver{theta: theta, cfg: cfg.WithoutSpan()}
 	return solveSlack1(g, inst, s.arb2, cfg)
 }
 
@@ -220,12 +207,13 @@ func SolveArb(g *graph.Graph, inst *coloring.Instance, theta int, cfg sim.Config
 // slack-2 solver arb2. The bootstrap and the scales are recorded under
 // cfg.Span, and the total on it; arb2 must not record spans.
 func solveSlack1(g *graph.Graph, inst *coloring.Instance, arb2 ArbSolver, cfg sim.Config) (Result, error) {
-	base, err := linial.ColorFromIDs(g, spanFree(cfg))
+	c, e := graph.CSRFromGraph(g), new(sim.Engine)
+	base, err := linial.ColorCSRFromIDs(e, c, cfg.WithoutSpan())
 	if err != nil {
 		return Result{}, fmt.Errorf("nbhood: bootstrap: %w", err)
 	}
 	cfg.Span.Child("Linial bootstrap (log* n)").Done(base.Stats)
-	arb, stats, err := SlackReduce1(g, inst, base.Colors, base.Palette, 2, arb2, cfg)
+	arb, stats, err := SlackReduce1(e, c, inst, base.Colors, base.Palette, 2, arb2, cfg)
 	if err != nil {
 		return Result{}, err
 	}

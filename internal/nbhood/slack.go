@@ -30,7 +30,7 @@ func edgelessArb(inst *coloring.Instance, span *sim.Span) (coloring.ArbResult, s
 // announceStats is the cost of the one round in which a batch of
 // newly colored nodes broadcasts its colors to all neighbors: one
 // O(log C)-bit message per incident edge end.
-func announceStats(g *graph.Graph, orig []int, space int) sim.Result {
+func announceStats(g *graph.CSR, orig []int, space int) sim.Result {
 	bits := sim.BitsFor(space)
 	msgs := 0
 	for _, v := range orig {
@@ -64,7 +64,8 @@ func bucketByClass(colors []int, k int) (start, members []int) {
 // share across their sequential class steps: the committed colors and
 // arcs, and the counter that prunes one node's list at a time.
 type classes struct {
-	g      *graph.Graph
+	e      *sim.Engine
+	g      *graph.CSR
 	inst   *coloring.Instance
 	base   []int // proper q-coloring of g
 	q      int
@@ -73,18 +74,19 @@ type classes struct {
 	colors []int      // −1 until committed
 	arcs   [][2]int
 	count  *palette.Counter // a_v(x) for the node being pruned
-	// sub is the current class's pruned instance, reused from class to
+	// sub is the current class's pruned instance, its lists and defects
+	// windows of two flat arrays; all three are reused from class to
 	// class (a sub-solver does not keep its instance past its return).
-	sub coloring.Instance
+	sub            coloring.Instance
+	lists, defects []int
 }
 
-func newClasses(g *graph.Graph, inst *coloring.Instance, base []int, q int, arb ArbSolver, cfg sim.Config) *classes {
+func newClasses(e *sim.Engine, g *graph.CSR, inst *coloring.Instance, base []int, q int, arb ArbSolver, cfg sim.Config) *classes {
 	colors := make([]int, g.N())
 	for v := range colors {
 		colors[v] = -1
 	}
-	cfg.Span = nil
-	return &classes{g: g, inst: inst, base: base, q: q, arb: arb, cfg: cfg, colors: colors, count: palette.NewCounter(inst.Space)}
+	return &classes{e: e, g: g, inst: inst, base: base, q: q, arb: arb, cfg: cfg.WithoutSpan(), colors: colors, count: palette.NewCounter(inst.Space)}
 }
 
 // step colors one class, given as ascending original ids: prune the
@@ -93,17 +95,17 @@ func newClasses(g *graph.Graph, inst *coloring.Instance, base []int, q int, arb 
 // It returns the class's own cost and that cost plus the round that
 // announces the new colors.
 func (c *classes) step(nodes []int) (own, total sim.Result, err error) {
-	sub, _ := c.g.InducedSubgraph(nodes)
+	sub := c.g.Induce(nodes, &c.e.Index)
 	subInst := c.prune(nodes)
 	// Re-bootstrap: the class subgraph has much smaller degree than g,
 	// so O(log* q) rounds of Linial shrink its proper coloring from
 	// q = O(Δ²) to O(Δ_sub²) classes, and the sweeps inside the
 	// sub-solver then iterate over far fewer classes.
-	reb, err := linial.ReduceProperUndirected(sub, induceInts(c.base, nodes), c.q, c.cfg)
+	reb, err := linial.ReduceProperCSR(c.e, sub, graph.Restrict(c.base, nodes), c.q, c.cfg)
 	if err != nil {
 		return sim.Result{}, sim.Result{}, fmt.Errorf("re-bootstrap: %w", err)
 	}
-	res, st, err := c.arb(sub, subInst, reb.Colors, reb.Palette)
+	res, st, err := c.arb(c.e, sub, subInst, reb.Colors, reb.Palette)
 	if err != nil {
 		return sim.Result{}, sim.Result{}, err
 	}
@@ -120,24 +122,23 @@ func (c *classes) step(nodes []int) (own, total sim.Result, err error) {
 // negative residual defect dropped (the paper's L'_v / d'_v
 // construction used by Lemmas 4.4 and A.1).
 func (c *classes) prune(nodes []int) *coloring.Instance {
-	c.sub = coloring.Instance{
-		Lists:   make([][]int, len(nodes)),
-		Defects: make([][]int, len(nodes)),
-		Space:   c.inst.Space,
-	}
-	for i, v := range nodes {
+	c.sub.Lists, c.sub.Defects, c.sub.Space = c.sub.Lists[:0], c.sub.Defects[:0], c.inst.Space
+	c.lists, c.defects = c.lists[:0], c.defects[:0]
+	for _, v := range nodes {
 		c.count.Reset()
-		for _, u := range c.g.Neighbors(v) {
+		for _, u := range c.g.Row(v) {
 			if c.colors[u] >= 0 {
 				c.count.Add(c.colors[u])
 			}
 		}
+		at := len(c.lists)
 		for li, x := range c.inst.Lists[v] {
 			if nd := c.inst.Defects[v][li] - c.count.Get(x); nd >= 0 {
-				c.sub.Lists[i] = append(c.sub.Lists[i], x)
-				c.sub.Defects[i] = append(c.sub.Defects[i], nd)
+				c.lists, c.defects = append(c.lists, x), append(c.defects, nd)
 			}
 		}
+		end := len(c.lists)
+		c.sub.Lists, c.sub.Defects = append(c.sub.Lists, c.lists[at:end:end]), append(c.sub.Defects, c.defects[at:end:end])
 	}
 	return &c.sub
 }
@@ -152,7 +153,7 @@ func (c *classes) commit(nodes []int, res coloring.ArbResult) {
 		c.arcs = append(c.arcs, [2]int{nodes[a[0]], nodes[a[1]]})
 	}
 	for i, v := range nodes {
-		for _, u := range c.g.Neighbors(v) {
+		for _, u := range c.g.Row(v) {
 			if c.colors[u] == res.Colors[i] {
 				c.arcs = append(c.arcs, [2]int{v, u})
 			}
@@ -166,10 +167,11 @@ func (c *classes) commit(nodes []int, res coloring.ArbResult) {
 // SlackReduce2 implements Lemma 4.4: it solves a slack-2 list
 // arbdefective instance using arb, a solver for slack-μ instances, by
 // sequencing over the O(μ²) classes of a defective coloring with
-// ε = 1/μ. base must be a proper q-coloring of g. The split and the
-// class steps are recorded under cfg.Span, and the total on it; arb
-// must not record spans of its own.
-func SlackReduce2(g *graph.Graph, inst *coloring.Instance, base []int, q, mu int, arb ArbSolver, cfg sim.Config) (coloring.ArbResult, sim.Result, error) {
+// ε = 1/μ, on the engine set-up e of the calling solve. base must be a
+// proper q-coloring of g. The split and the class steps are recorded
+// under cfg.Span, and the total on it; arb must not record spans of its
+// own.
+func SlackReduce2(e *sim.Engine, g *graph.CSR, inst *coloring.Instance, base []int, q, mu int, arb ArbSolver, cfg sim.Config) (coloring.ArbResult, sim.Result, error) {
 	if g.M() == 0 {
 		return edgelessArb(inst, cfg.Span)
 	}
@@ -184,8 +186,8 @@ func SlackReduce2(g *graph.Graph, inst *coloring.Instance, base []int, q, mu int
 		}
 	}
 	span := cfg.Span
-	c := newClasses(g, inst, base, q, arb, cfg)
-	psi, err := defective.ColorUndirected(g, base, q, 1/float64(mu), c.cfg)
+	c := newClasses(e, g, inst, base, q, arb, cfg)
+	psi, err := defective.ColorOn(e, sim.NewCSRNetwork(g), base, q, 1/float64(mu), c.cfg)
 	if err != nil {
 		return coloring.ArbResult{}, sim.Result{}, fmt.Errorf("nbhood: Lemma 4.4 split: %w", err)
 	}
@@ -214,9 +216,10 @@ func SlackReduce2(g *graph.Graph, inst *coloring.Instance, base []int, q, mu int
 
 // SlackReduce1 implements Lemma A.1: it solves a slack-1 list
 // arbdefective instance using arb, a solver for slack-μ instances (see
-// DegreeHalving), in one round when g is edgeless. The scales are
-// recorded under cfg.Span, and the total on it.
-func SlackReduce1(g *graph.Graph, inst *coloring.Instance, base []int, q, mu int, arb ArbSolver, cfg sim.Config) (coloring.ArbResult, sim.Result, error) {
+// DegreeHalving, whose engine set-up e it passes on), in one round when
+// g is edgeless. The scales are recorded under cfg.Span, and the total
+// on it.
+func SlackReduce1(e *sim.Engine, g *graph.CSR, inst *coloring.Instance, base []int, q, mu int, arb ArbSolver, cfg sim.Config) (coloring.ArbResult, sim.Result, error) {
 	if g.M() == 0 {
 		return edgelessArb(inst, cfg.Span)
 	}
@@ -229,7 +232,7 @@ func SlackReduce1(g *graph.Graph, inst *coloring.Instance, base []int, q, mu int
 				ErrSlack, v, inst.SlackSum(v), g.Degree(v))
 		}
 	}
-	res, stats, _, err := DegreeHalving(g, inst, base, q, mu, arb, cfg)
+	res, stats, _, err := DegreeHalving(e, g, inst, base, q, mu, arb, cfg)
 	if err == nil {
 		cfg.Span.Done(stats)
 	}
@@ -249,34 +252,32 @@ func SlackReduce1(g *graph.Graph, inst *coloring.Instance, base []int, q, mu int
 // ⌈log Δ⌉+3.
 //
 // The caller validates inst and checks the slack precondition
-// Σ(d+1) > deg; base must be a proper q-coloring of g. It returns the
-// scale count with the result. Each scale is recorded under cfg.Span
-// as "scale …" with "defective split …" and "class …" children; arb
-// must not record spans of its own.
-func DegreeHalving(g *graph.Graph, inst *coloring.Instance, base []int, q, mu int, arb ArbSolver, cfg sim.Config) (coloring.ArbResult, sim.Result, int, error) {
+// Σ(d+1) > deg; base must be a proper q-coloring of g. Every run and
+// induce of the loop uses the engine set-up e of the calling solve. It
+// returns the scale count with the result. Each scale is recorded
+// under cfg.Span as "scale …" with "defective split …" and "class …"
+// children; arb must not record spans of its own.
+func DegreeHalving(e *sim.Engine, g *graph.CSR, inst *coloring.Instance, base []int, q, mu int, arb ArbSolver, cfg sim.Config) (coloring.ArbResult, sim.Result, int, error) {
 	span := cfg.Span
-	c := newClasses(g, inst, base, q, arb, cfg)
+	c := newClasses(e, g, inst, base, q, arb, cfg)
 	alpha := 1 / float64(2*mu)
 	maxScales := logstar.CeilLog2(g.MaxDegree()) + 3
 	var stats sim.Result
-	uncolored := make([]int, g.N())
-	for v := range uncolored {
-		uncolored[v] = v
-	}
-	// posH[v] is 1 + v's position in the current scale's H, 0 when v
-	// is not in H; it is cleared after each scale.
-	posH := make([]int, g.N())
+	uncolored := graph.Vertices(g.N())
+	// colored[v] counts v's neighbors colored in the current scale; it
+	// is read only for v in H, and zeroed for those as the scale starts.
+	colored := make([]int, g.N())
 	scales := 0
 	for len(uncolored) > 0 {
 		if scales == maxScales {
 			return coloring.ArbResult{}, sim.Result{}, 0, fmt.Errorf("nbhood: Lemma A.1 did not converge in %d scales", maxScales)
 		}
 		scales++
-		h, origH := g.InducedSubgraph(uncolored)
-		for i, v := range origH {
-			posH[v] = i + 1
+		h, origH := g.Induce(uncolored, &e.Index), uncolored
+		for _, v := range origH {
+			colored[v] = 0
 		}
-		psi, err := defective.ColorUndirected(h, induceInts(base, origH), q, alpha, c.cfg)
+		psi, err := defective.ColorOn(e, sim.NewCSRNetwork(h), graph.Restrict(base, origH), q, alpha, c.cfg)
 		if err != nil {
 			return coloring.ArbResult{}, sim.Result{}, 0, fmt.Errorf("nbhood: Lemma A.1 split: %w", err)
 		}
@@ -286,17 +287,14 @@ func DegreeHalving(g *graph.Graph, inst *coloring.Instance, base []int, q, mu in
 			scaleSpan.Child(fmt.Sprintf("defective split α=%.3g → %d classes", alpha, psi.Palette)).Done(psi.Stats)
 		}
 		scaleStats := psi.Stats
-		coloredInScale := make([]int, len(origH)) // H-neighbors colored this scale
-		done := make([]bool, len(origH))
 		start, byClass := bucketByClass(psi.Colors, psi.Palette)
 		for class := 0; class < psi.Palette; class++ {
-			// The activity test reads coloredInScale at the class's
-			// turn, after every earlier class has committed.
+			// The activity test reads colored at the class's turn,
+			// after every earlier class has committed.
 			var active []int
 			for _, i := range byClass[start[class]:start[class+1]] {
-				if 2*coloredInScale[i] <= h.Degree(i) {
-					active = append(active, origH[i])
-					done[i] = true
+				if v := origH[i]; 2*colored[v] <= h.Degree(i) {
+					active = append(active, v)
 				}
 			}
 			if len(active) == 0 {
@@ -311,21 +309,16 @@ func DegreeHalving(g *graph.Graph, inst *coloring.Instance, base []int, q, mu in
 			}
 			scaleStats = sim.Seq(scaleStats, total)
 			for _, v := range active {
-				for _, u := range g.Neighbors(v) {
-					if p := posH[u]; p > 0 {
-						coloredInScale[p-1]++
-					}
+				for _, u := range g.Row(v) {
+					colored[u]++
 				}
 			}
 		}
-		for _, v := range origH {
-			posH[v] = 0
-		}
 		scaleSpan.Done(scaleStats)
 		stats = sim.Seq(stats, scaleStats)
-		var remaining []int
-		for i, v := range origH {
-			if !done[i] {
+		var remaining []int // never active this scale, so still uncolored
+		for _, v := range origH {
+			if c.colors[v] < 0 {
 				remaining = append(remaining, v)
 			}
 		}

@@ -49,9 +49,11 @@ func (s *selSorter) Less(a, b int) bool {
 // selector; zero allocations once the scratch has warmed up.
 func (sc *SelectScratch) SelectTopP(list, defects []int, k *Counter, p int) ([]int, int64) {
 	n := len(list)
-	if cap(sc.sorter.idx) < n {
-		sc.sorter.idx = make([]int, n)
-		sc.sorter.scores = make([]int, n)
+	take := min(p, n)
+	if cap(sc.sorter.idx) < n || cap(sc.out) < take {
+		// One array backs the permutation, the scores and the output.
+		buf := make([]int, 2*n+take)
+		sc.sorter.idx, sc.sorter.scores, sc.out = buf[:n:n], buf[n:2*n:2*n], buf[2*n:2*n:2*n+take]
 	}
 	idx := sc.sorter.idx[:n]
 	scores := sc.sorter.scores[:n]
@@ -62,13 +64,6 @@ func (sc *SelectScratch) SelectTopP(list, defects []int, k *Counter, p int) ([]i
 	sc.sorter.idx, sc.sorter.scores = idx, scores
 	sc.sorter.ops = 0
 	sort.Stable(&sc.sorter)
-	take := p
-	if n < take {
-		take = n
-	}
-	if cap(sc.out) < take {
-		sc.out = make([]int, 0, take)
-	}
 	out := sc.out[:0]
 	for _, i := range idx[:take] {
 		sc.sorter.ops++

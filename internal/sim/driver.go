@@ -23,6 +23,13 @@ func (d Driver) String() string {
 	}
 }
 
+// WithoutSpan returns a copy of the config with no span: composed
+// algorithms hand it to sub-solvers whose runs they record themselves.
+func (c Config) WithoutSpan() Config {
+	c.Span = nil
+	return c
+}
+
 // WithDriver returns a copy of the config running under d. It exists
 // so harnesses can sweep one prepared config across AllDrivers
 // without mutating the original.

@@ -274,7 +274,7 @@ func TestWorkerChunkPanicsStepEveryNode(t *testing.T) {
 	// after node 2's panic too, and the chunk keeps its first panic,
 	// node 1's own error.
 	clear(calls)
-	w := &workerRound{nodes: nodes, ctxs: nw.contexts(), round: round, inboxes: make([][]Message, n),
+	w := &workerRound{nodes: nodes, ctxs: new(Engine).contexts(nw), round: round, inboxes: make([][]Message, n),
 		outs: make([][]Outgoing, n), fins: make([]bool, n)}
 	var first nodePanic
 	w.stepAll([]int{0, 1, 2, 3, 4}, &first)

@@ -23,15 +23,15 @@ import (
 
 // refRouter mirrors the original slice-per-round router.
 type refRouter struct {
-	nw      *Network
+	g       *graph.Graph
 	cfg     Config
 	inboxes [][]Message
 	res     Result
 	round   int
 }
 
-func newRefRouter(nw *Network, cfg Config) *refRouter {
-	return &refRouter{nw: nw, cfg: cfg, inboxes: make([][]Message, nw.N())}
+func newRefRouter(g *graph.Graph, cfg Config) *refRouter {
+	return &refRouter{g: g, cfg: cfg, inboxes: make([][]Message, g.N())}
 }
 
 func (r *refRouter) route(v int, outs []Outgoing) error {
@@ -45,8 +45,8 @@ func (r *refRouter) route(v int, outs []Outgoing) error {
 		}
 		targets := []int{o.To}
 		if o.To == Broadcast {
-			targets = r.nw.g.Neighbors(v)
-		} else if !r.nw.g.HasEdge(v, o.To) {
+			targets = r.g.Neighbors(v)
+		} else if !r.g.HasEdge(v, o.To) {
 			return fmt.Errorf("%w: node %d -> %d", ErrNotNeighbor, v, o.To)
 		}
 		for _, t := range targets {
@@ -81,8 +81,8 @@ func (r *refRouter) flush() [][]Message {
 func compareRouters(t *testing.T, g *graph.Graph, cfg Config, script [][]Outgoing, rounds int) {
 	t.Helper()
 	nw := NewNetwork(g)
-	arena := newRouter(nw, cfg)
-	ref := newRefRouter(nw, cfg)
+	arena := newRouter(new(Engine), nw, cfg)
+	ref := newRefRouter(g, cfg)
 	for round := 0; round < rounds; round++ {
 		arena.round, ref.round = round, round
 		for v := 0; v < g.N(); v++ {

@@ -311,7 +311,7 @@ func TestRoutingShardsContract(t *testing.T) {
 func TestShardBounds(t *testing.T) {
 	g := graph.GNP(50, 0.2, rand.New(rand.NewSource(9)))
 	for _, s := range []int{1, 2, 3, 7, 50, 200} {
-		rt := newRouter(NewNetwork(g), Config{})
+		rt := newRouter(new(Engine), NewNetwork(g), Config{})
 		b := rt.bounds(s)
 		if b[0] != 0 || b[len(b)-1] != g.N() {
 			t.Fatalf("s=%d: bounds %v do not cover [0,%d]", s, b, g.N())

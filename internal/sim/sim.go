@@ -245,15 +245,8 @@ func merge(a, b Result, rounds int) Result {
 		Rounds:         rounds,
 		Messages:       a.Messages + b.Messages,
 		TotalBits:      a.TotalBits + b.TotalBits,
-		MaxMessageBits: maxInt(a.MaxMessageBits, b.MaxMessageBits),
+		MaxMessageBits: max(a.MaxMessageBits, b.MaxMessageBits),
 	}
-}
-
-func maxInt(a, b int) int {
-	if b > a {
-		return b
-	}
-	return a
 }
 
 // Seq returns the statistics of running a and then b sequentially:
@@ -268,7 +261,7 @@ func Seq(a, b Result) Result {
 // vertex-disjoint parts of the network: rounds take the max, messages
 // and bits add.
 func Par(a, b Result) Result {
-	return merge(a, b, maxInt(a.Rounds, b.Rounds))
+	return merge(a, b, max(a.Rounds, b.Rounds))
 }
 
 // ErrBandwidth is returned (wrapped) when a message exceeds the
@@ -344,22 +337,17 @@ func initNodes(nodes []Node, ctxs []Context, rt *router) (err error) {
 // CSR is the native representation end-to-end: the router, the inbox
 // arena, and the node contexts all index the shared rowPtr/col arrays,
 // and neighbor slices handed to nodes are zero-copy views into them.
-// Networks built from an adjacency-list Graph convert once at
-// construction; scale paths construct directly from a streamed CSR
-// (NewCSRNetwork) and never materialize per-node adjacency slices.
+// A network over an adjacency-list Graph converts once at
+// construction; a Digraph already is its CSR form, and the solvers'
+// sub-runs and the scale paths build from a CSR directly.
 type Network struct {
 	topo *graph.CSR
-	// g is the adjacency-list view: the construction-time original for
-	// Graph-built networks, or a lazily materialized copy for
-	// CSR-built ones (validation/diagnostics paths only — it allocates
-	// per-node slices, so scale paths must not call Graph()).
-	g  *graph.Graph
-	di *graph.Digraph
+	or   *graph.Oriented // nil for an unoriented network
 }
 
 // NewNetwork returns a network over an undirected graph.
 func NewNetwork(g *graph.Graph) *Network {
-	return &Network{topo: graph.CSRFromGraph(g), g: g}
+	return &Network{topo: graph.CSRFromGraph(g)}
 }
 
 // NewCSRNetwork returns a network directly over a CSR topology —
@@ -371,8 +359,13 @@ func NewCSRNetwork(c *graph.CSR) *Network {
 // NewOrientedNetwork returns a network over an oriented graph: nodes
 // see Out/In neighbor sets, but messages travel both ways.
 func NewOrientedNetwork(d *graph.Digraph) *Network {
-	g := d.Underlying()
-	return &Network{topo: graph.CSRFromGraph(g), g: g, di: d}
+	return NewOrientedCSRNetwork(d.Oriented)
+}
+
+// NewOrientedCSRNetwork returns a network over an orientation in CSR
+// form.
+func NewOrientedCSRNetwork(o *graph.Oriented) *Network {
+	return &Network{topo: o.CSR, or: o}
 }
 
 // N returns the number of nodes.
@@ -381,40 +374,71 @@ func (nw *Network) N() int { return nw.topo.N() }
 // CSR returns the native topology.
 func (nw *Network) CSR() *graph.CSR { return nw.topo }
 
-// Graph returns the underlying undirected graph, materializing (and
-// caching) an adjacency-list copy for CSR-built networks. Validation
-// and diagnostics only: the copy allocates per-node slices, which the
-// CSR-native scale path exists to avoid.
-func (nw *Network) Graph() *graph.Graph {
-	if nw.g == nil {
-		nw.g = nw.topo.Graph()
-	}
-	return nw.g
+// Oriented returns the orientation, or nil for an unoriented network.
+func (nw *Network) Oriented() *graph.Oriented { return nw.or }
+
+// Engine is the set-up every run of one solve shares: the router, the
+// node contexts and the two inbox arenas, grown to the largest run so
+// far and re-carved over each run's topology, plus the dense Index the
+// solve induces its sub-graphs through. A solve makes one, passes it
+// to each sub-run, and drops it when it returns, so no memory outlives
+// the solve and parallel solves never share one. Its zero value is
+// ready; Run uses a fresh one per call.
+type Engine struct {
+	Index graph.Index
+	ctxs  []Context
+	arena [2][]Message
+	boxes [2][][]Message
+	rt    router
 }
 
-// Digraph returns the orientation, or nil for an unoriented network.
-func (nw *Network) Digraph() *graph.Digraph { return nw.di }
-
-// contexts builds the per-node contexts as one flat array — a single
-// allocation instead of n, with every Neighbors slice a zero-copy view
-// into the CSR column array. Both drivers index it.
-func (nw *Network) contexts() []Context {
-	ctxs := make([]Context, nw.N())
+// contexts builds the per-node contexts as one flat array, every
+// Neighbors slice a zero-copy view into the CSR column array and
+// Out/In views into the orientation. Both drivers index it.
+func (e *Engine) contexts(nw *Network) []Context {
+	n := nw.N()
+	if cap(e.ctxs) < n {
+		e.ctxs = make([]Context, n)
+	}
+	ctxs := e.ctxs[:n]
 	for v := range ctxs {
-		ctxs[v].ID = v
-		ctxs[v].Neighbors = nw.topo.Row(v)
-		if nw.di != nil {
-			ctxs[v].Out = nw.di.Out(v)
-			ctxs[v].In = nw.di.In(v)
+		ctxs[v] = Context{ID: v, Neighbors: nw.topo.Row(v)}
+		if nw.or != nil {
+			ctxs[v].Out, ctxs[v].In = nw.or.Out(v), nw.or.In(v)
 		}
 	}
 	return ctxs
+}
+
+// inboxes carves arena k into per-node inboxes of capacity deg(v) —
+// the exact per-round inbound slot count of the paper's
+// one-message-per-edge regime. Slot offsets come straight from the CSR
+// row offsets: the arena is the topology's mirror image.
+func (e *Engine) inboxes(k int, c *graph.CSR) [][]Message {
+	n, arcs := c.N(), int(c.Arcs())
+	if cap(e.arena[k]) < arcs {
+		e.arena[k] = make([]Message, arcs)
+	}
+	if cap(e.boxes[k]) < n {
+		e.boxes[k] = make([][]Message, n)
+	}
+	flat, boxes := e.arena[k][:arcs], e.boxes[k][:n]
+	for v := range boxes {
+		off := int(c.RowStart(v))
+		boxes[v] = flat[off : off : off+c.Degree(v)]
+	}
+	return boxes
 }
 
 // Run executes the protocol given by nodes (one per vertex) on the
 // network and returns the aggregated result. len(nodes) must equal the
 // number of vertices.
 func Run(nw *Network, nodes []Node, cfg Config) (Result, error) {
+	return new(Engine).Run(nw, nodes, cfg)
+}
+
+// Run is sim.Run on the engine set-up e.
+func (e *Engine) Run(nw *Network, nodes []Node, cfg Config) (Result, error) {
 	if len(nodes) != nw.N() {
 		return Result{}, fmt.Errorf("sim: %d nodes for %d vertices", len(nodes), nw.N())
 	}
@@ -429,9 +453,9 @@ func Run(nw *Network, nodes []Node, cfg Config) (Result, error) {
 	}
 	switch cfg.Driver {
 	case Lockstep:
-		return runLockstep(nw, nodes, cfg)
+		return runLockstep(e, nw, nodes, cfg)
 	case Workers:
-		return runWorkers(nw, nodes, cfg)
+		return runWorkers(e, nw, nodes, cfg)
 	default:
 		return Result{}, fmt.Errorf("sim: unknown driver %d", cfg.Driver)
 	}
@@ -463,6 +487,8 @@ type router struct {
 	cur, next [][]Message
 	round     int // the round currently being routed (0 = init sends)
 	roundMax  int // largest message sent while routing this round
+	// prevMsgs and prevBits are the totals when the round started.
+	prevMsgs, prevBits int
 
 	// Sharded-routing state (shard.go). shardBounds partitions the
 	// receivers into Config.Shards contiguous ranges balanced by arena
@@ -477,23 +503,9 @@ type router struct {
 	shardBits   []int
 }
 
-func newRouter(nw *Network, cfg Config) *router {
-	return &router{topo: nw.topo, cfg: cfg, cur: newInboxArena(nw.topo), next: newInboxArena(nw.topo)}
-}
-
-// newInboxArena carves one flat message buffer into per-node inboxes of
-// capacity deg(v) — the exact per-round inbound slot count of the
-// paper's one-message-per-edge regime. Slot offsets come straight from
-// the CSR row offsets: the arena is the topology's mirror image.
-func newInboxArena(c *graph.CSR) [][]Message {
-	n := c.N()
-	flat := make([]Message, c.Arcs())
-	boxes := make([][]Message, n)
-	for v := 0; v < n; v++ {
-		off := int(c.RowStart(v))
-		boxes[v] = flat[off : off : off+c.Degree(v)]
-	}
-	return boxes
+func newRouter(e *Engine, nw *Network, cfg Config) *router {
+	e.rt = router{topo: nw.topo, cfg: cfg, cur: e.inboxes(0, nw.topo), next: e.inboxes(1, nw.topo)}
+	return &e.rt
 }
 
 // route ingests the outbox of node v. It returns an error on protocol
@@ -554,6 +566,28 @@ func (r *router) deliver(from, to, bits int, p Payload) {
 	r.res.TotalBits += bits
 }
 
+// startRound begins round: it flushes the inboxes the round consumes
+// and marks where the round's statistics start.
+func (r *router) startRound(round int) [][]Message {
+	r.round, r.prevMsgs, r.prevBits = round, r.res.Messages, r.res.TotalBits
+	return r.flush()
+}
+
+// endRound records round as completed and reports its statistics to
+// OnRound (from the coordinating goroutine, under every driver).
+func (r *router) endRound(round, active int) {
+	r.res.Rounds = round
+	if r.cfg.OnRound != nil {
+		r.cfg.OnRound(RoundStats{
+			Round:       round,
+			ActiveNodes: active,
+			Messages:    r.res.Messages - r.prevMsgs,
+			Bits:        r.res.TotalBits - r.prevBits,
+			MaxBits:     r.roundMax,
+		})
+	}
+}
+
 // flush makes the messages routed so far the current round's inboxes
 // and recycles the previously consumed arena as the new fill target.
 // The returned slices are valid only until the next flush call — i.e.
@@ -567,10 +601,10 @@ func (r *router) flush() [][]Message {
 	return r.cur
 }
 
-func runLockstep(nw *Network, nodes []Node, cfg Config) (Result, error) {
+func runLockstep(e *Engine, nw *Network, nodes []Node, cfg Config) (Result, error) {
 	n := nw.N()
-	ctxs := nw.contexts()
-	rt := newRouter(nw, cfg)
+	ctxs := e.contexts(nw)
+	rt := newRouter(e, nw, cfg)
 	if err := initNodes(nodes, ctxs, rt); err != nil {
 		return rt.res, err
 	}
@@ -580,24 +614,13 @@ func runLockstep(nw *Network, nodes []Node, cfg Config) (Result, error) {
 		if round > cfg.MaxRounds {
 			return rt.res, fmt.Errorf("%w: %d", ErrRoundLimit, cfg.MaxRounds)
 		}
-		inboxes := rt.flush()
-		rt.round = round
-		prevMsgs, prevBits := rt.res.Messages, rt.res.TotalBits
+		inboxes := rt.startRound(round)
 		active, ended, err := lockstepRound(nodes, ctxs, rt, done, round, inboxes)
 		if err != nil {
 			return rt.res, err
 		}
 		remaining -= ended
-		rt.res.Rounds = round
-		if cfg.OnRound != nil {
-			cfg.OnRound(RoundStats{
-				Round:       round,
-				ActiveNodes: active,
-				Messages:    rt.res.Messages - prevMsgs,
-				Bits:        rt.res.TotalBits - prevBits,
-				MaxBits:     rt.roundMax,
-			})
-		}
+		rt.endRound(round, active)
 	}
 	return rt.res, nil
 }

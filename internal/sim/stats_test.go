@@ -50,13 +50,13 @@ func TestSeqParAlgebraQuick(t *testing.T) {
 func TestNetworkAccessors(t *testing.T) {
 	g := graph.Ring(5)
 	nw := NewNetwork(g)
-	if nw.N() != 5 || nw.Graph() != g || nw.Digraph() != nil {
+	if nw.N() != 5 || nw.CSR().Fingerprint() != g.Fingerprint() || nw.Oriented() != nil {
 		t.Error("unoriented network accessors wrong")
 	}
 	d := graph.OrientByID(g)
 	onw := NewOrientedNetwork(d)
-	if onw.Digraph() != d || onw.Graph() != g {
-		t.Error("oriented network accessors wrong")
+	if onw.Oriented() != d.Oriented || onw.CSR() != d.CSR {
+		t.Error("oriented network accessors wrong: a Digraph's network must share its CSR form")
 	}
 }
 
@@ -64,7 +64,7 @@ func TestContextContents(t *testing.T) {
 	g := graph.Path(3)
 	d := graph.OrientByID(g)
 	nw := NewOrientedNetwork(d)
-	ctx := nw.contexts()[1]
+	ctx := new(Engine).contexts(nw)[1]
 	if ctx.ID != 1 {
 		t.Errorf("ID = %d", ctx.ID)
 	}

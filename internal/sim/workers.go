@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
+
+	"listcolor/internal/graph"
 )
 
 // runWorkers executes rounds with a fixed worker pool: node Round
@@ -11,10 +13,10 @@ import (
 // state and inbox), while Init calls and all routing happen
 // sequentially in id order, so results are byte-identical to the
 // lockstep driver.
-func runWorkers(nw *Network, nodes []Node, cfg Config) (Result, error) {
+func runWorkers(e *Engine, nw *Network, nodes []Node, cfg Config) (Result, error) {
 	n := nw.N()
-	ctxs := nw.contexts()
-	rt := newRouter(nw, cfg)
+	ctxs := e.contexts(nw)
+	rt := newRouter(e, nw, cfg)
 	if err := initNodes(nodes, ctxs, rt); err != nil {
 		return rt.res, err
 	}
@@ -33,10 +35,7 @@ func runWorkers(nw *Network, nodes []Node, cfg Config) (Result, error) {
 	// active set instead of rescanning all n done flags (protocols with
 	// staggered termination — sweeps, Linial phases — spend most rounds
 	// with a small active tail).
-	active := make([]int, n)
-	for v := range active {
-		active[v] = v
-	}
+	active := graph.Vertices(n)
 	// status records the NodeDown verdict of every active node for the
 	// round in flight; only allocated when the hook is set (the workers
 	// skip non-up nodes, the routing pass drops crashed ones).
@@ -50,9 +49,7 @@ func runWorkers(nw *Network, nodes []Node, cfg Config) (Result, error) {
 		if round > cfg.MaxRounds {
 			return rt.res, fmt.Errorf("%w: %d", ErrRoundLimit, cfg.MaxRounds)
 		}
-		inboxes := rt.flush()
-		rt.round = round
-		prevMsgs, prevBits := rt.res.Messages, rt.res.TotalBits
+		inboxes := rt.startRound(round)
 		activeCount := len(active)
 		if cfg.NodeDown != nil {
 			// Consult the hook on the coordinator in ascending id
@@ -98,75 +95,49 @@ func runWorkers(nw *Network, nodes []Node, cfg Config) (Result, error) {
 		// Deliver the round's sends. The sharded path (shard.go) routes
 		// concurrently across receiver ranges after a validation
 		// prepass; it declines rounds containing any node panic or
-		// protocol violation, and those fall through to the sequential
+		// protocol violation, and those are routed by the sequential
 		// reference loop below, which reproduces the exact partial
 		// statistics and error attribution of a sequential run (the
 		// prepass mutates no router output state). Both paths fill
 		// every inbox in ascending sender id, send order within a
 		// sender — the engine-wide delivery-order guarantee.
-		routed := false
+		sharded := false
 		if shards := cfg.routingShards(); shards > 1 && rt.prepare(active, status, outs, panicked.err != nil) {
 			rt.deliverSharded(outs, shards)
-			keep := active[:0]
-			for _, v := range active {
-				if status != nil {
-					switch status[v] {
-					case NodeDowned:
-						keep = append(keep, v) // skipped this round, state kept
-						continue
-					case NodeCrashed:
-						continue // dropped from the run without a final Round
-					}
-				}
-				outs[v] = nil
-				if !fins[v] {
-					keep = append(keep, v)
+			sharded = true
+		}
+		// Unless sharded, route sequentially in id order for
+		// determinism; a panic is surfaced for the smallest failing id,
+		// like the other drivers. The same pass compacts active in
+		// place: keep reuses active's backing array and never outruns
+		// the read cursor, so the order stays ascending and no
+		// per-round allocation happens.
+		keep := active[:0]
+		for _, v := range active {
+			if status != nil {
+				switch status[v] {
+				case NodeDowned:
+					keep = append(keep, v) // skipped this round, state kept
+					continue
+				case NodeCrashed:
+					continue // dropped from the run without a final Round
 				}
 			}
-			active = keep
-			routed = true
-		}
-		if !routed {
-			// Route sequentially in id order for determinism; a panic
-			// is surfaced for the smallest failing id, like the other
-			// drivers. The same pass compacts active in place: keep
-			// reuses active's backing array and never outruns the read
-			// cursor, so the order stays ascending and no per-round
-			// allocation happens.
-			keep := active[:0]
-			for _, v := range active {
-				if status != nil {
-					switch status[v] {
-					case NodeDowned:
-						keep = append(keep, v) // skipped this round, state kept
-						continue
-					case NodeCrashed:
-						continue // dropped from the run without a final Round
-					}
-				}
+			if !sharded {
 				if v == panicked.v {
 					return rt.res, panicked.err
 				}
 				if err := rt.route(v, outs[v]); err != nil {
 					return rt.res, fmt.Errorf("round %d, node %d: %w", round, v, err)
 				}
-				outs[v] = nil
-				if !fins[v] {
-					keep = append(keep, v)
-				}
 			}
-			active = keep
+			outs[v] = nil
+			if !fins[v] {
+				keep = append(keep, v)
+			}
 		}
-		rt.res.Rounds = round
-		if cfg.OnRound != nil {
-			cfg.OnRound(RoundStats{
-				Round:       round,
-				ActiveNodes: activeCount,
-				Messages:    rt.res.Messages - prevMsgs,
-				Bits:        rt.res.TotalBits - prevBits,
-				MaxBits:     rt.roundMax,
-			})
-		}
+		active = keep
+		rt.endRound(round, activeCount)
 	}
 	return rt.res, nil
 }

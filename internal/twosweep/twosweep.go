@@ -90,7 +90,7 @@ func SortSelector(list, defects []int, k *palette.Counter, p int, scratch *palet
 // Nodes with zero out-degree are skipped: they trivially succeed in
 // both phases (k_v ≡ r_v ≡ 0, so any color of a non-empty list is
 // admissible), which the color-space-reduction recursion relies on.
-func CheckSlack(d *graph.Digraph, inst *coloring.Instance, p int, eps float64) error {
+func CheckSlack(d coloring.Orientation, inst *coloring.Instance, p int, eps float64) error {
 	for v := 0; v < inst.N(); v++ {
 		if d.Outdeg(v) == 0 {
 			continue
@@ -259,25 +259,15 @@ func Solve(d *graph.Digraph, inst *coloring.Instance, initColors []int, q, p int
 // only in local computation, which is reported in Result.LocalOps.
 // The total is recorded on cfg.Span.
 func SolveWithSelector(d *graph.Digraph, inst *coloring.Instance, initColors []int, q, p int, sel Selector, cfg sim.Config) (Result, error) {
-	if err := validateInputs(d, inst, initColors, q, p); err != nil {
-		return Result{}, err
-	}
-	if err := CheckSlack(d, inst, p, 0); err != nil {
-		return Result{}, err
-	}
-	res, err := solveUnchecked(d, inst, initColors, q, p, sel, cfg)
-	if err == nil {
-		cfg.Span.Done(res.Stats)
-	}
-	return res, err
+	return solve(new(sim.Engine), d.Oriented, inst, initColors, q, p, 0, sel, cfg)
 }
 
 // solveUnchecked runs the protocol without the slack precondition
 // check (used by SolveFast, which establishes the derived condition
 // analytically).
-func solveUnchecked(d *graph.Digraph, inst *coloring.Instance, initColors []int, q, p int, sel Selector, cfg sim.Config) (Result, error) {
+func solveUnchecked(e *sim.Engine, d *graph.Oriented, inst *coloring.Instance, initColors []int, q, p int, sel Selector, cfg sim.Config) (Result, error) {
 	n := d.N()
-	if d.Underlying().M() == 0 {
+	if d.M() == 0 {
 		// Edgeless (sub)graph: no conflicts are possible, so every node
 		// decides immediately — same color choice as the full protocol
 		// (first element of the selected sublist, which is what
@@ -316,7 +306,7 @@ func solveUnchecked(d *graph.Digraph, inst *coloring.Instance, initColors []int,
 			ops:      &opsPer[v],
 		}
 	}
-	stats, err := sim.Run(sim.NewOrientedNetwork(d), nodes, cfg)
+	stats, err := e.Run(sim.NewOrientedCSRNetwork(d), nodes, cfg)
 	if err != nil {
 		return Result{}, fmt.Errorf("twosweep: %w", err)
 	}
@@ -332,7 +322,7 @@ func solveUnchecked(d *graph.Digraph, inst *coloring.Instance, initColors []int,
 	return Result{Colors: out, Stats: stats, LocalOps: ops}, nil
 }
 
-func validateInputs(d *graph.Digraph, inst *coloring.Instance, initColors []int, q, p int) error {
+func validateInputs(d *graph.Oriented, inst *coloring.Instance, initColors []int, q, p int) error {
 	if p < 1 {
 		return fmt.Errorf("twosweep: p must be ≥ 1, got %d", p)
 	}
@@ -352,7 +342,7 @@ func validateInputs(d *graph.Digraph, inst *coloring.Instance, initColors []int,
 			return fmt.Errorf("twosweep: node %d initial color %d outside [0,%d)", v, c, q)
 		}
 	}
-	if err := graph.IsProperColoring(d.Underlying(), initColors); err != nil {
+	if err := graph.IsProperColoring(d, initColors); err != nil {
 		return fmt.Errorf("twosweep: initial coloring not proper: %w", err)
 	}
 	return nil
@@ -360,10 +350,22 @@ func validateInputs(d *graph.Digraph, inst *coloring.Instance, initColors []int,
 
 // SolveFast runs Algorithm 2 (Fast-Two-Sweep): under the (1+ε) slack
 // condition (Eq. 7) it solves the OLDC instance in
-// O(min{q, (p/ε)² + log* q}) rounds. For ε = 0 it falls back to
-// Solve. initColors must be a proper q-coloring. The split and the
-// sweep are recorded under cfg.Span, and the total on it.
-func SolveFast(d *graph.Digraph, inst *coloring.Instance, initColors []int, q, p int, eps float64, cfg sim.Config) (res Result, err error) {
+// O(min{q, (p/ε)² + log* q}) rounds. For ε = 0 it is Solve.
+// initColors must be a proper q-coloring. The split and the sweep are
+// recorded under cfg.Span, and the total on it.
+func SolveFast(d *graph.Digraph, inst *coloring.Instance, initColors []int, q, p int, eps float64, cfg sim.Config) (Result, error) {
+	return SolveFastOn(new(sim.Engine), d.Oriented, inst, initColors, q, p, eps, cfg)
+}
+
+// SolveFastOn is SolveFast on the CSR form and the engine set-up e of
+// the calling solve.
+func SolveFastOn(e *sim.Engine, d *graph.Oriented, inst *coloring.Instance, initColors []int, q, p int, eps float64, cfg sim.Config) (Result, error) {
+	return solve(e, d, inst, initColors, q, p, eps, SortSelector, cfg)
+}
+
+// solve is Algorithm 2 with Phase-I selector sel, and with ε = 0
+// Algorithm 1: an infinite p/ε always takes the plain sweep.
+func solve(e *sim.Engine, d *graph.Oriented, inst *coloring.Instance, initColors []int, q, p int, eps float64, sel Selector, cfg sim.Config) (res Result, err error) {
 	defer func() {
 		if err == nil {
 			cfg.Span.Done(res.Stats)
@@ -371,9 +373,6 @@ func SolveFast(d *graph.Digraph, inst *coloring.Instance, initColors []int, q, p
 	}()
 	if eps < 0 {
 		return Result{}, fmt.Errorf("twosweep: negative ε %v", eps)
-	}
-	if eps == 0 {
-		return Solve(d, inst, initColors, q, p, cfg)
 	}
 	if err := validateInputs(d, inst, initColors, q, p); err != nil {
 		return Result{}, err
@@ -385,7 +384,7 @@ func SolveFast(d *graph.Digraph, inst *coloring.Instance, initColors []int, q, p
 	// target bound (Algorithm 2, line 1).
 	pOverEps := float64(p) / eps
 	if float64(q) <= pOverEps*pOverEps+float64(logstar.LogStar(q)) {
-		return solveUnchecked(d, inst, initColors, q, p, SortSelector, cfg)
+		return solveUnchecked(e, d, inst, initColors, q, p, sel, cfg)
 	}
 	// Step 1: defective coloring Ψ with α = ε/p (Lemma 3.4).
 	alpha := eps / float64(p)
@@ -394,26 +393,14 @@ func SolveFast(d *graph.Digraph, inst *coloring.Instance, initColors []int, q, p
 	if span != nil {
 		subCfg.Span = span.Child(fmt.Sprintf("defective split α=%.3g (Lemma 3.4)", alpha))
 	}
-	psi, err := defective.ColorOriented(d, initColors, q, alpha, subCfg)
+	psi, err := defective.ColorOn(e, sim.NewOrientedCSRNetwork(d), initColors, q, alpha, subCfg)
 	if err != nil {
 		return Result{}, fmt.Errorf("twosweep: defective preprocessing: %w", err)
 	}
 	subCfg.Span.Done(psi.Stats)
 	// Step 2: drop monochromatic edges; reduce defects by the at most
 	// ⌊β_v·ε/p⌋ conflicts Ψ may hide on them.
-	gPrime := d.Underlying().FilterEdges(func(u, v int) bool { return psi.Colors[u] != psi.Colors[v] })
-	var arcs [][2]int
-	for u := 0; u < d.N(); u++ {
-		for _, v := range d.Out(u) {
-			if psi.Colors[u] != psi.Colors[v] {
-				arcs = append(arcs, [2]int{u, v})
-			}
-		}
-	}
-	dPrime, err := graph.OrientArbitraryFrom(gPrime, arcs)
-	if err != nil {
-		return Result{}, fmt.Errorf("twosweep: restricting orientation: %w", err)
-	}
+	dPrime := d.Filter(func(u, v int) bool { return psi.Colors[u] != psi.Colors[v] })
 	// Reduce by the conflicts Ψ may hide. Using the true out-degree
 	// (not the β_v = max(1,·) convention) keeps zero-out-degree nodes,
 	// which can never suffer hidden conflicts, at full defect.
@@ -425,7 +412,7 @@ func SolveFast(d *graph.Digraph, inst *coloring.Instance, initColors []int, q, p
 	if span != nil {
 		sweepCfg.Span = span.Child(fmt.Sprintf("two-sweep over q'=%d classes (Algorithm 1)", psi.Palette))
 	}
-	sub, err := solveUnchecked(dPrime, reduced, psi.Colors, psi.Palette, p, SortSelector, sweepCfg)
+	sub, err := solveUnchecked(e, dPrime, reduced, psi.Colors, psi.Palette, p, sel, sweepCfg)
 	if err != nil {
 		return Result{}, err
 	}
