@@ -73,6 +73,7 @@ fuzz:
 	$(GO) test -fuzz FuzzRouteEquivalence -fuzztime 15s ./internal/sim
 	$(GO) test -fuzz FuzzStreamingCSRBuild -fuzztime 15s ./internal/graph
 	$(GO) test -fuzz FuzzTopoViewCompact -fuzztime 15s ./internal/graph
+	$(GO) test -fuzz FuzzInduceCSR -fuzztime 15s ./internal/graph
 	$(GO) test -fuzz FuzzWALRecordDecode -fuzztime 15s ./internal/service
 	$(GO) test -fuzz FuzzCheckpointDecode -fuzztime 20s ./internal/service
 

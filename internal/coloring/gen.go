@@ -15,9 +15,11 @@ func SampleColors(space, k int, rng *rand.Rand) []int {
 		panic(fmt.Sprintf("coloring: cannot sample %d distinct colors from space %d", k, space))
 	}
 	if space <= 4*k {
-		perm := rng.Perm(space)[:k]
-		sort.Ints(perm)
-		return perm
+		// Copy the k kept colors out, so the list does not pin the
+		// whole space-sized permutation for as long as it lives.
+		out := append([]int(nil), rng.Perm(space)[:k]...)
+		sort.Ints(out)
+		return out
 	}
 	seen := make(map[int]struct{}, k)
 	for len(seen) < k {

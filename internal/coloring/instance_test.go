@@ -4,6 +4,8 @@ import (
 	"errors"
 	"math/rand"
 	"reflect"
+	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -212,6 +214,24 @@ func TestSampleColorsDistinctSorted(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestSampleColorsHoldsOnlyItsList: a list drawn from a dense space
+// (k ≥ space/4, the permutation path) must not pin the space-sized
+// permutation it came from. (perfbench solve-deep keeps 24 instances
+// of 500 such lists alive for a whole run.) The same seed must still
+// draw the same colors as the permutation's first k entries.
+func TestSampleColorsHoldsOnlyItsList(t *testing.T) {
+	const space, k = 33, 17
+	got := SampleColors(space, k, rand.New(rand.NewSource(5)))
+	if cap(got) >= space {
+		t.Errorf("cap %d for a %d-color list: the %d-entry permutation is retained", cap(got), k, space)
+	}
+	want := rand.New(rand.NewSource(5)).Perm(space)[:k]
+	sort.Ints(want)
+	if !slices.Equal(got, want) {
+		t.Errorf("colors %v, want %v", got, want)
 	}
 }
 
