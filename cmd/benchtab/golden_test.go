@@ -44,6 +44,13 @@ func TestGoldenQuickAll(t *testing.T) {
 	checkGolden(t, []string{"-quick", "-seed", "7"}, "quick_seed7.golden")
 }
 
+// TestGoldenFullSeed7 pins every table of the full sweep at seed 7
+// (under a second): the full sizes reach rows and notes the quick
+// sweep skips, and no table prints a wall-clock column.
+func TestGoldenFullSeed7(t *testing.T) {
+	checkGolden(t, []string{"-seed", "7"}, "full_seed7.golden")
+}
+
 // checkGolden runs benchtab with args and compares its stdout with
 // testdata/golden, rewriting the file instead under -update.
 func checkGolden(t *testing.T, args []string, golden string) {

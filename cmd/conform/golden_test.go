@@ -16,11 +16,25 @@ var update = flag.Bool("update", false, "rewrite golden files from current outpu
 // an algorithm refactor must keep. Fault injection stays on, so error
 // texts under injected faults are pinned too.
 func TestGoldenSeed1Verbose(t *testing.T) {
+	checkGolden(t, []string{"-seed", "1", "-v"}, "seed1_v.golden")
+}
+
+// TestGoldenSeed1HeavyVerbose pins the heavy-tier matrix at seed 1 the
+// same way (about a second), so the heavy workloads' colors and checks
+// need no comparison by hand against the parent.
+func TestGoldenSeed1HeavyVerbose(t *testing.T) {
+	checkGolden(t, []string{"-seed", "1", "-heavy", "-v"}, "seed1_heavy_v.golden")
+}
+
+// checkGolden runs conform with args and compares its output with
+// testdata/golden, rewriting the file instead under -update.
+func checkGolden(t *testing.T, args []string, golden string) {
+	t.Helper()
 	var b strings.Builder
-	if code := run([]string{"-seed", "1", "-v"}, &b); code != 0 {
-		t.Fatalf("exit code %d, output:\n%s", code, b.String())
+	if code := run(args, &b); code != 0 {
+		t.Fatalf("run(%v) = %d, output:\n%s", args, code, b.String())
 	}
-	path := filepath.Join("testdata", "seed1_v.golden")
+	path := filepath.Join("testdata", golden)
 	if *update {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
 			t.Fatal(err)
