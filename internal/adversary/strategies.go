@@ -1,10 +1,6 @@
 package adversary
 
-import (
-	"sort"
-
-	"listcolor/internal/graph"
-)
+import "listcolor/internal/graph"
 
 // strategies.go builds plans from targeting strategies: who gets hit
 // is itself a pure function of (graph, seed, parameters), so two runs
@@ -26,31 +22,6 @@ func UniformCrash(g *graph.Graph, seed int64, rate float64, start, spread int) P
 			r += int(splitmix64(draw) % uint64(spread+1))
 		}
 		p.Events = append(p.Events, Event{Kind: CrashStop, Node: v, Start: r})
-	}
-	return p
-}
-
-// TopDegreeCrash crash-stops the k highest-degree nodes (ties broken
-// by smaller id) at round start — the adversary's best shot at hub
-// infrastructure.
-func TopDegreeCrash(g *graph.Graph, k, start int) Plan {
-	order := make([]int, g.N())
-	for v := range order {
-		order[v] = v
-	}
-	sort.SliceStable(order, func(i, j int) bool {
-		di, dj := g.Degree(order[i]), g.Degree(order[j])
-		if di != dj {
-			return di > dj
-		}
-		return order[i] < order[j]
-	})
-	if k > len(order) {
-		k = len(order)
-	}
-	var p Plan
-	for _, v := range order[:k] {
-		p.Events = append(p.Events, Event{Kind: CrashStop, Node: v, Start: start})
 	}
 	return p
 }

@@ -38,34 +38,6 @@ func TestUniformCrashDeterministicAndRateBounded(t *testing.T) {
 	}
 }
 
-func TestTopDegreeCrash(t *testing.T) {
-	// Star plus pendant path: node 0 has the unique max degree.
-	g := graph.New(6)
-	for v := 1; v <= 4; v++ {
-		g.MustAddEdge(0, v)
-	}
-	g.MustAddEdge(4, 5)
-	p := TopDegreeCrash(g, 2, 2)
-	if err := p.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if len(p.Events) != 2 {
-		t.Fatalf("got %d events, want 2", len(p.Events))
-	}
-	if p.Events[0].Node != 0 {
-		t.Errorf("first crash target %d, want hub 0", p.Events[0].Node)
-	}
-	// Degree-2 tie between node 4 and nobody else of that degree above
-	// the leaves; ties break by smaller id among equal degrees.
-	if p.Events[1].Node != 4 {
-		t.Errorf("second crash target %d, want 4", p.Events[1].Node)
-	}
-	// k beyond n clamps.
-	if got := TopDegreeCrash(g, 99, 1); len(got.Events) != g.N() {
-		t.Errorf("oversized k produced %d events", len(got.Events))
-	}
-}
-
 func TestCrashRecoverWindows(t *testing.T) {
 	g := graph.Ring(100)
 	p := CrashRecoverWindows(g, 5, 0.3, 4, 3)

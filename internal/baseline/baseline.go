@@ -3,8 +3,6 @@
 //
 //   - GreedyList: the sequential greedy list coloring (the coloring
 //     quality yardstick; requires |L_v| ≥ deg(v)+1).
-//   - GreedyDefective: the classical one-sweep d-defective greedy with
-//     C colors (each node takes the least-conflicting color).
 //   - Luby: the randomized O(log n)-round (Δ+1)-coloring of
 //     [ABI86, Lub86, Lin87], as a genuine message-passing protocol.
 //   - SelectSort / SelectBruteForce: the Phase-I sublist selection of
@@ -14,8 +12,11 @@
 //     algorithms of [MT20, FK23a] (whose nodes search subsets of
 //     2^{L_v}; Appendix C of the full version reports local
 //     computation more than exponential in the list size). Benchmark
-//     E6 compares their costs; both return selections of equal quality
-//     so the comparison is purely computational.
+//     E6 compares the brute force with the sort twosweep runs
+//     (palette.SelectTopP); SelectSort, the map-based form of that
+//     sort, is the reference tests hold SelectTopP to. All return
+//     selections of equal quality, so the comparison is purely
+//     computational.
 package baseline
 
 import (
@@ -63,34 +64,6 @@ func GreedyList(g *graph.Graph, inst *coloring.Instance) ([]int, error) {
 		colors[v] = chosen
 	}
 	return colors, nil
-}
-
-// GreedyDefective computes a defective coloring with c colors by a
-// single sequential sweep: each node takes the color minimizing the
-// number of already-colored conflicting neighbors. The resulting
-// defect of a node v is at most ⌊deg(v)/c⌋ toward earlier nodes (later
-// nodes may add more); the returned slice is the coloring, and callers
-// measure the realized defect with graph.MonochromaticDegree.
-func GreedyDefective(g *graph.Graph, c int) []int {
-	if c < 1 {
-		panic("baseline: GreedyDefective needs ≥ 1 color")
-	}
-	n := g.N()
-	colors := make([]int, n)
-	for v := range colors {
-		colors[v] = -1
-	}
-	counts := palette.NewCounter(c)
-	for v := 0; v < n; v++ {
-		counts.Reset()
-		for _, u := range g.Neighbors(v) {
-			if colors[u] >= 0 {
-				counts.Add(colors[u])
-			}
-		}
-		colors[v] = counts.ArgMin(c)
-	}
-	return colors
 }
 
 // lubyNode is the per-node protocol of the randomized (Δ+1)-coloring:

@@ -36,41 +36,6 @@ func TestGreedyListStuck(t *testing.T) {
 	}
 }
 
-func TestGreedyDefectiveBound(t *testing.T) {
-	// The classical bound: with c colors every graph has a
-	// ⌊Δ/c⌋·2-ish defective coloring greedily; we verify the weaker
-	// property that max defect drops as c grows.
-	rng := rand.New(rand.NewSource(2))
-	g := graph.RandomRegular(60, 8, rng)
-	prev := 1 << 30
-	for _, c := range []int{1, 2, 4, 8} {
-		colors := GreedyDefective(g, c)
-		if mc := graph.MaxColor(colors); mc >= c {
-			t.Fatalf("c=%d: color %d out of range", c, mc)
-		}
-		mono := graph.MonochromaticDegree(g, colors)
-		worst := 0
-		for _, m := range mono {
-			if m > worst {
-				worst = m
-			}
-		}
-		if worst > prev {
-			t.Errorf("c=%d: defect %d worse than with fewer colors (%d)", c, worst, prev)
-		}
-		prev = worst
-	}
-	// c = Δ+1 must give a proper coloring... greedy least-used does NOT
-	// guarantee properness; but c=1 gives defect exactly deg.
-	colors1 := GreedyDefective(g, 1)
-	mono := graph.MonochromaticDegree(g, colors1)
-	for v, m := range mono {
-		if m != g.Degree(v) {
-			t.Errorf("c=1: node %d defect %d != deg %d", v, m, g.Degree(v))
-		}
-	}
-}
-
 func TestLubyProper(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for _, g := range []*graph.Graph{
@@ -143,13 +108,4 @@ func TestSelectBruteForcePanicsOnBigLists(t *testing.T) {
 		}
 	}()
 	SelectBruteForce(make([]int, 25), make([]int, 25), nil, 3)
-}
-
-func TestGreedyDefectivePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("GreedyDefective(0 colors) did not panic")
-		}
-	}()
-	GreedyDefective(graph.Ring(4), 0)
 }

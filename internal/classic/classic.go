@@ -2,9 +2,8 @@
 // constructions the paper generalizes, as described in its
 // introduction:
 //
-//   - the sequential greedy d-arbdefective coloring with
-//     ⌈(Δ+1)/(d+1)⌉ colors [BE10] and its distributed single-sweep
-//     variant (one round per initial color class);
+//   - the distributed single-sweep d-arbdefective coloring with
+//     ⌈(Δ+1)/(d+1)⌉ colors [BE10] (one round per initial color class);
 //   - Claim 4.1's corollary: on graphs of neighborhood independence θ,
 //     the single sweep yields a (2d+1)·θ-DEFECTIVE coloring;
 //   - the Two-Sweep *product* construction [BE09, BHL+19]: two sweeps
@@ -25,41 +24,6 @@ import (
 	"listcolor/internal/palette"
 	"listcolor/internal/sim"
 )
-
-// GreedyArb computes a d-arbdefective coloring with c = ⌈(Δ+1)/(d+1)⌉
-// colors by one sequential sweep in id order: each node picks the
-// color least used among already-colored neighbors (≤ ⌊deg/c⌋ ≤ d of
-// them) and orients its monochromatic edges toward them. Returns the
-// colors and the orientation arcs.
-func GreedyArb(g *graph.Graph, d int) (colors []int, arcs [][2]int, c int) {
-	if d < 0 {
-		panic("classic: negative defect")
-	}
-	delta := g.RawMaxDegree()
-	c = (delta + 1 + d) / (d + 1) // ⌈(Δ+1)/(d+1)⌉
-	n := g.N()
-	colors = make([]int, n)
-	for v := range colors {
-		colors[v] = -1
-	}
-	counts := palette.NewCounter(c)
-	for v := 0; v < n; v++ {
-		counts.Reset()
-		for _, u := range g.Neighbors(v) {
-			if colors[u] >= 0 {
-				counts.Add(colors[u])
-			}
-		}
-		best := counts.ArgMin(c)
-		colors[v] = best
-		for _, u := range g.Neighbors(v) {
-			if colors[u] == best && u < v {
-				arcs = append(arcs, [2]int{v, u})
-			}
-		}
-	}
-	return colors, arcs, c
-}
 
 // sweepArbNode is the distributed single-sweep node: at its initial
 // color class's turn it picks the least-used color among

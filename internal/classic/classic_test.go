@@ -3,7 +3,6 @@ package classic
 import (
 	"math/rand"
 	"testing"
-	"testing/quick"
 
 	"listcolor/internal/coloring"
 	"listcolor/internal/graph"
@@ -37,42 +36,6 @@ func arbInstance(n, c, d int) *coloring.Instance {
 		in.Defects[v] = defs
 	}
 	return in
-}
-
-func TestGreedyArbBound(t *testing.T) {
-	f := func(seed int64, rawN, rawD uint8) bool {
-		n := int(rawN%40) + 5
-		d := int(rawD % 5)
-		rng := rand.New(rand.NewSource(seed))
-		g := graph.GNP(n, 0.3, rng)
-		colors, arcs, c := GreedyArb(g, d)
-		if c != (g.RawMaxDegree()+1+d)/(d+1) {
-			return false
-		}
-		if graph.MaxColor(colors) >= c {
-			return false
-		}
-		return coloring.ValidateListArbdefective(g, arbInstance(n, c, d),
-			coloring.ArbResult{Colors: colors, Arcs: arcs}) == nil
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestGreedyArbZeroDefectIsProper(t *testing.T) {
-	// d = 0 ⇒ Δ+1 colors, proper coloring.
-	g := graph.Complete(6)
-	colors, arcs, c := GreedyArb(g, 0)
-	if c != 6 {
-		t.Errorf("c = %d, want 6", c)
-	}
-	if len(arcs) != 0 {
-		t.Errorf("zero-defect run produced %d arcs", len(arcs))
-	}
-	if err := graph.IsProperColoring(g, colors); err != nil {
-		t.Error(err)
-	}
 }
 
 func TestSweepArbMatchesGuarantee(t *testing.T) {
@@ -177,12 +140,6 @@ func TestInputValidation(t *testing.T) {
 	if _, _, err := ProductDefective(g, []int{0, 5, 0, 1}, 2, 2, sim.Config{}); err == nil {
 		t.Error("accepted out-of-range initial color")
 	}
-	defer func() {
-		if recover() == nil {
-			t.Error("GreedyArb(-1) did not panic")
-		}
-	}()
-	GreedyArb(g, -1)
 }
 
 func TestDriversAgree(t *testing.T) {

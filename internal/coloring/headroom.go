@@ -54,17 +54,3 @@ func OLDCHeadroom(d *graph.Digraph, in *Instance, colors []int) (Headroom, error
 		return c
 	})
 }
-
-// ListDefectiveHeadroom is OLDCHeadroom for the unoriented problem:
-// remaining budget counts all same-colored neighbors.
-func ListDefectiveHeadroom(g *graph.Graph, in *Instance, colors []int) (Headroom, error) {
-	return budgetHeadroom(in, colors, func(v int) int {
-		c := 0
-		for _, u := range g.Neighbors(v) {
-			if colors[u] == colors[v] {
-				c++
-			}
-		}
-		return c
-	})
-}

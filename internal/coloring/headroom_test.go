@@ -56,21 +56,9 @@ func TestOLDCHeadroomNegativeOnViolation(t *testing.T) {
 	}
 }
 
-func TestListDefectiveHeadroom(t *testing.T) {
-	g, in := pathInstance(1)
-	// Middle node has two same-colored neighbors: budget 1 ⇒ −1.
-	h, err := ListDefectiveHeadroom(g, in, []int{0, 0, 0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if h.Min != -1 || h.MinAt != 1 {
-		t.Errorf("monochromatic path: %+v, want Min -1 at node 1", h)
-	}
-}
-
 func TestHeadroomRejectsOffListColor(t *testing.T) {
 	g, in := pathInstance(1)
-	if _, err := ListDefectiveHeadroom(g, in, []int{0, 2, 0}); err == nil {
+	if _, err := OLDCHeadroom(graph.OrientByID(g), in, []int{0, 2, 0}); err == nil {
 		t.Error("accepted a color outside the list")
 	}
 }

@@ -4,8 +4,8 @@
 // under the slack condition Σ(d_v(x)+1) ≥ 3·√C·β_v, runs in
 // O(log³C + log* q) rounds with messages of O(log q + log C) bits.
 //
-// The generic combinator lives in ReduceSpace (general.go): it turns
-// any solver for λ-sized color spaces with per-node slack β_v·κ into a
+// The recursion lives in reduceSpace (general.go): it turns any
+// solver for λ-sized color spaces with per-node slack β_v·κ into a
 // solver for arbitrary C with slack β_v·κ^⌈log_λ C⌉. Theorem 1.2
 // instantiates it with λ = 4, κ = 2(1+ε), ε = 1/(3⌈log₄C⌉), and the
 // Fast-Two-Sweep algorithm with p = 2 as the λ-space solver. The

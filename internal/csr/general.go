@@ -16,11 +16,19 @@ import (
 // declares its slack requirement out of band (the κ of Lemma 3.5).
 type Solver func(e *sim.Engine, d *graph.Oriented, inst *coloring.Instance, initColors []int, q int) ([]int, sim.Result, error)
 
-// ReduceSpace implements Lemma 3.5 (Theorem 3 of [FK23a], specialized
+// group is one vertex-disjoint recursion cell: the nodes (original
+// ids) currently assigned to the color block [blockLo, blockLo+size).
+type group struct {
+	nodes   []int
+	blockLo int
+}
+
+// reduceSpace implements Lemma 3.5 (Theorem 3 of [FK23a], specialized
 // to this library's solvers): given a Solver a that handles OLDC
 // instances over color spaces of size ≤ lambda whenever
-// Σ(d_v(x)+1) ≥ β_v·kappa, it returns a Solver that handles ARBITRARY
-// color spaces C whenever Σ(d_v(x)+1) ≥ β_v·kappa^⌈log_λ C⌉.
+// Σ(d_v(x)+1) ≥ β_v·kappa, it solves ARBITRARY color spaces C
+// whenever Σ(d_v(x)+1) ≥ β_v·kappa^⌈log_λ C⌉. Solve runs it with
+// λ = 4.
 //
 // The space is padded to λ^k (k = ⌈log_λ C⌉) and recursively split
 // into λ blocks per level. Each level, every group of nodes sharing a
@@ -33,28 +41,8 @@ type Solver func(e *sim.Engine, d *graph.Oriented, inst *coloring.Instance, init
 // final colors directly.
 //
 // Round cost: ⌈log_λ C⌉ sequential levels, each the parallel maximum
-// of the group runs — O(T_a·log_λ C), as Lemma 3.5 states.
-func ReduceSpace(lambda int, kappa float64, a Solver) Solver {
-	if lambda < 2 {
-		panic(fmt.Sprintf("csr: split parameter λ=%d must be ≥ 2", lambda))
-	}
-	if kappa <= 1 {
-		panic(fmt.Sprintf("csr: κ=%v must exceed 1", kappa))
-	}
-	return func(e *sim.Engine, d *graph.Oriented, inst *coloring.Instance, initColors []int, q int) ([]int, sim.Result, error) {
-		return reduceSpace(e, lambda, kappa, a, d, inst, initColors, q, nil)
-	}
-}
-
-// group is one vertex-disjoint recursion cell: the nodes (original
-// ids) currently assigned to the color block [blockLo, blockLo+size).
-type group struct {
-	nodes   []int
-	blockLo int
-}
-
-// reduceSpace is ReduceSpace's recursion; the levels and groups are
-// recorded under cfgSpan when it is non-nil.
+// of the group runs — O(T_a·log_λ C), as Lemma 3.5 states. The levels
+// and groups are recorded under cfgSpan when it is non-nil.
 func reduceSpace(e *sim.Engine, lambda int, kappa float64, a Solver, d *graph.Oriented, inst *coloring.Instance, initColors []int, q int, cfgSpan *sim.Span) ([]int, sim.Result, error) {
 	n := d.N()
 	// k = ⌈log_λ C⌉ levels; the space is treated as padded to λ^k.

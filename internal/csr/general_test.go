@@ -27,11 +27,10 @@ func TestReduceSpaceOtherLambdas(t *testing.T) {
 		eps := 0.5
 		kappa := (1 + eps) * float64(p)
 		inner := fastTwoSweepSolver(p, eps/2, sim.Config{})
-		solver := ReduceSpace(lambda, kappa, inner)
 		// Instance with slack κ^3 per unit of out-degree.
 		need := math.Pow(kappa, 3)
 		inst := coloring.WithOrientedSlack(d, space, need, rng)
-		colors, stats, err := solver(new(sim.Engine), d.Oriented, inst, base, q)
+		colors, stats, err := reduceSpace(new(sim.Engine), lambda, kappa, inner, d.Oriented, inst, base, q, nil)
 		if err != nil {
 			t.Fatalf("λ=%d: %v", lambda, err)
 		}
@@ -86,24 +85,6 @@ func TestReduceSpaceClusteredLists(t *testing.T) {
 	}
 }
 
-// TestReduceSpaceParameterPanics pins the combinator's guardrails.
-func TestReduceSpaceParameterPanics(t *testing.T) {
-	inner := fastTwoSweepSolver(2, 0.1, sim.Config{})
-	for name, fn := range map[string]func(){
-		"lambda < 2": func() { ReduceSpace(1, 2, inner) },
-		"kappa ≤ 1":  func() { ReduceSpace(4, 1, inner) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("%s did not panic", name)
-				}
-			}()
-			fn()
-		}()
-	}
-}
-
 // TestReduceSpaceSingleColorSpace covers the k = 0 corner with an
 // empty-list rejection.
 func TestReduceSpaceSingleColorSpace(t *testing.T) {
@@ -111,9 +92,8 @@ func TestReduceSpaceSingleColorSpace(t *testing.T) {
 	d := graph.OrientByID(g)
 	base, q := properColoring(t, g)
 	inner := fastTwoSweepSolver(2, 0.1, sim.Config{})
-	solver := ReduceSpace(4, 2.5, inner)
 	bad := &coloring.Instance{Space: 1, Lists: [][]int{{0}, {}, {0}, {0}}, Defects: [][]int{{5}, {}, {5}, {5}}}
-	if _, _, err := solver(new(sim.Engine), d.Oriented, bad, base, q); err == nil {
+	if _, _, err := reduceSpace(new(sim.Engine), 4, 2.5, inner, d.Oriented, bad, base, q, nil); err == nil {
 		t.Error("empty list at C=1 accepted")
 	}
 }
@@ -157,7 +137,7 @@ func TestInnerSolverErrorPropagates(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(4))
 	inst := coloring.WithOrientedSlack(d, 64, 24, rng)
-	if _, _, err := ReduceSpace(4, 2.5, failing)(new(sim.Engine), d.Oriented, inst, base, q); err == nil {
+	if _, _, err := reduceSpace(new(sim.Engine), 4, 2.5, failing, d.Oriented, inst, base, q, nil); err == nil {
 		t.Error("inner failure swallowed")
 	}
 }

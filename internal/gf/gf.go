@@ -61,17 +61,13 @@ type Poly struct {
 	Coeffs []int // little-endian coefficients, each in [0, Q)
 }
 
-// PolyFromInt returns the polynomial over F_q whose coefficients are
-// the base-q digits of m (least significant digit = constant term),
-// padded with zeros to exactly degree+1 coefficients. It panics if m
-// does not fit, i.e. m ≥ q^(degree+1), or if m < 0.
-func PolyFromInt(m, q, degree int) Poly {
-	return PolyFromIntInto(m, q, degree, nil)
-}
-
-// PolyFromIntInto is PolyFromInt writing the coefficients into buf
-// (reallocated only if its capacity is short), so per-round polynomial
-// decoding can reuse one node-local buffer instead of allocating.
+// PolyFromIntInto returns the polynomial over F_q whose coefficients
+// are the base-q digits of m (least significant digit = constant
+// term), padded with zeros to exactly degree+1 coefficients. It writes
+// the coefficients into buf (reallocated only if its capacity is
+// short), so per-round polynomial decoding can reuse one node-local
+// buffer instead of allocating. It panics if m does not fit, i.e.
+// m ≥ q^(degree+1), or if m < 0.
 func PolyFromIntInto(m, q, degree int, buf []int) Poly {
 	if m < 0 {
 		panic("gf: PolyFromInt of negative value")
@@ -94,23 +90,6 @@ func PolyFromIntInto(m, q, degree int, buf []int) Poly {
 	return Poly{Q: q, Coeffs: coeffs}
 }
 
-// Int returns the integer whose base-q digits are the coefficients of
-// p — the inverse of PolyFromInt.
-func (p Poly) Int() int {
-	v := 0
-	for i := len(p.Coeffs) - 1; i >= 0; i-- {
-		v = v*p.Q + p.Coeffs[i]
-	}
-	return v
-}
-
-// Degree returns the formal degree of p, i.e. len(Coeffs)-1. (Trailing
-// zero coefficients are not trimmed: the reduction cares about the
-// degree bound, not the exact degree.)
-func (p Poly) Degree() int {
-	return len(p.Coeffs) - 1
-}
-
 // Eval returns p(a) in F_q, by Horner's rule.
 func (p Poly) Eval(a int) int {
 	a %= p.Q
@@ -124,57 +103,9 @@ func (p Poly) Eval(a int) int {
 	return v
 }
 
-// Agreements returns the number of points a ∈ F_q with p(a) == other(a).
-// For distinct polynomials of degree ≤ d this is at most d; for equal
-// polynomials it is q. It panics if the two polynomials live in
-// different fields.
-func (p Poly) Agreements(other Poly) int {
-	if p.Q != other.Q {
-		panic("gf: Agreements across different fields")
-	}
-	n := 0
-	for a := 0; a < p.Q; a++ {
-		if p.Eval(a) == other.Eval(a) {
-			n++
-		}
-	}
-	return n
-}
-
-// Equal reports whether p and other are the same polynomial over the
-// same field (comparing coefficient values; lengths may differ if the
-// extra coefficients are zero).
-func (p Poly) Equal(other Poly) bool {
-	if p.Q != other.Q {
-		return false
-	}
-	longest := len(p.Coeffs)
-	if len(other.Coeffs) > longest {
-		longest = len(other.Coeffs)
-	}
-	for i := 0; i < longest; i++ {
-		var a, b int
-		if i < len(p.Coeffs) {
-			a = p.Coeffs[i]
-		}
-		if i < len(other.Coeffs) {
-			b = other.Coeffs[i]
-		}
-		if a != b {
-			return false
-		}
-	}
-	return true
-}
-
 // PointValue encodes the point-value pair (a, v) over F_q as a single
 // integer in [0, q²): a·q + v. This is the "new color" of the Linial
 // reduction step.
 func PointValue(a, v, q int) int {
 	return a*q + v
-}
-
-// SplitPointValue inverts PointValue.
-func SplitPointValue(code, q int) (a, v int) {
-	return code / q, code % q
 }

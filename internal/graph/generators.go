@@ -129,25 +129,6 @@ func GNP(n int, p float64, rng *rand.Rand) *Graph {
 	return g
 }
 
-// GNM returns a uniformly random simple graph with n vertices and m
-// edges. It panics if m exceeds the number of possible edges.
-func GNM(n, m int, rng *rand.Rand) *Graph {
-	maxEdges := n * (n - 1) / 2
-	if m < 0 || m > maxEdges {
-		panic(fmt.Sprintf("graph: GNM needs 0 ≤ m ≤ %d, got %d", maxEdges, m))
-	}
-	g := New(n)
-	for g.M() < m {
-		u := rng.Intn(n)
-		v := rng.Intn(n)
-		if u != v {
-			g.MustAddEdge(u, v)
-		}
-	}
-	g.Normalize()
-	return g
-}
-
 // RandomRegular returns a random d-regular graph on n vertices. n·d
 // must be even and 0 ≤ d < n. The graph is built deterministically as
 // a circulant and then randomized by degree-preserving double-edge

@@ -191,17 +191,6 @@ func TestRandomRegularZero(t *testing.T) {
 	}
 }
 
-func TestGNMEdgeCount(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	g := GNM(20, 50, rng)
-	if g.M() != 50 {
-		t.Errorf("GNM(20,50) has %d edges", g.M())
-	}
-	if err := g.Validate(); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestPowerLawShape(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	g := PowerLaw(300, 3, rng)
@@ -283,7 +272,6 @@ func TestGeneratorPanics(t *testing.T) {
 	mustPanic("GNP p>1", func() { GNP(5, 1.5, rand.New(rand.NewSource(1))) })
 	mustPanic("RandomRegular odd", func() { RandomRegular(5, 3, rand.New(rand.NewSource(1))) })
 	mustPanic("RandomRegular d≥n", func() { RandomRegular(4, 4, rand.New(rand.NewSource(1))) })
-	mustPanic("GNM too many", func() { GNM(3, 10, rand.New(rand.NewSource(1))) })
 	mustPanic("PowerLaw small", func() { PowerLaw(3, 3, rand.New(rand.NewSource(1))) })
 	mustPanic("Hypercube(-1)", func() { Hypercube(-1) })
 	mustPanic("KaryTree(0,1)", func() { CompleteKaryTree(0, 1) })

@@ -73,9 +73,6 @@ func (o *Overlay) N() int { return o.n }
 // M returns the current undirected edge count.
 func (o *Overlay) M() int64 { return o.arcs / 2 }
 
-// Arcs returns the directed-edge count 2·M.
-func (o *Overlay) Arcs() int64 { return o.arcs }
-
 // Patched returns the number of vertices with a private row — the
 // overlay memory the next compaction reclaims.
 func (o *Overlay) Patched() int { return len(o.rows) }
@@ -274,29 +271,6 @@ func (o *Overlay) Graph() *Graph {
 	}
 	g.Normalize()
 	return g
-}
-
-// Validate checks the overlay invariants: sorted duplicate-free rows,
-// no self-loops, in-range neighbors, symmetry, and an arc count
-// matching the rows.
-func (o *Overlay) Validate() error {
-	var arcs int64
-	for v := 0; v < o.n; v++ {
-		row := o.Neighbors(v)
-		arcs += int64(len(row))
-		if err := checkRow(v, row, o.n); err != nil {
-			return err
-		}
-		for _, w := range row {
-			if !o.HasEdge(w, v) {
-				return fmt.Errorf("graph: asymmetric overlay adjacency %d->%d", v, w)
-			}
-		}
-	}
-	if arcs != o.arcs {
-		return fmt.Errorf("graph: overlay arc count %d, rows sum to %d", o.arcs, arcs)
-	}
-	return nil
 }
 
 // String returns a short human-readable summary.

@@ -2,9 +2,33 @@ package graph
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
 	"testing"
 )
+
+// Validate checks the overlay invariants: sorted duplicate-free rows,
+// no self-loops, in-range neighbors, symmetry, and an arc count
+// matching the rows.
+func (o *Overlay) Validate() error {
+	var arcs int64
+	for v := 0; v < o.n; v++ {
+		row := o.Neighbors(v)
+		arcs += int64(len(row))
+		if err := checkRow(v, row, o.n); err != nil {
+			return err
+		}
+		for _, w := range row {
+			if !o.HasEdge(w, v) {
+				return fmt.Errorf("graph: asymmetric overlay adjacency %d->%d", v, w)
+			}
+		}
+	}
+	if arcs != o.arcs {
+		return fmt.Errorf("graph: overlay arc count %d, rows sum to %d", o.arcs, arcs)
+	}
+	return nil
+}
 
 // TestOverlayZeroCopyReads pins the overlay's core memory contract:
 // reading an untouched vertex returns the base CSR's row (same backing

@@ -8,8 +8,8 @@ import (
 // mirrorView checks a TopoView row-for-row against an overlay.
 func mirrorView(t *testing.T, view *TopoView, ov *Overlay, label string) {
 	t.Helper()
-	if view.N() != ov.N() || view.Arcs() != ov.Arcs() {
-		t.Fatalf("%s: view n=%d arcs=%d, overlay n=%d arcs=%d", label, view.N(), view.Arcs(), ov.N(), ov.Arcs())
+	if view.N() != ov.N() || view.Arcs() != ov.arcs {
+		t.Fatalf("%s: view n=%d arcs=%d, overlay n=%d arcs=%d", label, view.N(), view.Arcs(), ov.N(), ov.arcs)
 	}
 	for v := 0; v < ov.N(); v++ {
 		if !reflect.DeepEqual(append([]int{}, view.Row(v)...), append([]int{}, ov.Neighbors(v)...)) {

@@ -119,28 +119,6 @@ func (h *Hypergraph) LineGraph() *graph.Graph {
 	return lg
 }
 
-// Random returns a random hypergraph on n vertices with m hyperedges,
-// each over a uniformly random vertex set of size between 2 and rank.
-func Random(n, m, rank int, rng *rand.Rand) *Hypergraph {
-	if rank < 2 || rank > n {
-		panic(fmt.Sprintf("hypergraph: Random rank %d infeasible for n=%d", rank, n))
-	}
-	h := New(n)
-	for i := 0; i < m; i++ {
-		size := 2 + rng.Intn(rank-1)
-		verts := make(map[int]struct{}, size)
-		for len(verts) < size {
-			verts[rng.Intn(n)] = struct{}{}
-		}
-		flat := make([]int, 0, size)
-		for v := range verts {
-			flat = append(flat, v)
-		}
-		h.MustAddEdge(flat...)
-	}
-	return h
-}
-
 // RandomRegularRank returns a random hypergraph where every hyperedge
 // has exactly rank vertices and every vertex is in roughly
 // m·rank/n hyperedges.

@@ -8,6 +8,26 @@ import (
 	"listcolor/internal/graph"
 )
 
+// random returns a hypergraph on n vertices with m hyperedges, each
+// over a uniformly random vertex set of size between 2 and rank ≤ n:
+// mixed ranks, unlike RandomRegularRank, for the line-graph checks.
+func random(n, m, rank int, rng *rand.Rand) *Hypergraph {
+	h := New(n)
+	for i := 0; i < m; i++ {
+		size := 2 + rng.Intn(rank-1)
+		verts := make(map[int]struct{}, size)
+		for len(verts) < size {
+			verts[rng.Intn(n)] = struct{}{}
+		}
+		flat := make([]int, 0, size)
+		for v := range verts {
+			flat = append(flat, v)
+		}
+		h.MustAddEdge(flat...)
+	}
+	return h
+}
+
 func TestAddEdgeValidation(t *testing.T) {
 	h := New(5)
 	if err := h.AddEdge(0, 1, 2); err != nil {
@@ -82,7 +102,7 @@ func TestLineGraphThetaBoundedByRank(t *testing.T) {
 			r = n
 		}
 		rng := rand.New(rand.NewSource(seed))
-		h := Random(n, m, r, rng)
+		h := random(n, m, r, rng)
 		lg := h.LineGraph()
 		if lg.Validate() != nil {
 			return false
@@ -96,7 +116,7 @@ func TestLineGraphThetaBoundedByRank(t *testing.T) {
 
 func TestLineGraphAdjacencyMeansIntersection(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
-	h := Random(12, 20, 4, rng)
+	h := random(12, 20, 4, rng)
 	lg := h.LineGraph()
 	intersects := func(a, b []int) bool {
 		i, j := 0, 0
@@ -153,13 +173,4 @@ func TestRandomRegularRankShape(t *testing.T) {
 			t.Errorf("vertex %d degree %d outside balanced range", v, d)
 		}
 	}
-}
-
-func TestRandomPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("Random with rank < 2 did not panic")
-		}
-	}()
-	Random(5, 3, 1, rand.New(rand.NewSource(1)))
 }

@@ -132,6 +132,13 @@ func TestColorFromIDsProper(t *testing.T) {
 	}
 }
 
+// reduceProperOriented reduces a proper m-coloring of the oriented
+// graph d to a proper Θ(β²)-coloring, where β = d.MaxBeta(): the
+// proper schedule with out-neighbor conflict sets.
+func reduceProperOriented(d *graph.Digraph, colors []int, m int) (Result, error) {
+	return ReduceOn(new(sim.Engine), sim.NewOrientedNetwork(d), colors, m, ProperSchedule(m, d.MaxBeta()), true, sim.Config{})
+}
+
 func TestReduceProperOriented(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	g := graph.RandomRegular(80, 8, rng)
@@ -140,7 +147,7 @@ func TestReduceProperOriented(t *testing.T) {
 	for v := range ids {
 		ids[v] = v
 	}
-	res, err := ReduceProperOriented(d, ids, g.N(), sim.Config{})
+	res, err := reduceProperOriented(d, ids, g.N())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +165,7 @@ func TestReduceProperOriented(t *testing.T) {
 	for v := range ids2 {
 		ids2[v] = v
 	}
-	res2, err := ReduceProperOriented(dg, ids2, dg.N(), sim.Config{})
+	res2, err := reduceProperOriented(dg, ids2, dg.N())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,13 +180,13 @@ func TestReduceProperOriented(t *testing.T) {
 func TestReduceInputValidation(t *testing.T) {
 	g := graph.Ring(4)
 	nw := sim.NewNetwork(g)
-	if _, err := Reduce(nw, []int{0, 1}, 4, nil, false, sim.Config{}); err == nil {
+	if _, err := ReduceOn(new(sim.Engine), nw, []int{0, 1}, 4, nil, false, sim.Config{}); err == nil {
 		t.Error("accepted wrong color count")
 	}
-	if _, err := Reduce(nw, []int{0, 1, 2, 9}, 4, nil, false, sim.Config{}); err == nil {
+	if _, err := ReduceOn(new(sim.Engine), nw, []int{0, 1, 2, 9}, 4, nil, false, sim.Config{}); err == nil {
 		t.Error("accepted out-of-range initial color")
 	}
-	if _, err := Reduce(nw, []int{0, 1, 2, 3}, 4, nil, true, sim.Config{}); err == nil {
+	if _, err := ReduceOn(new(sim.Engine), nw, []int{0, 1, 2, 3}, 4, nil, true, sim.Config{}); err == nil {
 		t.Error("accepted avoidOut on unoriented network")
 	}
 	// An IMPROPER input coloring must be rejected whenever a reduction
@@ -189,14 +196,14 @@ func TestReduceInputValidation(t *testing.T) {
 	if len(steps) == 0 {
 		steps = []Step{{Q: 3, Degree: 1, ColorsIn: 4}}
 	}
-	if _, err := Reduce(nw, []int{0, 0, 1, 2}, 4, steps, false, sim.Config{}); err == nil {
+	if _, err := ReduceOn(new(sim.Engine), nw, []int{0, 0, 1, 2}, 4, steps, false, sim.Config{}); err == nil {
 		t.Error("accepted improper input coloring")
 	}
 }
 
 func TestReduceEmptySchedule(t *testing.T) {
 	g := graph.Ring(4)
-	res, err := Reduce(sim.NewNetwork(g), []int{0, 1, 0, 1}, 2, nil, false, sim.Config{})
+	res, err := ReduceOn(new(sim.Engine), sim.NewNetwork(g), []int{0, 1, 0, 1}, 2, nil, false, sim.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,7 +232,7 @@ func TestReduceCongestCompliant(t *testing.T) {
 			maxDomainBits = b
 		}
 	}
-	_, err := Reduce(sim.NewNetwork(g), ids, 200, steps, false, sim.Config{BandwidthBits: maxDomainBits})
+	_, err := ReduceOn(new(sim.Engine), sim.NewNetwork(g), ids, 200, steps, false, sim.Config{BandwidthBits: maxDomainBits})
 	if err != nil {
 		t.Errorf("reduction not CONGEST-compliant: %v", err)
 	}

@@ -131,16 +131,12 @@ func (n *reduceNode) Round(ctx *sim.Context, round int, inbox []sim.Message) ([]
 	return []sim.Outgoing{{To: sim.Broadcast, Payload: sim.IntPayload{Value: n.color, Domain: step.ColorsOut()}}}, false
 }
 
-// Reduce runs the given schedule on the network, starting from the
-// given m-coloring. If avoidOut is true the conflict set of each node
-// is its out-neighbor set (the network must be oriented); otherwise it
-// is the full neighborhood. cfg.BandwidthBits can enforce CONGEST.
-// The run's total is recorded on cfg.Span.
-func Reduce(nw *sim.Network, colors []int, m int, steps []Step, avoidOut bool, cfg sim.Config) (Result, error) {
-	return ReduceOn(new(sim.Engine), nw, colors, m, steps, avoidOut, cfg)
-}
-
-// ReduceOn is Reduce on the engine set-up e of the calling solve.
+// ReduceOn runs the given schedule on the network, starting from the
+// given m-coloring, on the engine set-up e of the calling solve. If
+// avoidOut is true the conflict set of each node is its out-neighbor
+// set (the network must be oriented); otherwise it is the full
+// neighborhood. cfg.BandwidthBits can enforce CONGEST. The run's total
+// is recorded on cfg.Span.
 func ReduceOn(e *sim.Engine, nw *sim.Network, colors []int, m int, steps []Step, avoidOut bool, cfg sim.Config) (Result, error) {
 	n := nw.N()
 	if len(colors) != n {
@@ -185,22 +181,9 @@ func ReduceOn(e *sim.Engine, nw *sim.Network, colors []int, m int, steps []Step,
 	return Result{Colors: run.out, Palette: palette, Stats: stats}, nil
 }
 
-// ReduceProperOriented reduces a proper m-coloring of the oriented
-// graph d to a proper Θ(β²)-coloring in O(log* m) rounds, where
-// β = d.MaxBeta().
-func ReduceProperOriented(d *graph.Digraph, colors []int, m int, cfg sim.Config) (Result, error) {
-	steps := ProperSchedule(m, d.MaxBeta())
-	return Reduce(sim.NewOrientedNetwork(d), colors, m, steps, true, cfg)
-}
-
-// ReduceProperUndirected reduces a proper m-coloring of g to a proper
-// Θ(Δ²)-coloring in O(log* m) rounds.
-func ReduceProperUndirected(g *graph.Graph, colors []int, m int, cfg sim.Config) (Result, error) {
-	return ReduceProperCSR(new(sim.Engine), graph.CSRFromGraph(g), colors, m, cfg)
-}
-
-// ReduceProperCSR is ReduceProperUndirected on a CSR graph and the
-// engine set-up e of the calling solve.
+// ReduceProperCSR reduces a proper m-coloring of c to a proper
+// Θ(Δ²)-coloring in O(log* m) rounds, on the engine set-up e of the
+// calling solve.
 func ReduceProperCSR(e *sim.Engine, c *graph.CSR, colors []int, m int, cfg sim.Config) (Result, error) {
 	return ReduceOn(e, sim.NewCSRNetwork(c), colors, m, ProperSchedule(m, c.MaxDegree()), false, cfg)
 }

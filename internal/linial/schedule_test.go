@@ -75,7 +75,7 @@ func TestReduceOnDirectedStar(t *testing.T) {
 	for v := range ids {
 		ids[v] = v
 	}
-	res, err := ReduceProperOriented(d, ids, n, sim.Config{})
+	res, err := reduceProperOriented(d, ids, n)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +84,7 @@ func TestReduceOnDirectedStar(t *testing.T) {
 	}
 }
 
-// TestReduceStepByStep drives Reduce with a single handcrafted step
+// TestReduceStepByStep drives ReduceOn with a single handcrafted step
 // and checks the point-value encoding of the new colors.
 func TestReduceStepByStep(t *testing.T) {
 	g := graph.Ring(6)
@@ -92,7 +92,7 @@ func TestReduceStepByStep(t *testing.T) {
 	// One proper step: m = 6, β = Δ = 2, d = 1 ⇒ q > 2 prime with
 	// q² ≥ 6: q = 3 gives 9 ≥ 6 ✓ and q > d·β = 2 ✓.
 	steps := []Step{{Q: 3, Degree: 1, ColorsIn: 6}}
-	res, err := Reduce(sim.NewNetwork(g), ids, 6, steps, false, sim.Config{})
+	res, err := ReduceOn(new(sim.Engine), sim.NewNetwork(g), ids, 6, steps, false, sim.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +124,7 @@ func TestDefectiveAccumulationAcrossSteps(t *testing.T) {
 	if len(steps) < 2 {
 		t.Skip("schedule too short to test accumulation")
 	}
-	res, err := Reduce(sim.NewNetwork(g), ids, g.N(), steps, false, sim.Config{})
+	res, err := ReduceOn(new(sim.Engine), sim.NewNetwork(g), ids, g.N(), steps, false, sim.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,6 @@
 // Package logstar provides the small integer-logarithm utilities used
-// throughout the coloring algorithms: ceiling base-2 logarithms, the
-// iterated logarithm log*, and the tower function that inverts it.
+// throughout the coloring algorithms: ceiling base-2 logarithms and
+// the iterated logarithm log*.
 package logstar
 
 // CeilLog2 returns ⌈log₂(x)⌉ for x ≥ 1. CeilLog2(1) = 0.
@@ -13,18 +13,6 @@ func CeilLog2(x int) int {
 	}
 	l := 0
 	for v := x - 1; v > 0; v >>= 1 {
-		l++
-	}
-	return l
-}
-
-// FloorLog2 returns ⌊log₂(x)⌋ for x ≥ 1. FloorLog2(1) = 0.
-func FloorLog2(x int) int {
-	if x < 1 {
-		panic("logstar: FloorLog2 of non-positive value")
-	}
-	l := -1
-	for v := x; v > 0; v >>= 1 {
 		l++
 	}
 	return l
@@ -44,39 +32,4 @@ func LogStar(x int) int {
 		n++
 	}
 	return n
-}
-
-// Tower returns the tower function 2↑↑k (2^2^...^2, k twos), the
-// functional inverse of LogStar. It panics for k that would overflow a
-// 64-bit int (k ≥ 6).
-func Tower(k int) int {
-	if k < 0 {
-		panic("logstar: Tower of negative height")
-	}
-	if k >= 6 {
-		panic("logstar: Tower overflows int64")
-	}
-	v := 1
-	for i := 0; i < k; i++ {
-		v = 1 << uint(v)
-	}
-	return v
-}
-
-// Pow returns base^exp for non-negative exp using integer
-// exponentiation by squaring. It does not guard against overflow; the
-// callers use it only for small color-space arithmetic.
-func Pow(base, exp int) int {
-	if exp < 0 {
-		panic("logstar: Pow with negative exponent")
-	}
-	result := 1
-	for exp > 0 {
-		if exp&1 == 1 {
-			result *= base
-		}
-		base *= base
-		exp >>= 1
-	}
-	return result
 }

@@ -34,9 +34,6 @@ func NewSet(space int) *Set {
 	return &Set{words: make([]uint64, (space+wordBits-1)/wordBits), space: space}
 }
 
-// Space returns the universe size the set was created with.
-func (s *Set) Space() int { return s.space }
-
 func (s *Set) check(x int) {
 	if x < 0 || x >= s.space {
 		panic("palette: color out of range")
@@ -93,55 +90,6 @@ func (s *Set) trim() {
 	}
 }
 
-// CopyFrom makes s an exact copy of o (universes must match).
-func (s *Set) CopyFrom(o *Set) {
-	if s.space != o.space {
-		panic("palette: CopyFrom across universes")
-	}
-	copy(s.words, o.words)
-}
-
-// IntersectWith removes from s every color not in o.
-func (s *Set) IntersectWith(o *Set) {
-	if s.space != o.space {
-		panic("palette: IntersectWith across universes")
-	}
-	for i := range s.words {
-		s.words[i] &= o.words[i]
-	}
-}
-
-// SubtractWith removes from s every color in o.
-func (s *Set) SubtractWith(o *Set) {
-	if s.space != o.space {
-		panic("palette: SubtractWith across universes")
-	}
-	for i := range s.words {
-		s.words[i] &^= o.words[i]
-	}
-}
-
-// NextSet returns the smallest member ≥ from, or (0, false) if none.
-func (s *Set) NextSet(from int) (int, bool) {
-	if from < 0 {
-		from = 0
-	}
-	if from >= s.space {
-		return 0, false
-	}
-	i := from / wordBits
-	w := s.words[i] >> uint(from%wordBits)
-	if w != 0 {
-		return from + bits.TrailingZeros64(w), true
-	}
-	for i++; i < len(s.words); i++ {
-		if s.words[i] != 0 {
-			return i*wordBits + bits.TrailingZeros64(s.words[i]), true
-		}
-	}
-	return 0, false
-}
-
 // NthSet returns the i-th smallest member (0-indexed), or (0, false)
 // if the set holds fewer than i+1 colors.
 func (s *Set) NthSet(i int) (int, bool) {
@@ -164,38 +112,6 @@ func (s *Set) NthSet(i int) (int, bool) {
 	return 0, false
 }
 
-// ForEach calls f for every member in ascending order.
-func (s *Set) ForEach(f func(x int)) {
-	for wi, w := range s.words {
-		for ; w != 0; w &= w - 1 {
-			f(wi*wordBits + bits.TrailingZeros64(w))
-		}
-	}
-}
-
-// AppendTo appends the members in ascending order to dst.
-func (s *Set) AppendTo(dst []int) []int {
-	s.ForEach(func(x int) { dst = append(dst, x) })
-	return dst
-}
-
-// MinExcluded returns the smallest color ≥ 0 not in the set — space if
-// the set holds the whole universe. Full words are skipped with one
-// comparison each, so the scan is O(space/64) even on dense sets.
-func (s *Set) MinExcluded() int {
-	for wi, w := range s.words {
-		if w == ^uint64(0) {
-			continue
-		}
-		x := wi*wordBits + bits.TrailingZeros64(^w)
-		if x > s.space {
-			return s.space
-		}
-		return x
-	}
-	return s.space
-}
-
 // Counter is a dense per-color counter over [0, space) with an
 // O(touched) Reset: only the colors actually incremented since the
 // last Reset are re-zeroed, so a node whose lists are much smaller
@@ -212,9 +128,6 @@ func NewCounter(space int) *Counter {
 	}
 	return &Counter{counts: make([]int32, space)}
 }
-
-// Space returns the universe size the counter was created with.
-func (c *Counter) Space() int { return len(c.counts) }
 
 // Add increments the count of x by one.
 func (c *Counter) Add(x int) { c.AddN(x, 1) }

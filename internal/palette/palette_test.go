@@ -23,83 +23,29 @@ func TestSetColorZeroAndWordBoundaries(t *testing.T) {
 	if got := s.Len(); got != 6 {
 		t.Fatalf("Len = %d, want 6", got)
 	}
-	if got := s.AppendTo(nil); !equalInts(got, []int{0, 63, 64, 127, 128, 129}) {
-		t.Fatalf("AppendTo = %v", got)
-	}
 	s.Remove(64)
 	s.Remove(64) // removing an absent color is a no-op
 	if s.Contains(64) || s.Len() != 5 {
-		t.Fatalf("remove(64) failed: %v", s.AppendTo(nil))
-	}
-	if x, ok := s.NextSet(1); !ok || x != 63 {
-		t.Fatalf("NextSet(1) = %d,%v", x, ok)
-	}
-	if x, ok := s.NextSet(128); !ok || x != 128 {
-		t.Fatalf("NextSet(128) = %d,%v", x, ok)
-	}
-	if _, ok := s.NextSet(130); ok {
-		t.Fatal("NextSet past the universe returned a member")
+		t.Fatalf("remove(64) failed: Len = %d", s.Len())
 	}
 }
 
-// TestSetCrossWordIntersectSubtract exercises word-wise set algebra on
-// universes spanning several words, including the ragged last word.
-func TestSetCrossWordIntersectSubtract(t *testing.T) {
-	const space = 200
-	a, b := NewSet(space), NewSet(space)
-	for x := 0; x < space; x += 3 {
-		a.Insert(x)
-	}
-	for x := 0; x < space; x += 5 {
-		b.Insert(x)
-	}
-	inter := NewSet(space)
-	inter.CopyFrom(a)
-	inter.IntersectWith(b)
-	diff := NewSet(space)
-	diff.CopyFrom(a)
-	diff.SubtractWith(b)
-	for x := 0; x < space; x++ {
-		wantInter := x%3 == 0 && x%5 == 0
-		wantDiff := x%3 == 0 && x%5 != 0
-		if inter.Contains(x) != wantInter {
-			t.Fatalf("intersect wrong at %d", x)
-		}
-		if diff.Contains(x) != wantDiff {
-			t.Fatalf("subtract wrong at %d", x)
-		}
-	}
-	if inter.Len()+diff.Len() != a.Len() {
-		t.Fatalf("algebra lost members: %d + %d != %d", inter.Len(), diff.Len(), a.Len())
-	}
-}
-
-// TestMinExcludedFullWords pins the mex scan on fully-set words: the
-// answer must skip whole 64-bit words and equal space on a full
-// universe, including universes that are exact word multiples.
-func TestMinExcludedFullWords(t *testing.T) {
+// TestFillWordBoundaries pins Fill on universes that are and are not
+// word multiples: it sets exactly [0, space), so the ragged last word
+// holds no bit past the universe.
+func TestFillWordBoundaries(t *testing.T) {
 	for _, space := range []int{1, 64, 65, 128, 130} {
 		s := NewSet(space)
-		if got := s.MinExcluded(); got != 0 {
-			t.Fatalf("space %d: empty mex = %d", space, got)
-		}
 		s.Fill()
-		if got := s.MinExcluded(); got != space {
-			t.Fatalf("space %d: full mex = %d, want %d", space, got, space)
-		}
 		if got := s.Len(); got != space {
 			t.Fatalf("space %d: Fill left Len = %d", space, got)
 		}
-		s.Remove(space - 1)
-		if got := s.MinExcluded(); got != space-1 {
-			t.Fatalf("space %d: mex after removing last = %d", space, got)
+		if x, ok := s.NthSet(space - 1); !ok || x != space-1 {
+			t.Fatalf("space %d: last member = %d,%v, want %d", space, x, ok, space-1)
 		}
-		if space > 64 {
-			s.Fill()
-			s.Remove(64) // first bit of the second word
-			if got := s.MinExcluded(); got != 64 {
-				t.Fatalf("space %d: mex across a full first word = %d", space, got)
-			}
+		s.Remove(space - 1)
+		if s.Contains(space-1) || s.Len() != space-1 {
+			t.Fatalf("space %d: Remove(last) left Len = %d", space, s.Len())
 		}
 	}
 }
@@ -230,16 +176,4 @@ func TestSelectScratchArenaReuse(t *testing.T) {
 	if len(full) != 5 {
 		t.Fatalf("grown selection = %v", full)
 	}
-}
-
-func equalInts(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

@@ -88,18 +88,6 @@ func Failures(checks []GuaranteeCheck) []string {
 	return out
 }
 
-// MinHeadroom returns the smallest headroom across the checks (the
-// tightest margin), or +Inf for an empty slice.
-func MinHeadroom(checks []GuaranteeCheck) float64 {
-	min := math.Inf(1)
-	for _, c := range checks {
-		if c.Headroom < min {
-			min = c.Headroom
-		}
-	}
-	return min
-}
-
 // FormatChecks renders all checks, one per line.
 func FormatChecks(checks []GuaranteeCheck) string {
 	var b strings.Builder

@@ -37,7 +37,7 @@ func TestCheckHolds(t *testing.T) {
 	}
 }
 
-func TestFailuresAndMinHeadroom(t *testing.T) {
+func TestFailuresAndFormatChecks(t *testing.T) {
 	checks := []GuaranteeCheck{
 		CheckUpper("a", 10, 40),
 		CheckUpper("b", 50, 40),
@@ -46,12 +46,6 @@ func TestFailuresAndMinHeadroom(t *testing.T) {
 	fails := Failures(checks)
 	if len(fails) != 1 || !strings.Contains(fails[0], "b") {
 		t.Errorf("Failures = %v", fails)
-	}
-	if h := MinHeadroom(checks); h != 0.8 {
-		t.Errorf("MinHeadroom = %v, want 0.8", h)
-	}
-	if h := MinHeadroom(nil); !math.IsInf(h, 1) {
-		t.Errorf("MinHeadroom(nil) = %v", h)
 	}
 	if out := FormatChecks(checks); !strings.Contains(out, "FAIL: b") {
 		t.Errorf("FormatChecks missing failure line:\n%s", out)

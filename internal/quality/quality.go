@@ -7,7 +7,6 @@ package quality
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"listcolor/internal/coloring"
@@ -99,19 +98,4 @@ func (r Report) Format() string {
 	}
 	fmt.Fprintf(&b, "nodes at exactly their budget: %d\n", r.TightNodes)
 	return b.String()
-}
-
-// ClassSizes returns the sorted (descending) sizes of the non-empty
-// color classes.
-func ClassSizes(colors []int) []int {
-	classes := make(map[int]int)
-	for _, c := range colors {
-		classes[c]++
-	}
-	out := make([]int, 0, len(classes))
-	for _, sz := range classes {
-		out = append(out, sz)
-	}
-	sort.Sort(sort.Reverse(sort.IntSlice(out)))
-	return out
 }

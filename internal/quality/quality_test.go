@@ -78,19 +78,6 @@ func TestFormatContainsEverything(t *testing.T) {
 	}
 }
 
-func TestClassSizes(t *testing.T) {
-	sizes := ClassSizes([]int{1, 1, 2, 2, 2, 5})
-	want := []int{3, 2, 1}
-	if len(sizes) != len(want) {
-		t.Fatalf("sizes = %v", sizes)
-	}
-	for i := range want {
-		if sizes[i] != want[i] {
-			t.Fatalf("sizes = %v, want %v", sizes, want)
-		}
-	}
-}
-
 func TestAnalyzeOnRealRun(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	g := graph.RandomRegular(40, 4, rng)

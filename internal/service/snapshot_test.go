@@ -208,8 +208,8 @@ func TestBackgroundCompactionSwap(t *testing.T) {
 	matchesRef := func(label string) {
 		t.Helper()
 		topo := s.Snapshot().Topo
-		if topo.N() != ref.N() || topo.Arcs() != ref.Arcs() {
-			t.Fatalf("%s: snapshot n=%d arcs=%d, reference n=%d arcs=%d", label, topo.N(), topo.Arcs(), ref.N(), ref.Arcs())
+		if topo.N() != ref.N() || topo.Arcs() != 2*ref.M() {
+			t.Fatalf("%s: snapshot n=%d arcs=%d, reference n=%d arcs=%d", label, topo.N(), topo.Arcs(), ref.N(), 2*ref.M())
 		}
 		for v := 0; v < ref.N(); v++ {
 			if !slices.Equal(topo.Row(v), ref.Neighbors(v)) {

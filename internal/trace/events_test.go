@@ -23,10 +23,6 @@ func TestAnnotateAndEvents(t *testing.T) {
 	if !reflect.DeepEqual(evs, want) {
 		t.Errorf("Events() = %+v, want insertion order %+v", evs, want)
 	}
-	rec.Reset()
-	if len(rec.Events()) != 0 || rec.Len() != 0 {
-		t.Error("Reset did not clear events")
-	}
 }
 
 func TestTimelineShowsEvents(t *testing.T) {

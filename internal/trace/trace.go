@@ -58,15 +58,6 @@ func (r *Recorder) Attach(cfg sim.Config) sim.Config {
 	return cfg
 }
 
-// Len returns the number of recorded rounds.
-func (r *Recorder) Len() int { return len(r.rounds) }
-
-// Rounds returns the recorded stats (owned by the recorder).
-func (r *Recorder) Rounds() []sim.RoundStats { return r.rounds }
-
-// Reset discards all recorded rounds and events.
-func (r *Recorder) Reset() { r.rounds, r.events = nil, nil }
-
 // sparkLevels are the eight block characters used by the timeline.
 var sparkLevels = []rune("▁▂▃▄▅▆▇█")
 

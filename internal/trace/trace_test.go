@@ -22,10 +22,10 @@ func recordLinialRun(t *testing.T) *Recorder {
 
 func TestRecorderCapturesRounds(t *testing.T) {
 	rec := recordLinialRun(t)
-	if rec.Len() == 0 {
+	if len(rec.rounds) == 0 {
 		t.Fatal("no rounds recorded")
 	}
-	for i, rs := range rec.Rounds() {
+	for i, rs := range rec.rounds {
 		if rs.Round != i+1 {
 			t.Errorf("round %d recorded as %d", i+1, rs.Round)
 		}
@@ -40,8 +40,8 @@ func TestAttachChains(t *testing.T) {
 	if _, err := linial.ColorFromIDs(g, cfg); err != nil {
 		t.Fatal(err)
 	}
-	if called != rec.Len() || called == 0 {
-		t.Errorf("chained hook called %d times, recorder has %d", called, rec.Len())
+	if called != len(rec.rounds) || called == 0 {
+		t.Errorf("chained hook called %d times, recorder has %d", called, len(rec.rounds))
 	}
 }
 
@@ -68,10 +68,6 @@ func TestTimelineEmpty(t *testing.T) {
 	rec := &Recorder{}
 	if !strings.Contains(rec.Timeline(10), "no rounds") {
 		t.Error("empty timeline message missing")
-	}
-	rec.Reset()
-	if rec.Len() != 0 {
-		t.Error("Reset failed")
 	}
 }
 
