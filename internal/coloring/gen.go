@@ -67,17 +67,22 @@ func Uniform(n, space, listSize, defect int, rng *rand.Rand) *Instance {
 
 // DegreePlusOne returns the (deg+1)-list coloring instance of
 // Theorem 1.3: node v gets deg(v)+1 random distinct colors from
-// [0, space) and all defects are zero. space must be > Δ(G).
+// [0, space) and all defects are zero. space must be > Δ(G). Every
+// node's defects are a prefix of one shared zero array, as in
+// FullPalette; nothing writes into it, and each prefix's capacity is
+// its length, so an append copies instead of writing into the array.
 func DegreePlusOne(g *graph.Graph, space int, rng *rand.Rand) *Instance {
-	if space <= g.RawMaxDegree() {
-		panic(fmt.Sprintf("coloring: space %d too small for Δ=%d", space, g.RawMaxDegree()))
+	maxDeg := g.RawMaxDegree()
+	if space <= maxDeg {
+		panic(fmt.Sprintf("coloring: space %d too small for Δ=%d", space, maxDeg))
 	}
 	n := g.N()
 	in := &Instance{Lists: make([][]int, n), Defects: make([][]int, n), Space: space}
+	zero := make([]int, maxDeg+1)
 	for v := 0; v < n; v++ {
 		k := g.Degree(v) + 1
 		in.Lists[v] = SampleColors(space, k, rng)
-		in.Defects[v] = make([]int, k)
+		in.Defects[v] = zero[:k:k]
 	}
 	return in
 }

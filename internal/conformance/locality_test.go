@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"listcolor/internal/coloring"
@@ -93,12 +94,31 @@ type localitySolver struct {
 	// which the hub case aims at.
 	hub  bool
 	inst func(g *graph.Graph, rng *rand.Rand) *coloring.Instance
-	run  func(lg localityGraph, g *graph.Graph, inst *coloring.Instance) ([]int, int, error)
+	// budgets, if set, builds an instance whose defects carry budget on
+	// most nodes, for the defect case (checkDefects).
+	budgets func(g *graph.Graph, rng *rand.Rand) *coloring.Instance
+	run     func(lg localityGraph, g *graph.Graph, inst *coloring.Instance) ([]int, int, error)
 }
 
 func localitySolvers() []localitySolver {
 	degPlusOne := func(g *graph.Graph, rng *rand.Rand) *coloring.Instance {
 		return coloring.DegreePlusOne(g, 2*g.RawMaxDegree()+1, rng)
+	}
+	// halfLists is a slack-1 list arbdefective instance with budgets:
+	// node v gets ⌈(deg(v)+1)/2⌉ colors of [0, 2Δ+1) and Σ(d+1) =
+	// deg(v)+1 spread over them at random.
+	halfLists := func(g *graph.Graph, rng *rand.Rand) *coloring.Instance {
+		n := g.N()
+		inst := &coloring.Instance{Space: 2*g.RawMaxDegree() + 1, Lists: make([][]int, n), Defects: make([][]int, n)}
+		for v := range n {
+			k := (g.Degree(v) + 2) / 2
+			inst.Lists[v] = coloring.SampleColors(inst.Space, k, rng)
+			inst.Defects[v] = spreadDefects(k, g.Degree(v)+1-k, rng)
+		}
+		return inst
+	}
+	minSlack := func(g *graph.Graph, rng *rand.Rand) *coloring.Instance {
+		return coloring.MinSlackOriented(graph.OrientByID(g), 24, 2, 1, rng)
 	}
 	bootstrap := func(g *graph.Graph) (linial.Result, error) {
 		return linial.ColorFromIDs(g, sim.Config{})
@@ -122,6 +142,12 @@ func localitySolvers() []localitySolver {
 				const space = 64
 				return coloring.WithOrientedSlack(graph.OrientByID(g), space, 3*math.Sqrt(space), rng)
 			},
+			// Over 8 colors a budget of ⌈3√8·outdeg⌉+1 overflows the list
+			// at every positive out-degree; over 64 the ring's never does.
+			budgets: func(g *graph.Graph, rng *rand.Rand) *coloring.Instance {
+				const space = 8
+				return coloring.WithOrientedSlack(graph.OrientByID(g), space, 3*math.Sqrt(space), rng)
+			},
 			run: func(_ localityGraph, g *graph.Graph, inst *coloring.Instance) ([]int, int, error) {
 				base, err := bootstrap(g)
 				if err != nil {
@@ -132,10 +158,9 @@ func localitySolvers() []localitySolver {
 			},
 		},
 		{
-			name: "fast-twosweep",
-			inst: func(g *graph.Graph, rng *rand.Rand) *coloring.Instance {
-				return coloring.MinSlackOriented(graph.OrientByID(g), 24, 2, 1, rng)
-			},
+			name:    "fast-twosweep",
+			inst:    minSlack,
+			budgets: minSlack,
 			run: func(_ localityGraph, g *graph.Graph, inst *coloring.Instance) ([]int, int, error) {
 				base, err := bootstrap(g)
 				if err != nil {
@@ -146,25 +171,28 @@ func localitySolvers() []localitySolver {
 			},
 		},
 		{
-			name: "SolveArb",
-			inst: degPlusOne,
+			name:    "SolveArb",
+			inst:    degPlusOne,
+			budgets: halfLists,
 			run: func(lg localityGraph, g *graph.Graph, inst *coloring.Instance) ([]int, int, error) {
 				res, err := nbhood.SolveArb(g, inst, lg.theta, sim.Config{})
 				return res.Arb.Colors, res.Stats.Rounds, err
 			},
 		},
 		{
-			name: "SolveArbGeneral",
-			hub:  true,
-			inst: degPlusOne,
+			name:    "SolveArbGeneral",
+			hub:     true,
+			inst:    degPlusOne,
+			budgets: halfLists,
 			run: func(_ localityGraph, g *graph.Graph, inst *coloring.Instance) ([]int, int, error) {
 				res, err := nbhood.SolveArbGeneral(g, inst, sim.Config{})
 				return res.Arb.Colors, res.Stats.Rounds, err
 			},
 		},
 		{
-			name: "SolveArbBranch2",
-			inst: degPlusOne,
+			name:    "SolveArbBranch2",
+			inst:    degPlusOne,
+			budgets: halfLists,
 			run: func(lg localityGraph, g *graph.Graph, inst *coloring.Instance) ([]int, int, error) {
 				res, err := nbhood.SolveArbBranch2(g, inst, lg.theta, sim.Config{})
 				return res.Arb.Colors, res.Stats.Rounds, err
@@ -185,6 +213,55 @@ func resampleRegion(s localitySolver, g *graph.Graph, inst *coloring.Instance, r
 		out.Defects[v] = other.Defects[v]
 	}
 	return out
+}
+
+// spreadDefects returns the defects of a k-color list that holds
+// extra units of budget beyond its size, each placed on a color drawn
+// at random.
+func spreadDefects(k, extra int, rng *rand.Rand) []int {
+	d := make([]int, k)
+	for ; extra > 0; extra-- {
+		d[rng.Intn(k)]++
+	}
+	return d
+}
+
+// redistributeRegion returns inst with each region node's defect
+// budget spread anew at random over its unchanged list, so its
+// Σ(d+1), every slack precondition, n and Δ(G) stay. It also returns
+// how many region nodes' defects changed.
+func redistributeRegion(inst *coloring.Instance, region []int, seed int64) (*coloring.Instance, int) {
+	rng := rand.New(rand.NewSource(seed))
+	out, changed := inst.Clone(), 0
+	for _, v := range region {
+		k := inst.ListSize(v)
+		out.Defects[v] = spreadDefects(k, inst.SlackSum(v)-k, rng)
+		if !slices.Equal(out.Defects[v], inst.Defects[v]) {
+			changed++
+		}
+	}
+	return out, changed
+}
+
+// checkDefects runs the defect case: the solver's budget instance,
+// then the same with the region's budgets redistributed. It fails
+// when fewer than a quarter of the region's nodes changed defects,
+// where the case would say little.
+func checkDefects(t *testing.T, lg localityGraph, s localitySolver) {
+	inst := s.budgets(lg.g, rand.New(rand.NewSource(1)))
+	perturbed, changed := redistributeRegion(inst, lg.region, 3)
+	if 4*changed < len(lg.region) {
+		t.Fatalf("only %d of %d region nodes changed defects", changed, len(lg.region))
+	}
+	c1, r1, err := s.run(lg, lg.g, inst)
+	if err != nil {
+		t.Fatalf("budget instance: %v", err)
+	}
+	c2, r2, err := s.run(lg, lg.g, perturbed)
+	if err != nil {
+		t.Fatalf("redistributed defects: %v", err)
+	}
+	checkLocal(t, lg.g, lg.region, c1, c2, r1, r2)
 }
 
 // deleteRegionEdges returns g without every third edge among the
@@ -320,7 +397,8 @@ func checkHub(t *testing.T, lg localityGraph, s localitySolver) {
 // TestLocality perturbs a region of rings, a long grid and a circulant
 // and re-solves with every composed solver: resampled lists on the
 // region's 400 nodes, and a third of the region's edges deleted. The
-// solvers marked hub also run the hub case (checkHub).
+// solvers marked hub also run the hub case (checkHub), and those whose
+// instances carry budgets the defect case (checkDefects).
 func TestLocality(t *testing.T) {
 	for _, lg := range localityGraphs() {
 		for _, s := range localitySolvers() {
@@ -354,6 +432,12 @@ func TestLocality(t *testing.T) {
 				t.Run(fmt.Sprintf("%s/%s/hub", lg.name, s.name), func(t *testing.T) {
 					t.Parallel()
 					checkHub(t, lg, s)
+				})
+			}
+			if s.budgets != nil {
+				t.Run(fmt.Sprintf("%s/%s/defects", lg.name, s.name), func(t *testing.T) {
+					t.Parallel()
+					checkDefects(t, lg, s)
 				})
 			}
 		}

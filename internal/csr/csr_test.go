@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -159,5 +160,37 @@ func TestSolveQuick(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestSolveOnEngineReusedAfterError checks that a failing solve hands
+// back what it borrowed from the engine: the engine still holds csr's
+// sub-instance afterwards, and a solve reusing it gives the output of a
+// fresh engine.
+func TestSolveOnEngineReusedAfterError(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	g := graph.RandomRegular(40, 4, rng)
+	d := graph.OrientByID(g)
+	init, q := properColoring(t, g)
+	inst := coloring.WithOrientedSlack(d, 64, 3*math.Sqrt(64), rng)
+	e := new(sim.Engine)
+	if _, err := SolveOn(e, d.Oriented, inst, init, q, sim.Config{MaxRounds: 1}); !errors.Is(err, sim.ErrRoundLimit) {
+		t.Fatalf("one-round solve: err = %v, want ErrRoundLimit", err)
+	}
+	if f := sim.Borrow[flatInstance](e); cap(f.lists) == 0 {
+		t.Error("the failing solve did not return its sub-instance")
+	} else {
+		sim.Return(e, f)
+	}
+	got, err := SolveOn(e, d.Oriented, inst, init, q, sim.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := SolveOn(new(sim.Engine), d.Oriented, inst, init, q, sim.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(got.Colors, want.Colors) || got.Stats != want.Stats || got.Levels != want.Levels {
+		t.Errorf("reused engine: colors %v stats %+v, fresh engine: colors %v stats %+v", got.Colors, got.Stats, want.Colors, want.Stats)
 	}
 }

@@ -53,7 +53,8 @@ func reduceSpace(e *sim.Engine, lambda int, kappa float64, a Solver, d *graph.Or
 	out := make([]int, n)
 	var total sim.Result
 	groups := []group{{nodes: graph.Vertices(n), blockLo: 0}}
-	sub := new(flatInstance) // every group's λ-color instance, in turn
+	sub := sim.Borrow[flatInstance](e) // every group's λ-color instance, in turn
+	defer sim.Return(e, sub)
 	for level := k; level >= 1; level-- {
 		blockSize := powInt(lambda, level)
 		subSize := blockSize / lambda
@@ -167,7 +168,8 @@ func solveBase(e *sim.Engine, a Solver, d *graph.Oriented, inst *coloring.Instan
 // flatInstance is a λ-color sub-instance whose lists and defects are
 // windows of two flat arrays, at most λ entries per node. One serves
 // every group of a recursion in turn (a Solver keeps no instance past
-// its return), so the arrays are allocated once, at the largest group.
+// its return), borrowed from the solve's engine, so the arrays are
+// allocated once per solve, at the largest group.
 type flatInstance struct {
 	coloring.Instance
 	lists, defects []int

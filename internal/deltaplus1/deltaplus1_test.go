@@ -37,6 +37,49 @@ func TestSolveProper(t *testing.T) {
 	}
 }
 
+// TestDegreePlusOneSharedZeroDefects checks the aliasing contract of
+// coloring.DegreePlusOne: every node's defects are a prefix of one
+// all-zero array with capacity equal to length, so an append copies,
+// and a solve leaves the array zero.
+func TestDegreePlusOneSharedZeroDefects(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	g := graph.GNP(300, 0.03, rng)
+	inst := coloring.DegreePlusOne(g, 2*g.MaxDegree()+1, rng)
+	var zero []int
+	for v, d := range inst.Defects {
+		if len(d) != g.Degree(v)+1 || cap(d) != len(d) {
+			t.Fatalf("node %d: defects len %d cap %d, want both deg+1 = %d", v, len(d), cap(d), g.Degree(v)+1)
+		}
+		if len(d) > len(zero) {
+			zero = d
+		}
+	}
+	for v, d := range inst.Defects {
+		if &d[0] != &zero[0] {
+			t.Fatalf("node %d: defects do not alias the shared array", v)
+		}
+	}
+	if grown := append(inst.Defects[0], 1); &grown[0] == &zero[0] {
+		t.Error("an append wrote into the shared array")
+	}
+	allZero := func(when string) {
+		for i, x := range zero {
+			if x != 0 {
+				t.Fatalf("%s: shared defect array holds %d at %d", when, x, i)
+			}
+		}
+	}
+	allZero("after generation")
+	res, err := Solve(g, inst, sim.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := coloring.ValidateProperList(g, inst, res.Colors); err != nil {
+		t.Fatal(err)
+	}
+	allZero("after Solve")
+}
+
 func TestSolveDeltaPlusOneColors(t *testing.T) {
 	// With lists = [0, Δ+1) for every node this is classical
 	// (Δ+1)-coloring.

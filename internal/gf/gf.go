@@ -70,10 +70,10 @@ type Poly struct {
 // m ≥ q^(degree+1), or if m < 0.
 func PolyFromIntInto(m, q, degree int, buf []int) Poly {
 	if m < 0 {
-		panic("gf: PolyFromInt of negative value")
+		panic("gf: PolyFromIntInto of negative value")
 	}
 	if q < 2 {
-		panic("gf: PolyFromInt with field size < 2")
+		panic("gf: PolyFromIntInto with field size < 2")
 	}
 	if cap(buf) < degree+1 {
 		buf = make([]int, degree+1)
@@ -85,7 +85,7 @@ func PolyFromIntInto(m, q, degree int, buf []int) Poly {
 		v /= q
 	}
 	if v != 0 {
-		panic("gf: PolyFromInt value does not fit in q^(degree+1)")
+		panic("gf: PolyFromIntInto value does not fit in q^(degree+1)")
 	}
 	return Poly{Q: q, Coeffs: coeffs}
 }

@@ -1,6 +1,7 @@
 package gf
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -79,22 +80,25 @@ func TestPolyRoundTrip(t *testing.T) {
 }
 
 func TestPolyFromIntPanics(t *testing.T) {
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("PolyFromIntInto with overflowing value did not panic")
-			}
+	for _, c := range []struct {
+		name         string
+		m, q, degree int
+		want         string
+	}{
+		{"negative value", -1, 3, 1, "gf: PolyFromIntInto of negative value"},
+		{"field size < 2", 1, 1, 1, "gf: PolyFromIntInto with field size < 2"},
+		{"overflowing value", 1000, 3, 1, "gf: PolyFromIntInto value does not fit"}, // 1000 ≥ 3² = 9
+	} {
+		func() {
+			defer func() {
+				msg, _ := recover().(string)
+				if !strings.HasPrefix(msg, c.want) {
+					t.Errorf("PolyFromIntInto with %s panicked with %q, want prefix %q", c.name, msg, c.want)
+				}
+			}()
+			PolyFromIntInto(c.m, c.q, c.degree, nil)
 		}()
-		PolyFromIntInto(1000, 3, 1, nil) // 1000 ≥ 3² = 9
-	}()
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("PolyFromIntInto with negative value did not panic")
-			}
-		}()
-		PolyFromIntInto(-1, 3, 1, nil)
-	}()
+	}
 }
 
 func TestEvalHorner(t *testing.T) {

@@ -185,7 +185,32 @@ func ReduceOn(e *sim.Engine, nw *sim.Network, colors []int, m int, steps []Step,
 // Θ(Δ²)-coloring in O(log* m) rounds, on the engine set-up e of the
 // calling solve.
 func ReduceProperCSR(e *sim.Engine, c *graph.CSR, colors []int, m int, cfg sim.Config) (Result, error) {
-	return ReduceOn(e, sim.NewCSRNetwork(c), colors, m, ProperSchedule(m, c.MaxDegree()), false, cfg)
+	t := sim.Borrow[schedules](e)
+	steps := t.proper(m, c.MaxDegree())
+	sim.Return(e, t)
+	return ReduceOn(e, sim.NewCSRNetwork(c), colors, m, steps, false, cfg)
+}
+
+// schedules is a solve's table of proper schedules by (m, β), borrowed
+// from its engine: a class loop re-bootstraps every class from the
+// same m, and its classes' degrees take few values.
+type schedules struct {
+	byKey map[[2]int][]Step
+}
+
+// proper returns ProperSchedule(m, beta), computing it only on the
+// first request. Runs only read a schedule, so one serves them all.
+func (t *schedules) proper(m, beta int) []Step {
+	key := [2]int{m, beta}
+	steps, ok := t.byKey[key]
+	if !ok {
+		if t.byKey == nil {
+			t.byKey = make(map[[2]int][]Step)
+		}
+		steps = ProperSchedule(m, beta)
+		t.byKey[key] = steps
+	}
+	return steps
 }
 
 // ColorFromIDs computes a proper Θ(Δ²)-coloring of g from scratch,

@@ -379,17 +379,42 @@ func (nw *Network) Oriented() *graph.Oriented { return nw.or }
 
 // Engine is the set-up every run of one solve shares: the router, the
 // node contexts and the two inbox arenas, grown to the largest run so
-// far and re-carved over each run's topology, plus the dense Index the
-// solve induces its sub-graphs through. A solve makes one, passes it
-// to each sub-run, and drops it when it returns, so no memory outlives
+// far and re-carved over each run's topology, the dense Index the
+// solve induces its sub-graphs through, and the scratch its algorithm
+// packages borrow (Borrow, Return). A solve makes one, passes it to
+// each sub-run, and drops it when it returns, so no memory outlives
 // the solve and parallel solves never share one. Its zero value is
 // ready; Run uses a fresh one per call.
 type Engine struct {
-	Index graph.Index
-	ctxs  []Context
-	arena [2][]Message
-	boxes [2][][]Message
-	rt    router
+	Index   graph.Index
+	ctxs    []Context
+	arena   [2][]Message
+	boxes   [2][][]Message
+	rt      router
+	scratch []any // values handed back by Return, one *T each
+}
+
+// Borrow takes a *T from e's scratch, or returns a new zero T if none
+// is free. The caller owns it until it hands it back with Return, so a
+// nested Borrow of the same type gets a value of its own. A package
+// borrows through an unexported type, which keeps its buffers from
+// every other package's; they live as long as e, one solve.
+func Borrow[T any](e *Engine) *T {
+	for i, x := range e.scratch {
+		if v, ok := x.(*T); ok {
+			last := len(e.scratch) - 1
+			e.scratch[i], e.scratch[last] = e.scratch[last], nil
+			e.scratch = e.scratch[:last]
+			return v
+		}
+	}
+	return new(T)
+}
+
+// Return hands v back to e for the next Borrow of its type. The caller
+// must not use v afterwards.
+func Return[T any](e *Engine, v *T) {
+	e.scratch = append(e.scratch, v)
 }
 
 // contexts builds the per-node contexts as one flat array, every

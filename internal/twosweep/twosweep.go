@@ -266,29 +266,10 @@ func SolveWithSelector(d *graph.Digraph, inst *coloring.Instance, initColors []i
 // check (used by SolveFast, which establishes the derived condition
 // analytically).
 func solveUnchecked(e *sim.Engine, d *graph.Oriented, inst *coloring.Instance, initColors []int, q, p int, sel Selector, cfg sim.Config) (Result, error) {
-	n := d.N()
 	if d.M() == 0 {
-		// Edgeless (sub)graph: no conflicts are possible, so every node
-		// decides immediately — same color choice as the full protocol
-		// (first element of the selected sublist, which is what
-		// Phase II picks when k ≡ r ≡ 0), in a single round.
-		out := make([]int, n)
-		var ops int64
-		// One shared zero counter and one shared scratch serve every
-		// node: selection only reads k, and out[v] is copied before the
-		// next node overwrites the scratch-backed sublist.
-		emptyK := palette.NewCounter(inst.Space)
-		scratch := palette.NewSelectScratch()
-		for v := 0; v < n; v++ {
-			sub, o := sel(inst.Lists[v], inst.Defects[v], emptyK, p, scratch)
-			ops += o
-			if len(sub) == 0 {
-				return Result{}, fmt.Errorf("%w: node %d (empty selection)", ErrStuck, v)
-			}
-			out[v] = sub[0]
-		}
-		return Result{Colors: out, Stats: sim.Result{Rounds: 1}, LocalOps: ops}, nil
+		return solveEdgeless(e, inst, p, sel)
 	}
+	n := d.N()
 	out := make([]int, n)
 	fails := make([]error, n)
 	opsPer := make([]int64, n)
@@ -320,6 +301,44 @@ func solveUnchecked(e *sim.Engine, d *graph.Oriented, inst *coloring.Instance, i
 		ops += o
 	}
 	return Result{Colors: out, Stats: stats, LocalOps: ops}, nil
+}
+
+// edgelessScratch is what every node of an edgeless run shares: a
+// zero counter over the largest space so far and one selection
+// scratch. solveEdgeless borrows it from the solve's engine.
+type edgelessScratch struct {
+	k     *palette.Counter
+	space int
+	sel   palette.SelectScratch
+}
+
+// solveEdgeless solves an edgeless (sub)graph: no conflicts are
+// possible, so every node decides immediately — same color choice as
+// the full protocol (first element of the selected sublist, which is
+// what Phase II picks when k ≡ r ≡ 0), in a single round.
+func solveEdgeless(e *sim.Engine, inst *coloring.Instance, p int, sel Selector) (Result, error) {
+	sc := sim.Borrow[edgelessScratch](e)
+	if sc.k == nil || sc.space < inst.Space {
+		sc.k, sc.space = palette.NewCounter(inst.Space), inst.Space
+	}
+	defer func() {
+		sc.k.Reset() // a selector may count into k; the next borrower gets it zero
+		sim.Return(e, sc)
+	}()
+	// One zero counter and one scratch serve every node: selection
+	// only reads k, and out[v] is copied before the next node
+	// overwrites the scratch-backed sublist.
+	out := make([]int, inst.N())
+	var ops int64
+	for v := range out {
+		sub, o := sel(inst.Lists[v], inst.Defects[v], sc.k, p, &sc.sel)
+		ops += o
+		if len(sub) == 0 {
+			return Result{}, fmt.Errorf("%w: node %d (empty selection)", ErrStuck, v)
+		}
+		out[v] = sub[0]
+	}
+	return Result{Colors: out, Stats: sim.Result{Rounds: 1}, LocalOps: ops}, nil
 }
 
 func validateInputs(d *graph.Oriented, inst *coloring.Instance, initColors []int, q, p int) error {

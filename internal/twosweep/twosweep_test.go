@@ -10,6 +10,7 @@ import (
 	"listcolor/internal/graph"
 	"listcolor/internal/linial"
 	"listcolor/internal/logstar"
+	"listcolor/internal/palette"
 	"listcolor/internal/sim"
 )
 
@@ -298,5 +299,49 @@ func TestStarTightInstance(t *testing.T) {
 	}
 	if err := coloring.ValidateOLDC(d, inst, res.Colors); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestEdgelessScratchReturnedZero checks that the edgeless path hands
+// the counter it borrows from the engine back all zero, after a
+// success and after ErrStuck, although its selectors count into it,
+// and that a larger space replaces the counter.
+func TestEdgelessScratchReturnedZero(t *testing.T) {
+	counting := func(list, defects []int, k *palette.Counter, p int, sc *palette.SelectScratch) ([]int, int64) {
+		for _, x := range list {
+			k.Add(x)
+		}
+		return SortSelector(list, defects, k, p, sc)
+	}
+	stuck := func(list, defects []int, k *palette.Counter, p int, sc *palette.SelectScratch) ([]int, int64) {
+		for _, x := range list {
+			k.Add(x)
+		}
+		return nil, 0
+	}
+	rng := rand.New(rand.NewSource(9))
+	e := new(sim.Engine)
+	const n = 6
+	d := graph.OrientByID(graph.New(n))
+	for i, c := range []struct {
+		space int
+		sel   Selector
+		want  error
+	}{{4, counting, nil}, {16, counting, nil}, {8, stuck, ErrStuck}, {16, counting, nil}, {32, stuck, ErrStuck}} {
+		inst := coloring.Uniform(n, c.space, 3, 1, rng)
+		_, err := solve(e, d.Oriented, inst, make([]int, n), 1, 2, 0, c.sel, sim.Config{})
+		if !errors.Is(err, c.want) {
+			t.Fatalf("call %d: err = %v, want %v", i, err, c.want)
+		}
+		sc := sim.Borrow[edgelessScratch](e)
+		if sc.k == nil || sc.space < c.space {
+			t.Fatalf("call %d: the engine holds no counter over space %d", i, c.space)
+		}
+		for x := 0; x < sc.space; x++ {
+			if got := sc.k.Get(x); got != 0 {
+				t.Fatalf("call %d: returned counter holds %d at color %d", i, got, x)
+			}
+		}
+		sim.Return(e, sc)
 	}
 }
