@@ -3,6 +3,7 @@ package graph
 import (
 	"errors"
 	"math/rand"
+	"sync/atomic"
 	"testing"
 )
 
@@ -23,14 +24,17 @@ func streamedFold(view *TopoView) (*CSR, error) {
 
 // FuzzTopoViewCompact decodes arbitrary bytes into an op stream on a
 // small overlay — edge inserts and deletes, node adds and removes,
-// publications that grow the delta chain past collapseDepth, and
-// compactions onto a fresh overlay — and demands that every compaction
-// equals the streamed reference fold of the same view.
+// publications, and compactions onto a fresh overlay — and demands
+// that every compaction equals the streamed reference fold of the same
+// view. It also keeps the last few published views, each with a copy
+// of its rows, and re-reads every one after each later op: that walks
+// row versions past younger ones, across AddNode growing the row array
+// past its capacity and across fresh arrays (at n ≤ 64, n/16 is tiny).
 func FuzzTopoViewCompact(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{12, 3, 0, 1, 5, 2, 3, 4, 6, 0, 9, 3, 4, 7, 1, 2, 3, 5})
 	long := []byte{20, 9}
-	for i := byte(0); i < 3*collapseDepth; i++ {
+	for i := byte(0); i < 24; i++ {
 		long = append(long, 0, i, 3*i+1, 5, 2, i+2, i, 4, i, 6)
 	}
 	f.Add(long)
@@ -44,8 +48,19 @@ func FuzzTopoViewCompact(f *testing.F) {
 			return int(b)
 		}
 		ov := NewOverlay(StreamedGNP(next()%24+1, 0.15, int64(next())))
-		compact := func() {
+		var kept []*pinnedView
+		publish := func() *TopoView {
 			view := ov.Publish()
+			if len(kept) == 0 || kept[len(kept)-1].view != view {
+				kept = append(kept, pinView(view, ov))
+				if len(kept) > 4 {
+					kept = kept[1:]
+				}
+			}
+			return view
+		}
+		compact := func() {
+			view := publish()
 			got, err := view.Compact()
 			if err != nil {
 				t.Fatalf("Compact: %v", err)
@@ -78,35 +93,46 @@ func FuzzTopoViewCompact(f *testing.F) {
 			case 4:
 				ov.RemoveNode(next() % ov.N())
 			case 5, 6:
-				ov.Publish()
+				publish()
 			case 7:
 				compact()
+			}
+			for i, p := range kept {
+				if err := p.diff(); err != nil {
+					t.Fatalf("kept view %d of %d: %v", i, len(kept), err)
+				}
 			}
 		}
 		compact()
 	})
 }
 
-// TestTopoViewCompactRejectsCorruptViews hand-builds views whose
-// patched rows or arc count break the CSR invariants; Compact must
-// return an error for each instead of a CSR.
+// TestTopoViewCompactRejectsCorruptViews hand-builds version arrays
+// whose row for vertex 0, or whose arc count, breaks the CSR
+// invariants; Compact must return an error for each instead of a CSR.
+// A younger, malformed version sits on top of each corrupt row, and
+// the view must skip it: a view that read it would fail those cases
+// with a self-loop, and the valid control would not compact.
 func TestTopoViewCompactRejectsCorruptViews(t *testing.T) {
 	ring := StreamedRing(6) // row 0 is [1 5]; 12 arcs
-	view := func(arcs int64, delta map[int][]int) *TopoView {
-		return &TopoView{base: ring, parent: NewTopoView(ring), delta: delta, n: 6, arcs: arcs, depth: 1}
+	view := func(arcs int64, row0 []int) *TopoView {
+		rows := make([]atomic.Pointer[rowVersion], 6)
+		if row0 != nil {
+			rows[0].Store(&rowVersion{adj: []int{0, 9}, gen: 2, prev: &rowVersion{adj: row0, gen: 1}})
+		}
+		return &TopoView{base: ring, rows: rows, gen: 1, patched: 1, n: 6, arcs: arcs}
 	}
 	cases := []struct {
 		name string
 		view *TopoView
 		want error // nil: any error
 	}{
-		{"unsorted row", view(12, map[int][]int{0: {5, 1}}), nil},
-		{"duplicate neighbor", view(12, map[int][]int{0: {1, 1}}), ErrParallelEdge},
-		{"self-loop", view(12, map[int][]int{0: {0, 1}}), ErrSelfLoop},
-		{"out-of-range id", view(12, map[int][]int{0: {1, 6}}), ErrVertexRange},
+		{"unsorted row", view(12, []int{5, 1}), nil},
+		{"duplicate neighbor", view(12, []int{1, 1}), ErrParallelEdge},
+		{"self-loop", view(12, []int{0, 1}), ErrSelfLoop},
+		{"out-of-range id", view(12, []int{1, 6}), ErrVertexRange},
 		{"arc-count mismatch", view(14, nil), nil},
-		{"one-sided row", view(12, map[int][]int{0: {1, 2, 5}}), nil},
-		{"patched id out of range", view(12, map[int][]int{6: nil}), ErrVertexRange},
+		{"one-sided row", view(12, []int{1, 2, 5}), nil},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -118,6 +144,9 @@ func TestTopoViewCompactRejectsCorruptViews(t *testing.T) {
 				t.Fatalf("err = %v, want %v", err, tc.want)
 			}
 		})
+	}
+	if _, err := view(12, []int{1, 5}).Compact(); err != nil {
+		t.Fatalf("valid view under a malformed younger version: %v", err)
 	}
 }
 

@@ -10,16 +10,21 @@ package graph
 // detaches all incident edges and leaves an isolated tombstone so ids
 // stay stable for the color arrays layered on top.
 //
-// The private rows live in one dense slice, found through a
-// per-vertex slot index, so a read or a mutation costs one array
-// probe rather than a hash lookup. Rows are generational
-// copy-on-write: Publish seals every row mutated since the previous
-// Publish into an immutable TopoView for lock-free readers, and the
-// first later mutation of a sealed row clones it first, into a buffer
-// with spare capacity so growth within a batch rarely reallocates.
+// The private rows are the one row store the overlay and its
+// published TopoViews share: a per-vertex array of atomic pointers to
+// row versions, so a read or a mutation costs one array probe. Each
+// version records the generation that made it and links to the
+// version it replaced. Publish seals the current generation into an
+// immutable TopoView in O(1); the first later mutation of a sealed
+// row clones it into a new version, with spare capacity so growth
+// within a batch rarely reallocates, and a view skips versions
+// younger than its own generation.
 //
-// The row slice grows with the touched-vertex count, not the update
-// count. A long-running service bounds it by compacting periodically:
+// The store grows with the touched-vertex count, not the update
+// count: when superseded versions outnumber max(Patched, n/16),
+// Publish starts a fresh array holding only the newest versions, and
+// earlier views keep the old one, which the overlay never writes
+// again. A long-running service also compacts periodically:
 // TopoView.Compact folds a published view into a fresh CSR off the
 // write path — a run-copy merge of the base rows and the patched rows —
 // and NewOverlay over that CSR starts again with no private rows.
@@ -29,42 +34,47 @@ package graph
 
 import (
 	"fmt"
+	"sync/atomic"
 )
 
 // Overlay layers per-vertex insert/delete patches over a base CSR.
 type Overlay struct {
 	base *CSR
-	// slot[v] is 1 + the index of v's private row in rows, or 0 when
-	// v reads through to the base row. Every vertex ≥ base.N() has a
-	// private row. A private row fully replaces the base row
-	// (copy-on-write semantics).
-	slot []int32
-	rows []ownedRow
+	// rows[v] is v's newest row version, nil when v reads through to
+	// the base row. Every vertex ≥ base.N() has a version. A version
+	// fully replaces the base row (copy-on-write semantics).
+	rows []atomic.Pointer[rowVersion]
 	n    int
 	arcs int64
 
-	// Copy-on-write state: gen counts publications (starting at 1),
-	// touched lists the rows mutated since the last Publish, and view
-	// is the last published view.
-	gen     int
-	touched []int
-	view    *TopoView
+	// Copy-on-write state: gen is the generation mutations write (the
+	// last published view's plus 1), changed reports a mutation since
+	// the last Publish, patched counts the vertices with a version,
+	// superseded the versions reachable only through prev, and view is
+	// the last published view.
+	gen        int
+	changed    bool
+	patched    int
+	superseded int
+	view       *TopoView
 }
 
-// ownedRow is a patched vertex's private adjacency and the generation
-// that owns its buffer: a row whose gen is older than the overlay's
-// was sealed by a Publish and is cloned before its next mutation.
-type ownedRow struct {
-	adj []int
-	gen int
+// rowVersion is one version of a patched vertex's row. gen and prev
+// are set before the version is stored and never change; adj changes
+// only while gen is the overlay's current generation, and a view
+// reads it only once a Publish has sealed that generation.
+type rowVersion struct {
+	adj  []int
+	gen  int
+	prev *rowVersion
 }
 
 // NewOverlay returns an overlay with no patches over base.
 func NewOverlay(base *CSR) *Overlay {
-	return &Overlay{
-		base: base, slot: make([]int32, base.N()), n: base.N(), arcs: base.Arcs(),
-		gen: 1, view: NewTopoView(base),
-	}
+	n := base.N()
+	o := &Overlay{base: base, rows: make([]atomic.Pointer[rowVersion], n), n: n, arcs: base.Arcs(), gen: 1}
+	o.view = &TopoView{base: base, rows: o.rows, n: n, arcs: o.arcs}
+	return o
 }
 
 // N returns the current vertex count (base plus appended vertices).
@@ -75,29 +85,24 @@ func (o *Overlay) M() int64 { return o.arcs / 2 }
 
 // Patched returns the number of vertices with a private row — the
 // overlay memory the next compaction reclaims.
-func (o *Overlay) Patched() int { return len(o.rows) }
+func (o *Overlay) Patched() int { return o.patched }
 
 // Base returns the immutable CSR under the patches.
 func (o *Overlay) Base() *CSR { return o.base }
 
 // Neighbors returns v's sorted neighbor list: a zero-copy view into
-// the base CSR for unpatched vertices, the private patch row
+// the base CSR for unpatched vertices, the newest row version
 // otherwise. The slice is owned by the overlay and must not be
 // modified; it is valid until the next mutation of v.
 func (o *Overlay) Neighbors(v int) []int {
-	if s := o.slot[v]; s != 0 {
-		return o.rows[s-1].adj
+	if ver := o.rows[v].Load(); ver != nil {
+		return ver.adj
 	}
 	return o.base.Row(v)
 }
 
 // Degree returns the degree of v.
-func (o *Overlay) Degree(v int) int {
-	if s := o.slot[v]; s != 0 {
-		return len(o.rows[s-1].adj)
-	}
-	return o.base.Degree(v)
-}
+func (o *Overlay) Degree(v int) int { return len(o.Neighbors(v)) }
 
 // HasEdge reports whether the edge {u, v} is present, by binary search
 // on u's current row.
@@ -110,22 +115,18 @@ func (o *Overlay) HasEdge(u, v int) bool {
 	return i < len(row) && row[i] == v
 }
 
-// setRow installs adj as v's private row, owned by the current
-// generation, and records v as touched the first time this generation
-// owns it.
-func (o *Overlay) setRow(v int, adj []int) {
-	s := o.slot[v]
-	if s == 0 {
-		o.rows = append(o.rows, ownedRow{})
-		s = int32(len(o.rows))
-		o.slot[v] = s
+// link stores a version of v holding adj, made in the current
+// generation, as v's newest version ahead of prev.
+func (o *Overlay) link(v int, prev *rowVersion, adj []int) *rowVersion {
+	ver := &rowVersion{adj: adj, gen: o.gen, prev: prev}
+	if prev == nil {
+		o.patched++
+	} else {
+		o.superseded++
 	}
-	r := &o.rows[s-1]
-	r.adj = adj
-	if r.gen != o.gen {
-		r.gen = o.gen
-		o.touched = append(o.touched, v)
-	}
+	o.rows[v].Store(ver)
+	o.changed = true
+	return ver
 }
 
 // newRow returns an empty private row buffer with room for want
@@ -137,30 +138,29 @@ func cloneRow(src []int) []int {
 	return append(newRow(len(src)+1), src...)
 }
 
-// row returns v's private patch row, creating it as a copy of the base
-// row on first mutation, and re-cloning a row sealed by a published
-// snapshot (copy-on-write across batch generations).
-func (o *Overlay) row(v int) []int {
-	var r []int
-	if s := o.slot[v]; s != 0 {
-		owned := o.rows[s-1]
-		if owned.gen == o.gen {
-			return owned.adj
-		}
-		r = cloneRow(owned.adj)
-	} else if v < o.base.N() {
-		r = cloneRow(o.base.Row(v))
+// row returns v's row version of the current generation, making it on
+// the row's first mutation in the generation as a copy of the newest
+// row (copy-on-write across batch generations).
+func (o *Overlay) row(v int) *rowVersion {
+	cur := o.rows[v].Load()
+	if cur != nil && cur.gen == o.gen {
+		return cur
 	}
-	o.setRow(v, r)
-	return r
+	var src []int
+	if cur != nil {
+		src = cur.adj
+	} else if v < o.base.N() {
+		src = o.base.Row(v)
+	}
+	return o.link(v, cur, cloneRow(src))
 }
 
 // AddNode appends an isolated vertex and returns its id.
 func (o *Overlay) AddNode() int {
 	v := o.n
 	o.n++
-	o.slot = append(o.slot, 0)
-	o.setRow(v, nil)
+	o.rows = append(o.rows, atomic.Pointer[rowVersion]{})
+	o.link(v, nil, nil)
 	return v
 }
 
@@ -210,14 +210,19 @@ func (o *Overlay) RemoveNode(v int) []int {
 	for _, w := range former {
 		o.remove(w, v)
 	}
-	o.setRow(v, nil)
+	if cur := o.rows[v].Load(); cur != nil && cur.gen == o.gen {
+		cur.adj = nil
+	} else {
+		o.link(v, cur, nil)
+	}
 	o.arcs -= 2 * int64(len(former))
 	return former
 }
 
 // insert places w into v's private row, keeping it sorted.
 func (o *Overlay) insert(v, w int) {
-	row := o.row(v)
+	ver := o.row(v)
+	row := ver.adj
 	i := searchInts(row, w)
 	if len(row) == cap(row) {
 		row = append(newRow(2*len(row)+1), row...)
@@ -225,35 +230,45 @@ func (o *Overlay) insert(v, w int) {
 	row = append(row, 0)
 	copy(row[i+1:], row[i:])
 	row[i] = w
-	o.rows[o.slot[v]-1].adj = row
+	ver.adj = row
 }
 
 // remove deletes w from v's private row.
 func (o *Overlay) remove(v, w int) {
-	row := o.row(v)
-	i := searchInts(row, w)
-	if i < len(row) && row[i] == w {
-		o.rows[o.slot[v]-1].adj = append(row[:i], row[i+1:]...)
+	ver := o.row(v)
+	i := searchInts(ver.adj, w)
+	if i < len(ver.adj) && ver.adj[i] == w {
+		ver.adj = append(ver.adj[:i], ver.adj[i+1:]...)
 	}
 }
 
-// Publish seals the rows mutated since the last Publish and returns
-// the immutable TopoView of the current state: the previous view
-// extended by those rows, or the previous view itself when nothing
-// changed. The sealed rows are copy-on-write from then on — the next
-// mutation of any of them clones first — so the view stays valid while
-// the overlay keeps mutating.
+// Publish seals the current generation and returns the immutable
+// TopoView of the current state, or the previous view itself when
+// nothing changed. The view shares the row array and reads only
+// versions of sealed generations; the next mutation of a sealed row
+// makes a new version first, so the view stays valid while the overlay
+// keeps mutating. When superseded versions outnumber
+// max(Patched, n/16), the view gets a fresh array holding only the
+// newest versions, which bounds the history the array keeps reachable.
 func (o *Overlay) Publish() *TopoView {
-	var delta map[int][]int
-	if len(o.touched) > 0 {
-		delta = make(map[int][]int, len(o.touched))
-		for _, v := range o.touched {
-			delta[v] = o.rows[o.slot[v]-1].adj
-		}
+	if !o.changed {
+		return o.view
 	}
-	o.touched = o.touched[:0]
+	if o.superseded > max(o.patched, o.n/16) {
+		rows := make([]atomic.Pointer[rowVersion], o.n, cap(o.rows))
+		for v := range rows {
+			if ver := o.rows[v].Load(); ver != nil {
+				if ver.prev != nil {
+					ver = &rowVersion{adj: ver.adj, gen: ver.gen}
+				}
+				rows[v].Store(ver)
+			}
+		}
+		o.rows, o.superseded = rows, 0
+	}
+	o.view = &TopoView{base: o.base, rows: o.rows[:o.n:o.n], gen: o.gen, patched: o.patched, n: o.n, arcs: o.arcs}
 	o.gen++
-	o.view = o.view.extend(delta, o.n, o.arcs)
+	o.changed = false
 	return o.view
 }
 
@@ -275,5 +290,5 @@ func (o *Overlay) Graph() *Graph {
 
 // String returns a short human-readable summary.
 func (o *Overlay) String() string {
-	return fmt.Sprintf("Overlay(n=%d, m=%d, patched=%d)", o.n, o.M(), len(o.rows))
+	return fmt.Sprintf("Overlay(n=%d, m=%d, patched=%d)", o.n, o.M(), o.patched)
 }

@@ -1,7 +1,12 @@
 package graph
 
 import (
+	"fmt"
+	"math/rand"
 	"reflect"
+	"slices"
+	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -28,6 +33,36 @@ func mirrorView(t *testing.T, view *TopoView, ov *Overlay, label string) {
 	}
 }
 
+// pinnedView is a published view and a copy of the overlay's rows
+// taken when it was published.
+type pinnedView struct {
+	view *TopoView
+	rows [][]int
+}
+
+// pinView copies ov's rows next to view, which ov just published.
+func pinView(view *TopoView, ov *Overlay) *pinnedView {
+	rows := make([][]int, ov.N())
+	for v := range rows {
+		rows[v] = append([]int(nil), ov.Neighbors(v)...)
+	}
+	return &pinnedView{view: view, rows: rows}
+}
+
+// diff reports the first row the view no longer reads as it was
+// published. It takes no *testing.T, so reader goroutines call it too.
+func (p *pinnedView) diff() error {
+	if p.view.N() != len(p.rows) {
+		return fmt.Errorf("view n=%d, published with %d rows", p.view.N(), len(p.rows))
+	}
+	for v, want := range p.rows {
+		if got := p.view.Row(v); !slices.Equal(got, want) {
+			return fmt.Errorf("row %d reads %v, published as %v", v, got, want)
+		}
+	}
+	return nil
+}
+
 // TestTopoViewTracksOverlay drives an overlay through batched churn
 // with a Publish after every batch and checks each published view
 // matches the overlay state at its version — including stale older
@@ -36,20 +71,7 @@ func TestTopoViewTracksOverlay(t *testing.T) {
 	base := StreamedRing(24)
 	ov := NewOverlay(base)
 	var view *TopoView
-
-	type versioned struct {
-		view *TopoView
-		rows [][]int
-	}
-	var history []versioned
-
-	record := func() {
-		rows := make([][]int, ov.N())
-		for v := 0; v < ov.N(); v++ {
-			rows[v] = append([]int(nil), ov.Neighbors(v)...)
-		}
-		history = append(history, versioned{view: view, rows: rows})
-	}
+	var history []*pinnedView
 
 	batches := [][]func() error{
 		{func() error { return ov.AddEdge(0, 5) }, func() error { return ov.AddEdge(3, 9) }},
@@ -65,16 +87,13 @@ func TestTopoViewTracksOverlay(t *testing.T) {
 		}
 		view = ov.Publish()
 		mirrorView(t, view, ov, "live")
-		record()
+		history = append(history, pinView(view, ov))
 	}
 
 	// Older views must still reflect their version exactly.
 	for i, h := range history {
-		for v := 0; v < h.view.N(); v++ {
-			got := append([]int{}, h.view.Row(v)...)
-			if !reflect.DeepEqual(got, append([]int{}, h.rows[v]...)) {
-				t.Fatalf("version %d row %d changed: %v vs %v", i, v, got, h.rows[v])
-			}
+		if err := h.diff(); err != nil {
+			t.Fatalf("version %d: %v", i, err)
 		}
 	}
 
@@ -87,34 +106,155 @@ func TestTopoViewTracksOverlay(t *testing.T) {
 	}
 }
 
-// TestTopoViewCollapse pins the depth bound: a long chain of
-// publications collapses past collapseDepth and the collapsed view is
-// row-identical to the chained one.
-func TestTopoViewCollapse(t *testing.T) {
+// TestTopoViewLongHistory publishes after every edge toggle and checks
+// that, after 18 publications, both the newest view and the first one
+// read the overlay's rows at their versions, and that a Publish with
+// nothing mutated returns the previous view.
+func TestTopoViewLongHistory(t *testing.T) {
 	ov := NewOverlay(StreamedRing(16))
-	var view *TopoView
-	for i := 0; i < collapseDepth+10; i++ {
+	var first, newest *pinnedView
+	for i := 0; i < 18; i++ {
 		u := i % 16
 		w := (u + 3 + i%5) % 16
-		if u != w && !ov.HasEdge(u, w) {
-			if err := ov.AddEdge(u, w); err != nil {
-				t.Fatal(err)
-			}
-		} else if ov.HasEdge(u, w) {
+		if ov.HasEdge(u, w) {
 			ov.RemoveEdge(u, w)
+		} else if err := ov.AddEdge(u, w); err != nil {
+			t.Fatal(err)
 		}
-		view = ov.Publish()
+		newest = pinView(ov.Publish(), ov)
+		if first == nil {
+			first = newest
+		}
 	}
-	if view.Depth() > collapseDepth {
-		t.Fatalf("depth %d exceeds bound %d", view.Depth(), collapseDepth)
+	mirrorView(t, newest.view, ov, "newest")
+	if err := first.diff(); err != nil {
+		t.Fatalf("first view: %v", err)
 	}
-	mirrorView(t, view, ov, "collapsed")
-	collapsed := view.collapse()
-	mirrorView(t, collapsed, ov, "explicit collapse")
-	// Publishing with nothing mutated returns the same view.
-	if ov.Publish() != view {
+	if ov.Publish() != newest.view {
 		t.Fatal("empty Publish did not return the previous view")
 	}
+}
+
+// reachableVersions counts the row versions the overlay's array
+// reaches, superseded ones included.
+func (o *Overlay) reachableVersions() int {
+	count := 0
+	for v := range o.rows {
+		for ver := o.rows[v].Load(); ver != nil; ver = ver.prev {
+			count++
+		}
+	}
+	return count
+}
+
+// TestOverlayHistoryBounded toggles one edge with a Publish after
+// every toggle, 10·n times, on an overlay that never compacts. The
+// superseded versions the array keeps reachable must stay within
+// max(Patched, n/16) (the fresh-array rule), and the first view must
+// still read its own rows from the array it was published with.
+func TestOverlayHistoryBounded(t *testing.T) {
+	const n = 64
+	ov := NewOverlay(StreamedRing(n))
+	var first *pinnedView
+	for i := 0; i < 10*n; i++ {
+		if !ov.RemoveEdge(0, 2) {
+			if err := ov.AddEdge(0, 2); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if view := ov.Publish(); first == nil {
+			first = pinView(view, ov)
+		}
+		bound := ov.Patched() + max(ov.Patched(), n/16) + 2
+		if got := ov.reachableVersions(); got > bound {
+			t.Fatalf("publication %d: the array reaches %d versions, bound %d (patched %d)", i, got, bound, ov.Patched())
+		}
+	}
+	if ov.Patched() != 2 {
+		t.Fatalf("Patched = %d, want 2", ov.Patched())
+	}
+	if err := first.diff(); err != nil {
+		t.Fatalf("first view after %d publications: %v", 10*n, err)
+	}
+}
+
+// TestTopoViewConcurrentReaders runs one writer that mutates, appends
+// vertices past the row array's capacity, publishes and starts fresh
+// arrays, while reader goroutines re-read the views they hold and
+// compare them with the rows copied at publication. Run it under
+// -race: readers load row versions while the writer stores new ones
+// into the same arrays.
+func TestTopoViewConcurrentReaders(t *testing.T) {
+	const n, publications, readers = 48, 400, 2
+	ov := NewOverlay(StreamedRing(n))
+	var latest atomic.Pointer[pinnedView]
+	latest.Store(pinView(ov.Publish(), ov))
+	done := make(chan struct{})
+	errs := make(chan error, readers)
+	var wg sync.WaitGroup
+	for r := 0; r < readers; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var held []*pinnedView
+			for {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				if p := latest.Load(); len(held) == 0 || held[len(held)-1] != p {
+					held = append(held, p)
+					if len(held) > 8 {
+						held = held[1:]
+					}
+				}
+				for _, p := range held {
+					if err := p.diff(); err != nil {
+						errs <- err
+						return
+					}
+				}
+			}
+		}()
+	}
+	rng := rand.New(rand.NewSource(1))
+	grown, fresh := 0, 0
+	for i := 0; i < publications; i++ {
+		for k := 0; k < 4; k++ {
+			switch u, w, op := rng.Intn(ov.N()), rng.Intn(ov.N()), rng.Intn(20); {
+			case op == 0:
+				if len(ov.rows) == cap(ov.rows) {
+					grown++
+				}
+				if err := ov.AddEdge(ov.AddNode(), u); err != nil {
+					t.Fatal(err)
+				}
+			case op == 1:
+				ov.RemoveNode(u)
+			case u != w && !ov.RemoveEdge(u, w):
+				if err := ov.AddEdge(u, w); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		superseded := ov.superseded
+		p := pinView(ov.Publish(), ov)
+		if superseded > 0 && ov.superseded == 0 {
+			fresh++
+		}
+		latest.Store(p)
+	}
+	close(done)
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	if grown == 0 || fresh == 0 {
+		t.Fatalf("the writer grew the array %d times and started %d fresh arrays; want both", grown, fresh)
+	}
+	t.Logf("%d publications, %d array growths, %d fresh arrays", publications, grown, fresh)
 }
 
 // TestFingerprintGolden pins the shared structure hash to fixed values,
@@ -130,7 +270,7 @@ func TestFingerprintGolden(t *testing.T) {
 		got, want uint64
 	}{
 		{"ring17 csr", StreamedRing(17).Fingerprint(), 0x9c0a643d26174776},
-		{"ring17 view", NewTopoView(StreamedRing(17)).Fingerprint(), 0x9c0a643d26174776},
+		{"ring17 view", NewOverlay(StreamedRing(17)).Publish().Fingerprint(), 0x9c0a643d26174776},
 		{"gnp csr", StreamedGNP(300, 0.02, 5).Fingerprint(), 0xd888fab75774140f},
 		{"empty graph", New(0).Fingerprint(), 0xa8c7f832281a39c5},
 		{"graph4", g.Fingerprint(), 0x3a20e4515ed0d922},

@@ -95,8 +95,8 @@ type Snapshot struct {
 	// modified. It stays unchanged for as long as the caller holds it.
 	Colors []int
 	// Topo is the topology at this version (base CSR plus the
-	// published per-batch delta chain) — HasEdge/DegreeOf serve from
-	// it without touching the writer lock.
+	// overlay's row versions this version sealed) — HasEdge/DegreeOf
+	// serve from it without touching the writer lock.
 	Topo *graph.TopoView
 	// Stats is the running account as of this version (time-derived
 	// fields are filled in by Service.Stats at read time).

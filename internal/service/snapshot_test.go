@@ -270,7 +270,7 @@ func TestBackgroundCompactionSwap(t *testing.T) {
 
 // TestTopologyFingerprintMatchesCompactedCSR pins the claim in
 // TopologyFingerprint's doc: after churn and a background compaction
-// swap, the snapshot's topology (compacted CSR plus delta chain)
+// swap, the snapshot's topology (compacted CSR plus row versions)
 // hashes to the same value as the live overlay folded into a fresh
 // CSR.
 func TestTopologyFingerprintMatchesCompactedCSR(t *testing.T) {

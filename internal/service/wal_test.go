@@ -332,7 +332,10 @@ func TestWALDecodeAllocationBound(t *testing.T) {
 	allocs := testing.AllocsPerRun(20, func() {
 		DecodeWALBatch(hostile)
 	})
-	if allocs > 8 {
+	// The decoder's error goes through fmt, whose printer cache is a
+	// sync.Pool; the race detector makes that cache miss at random, so
+	// the bound holds only without it.
+	if allocs > 8 && !raceEnabled {
 		t.Fatalf("hostile input cost %.0f allocs", allocs)
 	}
 	// CRC checksum sanity: the framed record's trailer matches the Go
