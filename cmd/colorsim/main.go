@@ -14,6 +14,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"math"
 	"os"
 	"strings"
@@ -27,30 +28,40 @@ import (
 )
 
 func main() {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		fmt.Fprintln(os.Stderr, "colorsim:", err)
+		os.Exit(1)
+	}
+}
+
+// run is the command: it parses args, builds or loads the graph, runs
+// the chosen algorithm and prints its report to w.
+func run(args []string, w io.Writer) error {
+	fs := flag.NewFlagSet("colorsim", flag.ExitOnError)
 	var (
-		graphKind = flag.String("graph", "regular", "graph family: "+strings.Join(workload.Names(), "|"))
-		n         = flag.Int("n", 100, "number of vertices (grid: side², hypercube: rounded to 2^k)")
-		deg       = flag.Int("deg", 4, "degree for regular / attachment count for powerlaw")
-		prob      = flag.Float64("prob", 0.1, "edge probability for gnp")
-		radius    = flag.Float64("radius", 0.1, "connection radius for udg")
-		algo      = flag.String("algo", "degplus1", "algorithm: linial|defective|twosweep|fast|csr|degplus1|nbhood|edgecolor|luby|greedy")
-		p         = flag.Int("p", 2, "Two-Sweep parameter p")
-		eps       = flag.Float64("eps", 1.0, "Fast-Two-Sweep parameter ε")
-		alpha     = flag.Float64("alpha", 0.5, "defective coloring parameter α")
-		space     = flag.Int("space", 0, "color space size C (0 = algorithm default)")
-		theta     = flag.Int("theta", 2, "neighborhood independence bound for -algo nbhood")
-		seed      = flag.Int64("seed", 1, "workload seed")
-		congest   = flag.Int("congest", 0, "CONGEST bandwidth cap in bits (0 = LOCAL, unlimited)")
-		load      = flag.String("load", "", "load the graph from an edge-list file instead of generating one")
-		save      = flag.String("save", "", "save the (generated) graph to an edge-list file")
-		traceEach = flag.Int("trace", 0, "print per-round stats every N rounds (0 = off)")
-		timeline  = flag.Bool("timeline", false, "print an ASCII timeline of the run")
-		analyze   = flag.Bool("analyze", false, "print a quality report (degplus1, nbhood, greedy)")
-		spans     = flag.Int("spans", 0, "print the composition span tree to this depth (0 = off)")
-		faults    = flag.String("faults", "", "inject the fault plan from this adversary JSON file")
-		doRepair  = flag.Bool("repair", false, "run the self-healing repair layer over the (faulted) solve and report recovery")
+		graphKind = fs.String("graph", "regular", "graph family: "+strings.Join(workload.Names(), "|"))
+		n         = fs.Int("n", 100, "number of vertices (grid: side², hypercube: rounded to 2^k)")
+		deg       = fs.Int("deg", 4, "degree for regular / attachment count for powerlaw")
+		prob      = fs.Float64("prob", 0.1, "edge probability for gnp")
+		radius    = fs.Float64("radius", 0.1, "connection radius for udg")
+		algo      = fs.String("algo", "degplus1", "algorithm: linial|defective|twosweep|fast|csr|degplus1|nbhood|edgecolor|luby|greedy")
+		p         = fs.Int("p", 2, "Two-Sweep parameter p")
+		eps       = fs.Float64("eps", 1.0, "Fast-Two-Sweep parameter ε")
+		alpha     = fs.Float64("alpha", 0.5, "defective coloring parameter α")
+		space     = fs.Int("space", 0, "color space size C (0 = algorithm default)")
+		theta     = fs.Int("theta", 2, "neighborhood independence bound for -algo nbhood")
+		seed      = fs.Int64("seed", 1, "workload seed")
+		congest   = fs.Int("congest", 0, "CONGEST bandwidth cap in bits (0 = LOCAL, unlimited)")
+		load      = fs.String("load", "", "load the graph from an edge-list file instead of generating one")
+		save      = fs.String("save", "", "save the (generated) graph to an edge-list file")
+		traceEach = fs.Int("trace", 0, "print per-round stats every N rounds (0 = off)")
+		timeline  = fs.Bool("timeline", false, "print an ASCII timeline of the run")
+		analyze   = fs.Bool("analyze", false, "print a quality report (degplus1, nbhood, greedy)")
+		spans     = fs.Int("spans", 0, "print the composition span tree to this depth (0 = off)")
+		faults    = fs.String("faults", "", "inject the fault plan from this adversary JSON file")
+		doRepair  = fs.Bool("repair", false, "run the self-healing repair layer over the (faulted) solve and report recovery")
 	)
-	flag.Parse()
+	fs.Parse(args)
 
 	var g *listcolor.Graph
 	var err error
@@ -62,13 +73,11 @@ func main() {
 		})
 	}
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "colorsim:", err)
-		os.Exit(1)
+		return err
 	}
 	if *save != "" {
 		if err := saveGraph(*save, g); err != nil {
-			fmt.Fprintln(os.Stderr, "colorsim:", err)
-			os.Exit(1)
+			return err
 		}
 	}
 	cfg := listcolor.Config{BandwidthBits: *congest}
@@ -76,7 +85,7 @@ func main() {
 		every := *traceEach
 		cfg.OnRound = func(rs listcolor.RoundStats) {
 			if rs.Round%every == 0 {
-				fmt.Printf("  round %6d: active=%d messages=%d bits=%d\n",
+				fmt.Fprintf(w, "  round %6d: active=%d messages=%d bits=%d\n",
 					rs.Round, rs.ActiveNodes, rs.Messages, rs.Bits)
 			}
 		}
@@ -98,10 +107,9 @@ func main() {
 			plan, err = adversary.ParsePlan(data)
 		}
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "colorsim:", err)
-			os.Exit(1)
+			return err
 		}
-		fmt.Printf("faults: %d planned events (plan seed %d)\n", len(plan.Events), plan.Seed)
+		fmt.Fprintf(w, "faults: %d planned events (plan seed %d)\n", len(plan.Events), plan.Seed)
 		if rec != nil {
 			plan.Annotate(rec)
 		}
@@ -112,25 +120,25 @@ func main() {
 			cfg = plan.Apply(cfg)
 		}
 	}
-	fmt.Printf("graph: %v\n", g)
-	if err := run(g, *algo, *p, *eps, *alpha, *space, *theta, *seed, *analyze, plan, *doRepair, cfg); err != nil {
-		fmt.Fprintln(os.Stderr, "colorsim:", err)
-		os.Exit(1)
+	fmt.Fprintf(w, "graph: %v\n", g)
+	if err := solve(w, g, *algo, *p, *eps, *alpha, *space, *theta, *seed, *analyze, plan, *doRepair, cfg); err != nil {
+		return err
 	}
 	if rec != nil {
 		// The timeline shows engine-executed rounds; composed
 		// algorithms additionally charge analytical coordination rounds
 		// that appear in the reported total but not here.
-		fmt.Print("timeline (engine-executed rounds):\n" + rec.Timeline(72))
+		fmt.Fprint(w, "timeline (engine-executed rounds):\n"+rec.Timeline(72))
 	}
 	if rootSpan != nil {
-		fmt.Printf("composition spans (%d recorded):\n%s", rootSpan.Count()-1, rootSpan.Render(*spans, 12))
+		fmt.Fprintf(w, "composition spans (%d recorded):\n%s", rootSpan.Count()-1, rootSpan.Render(*spans, 12))
 	}
+	return nil
 }
 
-func run(g *listcolor.Graph, algo string, p int, eps, alpha float64, space, theta int, seed int64, analyze bool, plan adversary.Plan, doRepair bool, cfg listcolor.Config) error {
+func solve(w io.Writer, g *listcolor.Graph, algo string, p int, eps, alpha float64, space, theta int, seed int64, analyze bool, plan adversary.Plan, doRepair bool, cfg listcolor.Config) error {
 	if doRepair {
-		return runRepair(g, algo, p, eps, space, theta, seed, plan, cfg)
+		return runRepair(w, g, algo, p, eps, space, theta, seed, plan, cfg)
 	}
 	maybeAnalyze := func(inst *listcolor.Instance, colors []int) {
 		if !analyze {
@@ -138,22 +146,22 @@ func run(g *listcolor.Graph, algo string, p int, eps, alpha float64, space, thet
 		}
 		rep, err := quality.Analyze(g, inst, colors)
 		if err != nil {
-			fmt.Printf("analysis failed: %v\n", err)
+			fmt.Fprintf(w, "analysis failed: %v\n", err)
 			return
 		}
-		fmt.Print(rep.Format())
+		fmt.Fprint(w, rep.Format())
 	}
 	report := func(stats listcolor.Stats, what string, palette int, validErr error) {
-		fmt.Printf("algorithm: %s\n", what)
-		fmt.Printf("rounds: %d   messages: %d   total bits: %d   max message bits: %d\n",
+		fmt.Fprintf(w, "algorithm: %s\n", what)
+		fmt.Fprintf(w, "rounds: %d   messages: %d   total bits: %d   max message bits: %d\n",
 			stats.Rounds, stats.Messages, stats.TotalBits, stats.MaxMessageBits)
 		if palette > 0 {
-			fmt.Printf("palette: %d colors\n", palette)
+			fmt.Fprintf(w, "palette: %d colors\n", palette)
 		}
 		if validErr != nil {
-			fmt.Printf("VALIDATION FAILED: %v\n", validErr)
+			fmt.Fprintf(w, "VALIDATION FAILED: %v\n", validErr)
 		} else {
-			fmt.Println("validation: OK")
+			fmt.Fprintln(w, "validation: OK")
 		}
 	}
 	switch algo {
@@ -248,7 +256,7 @@ func run(g *listcolor.Graph, algo string, p int, eps, alpha float64, space, thet
 			used[c] = true
 		}
 		report(stats, "(2Δ−1)-edge coloring (Theorem 1.5 application)", palette, nil)
-		fmt.Printf("colors used: %d of %d\n", len(used), palette)
+		fmt.Fprintf(w, "colors used: %d of %d\n", len(used), palette)
 	case "luby":
 		colors, stats, err := listcolor.LubyColor(g, seed, cfg)
 		if err != nil {
@@ -283,7 +291,7 @@ func run(g *listcolor.Graph, algo string, p int, eps, alpha float64, space, thet
 // repair drives the coloring back to validity. Only algorithms that
 // solve a list instance on the simulator can be repaired — the repair
 // loop re-enters conflicted nodes with their residual lists.
-func runRepair(g *listcolor.Graph, algo string, p int, eps float64, space, theta int, seed int64, plan adversary.Plan, cfg listcolor.Config) error {
+func runRepair(w io.Writer, g *listcolor.Graph, algo string, p int, eps float64, space, theta int, seed int64, plan adversary.Plan, cfg listcolor.Config) error {
 	addStats := func(dst *listcolor.Stats, s listcolor.Stats) {
 		dst.Rounds += s.Rounds
 		dst.Messages += s.Messages
@@ -385,26 +393,26 @@ func runRepair(g *listcolor.Graph, algo string, p int, eps float64, space, theta
 	if err != nil {
 		return err
 	}
-	fmt.Printf("algorithm: %s under %d-event fault plan, self-healing repair\n", algo, len(plan.Events))
+	fmt.Fprintf(w, "algorithm: %s under %d-event fault plan, self-healing repair\n", algo, len(plan.Events))
 	s := rep.SolveStats
-	fmt.Printf("faulted solve: rounds=%d messages=%d bits=%d", s.Rounds, s.Messages, s.TotalBits)
+	fmt.Fprintf(w, "faulted solve: rounds=%d messages=%d bits=%d", s.Rounds, s.Messages, s.TotalBits)
 	if rep.SolveErr != nil {
-		fmt.Printf("  (error: %v)", rep.SolveErr)
+		fmt.Fprintf(w, "  (error: %v)", rep.SolveErr)
 	}
-	fmt.Println()
+	fmt.Fprintln(w)
 	if rep.UsedFallback {
-		fmt.Println("solver output unusable; repair started from the first-list-color baseline")
+		fmt.Fprintln(w, "solver output unusable; repair started from the first-list-color baseline")
 	}
-	fmt.Printf("damage before repair: %d hard (%d uncolored), %d absorbed by defect budgets\n",
+	fmt.Fprintf(w, "damage before repair: %d hard (%d uncolored), %d absorbed by defect budgets\n",
 		rep.Before.Hard, rep.Before.Uncolored, rep.Before.Absorbed)
-	fmt.Printf("repair: %d recovery rounds, %d messages, %d bits\n",
+	fmt.Fprintf(w, "repair: %d recovery rounds, %d messages, %d bits\n",
 		rep.RecoveryRounds, rep.RepairMessages, rep.RepairBits)
-	fmt.Printf("after repair: %d hard, %d absorbed, residual defect %d\n",
+	fmt.Fprintf(w, "after repair: %d hard, %d absorbed, residual defect %d\n",
 		rep.After.Hard, rep.AbsorbedConflicts, rep.ResidualDefect)
 	if rep.Converged {
-		fmt.Println("validation: OK")
+		fmt.Fprintln(w, "validation: OK")
 	} else {
-		fmt.Println("VALIDATION FAILED: repair budget exhausted")
+		fmt.Fprintln(w, "VALIDATION FAILED: repair budget exhausted")
 	}
 	return nil
 }

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"io"
 	"os"
 	"path/filepath"
 	"testing"
@@ -23,11 +24,11 @@ func TestRunAllAlgorithms(t *testing.T) {
 		"degplus1", "nbhood", "edgecolor", "luby", "greedy",
 	}
 	for _, algo := range algos {
-		if err := run(g, algo, 2, 1.0, 0.5, 0, 2, 1, true, adversary.Plan{}, false, listcolor.Config{}); err != nil {
+		if err := solve(io.Discard, g, algo, 2, 1.0, 0.5, 0, 2, 1, true, adversary.Plan{}, false, listcolor.Config{}); err != nil {
 			t.Errorf("algo %s: %v", algo, err)
 		}
 	}
-	if err := run(g, "nosuch", 2, 1.0, 0.5, 0, 2, 1, false, adversary.Plan{}, false, listcolor.Config{}); err == nil {
+	if err := solve(io.Discard, g, "nosuch", 2, 1.0, 0.5, 0, 2, 1, false, adversary.Plan{}, false, listcolor.Config{}); err == nil {
 		t.Error("unknown algorithm accepted")
 	}
 }
@@ -45,11 +46,11 @@ func TestRunRepairAllAlgorithms(t *testing.T) {
 		adversary.UniformCorrupt(7, 0.10, 1, 0),
 	)
 	for _, algo := range []string{"twosweep", "fast", "csr", "degplus1", "nbhood", "luby"} {
-		if err := run(g, algo, 2, 1.0, 0.5, 0, 2, 1, false, plan, true, listcolor.Config{MaxRounds: 400}); err != nil {
+		if err := solve(io.Discard, g, algo, 2, 1.0, 0.5, 0, 2, 1, false, plan, true, listcolor.Config{MaxRounds: 400}); err != nil {
 			t.Errorf("repair %s: %v", algo, err)
 		}
 	}
-	if err := run(g, "edgecolor", 2, 1.0, 0.5, 0, 2, 1, false, plan, true, listcolor.Config{}); err == nil {
+	if err := solve(io.Discard, g, "edgecolor", 2, 1.0, 0.5, 0, 2, 1, false, plan, true, listcolor.Config{}); err == nil {
 		t.Error("-repair accepted an instance-free algorithm")
 	}
 }
@@ -85,10 +86,10 @@ func TestRunWithCongestCap(t *testing.T) {
 		t.Fatal(err)
 	}
 	// A generous cap should pass; a 1-bit cap should fail.
-	if err := run(g, "linial", 2, 1.0, 0.5, 0, 2, 1, false, adversary.Plan{}, false, listcolor.Config{BandwidthBits: 64}); err != nil {
+	if err := solve(io.Discard, g, "linial", 2, 1.0, 0.5, 0, 2, 1, false, adversary.Plan{}, false, listcolor.Config{BandwidthBits: 64}); err != nil {
 		t.Errorf("generous cap failed: %v", err)
 	}
-	if err := run(g, "linial", 2, 1.0, 0.5, 0, 2, 1, false, adversary.Plan{}, false, listcolor.Config{BandwidthBits: 1}); err == nil {
+	if err := solve(io.Discard, g, "linial", 2, 1.0, 0.5, 0, 2, 1, false, adversary.Plan{}, false, listcolor.Config{BandwidthBits: 1}); err == nil {
 		t.Error("1-bit cap passed")
 	}
 }
