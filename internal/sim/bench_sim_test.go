@@ -20,12 +20,12 @@ import (
 	"listcolor/internal/sim"
 )
 
-func benchRoundThroughput(b *testing.B, g *graph.Graph, d sim.Driver) {
+func benchRoundThroughput(b *testing.B, g *graph.Graph, cfg sim.Config) {
 	nw := sim.NewNetwork(g)
 	nodes := bench.ChatterNodes(g.N(), b.N)
 	b.ReportAllocs()
 	b.ResetTimer()
-	res, err := sim.Run(nw, nodes, sim.Config{Driver: d})
+	res, err := sim.Run(nw, nodes, cfg)
 	b.StopTimer()
 	if err != nil {
 		b.Fatal(err)
@@ -35,15 +35,20 @@ func benchRoundThroughput(b *testing.B, g *graph.Graph, d sim.Driver) {
 	}
 }
 
+// BenchmarkRoundThroughput runs every workload under each driver and
+// under the workers driver with its delivery split across two receiver
+// ranges (workers/2-shards), the sharded path of the router.
 func BenchmarkRoundThroughput(b *testing.B) {
 	for _, w := range bench.SimWorkloads() {
 		g := w.Build()
 		for _, d := range sim.AllDrivers() {
-			d := d
 			b.Run(w.Name+"/"+d.String(), func(b *testing.B) {
-				benchRoundThroughput(b, g, d)
+				benchRoundThroughput(b, g, sim.Config{Driver: d})
 			})
 		}
+		b.Run(w.Name+"/workers/2-shards", func(b *testing.B) {
+			benchRoundThroughput(b, g, sim.Config{Driver: sim.Workers, Shards: 2})
+		})
 	}
 }
 

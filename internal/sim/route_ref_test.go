@@ -8,7 +8,9 @@ package sim
 // out-of-range targets, nil payloads, broadcasts on isolated nodes,
 // cap-boundary sizes, fault injection — and demands identical errors,
 // identical Result fields, and byte-identical delivery order, across
-// several rounds so the arena's buffer reuse is exercised.
+// several rounds so the arena's buffer reuse is exercised, with the
+// arena router delivering sequentially and over 2 and 3 receiver
+// ranges.
 
 import (
 	"bytes"
@@ -77,46 +79,51 @@ func (r *refRouter) flush() [][]Message {
 
 // compareRouters drives the arena router and the reference router with
 // the same per-node outbox script for several rounds and asserts
-// equivalent behavior. It reports whether an error stopped routing.
+// equivalent behavior: the same error, the same Result, and
+// byte-identical inboxes. The arena router routes each round the way
+// the Workers driver does (routeRound) at 1, 2 and 3 receiver ranges,
+// so the sequential route and the sharded delivery answer to the one
+// reference.
 func compareRouters(t *testing.T, g *graph.Graph, cfg Config, script [][]Outgoing, rounds int) {
 	t.Helper()
-	nw := NewNetwork(g)
-	arena := newRouter(new(Engine), nw, cfg)
-	ref := newRefRouter(g, cfg)
-	for round := 0; round < rounds; round++ {
-		arena.round, ref.round = round, round
-		for v := 0; v < g.N(); v++ {
-			errA := arena.route(v, script[v])
-			errB := ref.route(v, script[v])
-			if (errA == nil) != (errB == nil) {
-				t.Fatalf("round %d node %d: arena err %v, ref err %v", round, v, errA, errB)
+	senders := graph.Vertices(g.N())
+	for _, shards := range []int{1, 2, 3} {
+		cfg.Shards = shards
+		arena := newRouter(new(Engine), NewNetwork(g), cfg)
+		ref := newRefRouter(g, cfg)
+		for round := 0; round < rounds; round++ {
+			ref.round = round
+			var errB error
+			for v := range senders {
+				if err := ref.route(v, script[v]); err != nil {
+					errB = fmt.Errorf("round %d, node %d: %w", round, v, err)
+					break
+				}
+			}
+			errA := arena.routeRound(senders, nil, script, nodePanic{v: -1})
+			if (errA == nil) != (errB == nil) || errA != nil && errA.Error() != errB.Error() {
+				t.Fatalf("shards %d round %d: arena err %v, ref err %v", shards, round, errA, errB)
+			}
+			if arena.result() != ref.res {
+				t.Fatalf("shards %d round %d: results diverge: %+v vs %+v", shards, round, arena.result(), ref.res)
 			}
 			if errA != nil {
-				if errA.Error() != errB.Error() {
-					t.Fatalf("round %d node %d: error text %q vs %q", round, v, errA, errB)
-				}
-				if arena.res != ref.res {
-					t.Fatalf("round %d node %d: result at error %+v vs %+v", round, v, arena.res, ref.res)
-				}
-				return
+				break
 			}
-		}
-		inA := arena.flush()
-		inB := ref.flush()
-		for v := range inB {
-			if len(inA[v]) != len(inB[v]) {
-				t.Fatalf("round %d node %d: inbox sizes %d vs %d", round, v, len(inA[v]), len(inB[v]))
-			}
-			for i := range inB[v] {
-				// DeepEqual, not ==: slice-bearing payloads (IntsPayload)
-				// are not comparable with the interface operator.
-				if inA[v][i].From != inB[v][i].From || !reflect.DeepEqual(inA[v][i].Payload, inB[v][i].Payload) {
-					t.Fatalf("round %d node %d slot %d: %+v vs %+v", round, v, i, inA[v][i], inB[v][i])
+			inA := arena.startRound(round + 1)
+			inB := ref.flush()
+			for v := range inB {
+				if len(inA[v]) != len(inB[v]) {
+					t.Fatalf("shards %d round %d node %d: inbox sizes %d vs %d", shards, round, v, len(inA[v]), len(inB[v]))
+				}
+				for i := range inB[v] {
+					// DeepEqual, not ==: slice-bearing payloads (IntsPayload)
+					// are not comparable with the interface operator.
+					if inA[v][i].From != inB[v][i].From || !reflect.DeepEqual(inA[v][i].Payload, inB[v][i].Payload) {
+						t.Fatalf("shards %d round %d node %d slot %d: %+v vs %+v", shards, round, v, i, inA[v][i], inB[v][i])
+					}
 				}
 			}
-		}
-		if arena.res != ref.res {
-			t.Fatalf("round %d: results diverge: %+v vs %+v", round, arena.res, ref.res)
 		}
 	}
 }

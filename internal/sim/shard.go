@@ -10,31 +10,25 @@ package sim
 // sender id, send order within a sender. Partitioning the RECEIVERS
 // gives each shard exclusive ownership of a contiguous slice of the
 // inbox arena (the arena mirrors the CSR row layout, so a receiver
-// range is a contiguous slot range — the per-shard inbox arena), and
-// having every shard scan the full sender sequence in the same
-// ascending order reproduces exactly the sequential fill of its own
-// inboxes. No locks, no message buffers, no post-hoc sorting.
+// range is a contiguous slot range), and having every shard call the
+// one per-sender route over the full sender sequence, in the same
+// ascending order, restricted to its own range, reproduces exactly the
+// sequential fill of its inboxes. Broadcasts locate their in-range
+// neighbor run by binary search on the sorted CSR row. Per-shard
+// tallies are merged in fixed shard order afterwards, so totals are
+// deterministic. No locks, no message buffers, no post-hoc sorting.
 //
-// The round is routed in two phases:
-//
-//  1. prepare (coordinator, sequential): validate every send
-//     (bandwidth cap, neighbor check) and precompute its payload size
-//     into reusable scratch. Any protocol violation or node error
-//     aborts the sharded path entirely and the driver falls back to
-//     the reference sequential loop, which reproduces the exact
-//     partial statistics and error text of a sequential run.
-//  2. deliver (parallel): each shard walks the prepared sends and
-//     appends the deliveries whose receiver falls in its range;
-//     broadcasts locate their in-range neighbor run by binary search
-//     on the sorted CSR row. Per-shard message/bit counters are merged
-//     in fixed shard order afterwards, so totals are deterministic.
-//
-// Rounds with DropMessage/CorruptMessage hooks never take this path
-// (Config.Shards documents the contract); NodeDown is compatible —
-// the hook runs on the coordinator before routing, like every driver.
+// route checks every send whatever its range, so a protocol violation
+// fails every shard. The round is then routed again sequentially,
+// which reproduces the exact partial statistics and error text of a
+// sequential run. Rounds in which a node panicked, and rounds with a
+// DropMessage or CorruptMessage hook, route sequentially from the
+// start (Config.Shards documents the contract); NodeDown is
+// compatible — the hook runs on the coordinator before routing, like
+// every driver.
 
 import (
-	"sort"
+	"fmt"
 	"sync"
 )
 
@@ -48,141 +42,98 @@ func (c Config) routingShards() int {
 	return c.Shards
 }
 
-// bounds returns the receiver-range boundaries for s shards, balanced
-// by arena slots (degree mass) rather than vertex count so a skewed
-// degree distribution cannot pile all delivery work onto one shard.
-// Computed once per run and cached; boundaries are a function of the
-// topology and s only, never of round content, so every round (and
-// every run) shards identically.
-func (rt *router) bounds(s int) []int {
-	if rt.shardBounds != nil {
-		return rt.shardBounds
+// shards returns the receiver ranges for s shards, balanced by arena
+// slots (degree mass) rather than vertex count so a skewed degree
+// distribution cannot pile all delivery work onto one shard. Computed
+// once per run and cached; boundaries are a function of the topology
+// and s only, never of round content, so every round (and every run)
+// shards identically.
+func (r *router) shards(s int) []part {
+	if r.parts != nil {
+		return r.parts
 	}
-	n := rt.topo.N()
+	n := r.topo.N()
 	if s > n && n > 0 {
 		s = n
 	}
 	if s < 1 {
 		s = 1
 	}
-	b := make([]int, s+1)
-	arcs := rt.topo.Arcs()
+	r.parts = make([]part, s)
+	arcs := r.topo.Arcs()
 	v := 0
 	for i := 1; i < s; i++ {
 		target := arcs * int64(i) / int64(s)
-		for v < n && rt.topo.RowStart(v) < target {
+		for v < n && r.topo.RowStart(v) < target {
 			v++
 		}
-		b[i] = v
+		r.parts[i-1].hi, r.parts[i].lo = v, v
 	}
-	b[s] = n
-	rt.shardBounds = b
-	return b
+	r.parts[s-1].hi = n
+	return r.parts
 }
 
-// prepare validates every send of the round and fills the reusable
-// prep scratch (senders, per-send bit sizes, flat offsets). It
-// mutates no router output state, so a false return leaves the
-// sequential fallback a pristine router. senders must be ascending;
-// status (when non-nil) marks the nodes whose sends must not be
-// routed this round (downed/crashed under the NodeDown hook).
-// panicked declines a round in which a node panicked.
-func (rt *router) prepare(senders []int, status []NodeStatus, outs [][]Outgoing, panicked bool) bool {
-	if panicked {
-		return false
+// routeRound routes the Workers driver's round: the outboxes of the up
+// nodes among senders (ascending ids; status, when non-nil, holds
+// their NodeDown verdicts). It routes across the configured receiver
+// ranges concurrently unless a delivery hook is installed, a node
+// panicked, or a send breaks the protocol; otherwise it routes
+// sequentially in id order and returns the smallest panicking id's
+// error or the first violation, as the other drivers do.
+func (r *router) routeRound(senders []int, status []NodeStatus, outs [][]Outgoing, panicked nodePanic) error {
+	if s := r.cfg.routingShards(); s > 1 && panicked.err == nil && r.routeSharded(senders, status, outs, s) {
+		return nil
 	}
-	rt.prepSenders = rt.prepSenders[:0]
-	rt.prepOff = rt.prepOff[:0]
-	rt.prepBits = rt.prepBits[:0]
-	rt.prepMax = 0
 	for _, v := range senders {
 		if status != nil && status[v] != NodeUp {
 			continue
 		}
-		os := outs[v]
-		if len(os) == 0 {
-			continue
+		if v == panicked.v {
+			return panicked.err
 		}
-		rt.prepSenders = append(rt.prepSenders, v)
-		rt.prepOff = append(rt.prepOff, len(rt.prepBits))
-		for i := range os {
-			o := &os[i]
-			bits := 0
-			if o.Payload != nil {
-				bits = o.Payload.SizeBits()
-			}
-			if rt.cfg.BandwidthBits > 0 && bits > rt.cfg.BandwidthBits {
-				return false
-			}
-			if o.To != Broadcast && !rt.topo.HasEdge(v, o.To) {
-				return false
-			}
-			rt.prepBits = append(rt.prepBits, bits)
-			if bits > rt.prepMax {
-				rt.prepMax = bits
-			}
+		if err := r.route(v, outs[v], &r.all); err != nil {
+			return fmt.Errorf("round %d, node %d: %w", r.round, v, err)
 		}
 	}
-	rt.prepOff = append(rt.prepOff, len(rt.prepBits))
-	return true
+	return nil
 }
 
-// deliverSharded routes the prepared sends across s receiver shards.
-// prepare must have returned true for this round: every send is known
-// valid, so delivery cannot fail.
-func (rt *router) deliverSharded(outs [][]Outgoing, s int) {
-	b := rt.bounds(s)
-	s = len(b) - 1
-	if cap(rt.shardMsgs) < s {
-		rt.shardMsgs = make([]int, s)
-		rt.shardBits = make([]int, s)
-	}
-	msgs, bits := rt.shardMsgs[:s], rt.shardBits[:s]
+// routeSharded routes the round across s receiver ranges, one
+// goroutine each, and reports whether it did. When a send breaks the
+// protocol it empties the inboxes again and returns false, leaving the
+// round's tally untouched for the sequential route.
+func (r *router) routeSharded(senders []int, status []NodeStatus, outs [][]Outgoing, s int) bool {
+	parts := r.shards(s)
 	var wg sync.WaitGroup
-	for sh := 0; sh < s; sh++ {
-		lo, hi := b[sh], b[sh+1]
-		if lo == hi {
-			msgs[sh], bits[sh] = 0, 0
+	for i := range parts {
+		p := &parts[i]
+		p.got, p.failed = Result{}, false
+		if p.lo == p.hi {
 			continue
 		}
 		wg.Add(1)
-		go func(sh, lo, hi int) {
+		go func() {
 			defer wg.Done()
-			m, bt := 0, 0
-			for si, v := range rt.prepSenders {
-				os := outs[v]
-				bo := rt.prepOff[si]
-				for i := range os {
-					o := &os[i]
-					sb := rt.prepBits[bo+i]
-					if o.To == Broadcast {
-						row := rt.topo.Row(v)
-						j := sort.SearchInts(row, lo)
-						for ; j < len(row) && row[j] < hi; j++ {
-							t := row[j]
-							rt.next[t] = append(rt.next[t], Message{From: v, Payload: o.Payload})
-							m++
-							bt += sb
-						}
-					} else if o.To >= lo && o.To < hi {
-						rt.next[o.To] = append(rt.next[o.To], Message{From: v, Payload: o.Payload})
-						m++
-						bt += sb
-					}
+			for _, v := range senders {
+				if status != nil && status[v] != NodeUp {
+					continue
+				}
+				if r.route(v, outs[v], p) != nil {
+					p.failed = true
+					return
 				}
 			}
-			msgs[sh], bits[sh] = m, bt
-		}(sh, lo, hi)
+		}()
 	}
 	wg.Wait()
-	for sh := 0; sh < s; sh++ {
-		rt.res.Messages += msgs[sh]
-		rt.res.TotalBits += bits[sh]
+	for i := range parts {
+		if parts[i].failed {
+			empty(r.next)
+			return false
+		}
 	}
-	if rt.prepMax > rt.res.MaxMessageBits {
-		rt.res.MaxMessageBits = rt.prepMax
+	for i := range parts {
+		r.all.got = merge(r.all.got, parts[i].got, 0)
 	}
-	if rt.prepMax > rt.roundMax {
-		rt.roundMax = rt.prepMax
-	}
+	return true
 }

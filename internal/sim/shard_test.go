@@ -305,23 +305,23 @@ func TestRoutingShardsContract(t *testing.T) {
 	}
 }
 
-// TestShardBounds checks the receiver-partition boundaries: they must
-// cover [0, n] with nondecreasing cut points, clamp shard counts above
-// n, and put every vertex in exactly one range.
+// TestShardBounds checks the receiver partition: its ranges must
+// cover [0, n) contiguously in order, clamp shard counts above n, and
+// so put every vertex in exactly one range.
 func TestShardBounds(t *testing.T) {
 	g := graph.GNP(50, 0.2, rand.New(rand.NewSource(9)))
 	for _, s := range []int{1, 2, 3, 7, 50, 200} {
 		rt := newRouter(new(Engine), NewNetwork(g), Config{})
-		b := rt.bounds(s)
-		if b[0] != 0 || b[len(b)-1] != g.N() {
-			t.Fatalf("s=%d: bounds %v do not cover [0,%d]", s, b, g.N())
+		parts := rt.shards(s)
+		if parts[0].lo != 0 || parts[len(parts)-1].hi != g.N() {
+			t.Fatalf("s=%d: ranges %v do not cover [0,%d)", s, parts, g.N())
 		}
-		if len(b)-1 > s {
-			t.Fatalf("s=%d: %d ranges", s, len(b)-1)
+		if len(parts) > s {
+			t.Fatalf("s=%d: %d ranges", s, len(parts))
 		}
-		for i := 1; i < len(b); i++ {
-			if b[i] < b[i-1] {
-				t.Fatalf("s=%d: bounds %v decrease", s, b)
+		for i, p := range parts {
+			if p.hi < p.lo || (i > 0 && p.lo != parts[i-1].hi) {
+				t.Fatalf("s=%d: ranges %v are not contiguous and ascending", s, parts)
 			}
 		}
 	}

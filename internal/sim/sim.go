@@ -28,6 +28,7 @@ package sim
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"listcolor/internal/graph"
 )
@@ -323,7 +324,7 @@ func initNodes(nodes []Node, ctxs []Context, rt *router) (err error) {
 		s.v = v
 		outs := nodes[v].Init(&ctxs[v])
 		s.v = -1
-		if rerr := rt.route(v, outs); rerr != nil {
+		if rerr := rt.route(v, outs, &rt.all); rerr != nil {
 			return fmt.Errorf("init of node %d: %w", v, rerr)
 		}
 	}
@@ -504,37 +505,41 @@ func (e *Engine) Run(nw *Network, nodes []Node, cfg Config) (Result, error) {
 type router struct {
 	topo *graph.CSR
 	cfg  Config
-	res  Result
+	// res totals the rounds before the one in flight; all is the full
+	// receiver range, whose tally is the round in flight's traffic.
+	res Result
+	all part
 	// cur holds the inboxes the drivers are consuming this round; next
 	// is the arena route fills for the following round. flush swaps
 	// them, so an inbox handed to a node is valid for exactly one
 	// Round call.
 	cur, next [][]Message
-	round     int // the round currently being routed (0 = init sends)
-	roundMax  int // largest message sent while routing this round
-	// prevMsgs and prevBits are the totals when the round started.
-	prevMsgs, prevBits int
+	round     int    // the round currently being routed (0 = init sends)
+	parts     []part // the receiver ranges of sharded routing (shard.go)
+}
 
-	// Sharded-routing state (shard.go). shardBounds partitions the
-	// receivers into Config.Shards contiguous ranges balanced by arena
-	// slots; the prep slices are the validation pass's reusable
-	// scratch, grown once and then allocation-free.
-	shardBounds []int
-	prepSenders []int
-	prepOff     []int
-	prepBits    []int
-	prepMax     int
-	shardMsgs   []int
-	shardBits   []int
+// part is a contiguous receiver range [lo, hi) and the traffic routed
+// into it in the round in flight: got's Messages and TotalBits count
+// its deliveries, and its MaxMessageBits is the largest message its
+// senders sent.
+type part struct {
+	lo, hi int
+	got    Result
+	failed bool // a send broke the protocol (sharded routing only)
 }
 
 func newRouter(e *Engine, nw *Network, cfg Config) *router {
-	e.rt = router{topo: nw.topo, cfg: cfg, cur: e.inboxes(0, nw.topo), next: e.inboxes(1, nw.topo)}
+	e.rt = router{topo: nw.topo, cfg: cfg, all: part{hi: nw.N()}, cur: e.inboxes(0, nw.topo), next: e.inboxes(1, nw.topo)}
 	return &e.rt
 }
 
-// route ingests the outbox of node v. It returns an error on protocol
-// violations (non-neighbor target, bandwidth overflow).
+// route ingests the outbox of node v: it delivers the messages
+// addressed to p's receivers and bills them to p. The sequential route
+// is p = &r.all, the full range; each shard of a sharded round routes
+// its own range (shard.go). It returns an error on protocol violations
+// (non-neighbor target, bandwidth overflow), checked on every send
+// whatever p's range, so any range finds the violation the full range
+// finds.
 //
 // CONGEST accounting semantics: the bandwidth cap and the
 // MaxMessageBits statistic are properties of the *sent* message — a
@@ -543,7 +548,8 @@ func newRouter(e *Engine, nw *Network, cfg Config) *router {
 // TotalBits are properties of *edge deliveries* — a broadcast is
 // billed once per receiving neighbor, and a dropped delivery is not
 // billed.
-func (r *router) route(v int, outs []Outgoing) error {
+func (r *router) route(v int, outs []Outgoing, p *part) error {
+	row, next := r.topo.Row(v), r.next
 	for i := range outs {
 		o := &outs[i]
 		bits := 0
@@ -553,48 +559,67 @@ func (r *router) route(v int, outs []Outgoing) error {
 		if r.cfg.BandwidthBits > 0 && bits > r.cfg.BandwidthBits {
 			return fmt.Errorf("%w: node %d sent %d bits (cap %d)", ErrBandwidth, v, bits, r.cfg.BandwidthBits)
 		}
-		if o.To == Broadcast {
-			for _, t := range r.topo.Row(v) {
-				r.deliver(v, t, bits, o.Payload)
-			}
-		} else {
-			if !r.topo.HasEdge(v, o.To) {
+		// to is the send's receivers: v's sorted row for a broadcast,
+		// the one entry naming o.To otherwise, cut to p's range.
+		to := row
+		if o.To != Broadcast {
+			j, ok := slices.BinarySearch(row, o.To)
+			if !ok {
 				return fmt.Errorf("%w: node %d -> %d", ErrNotNeighbor, v, o.To)
 			}
-			r.deliver(v, o.To, bits, o.Payload)
+			to = row[j : j+1]
 		}
-		if bits > r.res.MaxMessageBits {
-			r.res.MaxMessageBits = bits
+		if p.lo > 0 || p.hi < len(next) {
+			lo, _ := slices.BinarySearch(to, p.lo)
+			hi, _ := slices.BinarySearch(to, p.hi)
+			to = to[lo:hi]
 		}
-		if bits > r.roundMax {
-			r.roundMax = bits
+		if r.cfg.DropMessage != nil || r.cfg.CorruptMessage != nil {
+			for _, t := range to {
+				r.deliverHooked(p, v, t, bits, o.Payload)
+			}
+		} else {
+			for _, t := range to {
+				next[t] = append(next[t], Message{From: v, Payload: o.Payload})
+			}
+			p.got.Messages += len(to)
+			p.got.TotalBits += len(to) * bits
+		}
+		if bits > p.got.MaxMessageBits {
+			p.got.MaxMessageBits = bits
 		}
 	}
 	return nil
 }
 
-// deliver appends one edge-delivery to the receiving inbox being filled
-// for the next round, unless fault injection drops it. A corrupted
-// delivery replaces the payload but bills the original's bits: the
-// wire carried the full message, damaged or not.
-func (r *router) deliver(from, to, bits int, p Payload) {
+// deliverHooked appends one edge-delivery to the receiving inbox being
+// filled for the next round, unless fault injection drops it. A
+// corrupted delivery replaces the payload but bills the original's
+// bits: the wire carried the full message, damaged or not.
+func (r *router) deliverHooked(p *part, from, to, bits int, pl Payload) {
 	if r.cfg.DropMessage != nil && r.cfg.DropMessage(r.round, from, to) {
 		return
 	}
 	if r.cfg.CorruptMessage != nil {
-		if cp, ok := r.cfg.CorruptMessage(r.round, from, to, p); ok {
-			p = cp
+		if cp, ok := r.cfg.CorruptMessage(r.round, from, to, pl); ok {
+			pl = cp
 		}
 	}
-	r.next[to] = append(r.next[to], Message{From: from, Payload: p})
-	r.res.Messages++
-	r.res.TotalBits += bits
+	r.next[to] = append(r.next[to], Message{From: from, Payload: pl})
+	p.got.Messages++
+	p.got.TotalBits += bits
 }
 
-// startRound begins round: it flushes the inboxes the round consumes
-// and marks where the round's statistics start.
+// result is the run's statistics so far: the completed rounds and the
+// traffic routed in the round in flight.
+func (r *router) result() Result {
+	return merge(r.res, r.all.got, r.res.Rounds)
+}
+
+// startRound begins round: it folds the traffic routed so far into the
+// totals and flushes the inboxes the round consumes.
 func (r *router) startRound(round int) [][]Message {
-	r.round, r.prevMsgs, r.prevBits = round, r.res.Messages, r.res.TotalBits
+	r.res, r.all.got, r.round = r.result(), Result{}, round
 	return r.flush()
 }
 
@@ -606,9 +631,9 @@ func (r *router) endRound(round, active int) {
 		r.cfg.OnRound(RoundStats{
 			Round:       round,
 			ActiveNodes: active,
-			Messages:    r.res.Messages - r.prevMsgs,
-			Bits:        r.res.TotalBits - r.prevBits,
-			MaxBits:     r.roundMax,
+			Messages:    r.all.got.Messages,
+			Bits:        r.all.got.TotalBits,
+			MaxBits:     r.all.got.MaxMessageBits,
 		})
 	}
 }
@@ -619,11 +644,15 @@ func (r *router) endRound(round, active int) {
 // for the one round the drivers execute with them.
 func (r *router) flush() [][]Message {
 	r.cur, r.next = r.next, r.cur
-	for v := range r.next {
-		r.next[v] = r.next[v][:0]
-	}
-	r.roundMax = 0
+	empty(r.next)
 	return r.cur
+}
+
+// empty truncates every inbox of boxes, keeping its slots.
+func empty(boxes [][]Message) {
+	for v := range boxes {
+		boxes[v] = boxes[v][:0]
+	}
 }
 
 func runLockstep(e *Engine, nw *Network, nodes []Node, cfg Config) (Result, error) {
@@ -631,23 +660,23 @@ func runLockstep(e *Engine, nw *Network, nodes []Node, cfg Config) (Result, erro
 	ctxs := e.contexts(nw)
 	rt := newRouter(e, nw, cfg)
 	if err := initNodes(nodes, ctxs, rt); err != nil {
-		return rt.res, err
+		return rt.result(), err
 	}
 	done := make([]bool, n)
 	remaining := n
 	for round := 1; remaining > 0; round++ {
 		if round > cfg.MaxRounds {
-			return rt.res, fmt.Errorf("%w: %d", ErrRoundLimit, cfg.MaxRounds)
+			return rt.result(), fmt.Errorf("%w: %d", ErrRoundLimit, cfg.MaxRounds)
 		}
 		inboxes := rt.startRound(round)
 		active, ended, err := lockstepRound(nodes, ctxs, rt, done, round, inboxes)
 		if err != nil {
-			return rt.res, err
+			return rt.result(), err
 		}
 		remaining -= ended
 		rt.endRound(round, active)
 	}
-	return rt.res, nil
+	return rt.result(), nil
 }
 
 // lockstepRound is one lockstep round: each live node in id order
@@ -676,7 +705,7 @@ func lockstepRound(nodes []Node, ctxs []Context, rt *router, done []bool, round 
 		s.v = v
 		outs, fin := nodes[v].Round(&ctxs[v], round, inboxes[v])
 		s.v = -1
-		if rerr := rt.route(v, outs); rerr != nil {
+		if rerr := rt.route(v, outs, &rt.all); rerr != nil {
 			return active, ended, fmt.Errorf("round %d, node %d: %w", round, v, rerr)
 		}
 		if fin {

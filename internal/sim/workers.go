@@ -10,15 +10,16 @@ import (
 
 // runWorkers executes rounds with a fixed worker pool: node Round
 // calls within a round run concurrently (they only read their own
-// state and inbox), while Init calls and all routing happen
-// sequentially in id order, so results are byte-identical to the
-// lockstep driver.
+// state and inbox), while Init calls run sequentially in id order and
+// routing fills every inbox in ascending sender id — sequentially, or
+// across Config.Shards receiver ranges (shard.go) — so results are
+// byte-identical to the lockstep driver.
 func runWorkers(e *Engine, nw *Network, nodes []Node, cfg Config) (Result, error) {
 	n := nw.N()
 	ctxs := e.contexts(nw)
 	rt := newRouter(e, nw, cfg)
 	if err := initNodes(nodes, ctxs, rt); err != nil {
-		return rt.res, err
+		return rt.result(), err
 	}
 	workers := runtime.GOMAXPROCS(0)
 	if workers > n {
@@ -47,7 +48,7 @@ func runWorkers(e *Engine, nw *Network, nodes []Node, cfg Config) (Result, error
 		panics: make([]nodePanic, workers)}
 	for round := 1; len(active) > 0; round++ {
 		if round > cfg.MaxRounds {
-			return rt.res, fmt.Errorf("%w: %d", ErrRoundLimit, cfg.MaxRounds)
+			return rt.result(), fmt.Errorf("%w: %d", ErrRoundLimit, cfg.MaxRounds)
 		}
 		inboxes := rt.startRound(round)
 		activeCount := len(active)
@@ -92,26 +93,12 @@ func runWorkers(e *Engine, nw *Network, nodes []Node, cfg Config) (Result, error
 				break
 			}
 		}
-		// Deliver the round's sends. The sharded path (shard.go) routes
-		// concurrently across receiver ranges after a validation
-		// prepass; it declines rounds containing any node panic or
-		// protocol violation, and those are routed by the sequential
-		// reference loop below, which reproduces the exact partial
-		// statistics and error attribution of a sequential run (the
-		// prepass mutates no router output state). Both paths fill
-		// every inbox in ascending sender id, send order within a
-		// sender — the engine-wide delivery-order guarantee.
-		sharded := false
-		if shards := cfg.routingShards(); shards > 1 && rt.prepare(active, status, outs, panicked.err != nil) {
-			rt.deliverSharded(outs, shards)
-			sharded = true
+		if err := rt.routeRound(active, status, outs, panicked); err != nil {
+			return rt.result(), err
 		}
-		// Unless sharded, route sequentially in id order for
-		// determinism; a panic is surfaced for the smallest failing id,
-		// like the other drivers. The same pass compacts active in
-		// place: keep reuses active's backing array and never outruns
-		// the read cursor, so the order stays ascending and no
-		// per-round allocation happens.
+		// Compact active in place: keep reuses active's backing array
+		// and never outruns the read cursor, so the order stays
+		// ascending and no per-round allocation happens.
 		keep := active[:0]
 		for _, v := range active {
 			if status != nil {
@@ -123,14 +110,6 @@ func runWorkers(e *Engine, nw *Network, nodes []Node, cfg Config) (Result, error
 					continue // dropped from the run without a final Round
 				}
 			}
-			if !sharded {
-				if v == panicked.v {
-					return rt.res, panicked.err
-				}
-				if err := rt.route(v, outs[v]); err != nil {
-					return rt.res, fmt.Errorf("round %d, node %d: %w", round, v, err)
-				}
-			}
 			outs[v] = nil
 			if !fins[v] {
 				keep = append(keep, v)
@@ -139,7 +118,7 @@ func runWorkers(e *Engine, nw *Network, nodes []Node, cfg Config) (Result, error
 		active = keep
 		rt.endRound(round, activeCount)
 	}
-	return rt.res, nil
+	return rt.result(), nil
 }
 
 // workerRound is what a worker goroutine reads to step its chunk of a
