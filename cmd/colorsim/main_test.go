@@ -11,6 +11,10 @@ import (
 	"listcolor/internal/workload"
 )
 
+// testOptions are the flag defaults (-p 2 -eps 1 -alpha 0.5 -theta 2
+// -seed 1, -space 0).
+var testOptions = options{p: 2, eps: 1.0, alpha: 0.5, theta: 2, seed: 1}
+
 // TestRunAllAlgorithms drives every algorithm branch of the CLI's run
 // function on a small graph — the smoke test keeping the tool from
 // rotting as the library evolves.
@@ -24,11 +28,11 @@ func TestRunAllAlgorithms(t *testing.T) {
 		"degplus1", "nbhood", "edgecolor", "luby", "greedy",
 	}
 	for _, algo := range algos {
-		if err := solve(io.Discard, g, algo, 2, 1.0, 0.5, 0, 2, 1, true, adversary.Plan{}, false, listcolor.Config{}); err != nil {
+		if err := solve(io.Discard, g, algo, testOptions, true, adversary.Plan{}, false, listcolor.Config{}); err != nil {
 			t.Errorf("algo %s: %v", algo, err)
 		}
 	}
-	if err := solve(io.Discard, g, "nosuch", 2, 1.0, 0.5, 0, 2, 1, false, adversary.Plan{}, false, listcolor.Config{}); err == nil {
+	if err := solve(io.Discard, g, "nosuch", testOptions, false, adversary.Plan{}, false, listcolor.Config{}); err == nil {
 		t.Error("unknown algorithm accepted")
 	}
 }
@@ -46,11 +50,11 @@ func TestRunRepairAllAlgorithms(t *testing.T) {
 		adversary.UniformCorrupt(7, 0.10, 1, 0),
 	)
 	for _, algo := range []string{"twosweep", "fast", "csr", "degplus1", "nbhood", "luby"} {
-		if err := solve(io.Discard, g, algo, 2, 1.0, 0.5, 0, 2, 1, false, plan, true, listcolor.Config{MaxRounds: 400}); err != nil {
+		if err := solve(io.Discard, g, algo, testOptions, false, plan, true, listcolor.Config{MaxRounds: 400}); err != nil {
 			t.Errorf("repair %s: %v", algo, err)
 		}
 	}
-	if err := solve(io.Discard, g, "edgecolor", 2, 1.0, 0.5, 0, 2, 1, false, plan, true, listcolor.Config{}); err == nil {
+	if err := solve(io.Discard, g, "edgecolor", testOptions, false, plan, true, listcolor.Config{}); err == nil {
 		t.Error("-repair accepted an instance-free algorithm")
 	}
 }
@@ -86,10 +90,10 @@ func TestRunWithCongestCap(t *testing.T) {
 		t.Fatal(err)
 	}
 	// A generous cap should pass; a 1-bit cap should fail.
-	if err := solve(io.Discard, g, "linial", 2, 1.0, 0.5, 0, 2, 1, false, adversary.Plan{}, false, listcolor.Config{BandwidthBits: 64}); err != nil {
+	if err := solve(io.Discard, g, "linial", testOptions, false, adversary.Plan{}, false, listcolor.Config{BandwidthBits: 64}); err != nil {
 		t.Errorf("generous cap failed: %v", err)
 	}
-	if err := solve(io.Discard, g, "linial", 2, 1.0, 0.5, 0, 2, 1, false, adversary.Plan{}, false, listcolor.Config{BandwidthBits: 1}); err == nil {
+	if err := solve(io.Discard, g, "linial", testOptions, false, adversary.Plan{}, false, listcolor.Config{BandwidthBits: 1}); err == nil {
 		t.Error("1-bit cap passed")
 	}
 }
