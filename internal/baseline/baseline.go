@@ -295,54 +295,17 @@ func popcount(x int) int {
 	return c
 }
 
-// SelectBruteForceCounter is SelectBruteForce reading k from the
-// kernel Counter instead of a map. Mask enumeration, scoring order and
-// ops accounting are identical, so for any k with the same contents
-// the two return the same Selection — the differential tests in
-// internal/twosweep pin that equivalence.
-func SelectBruteForceCounter(list, defects []int, k *palette.Counter, p int) Selection {
-	if len(list) > 24 {
-		panic("baseline: brute-force subset search infeasible beyond 24 colors")
-	}
-	want := p
-	if len(list) < want {
-		want = len(list)
-	}
-	var ops int64
-	best := Selection{Value: -1 << 62}
-	for mask := 1; mask < 1<<uint(len(list)); mask++ {
-		ops++
-		if popcount(mask) != want {
-			continue
-		}
-		value := 0
-		for i := 0; i < len(list); i++ {
-			ops++
-			if mask&(1<<uint(i)) != 0 {
-				value += defects[i] + 1 - k.Get(list[i])
-			}
-		}
-		if value > best.Value {
-			best.Value = value
-			best.Colors = best.Colors[:0]
-			for i := 0; i < len(list); i++ {
-				if mask&(1<<uint(i)) != 0 {
-					best.Colors = append(best.Colors, list[i])
-				}
-			}
-		}
-	}
-	sort.Ints(best.Colors)
-	best.Ops = ops
-	return best
-}
-
-// SubsetSelector adapts SelectBruteForceCounter to the Phase-I
-// selector signature used by the twosweep package, so the full
-// Two-Sweep algorithm can be run end-to-end in the
-// exponential-local-computation regime of [MT20, FK23a] for
-// comparison (benchmark E15).
+// SubsetSelector adapts SelectBruteForce to the Phase-I selector
+// signature used by the twosweep package, so the full Two-Sweep
+// algorithm can be run end-to-end in the exponential-local-computation
+// regime of [MT20, FK23a] for comparison (benchmark E15). It copies
+// the counts of the list's colors out of the kernel Counter into the
+// map SelectBruteForce reads; the copy is not counted in Ops.
 func SubsetSelector(list, defects []int, k *palette.Counter, p int, scratch *palette.SelectScratch) ([]int, int64) {
-	sel := SelectBruteForceCounter(list, defects, k, p)
+	km := make(map[int]int, len(list))
+	for _, x := range list {
+		km[x] = k.Get(x)
+	}
+	sel := SelectBruteForce(list, defects, km, p)
 	return sel.Colors, sel.Ops
 }

@@ -115,24 +115,9 @@ func MinSlackOriented(d *graph.Digraph, space, p int, eps float64, rng *rand.Ran
 // min(space, max(1, ⌈S·deg(v)⌉+1)) capped at space, and the defect
 // budget is ⌊S·deg(v)⌋ + 1 (at least the list size).
 func WithSlack(g *graph.Graph, space int, s float64, rng *rand.Rand) *Instance {
-	n := g.N()
-	in := &Instance{Lists: make([][]int, n), Defects: make([][]int, n), Space: space}
-	for v := 0; v < n; v++ {
-		budget := int(s*float64(g.Degree(v))) + 1
-		k := budget
-		if k > space {
-			k = space
-		}
-		if k < 1 {
-			k = 1
-		}
-		if budget < k {
-			budget = k
-		}
-		in.Lists[v] = SampleColors(space, k, rng)
-		in.Defects[v] = distributeBudget(k, budget, rng)
-	}
-	return in
+	return withBudgets(g.N(), space, rng, func(v int) int {
+		return int(s*float64(g.Degree(v))) + 1
+	})
 }
 
 // WithOrientedSlack returns an OLDC instance whose slack mass at every
@@ -141,22 +126,21 @@ func WithSlack(g *graph.Graph, space int, s float64, rng *rand.Rand) *Instance {
 // random colors. This is the workload shape for Theorem 1.2
 // (S = 3√C).
 func WithOrientedSlack(d *graph.Digraph, space int, s float64, rng *rand.Rand) *Instance {
-	n := d.N()
+	return withBudgets(d.N(), space, rng, func(v int) int {
+		return int(math.Ceil(s*float64(d.Outdeg(v)))) + 1
+	})
+}
+
+// withBudgets returns an instance over n nodes in which node v, in id
+// order, samples a list of budget(v) colors, clamped to [1, space], and
+// spreads max(budget(v), list size) defect over it.
+func withBudgets(n, space int, rng *rand.Rand, budget func(v int) int) *Instance {
 	in := &Instance{Lists: make([][]int, n), Defects: make([][]int, n), Space: space}
 	for v := 0; v < n; v++ {
-		budget := int(math.Ceil(s*float64(d.Outdeg(v)))) + 1
-		k := budget
-		if k > space {
-			k = space
-		}
-		if k < 1 {
-			k = 1
-		}
-		if budget < k {
-			budget = k
-		}
+		b := budget(v)
+		k := max(min(b, space), 1)
 		in.Lists[v] = SampleColors(space, k, rng)
-		in.Defects[v] = distributeBudget(k, budget, rng)
+		in.Defects[v] = distributeBudget(k, max(b, k), rng)
 	}
 	return in
 }

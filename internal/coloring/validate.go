@@ -41,43 +41,33 @@ type Adjacency interface {
 // ValidateOLDC checks an oriented list defective coloring: every node
 // v must have at most d_v(colors[v]) out-neighbors with its color.
 func ValidateOLDC(d Orientation, in *Instance, colors []int) error {
-	if err := checkColorsInLists(in, colors); err != nil {
-		return err
-	}
-	for v := 0; v < in.N(); v++ {
-		allowed, _ := in.DefectOf(v, colors[v])
-		conflicts := 0
-		for _, u := range d.Out(v) {
-			if colors[u] == colors[v] {
-				conflicts++
-			}
-		}
-		if conflicts > allowed {
-			return fmt.Errorf("%w: node %d color %d has %d conflicting out-neighbors > defect %d",
-				ErrViolation, v, colors[v], conflicts, allowed)
-		}
-	}
-	return nil
+	return validateDefects(in, colors, d.Out, "out-neighbors")
 }
 
 // ValidateListDefective checks a (plain) list defective coloring:
 // every node v must have at most d_v(colors[v]) neighbors with its
 // color.
 func ValidateListDefective(g Topology, in *Instance, colors []int) error {
+	return validateDefects(in, colors, g.Neighbors, "neighbors")
+}
+
+// validateDefects checks that every node v has at most d_v(colors[v])
+// nodes of its color among rows(v), which the error calls what.
+func validateDefects(in *Instance, colors []int, rows func(v int) []int, what string) error {
 	if err := checkColorsInLists(in, colors); err != nil {
 		return err
 	}
 	for v := 0; v < in.N(); v++ {
 		allowed, _ := in.DefectOf(v, colors[v])
 		conflicts := 0
-		for _, u := range g.Neighbors(v) {
+		for _, u := range rows(v) {
 			if colors[u] == colors[v] {
 				conflicts++
 			}
 		}
 		if conflicts > allowed {
-			return fmt.Errorf("%w: node %d color %d has %d conflicting neighbors > defect %d",
-				ErrViolation, v, colors[v], conflicts, allowed)
+			return fmt.Errorf("%w: node %d color %d has %d conflicting %s > defect %d",
+				ErrViolation, v, colors[v], conflicts, what, allowed)
 		}
 	}
 	return nil

@@ -316,31 +316,36 @@ func PowerLaw(n, k int, rng *rand.Rand) *Graph {
 // workload for the Section 4 algorithms: a proper vertex coloring of
 // L(g) is an edge coloring of g.
 func LineGraph(g *Graph) (lg *Graph, edgeOf [][2]int) {
-	g.Normalize()
 	edgeOf = g.Edges()
-	index := make(map[[2]int]int, len(edgeOf))
-	for i, e := range edgeOf {
-		index[e] = i
+	sets := make([][]int, len(edgeOf))
+	for i := range edgeOf {
+		sets[i] = edgeOf[i][:]
 	}
-	lg = New(len(edgeOf))
-	edgeKey := func(a, b int) [2]int {
-		if a > b {
-			a, b = b, a
+	return IntersectionGraph(g.n, sets), edgeOf
+}
+
+// IntersectionGraph returns the graph with one vertex per set of
+// vertices in [0, n), two adjacent iff their sets intersect: the line
+// graph of the hypergraph whose hyperedges are sets (LineGraph for a
+// graph's edges, hypergraph.LineGraph for rank r). Sets are bucketed
+// by vertex, and the sets sharing a bucket are made pairwise adjacent.
+func IntersectionGraph(n int, sets [][]int) *Graph {
+	lg := New(len(sets))
+	byVertex := make([][]int, n)
+	for i, set := range sets {
+		for _, v := range set {
+			byVertex[v] = append(byVertex[v], i)
 		}
-		return [2]int{a, b}
 	}
-	for v := 0; v < g.n; v++ {
-		nb := g.adj[v]
-		for i := 0; i < len(nb); i++ {
-			for j := i + 1; j < len(nb); j++ {
-				e1 := index[edgeKey(v, nb[i])]
-				e2 := index[edgeKey(v, nb[j])]
-				lg.MustAddEdge(e1, e2)
+	for _, bucket := range byVertex {
+		for i := 0; i < len(bucket); i++ {
+			for j := i + 1; j < len(bucket); j++ {
+				lg.MustAddEdge(bucket[i], bucket[j])
 			}
 		}
 	}
 	lg.Normalize()
-	return lg, edgeOf
+	return lg
 }
 
 // Disjoint union: Union returns the disjoint union of the given

@@ -106,14 +106,7 @@ func (o *Overlay) Degree(v int) int { return len(o.Neighbors(v)) }
 
 // HasEdge reports whether the edge {u, v} is present, by binary search
 // on u's current row.
-func (o *Overlay) HasEdge(u, v int) bool {
-	if u < 0 || u >= o.n || v < 0 || v >= o.n || u == v {
-		return false
-	}
-	row := o.Neighbors(u)
-	i := searchInts(row, v)
-	return i < len(row) && row[i] == v
-}
+func (o *Overlay) HasEdge(u, v int) bool { return hasEdge(o.n, u, v, o.Neighbors) }
 
 // link stores a version of v holding adj, made in the current
 // generation, as v's newest version ahead of prev.

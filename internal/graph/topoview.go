@@ -87,13 +87,17 @@ func (t *TopoView) Degree(v int) int { return len(t.Row(v)) }
 
 // HasEdge reports whether {u, v} is present at the view's version, by
 // binary search on u's row.
-func (t *TopoView) HasEdge(u, v int) bool {
-	if u < 0 || u >= t.n || v < 0 || v >= t.n || u == v {
+func (t *TopoView) HasEdge(u, v int) bool { return hasEdge(t.n, u, v, t.row) }
+
+// hasEdge reports whether u ≠ v are both in [0, n) and v is in u's
+// sorted row, read by row: the edge query of Overlay and TopoView.
+func hasEdge(n, u, v int, row func(int) []int) bool {
+	if u < 0 || u >= n || v < 0 || v >= n || u == v {
 		return false
 	}
-	row := t.Row(u)
-	i := searchInts(row, v)
-	return i < len(row) && row[i] == v
+	r := row(u)
+	i := searchInts(r, v)
+	return i < len(r) && r[i] == v
 }
 
 // patchRow is a patched vertex and its row at the view's version.

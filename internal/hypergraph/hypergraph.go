@@ -100,23 +100,7 @@ func (h *Hypergraph) VertexDegree(v int) int {
 // contain one of e's ≤ r vertices, and hyperedges sharing a vertex are
 // mutually adjacent, so e's neighborhood is covered by r cliques.
 func (h *Hypergraph) LineGraph() *graph.Graph {
-	lg := graph.New(len(h.edges))
-	// Bucket hyperedges by vertex: edges sharing a bucket are adjacent.
-	byVertex := make([][]int, h.n)
-	for i, e := range h.edges {
-		for _, v := range e {
-			byVertex[v] = append(byVertex[v], i)
-		}
-	}
-	for _, bucket := range byVertex {
-		for i := 0; i < len(bucket); i++ {
-			for j := i + 1; j < len(bucket); j++ {
-				lg.MustAddEdge(bucket[i], bucket[j])
-			}
-		}
-	}
-	lg.Normalize()
-	return lg
+	return graph.IntersectionGraph(h.n, h.edges)
 }
 
 // RandomRegularRank returns a random hypergraph where every hyperedge

@@ -88,9 +88,9 @@ func TestSortSelectorMatchesMapReference(t *testing.T) {
 }
 
 // TestSubsetSelectorMatchesMapReference does the same for the
-// exhaustive subset search: SelectBruteForceCounter (what
-// SubsetSelector runs on) against the retained map-based
-// SelectBruteForce.
+// exhaustive subset search: SubsetSelector, which copies the kernel
+// Counter into a map, against SelectBruteForce called on the map
+// directly.
 func TestSubsetSelectorMatchesMapReference(t *testing.T) {
 	lists := [][]int{
 		{0},

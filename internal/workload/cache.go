@@ -38,8 +38,8 @@ type Key struct {
 // values are shared under the same contract.
 type Cache struct {
 	mu      sync.Mutex
-	builds  map[Key]*buildEntry
-	derived map[derivedKey]*derivedEntry
+	builds  map[Key]*entry
+	derived map[derivedKey]*entry
 
 	hits        atomic.Int64
 	misses      atomic.Int64
@@ -47,9 +47,11 @@ type Cache struct {
 	derivedMiss atomic.Int64
 }
 
-type buildEntry struct {
+// entry is one memoized value: a family build (a *graph.Graph and its
+// error) or a derived value.
+type entry struct {
 	once sync.Once
-	g    *graph.Graph
+	v    any
 	err  error
 }
 
@@ -58,9 +60,33 @@ type derivedKey struct {
 	name string
 }
 
-type derivedEntry struct {
-	once sync.Once
-	v    any
+// memo returns the value of key k in *m, running build on first use
+// and counting the call in hits or misses. Two concurrent requests for
+// the same key build once: the entry is claimed under the cache lock
+// and built under a per-entry once, so a slow build never blocks
+// unrelated keys.
+func memo[K comparable](c *Cache, m *map[K]*entry, k K, hits, misses *atomic.Int64, build func() (any, error)) (any, error) {
+	c.mu.Lock()
+	if *m == nil {
+		*m = make(map[K]*entry)
+	}
+	e, ok := (*m)[k]
+	if !ok {
+		e = &entry{}
+		(*m)[k] = e
+	}
+	c.mu.Unlock()
+	hit := true
+	e.once.Do(func() {
+		hit = false
+		e.v, e.err = build()
+	})
+	if hit {
+		hits.Add(1)
+	} else {
+		misses.Add(1)
+	}
+	return e.v, e.err
 }
 
 // NewCache returns an empty cache.
@@ -91,40 +117,21 @@ func (c *Cache) Counters() Counters {
 }
 
 // Build returns the graph of the named family under p, generating it
-// on first use and sharing the normalized result afterwards. Two
-// concurrent requests for the same key generate once: the entry is
-// claimed under the cache lock and built under a per-entry once, so a
-// slow generator never blocks unrelated keys. A nil cache builds
-// directly.
+// on first use and sharing the normalized result afterwards; concurrent
+// requests for the same key generate once. A nil cache builds directly.
 func (c *Cache) Build(family string, p Params) (*graph.Graph, error) {
 	if c == nil {
 		return Build(family, p)
 	}
-	k := Key{Family: family, Params: p}
-	c.mu.Lock()
-	if c.builds == nil {
-		c.builds = make(map[Key]*buildEntry)
-	}
-	e, ok := c.builds[k]
-	if !ok {
-		e = &buildEntry{}
-		c.builds[k] = e
-	}
-	c.mu.Unlock()
-	hit := true
-	e.once.Do(func() {
-		hit = false
-		e.g, e.err = Build(family, p)
-		if e.g != nil {
-			e.g.Normalize() // freeze before sharing: every later Normalize is a no-op read
+	v, err := memo(c, &c.builds, Key{Family: family, Params: p}, &c.hits, &c.misses, func() (any, error) {
+		g, err := Build(family, p)
+		if g != nil {
+			g.Normalize() // freeze before sharing: every later Normalize is a no-op read
 		}
+		return g, err
 	})
-	if hit {
-		c.hits.Add(1)
-	} else {
-		c.misses.Add(1)
-	}
-	return e.g, e.err
+	g, _ := v.(*graph.Graph)
+	return g, err
 }
 
 // Derived memoizes a value computed from a shared graph — an
@@ -139,28 +146,10 @@ func (c *Cache) Derived(g *graph.Graph, name string, build func() any) any {
 	if c == nil {
 		return build()
 	}
-	k := derivedKey{g: g, name: name}
-	c.mu.Lock()
-	if c.derived == nil {
-		c.derived = make(map[derivedKey]*derivedEntry)
-	}
-	e, ok := c.derived[k]
-	if !ok {
-		e = &derivedEntry{}
-		c.derived[k] = e
-	}
-	c.mu.Unlock()
-	hit := true
-	e.once.Do(func() {
-		hit = false
-		e.v = build()
+	v, _ := memo(c, &c.derived, derivedKey{g: g, name: name}, &c.derivedHits, &c.derivedMiss, func() (any, error) {
+		return build(), nil
 	})
-	if hit {
-		c.derivedHits.Add(1)
-	} else {
-		c.derivedMiss.Add(1)
-	}
-	return e.v
+	return v
 }
 
 // Len returns how many distinct family builds the cache holds.
