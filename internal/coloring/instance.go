@@ -78,17 +78,22 @@ func (in *Instance) SlackSum(v int) int {
 	return s
 }
 
-// BlockWeight returns W_{v,block} = Σ_{x ∈ L_v ∩ [lo, lo+size)} (d_v(x)+1),
-// the slack mass of v's colors in one block of a color-space split
-// (Lemmas 3.5 and 4.5).
-func (in *Instance) BlockWeight(v, lo, size int) int {
-	w := 0
+// BlockWeights sets w[i] = W_{v,i} = Σ_{x ∈ L_v ∩ [lo+i·size, lo+(i+1)·size)} (d_v(x)+1)
+// for every block i < len(w): the slack masses of v's colors in the
+// blocks of a color-space split (Lemmas 3.5 and 4.5), filled in one
+// pass over v's list.
+func (in *Instance) BlockWeights(v, lo, size int, w []int) {
+	clear(w)
 	for i, x := range in.Lists[v] {
-		if x >= lo && x < lo+size {
-			w += in.Defects[v][i] + 1
+		if x < lo {
+			continue
 		}
+		blk := (x - lo) / size
+		if blk >= len(w) {
+			break // the list is sorted: every later color is past the last block
+		}
+		w[blk] += in.Defects[v][i] + 1
 	}
-	return w
 }
 
 // Slack returns the instance slack at v per Definition 1.1:

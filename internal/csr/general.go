@@ -108,9 +108,10 @@ func reduceSpace(e *sim.Engine, lambda int, kappa float64, a Solver, d *graph.Or
 func solveChoice(e *sim.Engine, a Solver, d *graph.Oriented, inst *coloring.Instance, initColors []int, q int, grp group, choice *flatInstance, subSize int, kappa, levelsBelow float64) ([]group, sim.Result, error) {
 	weightDiv := math.Pow(kappa, levelsBelow) // κ^{j-1}
 	lambda := choice.Space
+	weights := choice.weights[:lambda]
 	for i, v := range grp.nodes {
-		for blk := 0; blk < lambda; blk++ {
-			w := inst.BlockWeight(v, grp.blockLo+blk*subSize, subSize)
+		inst.BlockWeights(v, grp.blockLo, subSize, weights)
+		for blk, w := range weights {
 			if w == 0 {
 				continue // empty block: not a valid choice
 			}
@@ -173,6 +174,7 @@ func solveBase(e *sim.Engine, a Solver, d *graph.Oriented, inst *coloring.Instan
 type flatInstance struct {
 	coloring.Instance
 	lists, defects []int
+	weights        []int // one node's λ block weights, for a block choice
 }
 
 // reset empties f for n nodes of a λ-color space and returns it.
@@ -185,6 +187,9 @@ func (f *flatInstance) reset(n, lambda int) *flatInstance {
 	clear(f.Defects)
 	if len(f.lists) < n*lambda {
 		f.lists, f.defects = make([]int, n*lambda), make([]int, n*lambda)
+	}
+	if len(f.weights) < lambda {
+		f.weights = make([]int, lambda)
 	}
 	return f
 }

@@ -102,14 +102,15 @@ func (s *solver) spaceReduce(e *sim.Engine, g *graph.CSR, inst *coloring.Instanc
 		Defects: make([][]int, n),
 		Space:   p,
 	}
+	weights := make([]int, p)
 	for v := 0; v < n; v++ {
 		w := inst.SlackSum(v)
 		if w <= 2*sigma*g.Degree(v) {
 			return coloring.ArbResult{}, sim.Result{}, fmt.Errorf("%w: node %d has Σ(d+1)=%d ≤ 2σ·deg=%d (Lemma 4.5)",
 				ErrSlack, v, w, 2*sigma*g.Degree(v))
 		}
-		for blk := 0; blk < p; blk++ {
-			wi := inst.BlockWeight(v, blk*blockSize, blockSize)
+		inst.BlockWeights(v, 0, blockSize, weights)
+		for blk, wi := range weights {
 			if wi == 0 {
 				continue
 			}
