@@ -610,8 +610,8 @@ func NewServiceHandlerWithOptions(s *ColorService, opts ServiceHandlerOptions) h
 }
 
 // ServiceChaosConfig parameterizes the crash/corruption kill-point
-// matrix (colord -chaos): instance shape, script length, number of
-// seed-derived kill points, checkpoint cadence.
+// matrix (colord -chaos): the number of seed-derived kill points, the
+// seed, the data directory and a progress log.
 type ServiceChaosConfig = service.ChaosConfig
 
 // ServiceChaosReport is the matrix verdict: points run, per-damage-mode

@@ -342,7 +342,7 @@ func TestPublicDurableService(t *testing.T) {
 }
 
 func TestPublicServiceChaos(t *testing.T) {
-	rep, err := RunServiceChaos(ServiceChaosConfig{Seed: 2, Points: 4, Batches: 8})
+	rep, err := RunServiceChaos(ServiceChaosConfig{Seed: 2, Points: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

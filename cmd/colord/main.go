@@ -65,7 +65,6 @@ func run(ctx context.Context, args []string, out, errw io.Writer) int {
 		seed      = fs.Int64("seed", 1, "graph, churn and chaos seed")
 		headroom  = fs.Int("headroom", 4, "palette size = max degree + headroom (shared full-palette lists)")
 		defect    = fs.Int("defect", 0, "defect budget per list color")
-		budget    = fs.Int("budget", 0, "repair round budget per batch (0 = 2n+16)")
 		compact   = fs.Int("compact", 0, "overlay compaction threshold in patched vertices (0 = max(1024, n/8))")
 		addr      = fs.String("addr", ":8080", "HTTP listen address (server mode)")
 		pprofAddr = fs.String("pprof", "", "expose net/http/pprof on this address (e.g. localhost:6060; empty = off)")
@@ -116,7 +115,6 @@ func run(ctx context.Context, args []string, out, errw io.Writer) int {
 		{"max-body", "≥ 1", *maxBody >= 1},
 		{"request-timeout", "> 0", *reqTO > 0},
 		{"drain", "≥ 0", *drainTO >= 0},
-		{"budget", "≥ 0", *budget >= 0},
 		{"compact", "≥ 0", *compact >= 0},
 		{"defect", "≥ 0", *defect >= 0},
 	} {
@@ -147,10 +145,7 @@ func run(ctx context.Context, args []string, out, errw io.Writer) int {
 	if space < 3 {
 		space = 3
 	}
-	opts := service.Options{
-		RoundBudget:      *budget,
-		CompactThreshold: *compact,
-	}
+	opts := service.Options{CompactThreshold: *compact}
 	dopts := service.DurableOptions{
 		Dir:             *dataDir,
 		Sync:            syncMode,

@@ -233,7 +233,6 @@ func TestRunFlagErrors(t *testing.T) {
 		{"-max-body", "-1"}, {"-max-body", "0"},
 		{"-request-timeout", "-1s"}, {"-request-timeout", "0s"},
 		{"-drain", "-1s"},
-		{"-budget", "-7"},
 		{"-compact", "-9"},
 		{"-defect", "-1"},
 	} {

@@ -26,43 +26,27 @@ import (
 	"listcolor/internal/graph"
 )
 
+// The chaos matrix churns a ring of chaosNodes vertices with a script
+// of chaosBatches batches of chaosBatchSize ops, checkpointing every
+// chaosCheckpointEvery batches — a deliberately odd cadence so kills
+// land on every phase of it.
+const (
+	chaosNodes           = 64
+	chaosBatches         = 24
+	chaosBatchSize       = 8
+	chaosCheckpointEvery = 7
+)
+
 // ChaosConfig sizes the chaos matrix.
 type ChaosConfig struct {
-	// Nodes is the ring size of the churned graph; 0 means 64.
-	Nodes int
-	// Batches is the script length; 0 means 24.
-	Batches int
-	// BatchSize is ops per batch; 0 means 8.
-	BatchSize int
 	// Points is the kill-point count; 0 means 200.
 	Points int
 	// Seed drives the script and the kill schedule.
 	Seed int64
-	// CheckpointEvery is the durable checkpoint cadence; 0 means 7 (a
-	// deliberately odd cadence so kills land on every phase of it).
-	CheckpointEvery int
 	// Dir hosts the per-point data dirs; "" means a temp dir.
 	Dir string
 	// Log, when set, receives per-point progress lines.
 	Log func(format string, args ...any)
-}
-
-func (c *ChaosConfig) defaults() {
-	if c.Nodes == 0 {
-		c.Nodes = 64
-	}
-	if c.Batches == 0 {
-		c.Batches = 24
-	}
-	if c.BatchSize == 0 {
-		c.BatchSize = 8
-	}
-	if c.Points == 0 {
-		c.Points = 200
-	}
-	if c.CheckpointEvery == 0 {
-		c.CheckpointEvery = 7
-	}
 }
 
 // ChaosReport is the matrix outcome: how many points ran per mode and
@@ -268,12 +252,14 @@ func referenceRun(base *graph.CSR, inst *coloring.Instance, script [][]Op) ([]Re
 // non-nil error describes the first differential failure (the report
 // still counts the rest).
 func RunChaos(cfg ChaosConfig) (ChaosReport, error) {
-	cfg.defaults()
+	if cfg.Points == 0 {
+		cfg.Points = 200
+	}
 	rep := ChaosReport{PerMode: map[string]int{}}
-	base := graph.StreamedRing(cfg.Nodes)
+	base := graph.StreamedRing(chaosNodes)
 	inst := slackInstance(base)
-	script := chaosScript(base, cfg.Batches, cfg.BatchSize, cfg.Seed)
-	plan := adversary.NewChaosPlan(cfg.Seed, cfg.Batches, cfg.Points)
+	script := chaosScript(base, chaosBatches, chaosBatchSize, cfg.Seed)
+	plan := adversary.NewChaosPlan(cfg.Seed, chaosBatches, cfg.Points)
 	if err := plan.Validate(); err != nil {
 		return rep, err
 	}
@@ -297,7 +283,7 @@ func RunChaos(cfg ChaosConfig) (ChaosReport, error) {
 		rep.PerMode[string(pt.Mode)]++
 		dir := filepath.Join(root, fmt.Sprintf("pt-%04d", pi))
 		info, err := runChaosPoint(pt, base, inst, script, refs,
-			DurableOptions{Dir: dir, Sync: SyncBatch, CheckpointEvery: cfg.CheckpointEvery})
+			DurableOptions{Dir: dir, Sync: SyncBatch, CheckpointEvery: chaosCheckpointEvery})
 		os.RemoveAll(dir)
 		if info != nil {
 			if info.Tail != nil {

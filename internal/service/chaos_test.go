@@ -35,11 +35,11 @@ func TestRunChaosMatrix(t *testing.T) {
 // TestRunChaosDeterministic: the same seed yields the same report —
 // the whole matrix is a pure function of its config.
 func TestRunChaosDeterministic(t *testing.T) {
-	a, err := RunChaos(ChaosConfig{Seed: 9, Points: 8, Batches: 10})
+	a, err := RunChaos(ChaosConfig{Seed: 9, Points: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunChaos(ChaosConfig{Seed: 9, Points: 8, Batches: 10})
+	b, err := RunChaos(ChaosConfig{Seed: 9, Points: 8})
 	if err != nil {
 		t.Fatal(err)
 	}

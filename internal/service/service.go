@@ -76,11 +76,9 @@ type Op struct {
 // reports the index. Unwrap for the cause.
 var ErrOp = errors.New("service: bad operation")
 
-// Options tunes a Service.
+// Options tunes a Service. Repair runs within repair.DefaultBudget(n)
+// rounds per batch.
 type Options struct {
-	// RoundBudget caps repair rounds per batch; 0 means
-	// repair.DefaultBudget(n).
-	RoundBudget int
 	// CompactThreshold is the patched-vertex count that triggers
 	// overlay compaction after a batch; 0 means max(1024, n/8).
 	CompactThreshold int
@@ -264,7 +262,7 @@ func New(base *graph.CSR, inst *coloring.Instance, colors []int, opts Options) (
 		}
 		s.colors = append([]int(nil), colors...)
 	}
-	hr := repair.Heal(s.ov, s.inst, s.colors, repair.HealOptions{RoundBudget: opts.RoundBudget, Scratch: &s.heal})
+	hr := repair.Heal(s.ov, s.inst, s.colors, repair.HealOptions{Scratch: &s.heal})
 	if !hr.Converged {
 		return nil, fmt.Errorf("service: initial coloring does not heal (%d hard nodes left)", hr.Hard)
 	}
@@ -430,7 +428,7 @@ func (s *Service) ApplyBatch(ops []Op) (BatchReport, error) {
 	// HealLocal's entry scan is the pre-repair classification of the
 	// dirty set: conflicts the defect budgets absorb outright vs hard
 	// violations repair must fix.
-	hr := repair.HealLocal(s.ov, s.inst, s.colors, seeds, repair.HealOptions{RoundBudget: s.opts.RoundBudget, Scratch: &s.heal})
+	hr := repair.HealLocal(s.ov, s.inst, s.colors, seeds, repair.HealOptions{Scratch: &s.heal})
 	rep.Dirty = hr.Seeds
 	rep.Hard = hr.Hard
 	rep.Absorbed = hr.Absorbed
