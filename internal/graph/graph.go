@@ -165,15 +165,7 @@ func (g *Graph) Edges() [][2]int {
 // MaxDegree returns Δ(G) as defined in the paper: the maximum of 2 and
 // the maximum vertex degree. (The paper's convention avoids degenerate
 // log Δ terms.)
-func (g *Graph) MaxDegree() int {
-	d := 2
-	for v := 0; v < g.n; v++ {
-		if len(g.adj[v]) > d {
-			d = len(g.adj[v])
-		}
-	}
-	return d
-}
+func (g *Graph) MaxDegree() int { return max(2, g.RawMaxDegree()) }
 
 // RawMaxDegree returns the actual maximum vertex degree (0 for an
 // empty graph), without the paper's max(2, ·) convention.
