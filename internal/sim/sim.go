@@ -549,7 +549,6 @@ func newRouter(e *Engine, nw *Network, cfg Config) *router {
 // billed once per receiving neighbor, and a dropped delivery is not
 // billed.
 func (r *router) route(v int, outs []Outgoing, p *part) error {
-	row, next := r.topo.Row(v), r.next
 	for i := range outs {
 		o := &outs[i]
 		bits := 0
@@ -561,15 +560,15 @@ func (r *router) route(v int, outs []Outgoing, p *part) error {
 		}
 		// to is the send's receivers: v's sorted row for a broadcast,
 		// the one entry naming o.To otherwise, cut to p's range.
-		to := row
+		to := r.topo.Row(v)
 		if o.To != Broadcast {
-			j, ok := slices.BinarySearch(row, o.To)
+			j, ok := slices.BinarySearch(to, o.To)
 			if !ok {
 				return fmt.Errorf("%w: node %d -> %d", ErrNotNeighbor, v, o.To)
 			}
-			to = row[j : j+1]
+			to = to[j : j+1]
 		}
-		if p.lo > 0 || p.hi < len(next) {
+		if p.lo > 0 || p.hi < len(r.next) {
 			lo, _ := slices.BinarySearch(to, p.lo)
 			hi, _ := slices.BinarySearch(to, p.hi)
 			to = to[lo:hi]
@@ -579,6 +578,7 @@ func (r *router) route(v int, outs []Outgoing, p *part) error {
 				r.deliverHooked(p, v, t, bits, o.Payload)
 			}
 		} else {
+			next := r.next
 			for _, t := range to {
 				next[t] = append(next[t], Message{From: v, Payload: o.Payload})
 			}
