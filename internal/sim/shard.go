@@ -107,22 +107,24 @@ func (r *router) routeSharded(senders []int, status []NodeStatus, outs [][]Outgo
 	var wg sync.WaitGroup
 	for i := range parts {
 		p := &parts[i]
-		p.got, p.failed = Result{}, false
 		if p.lo == p.hi {
 			continue
 		}
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			// Tally into a local copy: adjacent parts share cache lines.
+			q := part{lo: p.lo, hi: p.hi}
 			for _, v := range senders {
 				if status != nil && status[v] != NodeUp {
 					continue
 				}
-				if r.route(v, outs[v], p) != nil {
-					p.failed = true
-					return
+				if r.route(v, outs[v], &q) != nil {
+					q.failed = true
+					break
 				}
 			}
+			*p = q
 		}()
 	}
 	wg.Wait()
