@@ -533,13 +533,15 @@ func newRouter(e *Engine, nw *Network, cfg Config) *router {
 	return &e.rt
 }
 
-// route ingests the outbox of node v: it delivers the messages
-// addressed to p's receivers and bills them to p. The sequential route
-// is p = &r.all, the full range; each shard of a sharded round routes
-// its own range (shard.go). It returns an error on protocol violations
-// (non-neighbor target, bandwidth overflow), checked on every send
-// whatever p's range, so any range finds the violation the full range
-// finds.
+// route ingests the outbox of node v for the receivers of p = [lo,
+// hi): it appends each message addressed to one of them to its inbox.
+// When v lies in p, route also checks v's sends, returning an error on
+// a protocol violation (non-neighbor target, bandwidth overflow), and
+// bills them to p's tally. The sequential route is p = &r.all, the full
+// range, which holds every sender and receiver. A sharded round calls
+// route for every sender on each of its ranges (shard.go), so each send
+// is checked and billed once, by its sender's range, and each delivery
+// made once, by its receiver's.
 //
 // CONGEST accounting semantics: the bandwidth cap and the
 // MaxMessageBits statistic are properties of the *sent* message — a
@@ -547,55 +549,70 @@ func newRouter(e *Engine, nw *Network, cfg Config) *router {
 // oversized send (dropped messages consume the send). Messages and
 // TotalBits are properties of *edge deliveries* — a broadcast is
 // billed once per receiving neighbor, and a dropped delivery is not
-// billed.
+// billed. Without delivery hooks every receiver of a send gets it, so
+// the sender's range bills all of them at once, whichever range
+// delivers them.
 func (r *router) route(v int, outs []Outgoing, p *part) error {
 	for i := range outs {
 		o := &outs[i]
+		own := v >= p.lo && v < p.hi
+		hooked := r.cfg.DropMessage != nil || r.cfg.CorruptMessage != nil
 		bits := 0
-		if o.Payload != nil {
-			bits = o.Payload.SizeBits()
-		}
-		if r.cfg.BandwidthBits > 0 && bits > r.cfg.BandwidthBits {
-			return fmt.Errorf("%w: node %d sent %d bits (cap %d)", ErrBandwidth, v, bits, r.cfg.BandwidthBits)
+		if own {
+			if o.Payload != nil {
+				bits = o.Payload.SizeBits()
+			}
+			if r.cfg.BandwidthBits > 0 && bits > r.cfg.BandwidthBits {
+				return fmt.Errorf("%w: node %d sent %d bits (cap %d)", ErrBandwidth, v, bits, r.cfg.BandwidthBits)
+			}
 		}
 		// to is the send's receivers: v's sorted row for a broadcast,
-		// the one entry naming o.To otherwise, cut to p's range.
+		// the one entry naming o.To otherwise.
 		to := r.topo.Row(v)
 		if o.To != Broadcast {
 			j, ok := slices.BinarySearch(to, o.To)
 			if !ok {
+				if !own {
+					continue // v's own range reports it
+				}
 				return fmt.Errorf("%w: node %d -> %d", ErrNotNeighbor, v, o.To)
 			}
 			to = to[j : j+1]
 		}
+		if own {
+			p.got.MaxMessageBits = max(p.got.MaxMessageBits, bits)
+			if !hooked {
+				p.got.Messages += len(to)
+				p.got.TotalBits += len(to) * bits
+			}
+		}
+		if hooked {
+			for _, t := range to {
+				r.deliverHooked(p, v, t, bits, o.Payload)
+			}
+			continue
+		}
 		if p.lo > 0 || p.hi < len(r.next) {
+			if len(to) == 0 || to[0] >= p.hi || to[len(to)-1] < p.lo {
+				continue
+			}
 			lo, _ := slices.BinarySearch(to, p.lo)
 			hi, _ := slices.BinarySearch(to, p.hi)
 			to = to[lo:hi]
 		}
-		if r.cfg.DropMessage != nil || r.cfg.CorruptMessage != nil {
-			for _, t := range to {
-				r.deliverHooked(p, v, t, bits, o.Payload)
-			}
-		} else {
-			next := r.next
-			for _, t := range to {
-				next[t] = append(next[t], Message{From: v, Payload: o.Payload})
-			}
-			p.got.Messages += len(to)
-			p.got.TotalBits += len(to) * bits
-		}
-		if bits > p.got.MaxMessageBits {
-			p.got.MaxMessageBits = bits
+		next := r.next
+		for _, t := range to {
+			next[t] = append(next[t], Message{From: v, Payload: o.Payload})
 		}
 	}
 	return nil
 }
 
 // deliverHooked appends one edge-delivery to the receiving inbox being
-// filled for the next round, unless fault injection drops it. A
-// corrupted delivery replaces the payload but bills the original's
-// bits: the wire carried the full message, damaged or not.
+// filled for the next round and bills it, unless fault injection drops
+// it. A corrupted delivery replaces the payload but bills the
+// original's bits: the wire carried the full message, damaged or not.
+// Hooked rounds route only the full range (Config.Shards).
 func (r *router) deliverHooked(p *part, from, to, bits int, pl Payload) {
 	if r.cfg.DropMessage != nil && r.cfg.DropMessage(r.round, from, to) {
 		return
