@@ -14,14 +14,15 @@ package sim
 // one per-sender route over the full sender sequence, in the same
 // ascending order, restricted to its own range, reproduces exactly the
 // sequential fill of its inboxes. Broadcasts locate their in-range
-// neighbor run by binary search on the sorted CSR row. Per-shard
-// tallies are merged in fixed shard order afterwards, so totals are
-// deterministic. No locks, no message buffers, no post-hoc sorting.
+// neighbor run by binary search on the sorted CSR row. The shard
+// holding a sender checks and bills its sends, so each send is checked
+// and billed once; the tallies are merged in fixed shard order
+// afterwards, so totals are deterministic. No locks, no message
+// buffers, no post-hoc sorting.
 //
-// route checks every send whatever its range, so a protocol violation
-// fails every shard. The round is then routed again sequentially,
-// which reproduces the exact partial statistics and error text of a
-// sequential run. Rounds in which a node panicked, and rounds with a
+// A protocol violation fails the sender's shard. The round is then
+// routed again sequentially, which reproduces the exact partial
+// statistics and error text of a sequential run. Rounds in which a node panicked, and rounds with a
 // DropMessage or CorruptMessage hook, route sequentially from the
 // start (Config.Shards documents the contract); NodeDown is
 // compatible — the hook runs on the coordinator before routing, like

@@ -518,10 +518,9 @@ type router struct {
 	parts     []part // the receiver ranges of sharded routing (shard.go)
 }
 
-// part is a contiguous receiver range [lo, hi) and the traffic routed
-// into it in the round in flight: got's Messages and TotalBits count
-// its deliveries, and its MaxMessageBits is the largest message its
-// senders sent.
+// part is a contiguous receiver range [lo, hi) and the tally billed to
+// it in the round in flight: the deliveries, bits and largest size of
+// the sends of the senders it holds (route).
 type part struct {
 	lo, hi int
 	got    Result
