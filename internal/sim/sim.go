@@ -592,6 +592,8 @@ func (r *router) route(v int, outs []Outgoing, p *part) error {
 			continue
 		}
 		if p.lo > 0 || p.hi < len(r.next) {
+			// A shard keeps the receivers in its range: often none,
+			// for a sender outside it.
 			if len(to) == 0 || to[0] >= p.hi || to[len(to)-1] < p.lo {
 				continue
 			}
