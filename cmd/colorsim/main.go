@@ -395,7 +395,11 @@ func solve(w io.Writer, g *listcolor.Graph, name string, o options, analyze bool
 func runRepair(w io.Writer, g *listcolor.Graph, name string, j job, plan adversary.Plan, cfg listcolor.Config) error {
 	tgt := repair.Target{Name: name, G: g, D: j.d, Inst: j.inst, Solve: func(c listcolor.Config) ([]int, listcolor.Stats, error) {
 		out, err := j.solve(c)
-		return out.colors, sim.Seq(out.stats, out.boot), err
+		// The solver's root total leaves out the bootstrap it ran
+		// first; the root carries the total billed here instead.
+		st := sim.Seq(out.stats, out.boot)
+		c.Span.Done(st)
+		return out.colors, st, err
 	}}
 	rep, err := repair.Run(tgt, plan, repair.Options{Base: cfg})
 	if err != nil {

@@ -201,20 +201,30 @@ func (in *Instance) Restrict(keep func(v, i, x, d int) bool) *Instance {
 // MapDefects returns a copy of the instance with every defect d_v(x)
 // replaced by f(v, x, d_v(x)); colors whose new defect is negative are
 // dropped from the list (the paper's L'_v construction).
+//
+// The lists and defects are slices of two flat arrays, each capped at
+// its length, so an append to one node's list copies it.
 func (in *Instance) MapDefects(f func(v, x, d int) int) *Instance {
 	out := &Instance{
 		Lists:   make([][]int, in.N()),
 		Defects: make([][]int, in.N()),
 		Space:   in.Space,
 	}
+	size := 0
+	for _, l := range in.Lists {
+		size += len(l)
+	}
+	lists, defects := make([]int, 0, size), make([]int, 0, size)
 	for v := range in.Lists {
+		lo := len(lists)
 		for i, x := range in.Lists[v] {
-			nd := f(v, x, in.Defects[v][i])
-			if nd >= 0 {
-				out.Lists[v] = append(out.Lists[v], x)
-				out.Defects[v] = append(out.Defects[v], nd)
+			if nd := f(v, x, in.Defects[v][i]); nd >= 0 {
+				lists = append(lists, x)
+				defects = append(defects, nd)
 			}
 		}
+		hi := len(lists)
+		out.Lists[v], out.Defects[v] = lists[lo:hi:hi], defects[lo:hi:hi]
 	}
 	return out
 }

@@ -20,6 +20,8 @@ import (
 // scratch, csr's sub-instance and Linial's schedules from that engine
 // brought it to 16,436 objects and 1,264,700 bytes (16,950 and
 // 1,363,000 under the race detector); the bounds add 9% and 10%.
+// Allocating Linial's and Two-Sweep's node state once per run brought
+// it to 15,937 and 1,260,680 (16,445 and 1,354,920).
 func TestSolveAllocs(t *testing.T) {
 	const maxObjects, maxBytes = 17_900, 1_390_000
 	g := graph.RandomRegular(500, 16, rand.New(rand.NewSource(7)))

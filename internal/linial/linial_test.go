@@ -238,27 +238,51 @@ func TestReduceCongestCompliant(t *testing.T) {
 	}
 }
 
+// TestReduceDriversAgree runs reductions under every driver, the
+// workers driver also on two receiver ranges. A run's node scratch and
+// outboxes are slices of per-run arrays, and the workers driver steps
+// a round's nodes concurrently and routes their outboxes afterwards,
+// so a slot two nodes shared would show here as a disagreement (or,
+// under -race, as a race). On the G(n,p) graph the ids are already
+// within the fixed-point palette and the schedule is empty; the ring
+// reduces its ids in two proper steps, and the oriented graph in two
+// defective steps with out-neighbor conflicts (the Lemma 3.4 split's
+// protocol). Their odd node count puts a worker chunk boundary
+// between two adjacent nodes at two and at four workers.
 func TestReduceDriversAgree(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	g := graph.GNP(40, 0.2, rng)
-	ids := make([]int, g.N())
-	for v := range ids {
-		ids[v] = v
+	ring := graph.Ring(1001)
+	d := graph.OrientByID(graph.RandomRegular(1001, 6, rng))
+	runs := []struct {
+		name string
+		run  func(sim.Config) (Result, error)
+	}{
+		{"gnp from ids", func(cfg sim.Config) (Result, error) { return ColorFromIDs(g, cfg) }},
+		{"ring from ids", func(cfg sim.Config) (Result, error) { return ColorFromIDs(ring, cfg) }},
+		{"defective", func(cfg sim.Config) (Result, error) {
+			steps := DefectiveSchedule(d.N(), d.MaxBeta(), 1)
+			return ReduceOn(new(sim.Engine), sim.NewOrientedNetwork(d), graph.Vertices(d.N()), d.N(), steps, true, cfg)
+		}},
 	}
-	a, err := ColorFromIDs(g, sim.Config{Driver: sim.Lockstep})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := ColorFromIDs(g, sim.Config{Driver: sim.Workers})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for v := range a.Colors {
-		if a.Colors[v] != b.Colors[v] {
-			t.Fatalf("drivers disagree at node %d: %d vs %d", v, a.Colors[v], b.Colors[v])
+	for _, r := range runs {
+		a, err := r.run(sim.Config{Driver: sim.Lockstep})
+		if err != nil {
+			t.Fatalf("%s: %v", r.name, err)
 		}
-	}
-	if a.Stats != b.Stats {
-		t.Errorf("driver stats differ: %+v vs %+v", a.Stats, b.Stats)
+		for _, cfg := range []sim.Config{{Driver: sim.Workers}, {Driver: sim.Workers, Shards: 2}} {
+			b, err := r.run(cfg)
+			if err != nil {
+				t.Fatalf("%s: %v", r.name, err)
+			}
+			for v := range a.Colors {
+				if a.Colors[v] != b.Colors[v] {
+					t.Fatalf("%s, %d shards: drivers disagree at node %d: %d vs %d", r.name, cfg.Shards, v, a.Colors[v], b.Colors[v])
+				}
+			}
+			if a.Stats != b.Stats {
+				t.Errorf("%s, %d shards: driver stats differ: %+v vs %+v", r.name, cfg.Shards, a.Stats, b.Stats)
+			}
+		}
 	}
 }

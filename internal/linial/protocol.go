@@ -20,19 +20,22 @@ type Result struct {
 }
 
 // reduceRun is what every node of one reduction run shares: the
-// schedule, the conflict set, the scratch sizes and the output.
+// schedule, the conflict set, the scratch sizes, the output and the
+// nodes' one-entry outboxes, which a run with an empty schedule, where
+// no node sends, does not allocate.
 type reduceRun struct {
 	steps        []Step
 	avoidOut     bool // conflict set = out-neighbors (else all neighbors)
 	maxQ, maxDeg int
 	out          []int
+	sends        []sim.Outgoing // node v's outbox is entry v
 }
 
 // reduceNode executes a reduction schedule at one node. All its
-// per-round scratch is one array allocated in Init and reused: the
-// received color per neighbor rank, then the point values of its
-// polynomial, the per-point agreement counts and two coefficient
-// buffers. Steady-state rounds allocate only their outgoing messages.
+// per-round scratch is one slice of a per-run array (ReduceOn), reused
+// every round: the received color per neighbor rank, then the point
+// values of its polynomial, the per-point agreement counts and two
+// coefficient buffers. Rounds allocate only the payloads they send.
 type reduceNode struct {
 	run     *reduceRun
 	color   int
@@ -42,12 +45,19 @@ type reduceNode struct {
 var _ sim.Node = (*reduceNode)(nil)
 
 func (n *reduceNode) Init(ctx *sim.Context) []sim.Outgoing {
-	r := n.run
-	if len(r.steps) == 0 {
+	if len(n.run.steps) == 0 {
 		return nil
 	}
-	n.scratch = make([]int, len(ctx.Neighbors)+2*r.maxQ+2*(r.maxDeg+1))
-	return []sim.Outgoing{{To: sim.Broadcast, Payload: sim.IntPayload{Value: n.color, Domain: n.run.steps[0].ColorsIn}}}
+	return n.broadcast(ctx.ID, n.run.steps[0].ColorsIn)
+}
+
+// broadcast returns node id's one-entry outbox, sending its color from
+// a domain of the given size to every neighbor. The engine routes an
+// outbox before the node's next step, so every send reuses the entry.
+func (n *reduceNode) broadcast(id, domain int) []sim.Outgoing {
+	send := n.run.sends[id : id+1 : id+1]
+	send[0] = sim.Outgoing{To: sim.Broadcast, Payload: sim.IntPayload{Value: n.color, Domain: domain}}
+	return send
 }
 
 func (n *reduceNode) Round(ctx *sim.Context, round int, inbox []sim.Message) ([]sim.Outgoing, bool) {
@@ -128,7 +138,7 @@ func (n *reduceNode) Round(ctx *sim.Context, round int, inbox []sim.Message) ([]
 		r.out[ctx.ID] = n.color
 		return nil, true
 	}
-	return []sim.Outgoing{{To: sim.Broadcast, Payload: sim.IntPayload{Value: n.color, Domain: step.ColorsOut()}}}, false
+	return n.broadcast(ctx.ID, step.ColorsOut()), false
 }
 
 // ReduceOn runs the given schedule on the network, starting from the
@@ -165,8 +175,23 @@ func ReduceOn(e *sim.Engine, nw *sim.Network, colors []int, m int, steps []Step,
 	}
 	rn := make([]reduceNode, n)
 	nodes := make([]sim.Node, n)
+	// Every node's scratch is a slice of one array: its degree's worth
+	// of received colors, then a part of fixed size (two point tables
+	// of maxQ entries, two coefficient buffers of maxDeg+1), so v's
+	// starts at its CSR row offset plus v fixed parts.
+	c, fixed := nw.CSR(), 2*run.maxQ+2*(run.maxDeg+1)
+	var scratch []int
+	if len(steps) > 0 {
+		scratch = make([]int, int(c.Arcs())+n*fixed)
+		run.sends = make([]sim.Outgoing, n)
+	}
 	for v := range rn {
 		rn[v] = reduceNode{run: run, color: colors[v]}
+		if scratch != nil {
+			lo := int(c.RowStart(v)) + v*fixed
+			hi := lo + c.Degree(v) + fixed
+			rn[v].scratch = scratch[lo:hi:hi]
+		}
 		nodes[v] = &rn[v]
 	}
 	stats, err := e.Run(nw, nodes, cfg)

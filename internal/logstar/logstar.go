@@ -3,6 +3,8 @@
 // the iterated logarithm log*.
 package logstar
 
+import "math/bits"
+
 // CeilLog2 returns ⌈log₂(x)⌉ for x ≥ 1. CeilLog2(1) = 0.
 // It panics if x < 1: the algorithms never take logarithms of
 // non-positive quantities and a silent 0 would mask a slack-arithmetic
@@ -11,11 +13,7 @@ func CeilLog2(x int) int {
 	if x < 1 {
 		panic("logstar: CeilLog2 of non-positive value")
 	}
-	l := 0
-	for v := x - 1; v > 0; v >>= 1 {
-		l++
-	}
-	return l
+	return bits.Len(uint(x - 1))
 }
 
 // LogStar returns log*(x): the number of times the (real-valued) log₂

@@ -16,6 +16,27 @@ func TestCeilLog2(t *testing.T) {
 			t.Errorf("CeilLog2(%d) = %d, want %d", c.x, got, c.want)
 		}
 	}
+	// The reference: count the shifts that empty x−1.
+	shifts := func(x int) int {
+		l := 0
+		for v := x - 1; v > 0; v >>= 1 {
+			l++
+		}
+		return l
+	}
+	check := func(x int) {
+		if got, want := CeilLog2(x), shifts(x); got != want {
+			t.Fatalf("CeilLog2(%d) = %d, the shift loop gives %d", x, got, want)
+		}
+	}
+	for x := 1; x <= 1<<20; x++ {
+		check(x)
+	}
+	for k := 1; k <= 62; k++ {
+		check(1<<k - 1)
+		check(1 << k)
+		check(1<<k + 1)
+	}
 }
 
 // floorLog2 returns ⌊log₂(x)⌋ for x ≥ 1: the reference that brackets

@@ -126,7 +126,16 @@ func NewCounter(space int) *Counter {
 	if space < 0 {
 		panic("palette: negative space")
 	}
-	return &Counter{counts: make([]int32, space)}
+	c := CounterOn(make([]int32, space), nil)
+	return &c
+}
+
+// CounterOn returns a counter over [0, len(counts)) on caller-owned
+// arrays, so a run can carve every node's counter from one
+// allocation. counts must be all zero; touched's capacity is how many
+// distinct colors the counter records before Add grows it.
+func CounterOn(counts, touched []int32) Counter {
+	return Counter{counts: counts, touched: touched[:0]}
 }
 
 // Add increments the count of x by one.

@@ -4,12 +4,12 @@ import "sort"
 
 // SelectScratch is the pooled arena of one node's Phase-I sublist
 // selection: the index permutation the stable sort runs on and the
-// output color buffer. A node allocates one scratch at Init and
-// reuses it for every selection, so steady-state selection performs
-// no allocation. The slice returned by SelectTopP aliases the scratch
-// and stays valid until the next SelectTopP call — exactly the
-// lifetime the Two-Sweep protocol needs, since each node selects once
-// per run and broadcasts the result unchanged.
+// output color buffer. A node holds one scratch and reuses it for
+// every selection, so steady-state selection performs no allocation.
+// The slice returned by SelectTopP aliases the scratch and stays valid
+// until the next SelectTopP call — exactly the lifetime the Two-Sweep
+// protocol needs, since each node selects once per run and broadcasts
+// the result unchanged.
 type SelectScratch struct {
 	sorter selSorter
 	out    []int
@@ -18,6 +18,21 @@ type SelectScratch struct {
 // NewSelectScratch returns an empty scratch; buffers grow on first
 // use and are reused afterwards.
 func NewSelectScratch() *SelectScratch { return &SelectScratch{} }
+
+// SelectScratchOn returns a scratch on the caller-owned buf, so a run
+// can carve every node's scratch from one allocation: selections over
+// at most n colors that take at most len(buf)−2n of them run in buf.
+func SelectScratchOn(buf []int, n int) SelectScratch {
+	var sc SelectScratch
+	sc.carve(buf, n)
+	return sc
+}
+
+// carve lays the permutation, the scores and the output over buf, the
+// first two n long.
+func (sc *SelectScratch) carve(buf []int, n int) {
+	sc.sorter.idx, sc.sorter.scores, sc.out = buf[:n:n], buf[n:2*n:2*n], buf[2*n:2*n:len(buf)]
+}
 
 // selSorter is the sort.Interface the selection sorts through. It
 // reproduces the retained map-based reference selector
@@ -52,8 +67,7 @@ func (sc *SelectScratch) SelectTopP(list, defects []int, k *Counter, p int) ([]i
 	take := min(p, n)
 	if cap(sc.sorter.idx) < n || cap(sc.out) < take {
 		// One array backs the permutation, the scores and the output.
-		buf := make([]int, 2*n+take)
-		sc.sorter.idx, sc.sorter.scores, sc.out = buf[:n:n], buf[n:2*n:2*n], buf[2*n:2*n:2*n+take]
+		sc.carve(make([]int, 2*n+take), n)
 	}
 	idx := sc.sorter.idx[:n]
 	scores := sc.sorter.scores[:n]

@@ -68,7 +68,9 @@ type Outgoing struct {
 // is valid only for the duration of the Round call: a node that needs
 // a Message (or its From field) later must copy it. Payload values
 // themselves are sender-created and never recycled by the engine, so
-// retaining a received Payload is safe.
+// retaining a received Payload is safe. The engine is done with a
+// returned outbox before it calls the node again, so a node may
+// return the same backing array every time.
 type Node interface {
 	Init(ctx *Context) []Outgoing
 	Round(ctx *Context, round int, inbox []Message) (outbox []Outgoing, done bool)
@@ -551,7 +553,19 @@ func newRouter(e *Engine, nw *Network, cfg Config) *router {
 // billed. Without delivery hooks every receiver of a send gets it, so
 // the sender's range bills all of them at once, whichever range
 // delivers them.
+//
+// Most node steps send nothing (a sweep node acts in two rounds of its
+// 2q+1), so route is the inlinable empty-outbox test and every caller
+// pays a call only for a sender with mail.
 func (r *router) route(v int, outs []Outgoing, p *part) error {
+	if len(outs) == 0 {
+		return nil
+	}
+	return r.deliver(v, outs, p)
+}
+
+// deliver is route for a non-empty outbox.
+func (r *router) deliver(v int, outs []Outgoing, p *part) error {
 	for i := range outs {
 		o := &outs[i]
 		own := v >= p.lo && v < p.hi

@@ -28,7 +28,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"listcolor/internal/coloring"
 	"listcolor/internal/defective"
@@ -115,35 +115,42 @@ func CheckSlack(d coloring.Orientation, inst *coloring.Instance, p int, eps floa
 	return nil
 }
 
-// sweepNode is the per-node Two-Sweep state machine. All node-local
-// tables live on the palette kernel and are allocated once in Init:
-// the rounds themselves only index flat arrays and bump counters, so
-// steady-state execution performs no allocation.
+// sweepRun is what every node of one Two-Sweep run shares: the
+// parameters, the Phase-I selector and the output colors.
+type sweepRun struct {
+	q, p, space int
+	selector    Selector
+	colors      []int
+}
+
+// sweepNode is the per-node Two-Sweep state machine. A run allocates
+// all its nodes' tables at once, as slices of a few per-run arrays
+// (solveUnchecked): the rounds only index them and bump counters, so a
+// run allocates per node only the payloads it sends.
 type sweepNode struct {
-	q, p int
+	run  *sweepRun
 	init int // initial color in [0, q)
 
 	list    []int // L_v (sorted)
 	defects []int // aligned defects
 
-	nbr    palette.Index // neighbor id → dense position
-	initOf []int         // per position: neighbor's initial color (0 if never received)
-	outAt  *palette.Set  // positions that are out-neighbors
+	initOf []int // per out-neighbor position: its initial color (0 if never received)
 
 	// k counts color occurrences in the sublists of earlier
 	// out-neighbors, r the committed colors of later out-neighbors —
 	// both accumulated incrementally as the messages arrive, which is
 	// equivalent to the Algorithm 1 formulation because every relevant
-	// message is delivered no later than the round that reads it.
-	k, r    *palette.Counter
-	scratch *palette.SelectScratch
+	// message is delivered no later than the round that reads it. k is
+	// dense over the color space, as the Selector reads it; r is read
+	// only at the colors of L_v, so it counts per list position.
+	k       palette.Counter
+	r       []int32
+	scratch palette.SelectScratch
 
-	sub      []int // our S_v
-	result   *int
-	space    int
-	fail     *error
-	selector Selector
-	ops      *int64
+	sub  []int // our S_v
+	ops  int64 // the Phase-I selection's local operations
+	fail error
+	send [1]sim.Outgoing // the one-entry outbox every send reuses
 }
 
 var _ sim.Node = (*sweepNode)(nil)
@@ -155,92 +162,81 @@ type initColorPayload struct{ sim.IntPayload }
 type finalColorPayload struct{ sim.IntPayload }
 
 func (n *sweepNode) Init(ctx *sim.Context) []sim.Outgoing {
-	n.nbr = palette.NewIndex(ctx.Neighbors)
-	n.initOf = make([]int, len(ctx.Neighbors))
-	n.outAt = palette.NewSet(len(ctx.Neighbors))
-	for _, u := range ctx.Out {
-		if i, ok := n.nbr.Rank(u); ok {
-			n.outAt.Insert(i)
-		}
-	}
-	n.k = palette.NewCounter(n.space)
-	n.r = palette.NewCounter(n.space)
-	n.scratch = palette.NewSelectScratch()
-	return []sim.Outgoing{{To: sim.Broadcast, Payload: initColorPayload{sim.IntPayload{Value: n.init, Domain: n.q}}}}
+	return n.broadcast(initColorPayload{sim.IntPayload{Value: n.init, Domain: n.run.q}})
 }
 
 func (n *sweepNode) Round(ctx *sim.Context, round int, inbox []sim.Message) ([]sim.Outgoing, bool) {
 	for i := range inbox {
 		m := &inbox[i]
+		// Only out-neighbors' messages count toward k and r.
+		j, ok := slices.BinarySearch(ctx.Out, m.From)
+		if !ok {
+			continue
+		}
 		switch p := m.Payload.(type) {
 		case initColorPayload:
-			if j, ok := n.nbr.Rank(m.From); ok {
-				n.initOf[j] = p.Value
-			}
+			n.initOf[j] = p.Value
 		case finalColorPayload:
 			// r_v(x): out-neighbors from later classes committing before
 			// our Phase II turn. (Finals of smaller-init out-neighbors
 			// cannot arrive before we commit, so the guard matches the
 			// batch computation exactly.)
-			if j, ok := n.nbr.Rank(m.From); ok && n.outAt.Contains(j) && n.initOf[j] > n.init {
-				n.r.Add(p.Value)
+			if n.initOf[j] > n.init {
+				if i, ok := slices.BinarySearch(n.list, p.Value); ok {
+					n.r[i]++
+				}
 			}
 		case sim.IntsPayload:
 			// k_v(x): sublists of out-neighbors from earlier classes, all
 			// delivered no later than our own Phase I turn.
-			if j, ok := n.nbr.Rank(m.From); ok && n.outAt.Contains(j) && n.initOf[j] < n.init {
+			if n.initOf[j] < n.init {
 				for _, x := range p.Values {
 					n.k.Add(x)
 				}
 			}
 		}
 	}
+	run := n.run
 	switch {
 	case round == 2+n.init:
 		// Phase I turn: choose S_v.
 		n.chooseSub()
-		return []sim.Outgoing{{To: sim.Broadcast, Payload: sim.IntsPayload{Values: n.sub, Domain: n.space, MaxLen: n.p}}}, false
-	case round == 2*n.q+1-n.init:
+		return n.broadcast(sim.IntsPayload{Values: n.sub, Domain: run.space, MaxLen: run.p}), false
+	case round == 2*run.q+1-n.init:
 		// Phase II turn: commit to a color.
 		x, ok := n.chooseFinal()
 		if !ok {
-			*n.fail = fmt.Errorf("%w: node %d (S_v=%v)", ErrStuck, ctx.ID, n.sub)
+			n.fail = fmt.Errorf("%w: node %d (S_v=%v)", ErrStuck, ctx.ID, n.sub)
 			return nil, true
 		}
-		*n.result = x
-		return []sim.Outgoing{{To: sim.Broadcast, Payload: finalColorPayload{sim.IntPayload{Value: x, Domain: n.space}}}}, true
+		run.colors[ctx.ID] = x
+		return n.broadcast(finalColorPayload{sim.IntPayload{Value: x, Domain: run.space}}), true
 	default:
 		return nil, false
 	}
 }
 
+// broadcast returns the one-entry outbox sending p to every neighbor.
+// The engine routes an outbox before the node's next step, so every
+// send reuses the node's entry.
+func (n *sweepNode) broadcast(p sim.Payload) []sim.Outgoing {
+	n.send[0] = sim.Outgoing{To: sim.Broadcast, Payload: p}
+	return n.send[:]
+}
+
 // chooseSub computes S_v per Algorithm 1 lines 3–4 (k_v has been
 // accumulated on arrival).
 func (n *sweepNode) chooseSub() {
-	sub, ops := n.selector(n.list, n.defects, n.k, n.p, n.scratch)
-	n.sub = sub
-	*n.ops = ops
+	n.sub, n.ops = n.run.selector(n.list, n.defects, &n.k, n.run.p, &n.scratch)
 }
 
 // chooseFinal picks the first x ∈ S_v with k_v(x) + r_v(x) ≤ d_v(x)
 // (Eq. 5).
 func (n *sweepNode) chooseFinal() (int, bool) {
 	for _, x := range n.sub {
-		d, ok := defectOf(n.list, n.defects, x)
-		if !ok {
-			continue
-		}
-		if n.k.Get(x)+n.r.Get(x) <= d {
+		if i, ok := slices.BinarySearch(n.list, x); ok && n.k.Get(x)+int(n.r[i]) <= n.defects[i] {
 			return x, true
 		}
-	}
-	return 0, false
-}
-
-func defectOf(list, defects []int, x int) (int, bool) {
-	i := sort.SearchInts(list, x)
-	if i < len(list) && list[i] == x {
-		return defects[i], true
 	}
 	return 0, false
 }
@@ -269,38 +265,59 @@ func solveUnchecked(e *sim.Engine, d *graph.Oriented, inst *coloring.Instance, i
 	if d.M() == 0 {
 		return solveEdgeless(e, inst, p, sel)
 	}
-	n := d.N()
-	out := make([]int, n)
-	fails := make([]error, n)
-	opsPer := make([]int64, n)
-	nodes := make([]sim.Node, n)
+	n, space := d.N(), inst.Space
+	run := &sweepRun{q: q, p: p, space: space, selector: sel, colors: make([]int, n)}
+	// Every node's tables are slices of one array per table: the
+	// out-neighbors' initial colors (outdeg(v) entries), the k counts
+	// (space), the colors k records (at most p per out-neighbor), the
+	// r counts (|L_v|) and the selection scratch (2|L_v| + min(p, |L_v|)).
+	var arcs, marks, entries, picks int
 	for v := 0; v < n; v++ {
-		nodes[v] = &sweepNode{
-			q: q, p: p,
-			init:     initColors[v],
-			list:     inst.Lists[v],
-			defects:  inst.Defects[v],
-			space:    inst.Space,
-			result:   &out[v],
-			fail:     &fails[v],
-			selector: sel,
-			ops:      &opsPer[v],
+		od, l := d.Outdeg(v), inst.ListSize(v)
+		arcs += od
+		marks += min(p*od, space)
+		entries += l
+		picks += 2*l + min(p, l)
+	}
+	initOf, counts := make([]int, arcs), make([]int32, n*space+entries)
+	touched, scratch := make([]int32, marks), make([]int, picks)
+	sweep := make([]sweepNode, n)
+	nodes := make([]sim.Node, n)
+	for v := range sweep {
+		od, l := d.Outdeg(v), inst.ListSize(v)
+		sweep[v] = sweepNode{
+			run:     run,
+			init:    initColors[v],
+			list:    inst.Lists[v],
+			defects: inst.Defects[v],
+			initOf:  carve(&initOf, od),
+			k:       palette.CounterOn(carve(&counts, space), carve(&touched, min(p*od, space))),
+			r:       carve(&counts, l),
+			scratch: palette.SelectScratchOn(carve(&scratch, 2*l+min(p, l)), l),
 		}
+		nodes[v] = &sweep[v]
 	}
 	stats, err := e.Run(sim.NewOrientedCSRNetwork(d), nodes, cfg)
 	if err != nil {
 		return Result{}, fmt.Errorf("twosweep: %w", err)
 	}
-	for _, f := range fails {
-		if f != nil {
-			return Result{}, f
-		}
-	}
 	var ops int64
-	for _, o := range opsPer {
-		ops += o
+	for v := range sweep {
+		if f := sweep[v].fail; f != nil {
+			return Result{}, f // the smallest failing node's error
+		}
+		ops += sweep[v].ops
 	}
-	return Result{Colors: out, Stats: stats, LocalOps: ops}, nil
+	return Result{Colors: run.colors, Stats: stats, LocalOps: ops}, nil
+}
+
+// carve returns the next k entries of *buf, capped at k so that a
+// growing append copies instead of reaching the next node's entries,
+// and advances *buf past them.
+func carve[T any](buf *[]T, k int) []T {
+	s := (*buf)[:k:k]
+	*buf = (*buf)[k:]
+	return s
 }
 
 // edgelessScratch is what every node of an edgeless run shares: a
