@@ -76,6 +76,7 @@ fuzz:
 	$(GO) test -fuzz FuzzInduceCSR -fuzztime 15s ./internal/graph
 	$(GO) test -fuzz FuzzWALRecordDecode -fuzztime 15s ./internal/service
 	$(GO) test -fuzz FuzzCheckpointDecode -fuzztime 20s ./internal/service
+	$(GO) test -fuzz FuzzMod -fuzztime 15s ./internal/gf
 
 # Conformance matrix: CLI summary / heavy go-test tier (docs/TESTING.md).
 conform:

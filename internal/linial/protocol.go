@@ -20,22 +20,29 @@ type Result struct {
 }
 
 // reduceRun is what every node of one reduction run shares: the
-// schedule, the conflict set, the scratch sizes, the output and the
-// nodes' one-entry outboxes, which a run with an empty schedule, where
-// no node sends, does not allocate.
+// schedule with each step's reducer, the conflict set, the scratch
+// sizes and the output, and the run's arrays: the node structs, the
+// engine's view of them, the nodes' scratch and their one-entry
+// outboxes. ReduceOn borrows it from the calling solve's engine, so a
+// solve's later runs re-carve the arrays instead of allocating them;
+// only the output is new per run.
 type reduceRun struct {
 	steps        []Step
-	avoidOut     bool // conflict set = out-neighbors (else all neighbors)
+	mods         []gf.Mod // mods[i] reduces modulo steps[i].Q
+	avoidOut     bool     // conflict set = out-neighbors (else all neighbors)
 	maxQ, maxDeg int
 	out          []int
+	rn           []reduceNode
+	nodes        []sim.Node
+	scratch      []int
 	sends        []sim.Outgoing // node v's outbox is entry v
 }
 
 // reduceNode executes a reduction schedule at one node. All its
-// per-round scratch is one slice of a per-run array (ReduceOn), reused
+// per-round scratch is one slice of the run's scratch array, reused
 // every round: the received color per neighbor rank, then the point
-// values of its polynomial, the per-point agreement counts and two
-// coefficient buffers. Rounds allocate only the payloads they send.
+// values of its polynomial, the per-point agreement counts and one
+// digit buffer. Rounds allocate only the payloads they send.
 type reduceNode struct {
 	run     *reduceRun
 	color   int
@@ -66,14 +73,13 @@ func (n *reduceNode) Round(ctx *sim.Context, round int, inbox []sim.Message) ([]
 		r.out[ctx.ID] = n.color
 		return nil, true
 	}
-	step := r.steps[round-1]
+	step, mod := r.steps[round-1], r.mods[round-1]
 	nbr := palette.NewIndex(ctx.Neighbors) // rank over the sorted neighbors
 	deg := len(ctx.Neighbors)
 	recv := n.scratch[:deg]                                // -1 = missing
 	myVals := n.scratch[deg : deg+step.Q]                  // my polynomial at each point
 	conflicts := n.scratch[deg+r.maxQ : deg+r.maxQ+step.Q] // per-point agreement counts
-	coef := n.scratch[deg+2*r.maxQ:]
-	mineBuf, theirsBuf := coef[:len(coef)/2], coef[len(coef)/2:]
+	digits := n.scratch[deg+2*r.maxQ : deg+2*r.maxQ+step.Degree+1]
 	for i := range recv {
 		recv[i] = -1
 	}
@@ -92,20 +98,14 @@ func (n *reduceNode) Round(ctx *sim.Context, round int, inbox []sim.Message) ([]
 	if r.avoidOut {
 		avoid = ctx.Out
 	}
-	mine := gf.PolyFromIntInto(n.color, step.Q, step.Degree, mineBuf)
 	// Evaluate every conflict-relevant neighbor's polynomial at every
-	// point and pick the point with the fewest agreements with mine.
-	// Neighbors that currently share our color agree everywhere and
-	// shift every point's count equally, so they never affect the
-	// argmin — but for the proper (α=0) invariant check we must ignore
-	// them... they cannot exist when the input coloring is proper.
-	bestA, bestConflicts := 0, int(^uint(0)>>1)
-	for a := 0; a < step.Q; a++ {
-		myVals[a] = mine.Eval(a)
-	}
-	for a := range conflicts {
-		conflicts[a] = 0
-	}
+	// point and pick the point with the fewest agreements with mine. A
+	// neighbor that shares my color (after a defective step, or on a
+	// damaged run) agrees at every point: it raises every count by one
+	// and never moves the argmin.
+	mod.Digits(n.color, digits)
+	mod.Values(digits, myVals)
+	clear(conflicts)
 	for _, u := range avoid {
 		j, inNbr := nbr.Rank(u)
 		if !inNbr || recv[j] < 0 {
@@ -116,16 +116,13 @@ func (n *reduceNode) Round(ctx *sim.Context, round int, inbox []sim.Message) ([]
 			// go uncounted) and lets the validators catch any damage.
 			continue
 		}
-		theirs := gf.PolyFromIntInto(recv[j], step.Q, step.Degree, theirsBuf)
-		for a := 0; a < step.Q; a++ {
-			if theirs.Eval(a) == myVals[a] {
-				conflicts[a]++
-			}
-		}
+		mod.Digits(recv[j], digits)
+		mod.Agreements(digits, myVals, conflicts)
 	}
-	for a := 0; a < step.Q; a++ {
-		if conflicts[a] < bestConflicts {
-			bestA, bestConflicts = a, conflicts[a]
+	bestA, bestConflicts := 0, int(^uint(0)>>1)
+	for a, c := range conflicts {
+		if c < bestConflicts {
+			bestA, bestConflicts = a, c
 		}
 	}
 	// When q > d·β and the coloring is proper, a proper (AllowFrac=0)
@@ -169,32 +166,38 @@ func ReduceOn(e *sim.Engine, nw *sim.Network, colors []int, m int, steps []Step,
 			return Result{}, fmt.Errorf("linial: input coloring: %w", err)
 		}
 	}
-	run := &reduceRun{steps: steps, avoidOut: avoidOut, out: make([]int, n)}
+	run := sim.Borrow[reduceRun](e)
+	defer sim.Return(e, run)
+	run.steps, run.avoidOut, run.out = steps, avoidOut, make([]int, n)
+	run.mods, run.maxQ, run.maxDeg = run.mods[:0], 0, 0
 	for _, step := range steps {
+		run.mods = append(run.mods, gf.NewMod(step.Q))
 		run.maxQ, run.maxDeg = max(run.maxQ, step.Q), max(run.maxDeg, step.Degree)
 	}
-	rn := make([]reduceNode, n)
-	nodes := make([]sim.Node, n)
+	run.rn, run.nodes = resize(run.rn, n), resize(run.nodes, n)
 	// Every node's scratch is a slice of one array: its degree's worth
 	// of received colors, then a part of fixed size (two point tables
-	// of maxQ entries, two coefficient buffers of maxDeg+1), so v's
-	// starts at its CSR row offset plus v fixed parts.
-	c, fixed := nw.CSR(), 2*run.maxQ+2*(run.maxDeg+1)
+	// of maxQ entries, a digit buffer of maxDeg+1), so v's starts at
+	// its CSR row offset plus v fixed parts. A run with an empty
+	// schedule, where no node sends, carves none.
+	c, fixed := nw.CSR(), 2*run.maxQ+run.maxDeg+1
 	var scratch []int
 	if len(steps) > 0 {
-		scratch = make([]int, int(c.Arcs())+n*fixed)
-		run.sends = make([]sim.Outgoing, n)
+		run.scratch = resize(run.scratch, int(c.Arcs())+n*fixed)
+		run.sends = resize(run.sends, n)
+		scratch = run.scratch
 	}
-	for v := range rn {
-		rn[v] = reduceNode{run: run, color: colors[v]}
+	for v := range run.rn {
+		rn := &run.rn[v]
+		*rn = reduceNode{run: run, color: colors[v]}
 		if scratch != nil {
 			lo := int(c.RowStart(v)) + v*fixed
 			hi := lo + c.Degree(v) + fixed
-			rn[v].scratch = scratch[lo:hi:hi]
+			rn.scratch = scratch[lo:hi:hi]
 		}
-		nodes[v] = &rn[v]
+		run.nodes[v] = rn
 	}
-	stats, err := e.Run(nw, nodes, cfg)
+	stats, err := e.Run(nw, run.nodes, cfg)
 	if err != nil {
 		return Result{}, fmt.Errorf("linial: %w", err)
 	}
@@ -204,6 +207,15 @@ func ReduceOn(e *sim.Engine, nw *sim.Network, colors []int, m int, steps []Step,
 		palette = steps[len(steps)-1].ColorsOut()
 	}
 	return Result{Colors: run.out, Palette: palette, Stats: stats}, nil
+}
+
+// resize returns s with length k, reallocated only when its capacity
+// is short. Its entries are stale: the caller overwrites them.
+func resize[T any](s []T, k int) []T {
+	if cap(s) < k {
+		return make([]T, k)
+	}
+	return s[:k]
 }
 
 // ReduceProperCSR reduces a proper m-coloring of c to a proper
