@@ -181,19 +181,17 @@ func ReduceOn(e *sim.Engine, nw *sim.Network, colors []int, m int, steps []Step,
 	// its CSR row offset plus v fixed parts. A run with an empty
 	// schedule, where no node sends, carves none.
 	c, fixed := nw.CSR(), 2*run.maxQ+run.maxDeg+1
-	var scratch []int
 	if len(steps) > 0 {
 		run.scratch = resize(run.scratch, int(c.Arcs())+n*fixed)
 		run.sends = resize(run.sends, n)
-		scratch = run.scratch
 	}
 	for v := range run.rn {
 		rn := &run.rn[v]
 		*rn = reduceNode{run: run, color: colors[v]}
-		if scratch != nil {
+		if len(steps) > 0 {
 			lo := int(c.RowStart(v)) + v*fixed
 			hi := lo + c.Degree(v) + fixed
-			rn.scratch = scratch[lo:hi:hi]
+			rn.scratch = run.scratch[lo:hi:hi]
 		}
 		run.nodes[v] = rn
 	}
