@@ -23,10 +23,11 @@ import (
 // Allocating Linial's and Two-Sweep's node state once per run brought
 // it to 15,937 and 1,260,680 (16,445 and 1,354,920). Borrowing Linial's
 // run state from the engine too, so that the 500 class re-bootstraps
-// re-carve one set of arrays, brought it to 13,427 and 1,033,880
-// (about 13,950 and 1,132,000); the bounds add 10%.
+// re-carve one set of arrays, brought it to 13,427 and 1,034,100
+// (13,970 and 1,131,900); the bounds add 10% and 16%, about 6% over
+// the race detector's figures. The bytes are a mean over five solves.
 func TestSolveAllocs(t *testing.T) {
-	const maxObjects, maxBytes = 14_770, 1_140_000
+	const maxObjects, maxBytes = 14_770, 1_200_000
 	g := graph.RandomRegular(500, 16, rand.New(rand.NewSource(7)))
 	inst := coloring.DegreePlusOne(g, 33, rand.New(rand.NewSource(8)))
 	solve := func() {
@@ -38,11 +39,14 @@ func TestSolveAllocs(t *testing.T) {
 	if objs > maxObjects {
 		t.Errorf("one solve allocates %.0f objects, bound %d", objs, maxObjects)
 	}
+	const runs = 5
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	solve()
+	for range runs {
+		solve()
+	}
 	runtime.ReadMemStats(&after)
-	b := after.TotalAlloc - before.TotalAlloc
+	b := (after.TotalAlloc - before.TotalAlloc) / runs
 	if b > maxBytes {
 		t.Errorf("one solve allocates %d bytes, bound %d", b, maxBytes)
 	}
