@@ -2,6 +2,7 @@ package csr
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"slices"
@@ -192,5 +193,70 @@ func TestSolveOnEngineReusedAfterError(t *testing.T) {
 	}
 	if !slices.Equal(got.Colors, want.Colors) || got.Stats != want.Stats || got.Levels != want.Levels {
 		t.Errorf("reused engine: colors %v stats %+v, fresh engine: colors %v stats %+v", got.Colors, got.Stats, want.Colors, want.Stats)
+	}
+}
+
+// TestSolveOnEngineReusedAfterLargerSolve runs solves of several sizes
+// on one engine, larger then smaller and the reverse, under the id
+// orientation and a random one in turn, so the sub-instance borrowed
+// from the engine is re-carved for multi-node groups of other sizes
+// and its induced orientation switches form. Each solve must equal a
+// fresh engine's colors, stats, levels and span tree, whose labels
+// give every level's groups in order; the test also checks that some
+// level below the top split a group of several nodes.
+func TestSolveOnEngineReusedAfterLargerSolve(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	type solve struct {
+		d    *graph.Digraph
+		inst *coloring.Instance
+		init []int
+		q    int
+	}
+	var solves []solve
+	for _, tc := range []struct {
+		g     *graph.Graph
+		space int
+	}{
+		{graph.RandomRegular(80, 6, rng), 256},
+		{graph.GNP(30, 0.15, rng), 64},
+		{graph.RandomRegular(40, 4, rng), 100},
+		{graph.RandomRegular(80, 6, rng), 256},
+	} {
+		init, q := properColoring(t, tc.g)
+		for _, d := range []*graph.Digraph{graph.OrientByID(tc.g), graph.OrientRandom(tc.g, rng)} {
+			inst := coloring.WithOrientedSlack(d, tc.space, 3*math.Sqrt(float64(tc.space)), rng)
+			solves = append(solves, solve{d: d, inst: inst, init: init, q: q})
+		}
+	}
+	e := new(sim.Engine)
+	split := false
+	for i, s := range solves {
+		gotSpan, wantSpan := sim.NewSpan("csr"), sim.NewSpan("csr")
+		got, err := SolveOn(e, s.d.Oriented, s.inst, s.init, s.q, sim.Config{Span: gotSpan})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := SolveOn(new(sim.Engine), s.d.Oriented, s.inst, s.init, s.q, sim.Config{Span: wantSpan})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(got.Colors, want.Colors) || got.Stats != want.Stats || got.Levels != want.Levels {
+			t.Errorf("solve %d (n=%d): reused engine colors %v stats %+v levels %d, fresh engine colors %v stats %+v levels %d",
+				i, s.d.N(), got.Colors, got.Stats, got.Levels, want.Colors, want.Stats, want.Levels)
+		}
+		if g, w := gotSpan.Render(3, 0), wantSpan.Render(3, 0); g != w {
+			t.Errorf("solve %d: reused engine's span tree\n%s\nfresh engine's\n%s", i, g, w)
+		}
+		for _, level := range wantSpan.Children[1:] {
+			for _, grp := range level.Children {
+				var at, nodes int
+				if _, err := fmt.Sscanf(grp.Label, "block@%d (%d nodes)", &at, &nodes); err == nil && nodes > 1 {
+					split = true
+				}
+			}
+		}
+	}
+	if !split {
+		t.Error("no level below the top had a group of several nodes")
 	}
 }

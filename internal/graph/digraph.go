@@ -41,7 +41,7 @@ func OrientByRank(g *Graph, rank []int) (*Digraph, error) {
 			}
 		}
 	}
-	return &Digraph{Oriented: orientCSR(CSRFromGraph(g), func(u, v int) bool { return rank[u] > rank[v] }), g: g}, nil
+	return &Digraph{Oriented: orientCSR(CSRFromGraph(g), func(u, v int) bool { return rank[u] > rank[v] }, nil), g: g}, nil
 }
 
 // OrientByID orients every edge toward the smaller vertex id. It is
@@ -49,7 +49,7 @@ func OrientByRank(g *Graph, rank []int) (*Digraph, error) {
 // and examples; its out-neighbors are the prefix of each sorted row,
 // so it shares the CSR's column array (OrientCSRByID).
 func OrientByID(g *Graph) *Digraph {
-	return &Digraph{Oriented: OrientCSRByID(CSRFromGraph(g)), g: g}
+	return &Digraph{Oriented: OrientCSRByID(CSRFromGraph(g), nil), g: g}
 }
 
 // OrientRandom orients every edge in a uniformly random direction
@@ -122,7 +122,7 @@ func orientUp(g *Graph, c *CSR, up []bool) *Digraph {
 			return up[c.arc(u, v)]
 		}
 		return !up[c.arc(v, u)]
-	}), g: g}
+	}, nil), g: g}
 }
 
 // Validate checks that the orientation covers every edge of the

@@ -86,7 +86,7 @@ func TestEdgesListing(t *testing.T) {
 func TestInducedSubgraph(t *testing.T) {
 	g := Complete(5)
 	keep := []int{1, 3, 4}
-	sub := CSRFromGraph(g).Induce(keep, new(Index))
+	sub := CSRFromGraph(g).Induce(keep, new(Index), nil)
 	if sub.N() != 3 || sub.M() != 3 {
 		t.Fatalf("induced K3: n=%d m=%d", sub.N(), sub.M())
 	}
@@ -100,7 +100,7 @@ func TestInducedSubgraph(t *testing.T) {
 }
 
 func TestInducedSubgraphEmpty(t *testing.T) {
-	if sub := CSRFromGraph(Complete(4)).Induce(nil, new(Index)); sub.N() != 0 || sub.M() != 0 {
+	if sub := CSRFromGraph(Complete(4)).Induce(nil, new(Index), nil); sub.N() != 0 || sub.M() != 0 {
 		t.Error("empty induced subgraph not empty")
 	}
 }

@@ -10,7 +10,7 @@ func TestInduceDigraphBasics(t *testing.T) {
 	g := Complete(5)
 	d := OrientByID(g)
 	keep := []int{1, 3, 4}
-	sub := d.Induce(keep, new(Index))
+	sub := d.Induce(keep, new(Index), nil)
 	if sub.N() != 3 || sub.M() != 3 {
 		t.Fatalf("sub n=%d m=%d", sub.N(), sub.M())
 	}
@@ -45,7 +45,7 @@ func TestInduceDigraphQuick(t *testing.T) {
 		for v := 0; v < n; v += 2 {
 			keep = append(keep, v)
 		}
-		sub := d.Oriented.Induce(keep, new(Index))
+		sub := d.Oriented.Induce(keep, new(Index), nil)
 		if sub.Validate() != nil {
 			return false
 		}
@@ -77,7 +77,7 @@ func TestInduceDigraphQuick(t *testing.T) {
 
 func TestInduceDigraphEmpty(t *testing.T) {
 	d := OrientByID(Ring(4))
-	if sub := d.Induce(nil, new(Index)); sub.N() != 0 || sub.M() != 0 {
+	if sub := d.Induce(nil, new(Index), nil); sub.N() != 0 || sub.M() != 0 {
 		t.Error("empty induce not empty")
 	}
 }
@@ -95,7 +95,7 @@ func TestInduceRefusesUnsortedKeep(t *testing.T) {
 					t.Errorf("keep %v accepted", keep)
 				}
 			}()
-			c.Induce(keep, ix)
+			c.Induce(keep, ix, nil)
 		}()
 	}
 	for v, p := range ix.pos {

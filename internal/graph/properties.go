@@ -69,7 +69,7 @@ func NeighborhoodIndependence(g *Graph) int {
 		if len(nb) <= theta {
 			continue // cannot beat current best
 		}
-		sub := c.Induce(nb, ix).Graph()
+		sub := c.Induce(nb, ix, nil).Graph()
 		if is := IndependenceNumber(sub); is > theta {
 			theta = is
 		}
@@ -162,7 +162,7 @@ func GreedyThetaUpperBound(g *Graph) int {
 		if len(nb) <= bound {
 			continue
 		}
-		sub := c.Induce(nb, ix).Graph()
+		sub := c.Induce(nb, ix, nil).Graph()
 		// Greedily peel cliques: the number of cliques needed to cover
 		// the neighborhood upper-bounds its independence number.
 		covered := make([]bool, sub.n)

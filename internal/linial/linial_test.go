@@ -262,7 +262,7 @@ func TestReduceDriversAgree(t *testing.T) {
 		{"ring from ids", func(cfg sim.Config) (Result, error) { return ColorFromIDs(ring, cfg) }},
 		{"defective", func(cfg sim.Config) (Result, error) {
 			steps := DefectiveSchedule(d.N(), d.MaxBeta(), 1)
-			return ReduceOn(new(sim.Engine), sim.NewOrientedNetwork(d), graph.Vertices(d.N()), d.N(), steps, true, cfg)
+			return ReduceOn(new(sim.Engine), sim.NewOrientedNetwork(d), graph.Vertices(d.N(), nil), d.N(), steps, true, cfg)
 		}},
 	}
 	for _, r := range runs {

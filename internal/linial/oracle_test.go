@@ -179,13 +179,13 @@ func TestReduceMatchesOracle(t *testing.T) {
 			want, ok := oracles[[2]int{i, hook}]
 			if !ok {
 				var err error
-				want, err = oracleReduce(c.nw, graph.Vertices(c.m), c.m, c.steps, c.avoidOut, cfg.cfg)
+				want, err = oracleReduce(c.nw, graph.Vertices(c.m, nil), c.m, c.steps, c.avoidOut, cfg.cfg)
 				if err != nil {
 					t.Fatalf("%s, %s: oracle: %v", c.name, cfg.name, err)
 				}
 				oracles[[2]int{i, hook}] = want
 			}
-			got, err := ReduceOn(e, c.nw, graph.Vertices(c.m), c.m, c.steps, c.avoidOut, cfg.cfg)
+			got, err := ReduceOn(e, c.nw, graph.Vertices(c.m, nil), c.m, c.steps, c.avoidOut, cfg.cfg)
 			if err != nil {
 				t.Fatalf("%s, %s: %v", c.name, cfg.name, err)
 			}
@@ -206,7 +206,7 @@ func TestReduceMatchesOracle(t *testing.T) {
 func TestReduceOnReusedEngineAllocs(t *testing.T) {
 	const extraObjects, extraBytes = 2, 2048
 	c := graph.CSRFromGraph(graph.RandomRegular(1000, 4, rand.New(rand.NewSource(1))))
-	ids := graph.Vertices(c.N())
+	ids := graph.Vertices(c.N(), nil)
 	e := new(sim.Engine)
 	var res Result
 	run := func() {

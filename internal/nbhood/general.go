@@ -18,7 +18,9 @@ import (
 // id-orientation, whose out-degrees are bounded by the degrees).
 func OLDCAsArb(cfg sim.Config) ArbSolver {
 	return func(e *sim.Engine, g *graph.CSR, inst *coloring.Instance, base []int, q int) (coloring.ArbResult, sim.Result, error) {
-		d := graph.OrientCSRByID(g)
+		byID := sim.Borrow[idOrientation](e)
+		defer sim.Return(e, byID)
+		d := graph.OrientCSRByID(g, &byID.Oriented)
 		res, err := csr.SolveOn(e, d, inst, base, q, cfg)
 		if err != nil {
 			return coloring.ArbResult{}, sim.Result{}, fmt.Errorf("nbhood: OLDC adapter: %w", err)
@@ -34,6 +36,11 @@ func OLDCAsArb(cfg sim.Config) ArbSolver {
 		return coloring.ArbResult{Colors: res.Colors, Arcs: arcs}, res.Stats, nil
 	}
 }
+
+// idOrientation is the orientation by id OLDCAsArb gives each graph
+// it solves, borrowed from the solve's engine so that its split
+// offsets are re-carved from class to class.
+type idOrientation struct{ graph.Oriented }
 
 // GeneralArb2Solver returns a slack-2 list arbdefective solver that
 // works on EVERY graph (no neighborhood-independence assumption): it

@@ -138,7 +138,7 @@ func DefectiveFromArb(e *sim.Engine, g *graph.CSR, inst *coloring.Instance, base
 			}
 		}
 		if len(members) > 0 {
-			sub, orig := g.Induce(members, &e.Index), members
+			sub, orig := g.Induce(members, &e.Index, nil), members
 			subInst := &coloring.Instance{
 				Lists:   make([][]int, len(orig)),
 				Defects: make([][]int, len(orig)),
@@ -148,7 +148,7 @@ func DefectiveFromArb(e *sim.Engine, g *graph.CSR, inst *coloring.Instance, base
 				subInst.Lists[i] = lists[v]
 				subInst.Defects[i] = uniformInts(len(lists[v]), di)
 			}
-			baseSub := graph.Restrict(base, orig)
+			baseSub := graph.Restrict(base, orig, nil)
 			res, subStats, err := arb(e, sub, subInst, baseSub, q)
 			if err != nil {
 				return nil, sim.Result{}, fmt.Errorf("nbhood: Thm 1.4 iteration %d: %w", iter, err)

@@ -139,7 +139,7 @@ func (s *solver) spaceReduce(e *sim.Engine, g *graph.CSR, inst *coloring.Instanc
 			continue
 		}
 		lo := blk * blockSize
-		sub, orig := g.Induce(members, &e.Index), members
+		sub, orig := g.Induce(members, &e.Index, nil), members
 		subInst := &coloring.Instance{
 			Lists:   make([][]int, len(orig)),
 			Defects: make([][]int, len(orig)),
@@ -153,7 +153,7 @@ func (s *solver) spaceReduce(e *sim.Engine, g *graph.CSR, inst *coloring.Instanc
 				}
 			}
 		}
-		res, st, err := s.next()(e, sub, subInst, graph.Restrict(base, orig), q)
+		res, st, err := s.next()(e, sub, subInst, graph.Restrict(base, orig, nil), q)
 		if err != nil {
 			return coloring.ArbResult{}, sim.Result{}, fmt.Errorf("nbhood: block %d (C=%d): %w", blk, c, err)
 		}

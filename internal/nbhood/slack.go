@@ -2,6 +2,7 @@ package nbhood
 
 import (
 	"fmt"
+	"strconv"
 
 	"listcolor/internal/coloring"
 	"listcolor/internal/defective"
@@ -74,9 +75,12 @@ type classes struct {
 	colors []int      // −1 until committed
 	arcs   [][2]int
 	count  *palette.Counter // a_v(x) for the node being pruned
-	// sub is the current class's pruned instance, its lists and defects
-	// windows of two flat arrays; all three are reused from class to
-	// class (a sub-solver does not keep its instance past its return).
+	// The current class's sub-problem: the graph it induces, its base
+	// colors, and its pruned instance, whose lists and defects are
+	// windows of two flat arrays. All are re-carved from class to class
+	// (a sub-solver keeps nothing it is given past its return).
+	induced        graph.CSR
+	subBase        []int
 	sub            coloring.Instance
 	lists, defects []int
 }
@@ -95,13 +99,14 @@ func newClasses(e *sim.Engine, g *graph.CSR, inst *coloring.Instance, base []int
 // It returns the class's own cost and that cost plus the round that
 // announces the new colors.
 func (c *classes) step(nodes []int) (own, total sim.Result, err error) {
-	sub := c.g.Induce(nodes, &c.e.Index)
+	sub := c.g.Induce(nodes, &c.e.Index, &c.induced)
 	subInst := c.prune(nodes)
+	c.subBase = graph.Restrict(c.base, nodes, c.subBase)
 	// Re-bootstrap: the class subgraph has much smaller degree than g,
 	// so O(log* q) rounds of Linial shrink its proper coloring from
 	// q = O(Δ²) to O(Δ_sub²) classes, and the sweeps inside the
 	// sub-solver then iterate over far fewer classes.
-	reb, err := linial.ReduceProperCSR(c.e, sub, graph.Restrict(c.base, nodes), c.q, c.cfg)
+	reb, err := linial.ReduceProperCSR(c.e, sub, c.subBase, c.q, c.cfg)
 	if err != nil {
 		return sim.Result{}, sim.Result{}, fmt.Errorf("re-bootstrap: %w", err)
 	}
@@ -206,7 +211,7 @@ func SlackReduce2(e *sim.Engine, g *graph.CSR, inst *coloring.Instance, base []i
 			return coloring.ArbResult{}, sim.Result{}, fmt.Errorf("nbhood: Lemma 4.4 class %d: %w", class, err)
 		}
 		if span != nil {
-			span.Child(fmt.Sprintf("class %d: %d nodes (slack-μ solver)", class, len(members))).Done(own)
+			span.Child("class " + strconv.Itoa(class) + ": " + strconv.Itoa(len(members)) + " nodes (slack-μ solver)").Done(own)
 		}
 		stats = sim.Seq(stats, total)
 	}
@@ -263,21 +268,22 @@ func DegreeHalving(e *sim.Engine, g *graph.CSR, inst *coloring.Instance, base []
 	alpha := 1 / float64(2*mu)
 	maxScales := logstar.CeilLog2(g.MaxDegree()) + 3
 	var stats sim.Result
-	uncolored := graph.Vertices(g.N())
+	uncolored := graph.Vertices(g.N(), nil)
 	// colored[v] counts v's neighbors colored in the current scale; it
 	// is read only for v in H, and zeroed for those as the scale starts.
 	colored := make([]int, g.N())
+	var active []int // the class in turn's active members, one list for every class
 	scales := 0
 	for len(uncolored) > 0 {
 		if scales == maxScales {
 			return coloring.ArbResult{}, sim.Result{}, 0, fmt.Errorf("nbhood: Lemma A.1 did not converge in %d scales", maxScales)
 		}
 		scales++
-		h, origH := g.Induce(uncolored, &e.Index), uncolored
+		h, origH := g.Induce(uncolored, &e.Index, nil), uncolored
 		for _, v := range origH {
 			colored[v] = 0
 		}
-		psi, err := defective.ColorOn(e, sim.NewCSRNetwork(h), graph.Restrict(base, origH), q, alpha, c.cfg)
+		psi, err := defective.ColorOn(e, sim.NewCSRNetwork(h), graph.Restrict(base, origH, nil), q, alpha, c.cfg)
 		if err != nil {
 			return coloring.ArbResult{}, sim.Result{}, 0, fmt.Errorf("nbhood: Lemma A.1 split: %w", err)
 		}
@@ -291,7 +297,7 @@ func DegreeHalving(e *sim.Engine, g *graph.CSR, inst *coloring.Instance, base []
 		for class := 0; class < psi.Palette; class++ {
 			// The activity test reads colored at the class's turn,
 			// after every earlier class has committed.
-			var active []int
+			active = active[:0]
 			for _, i := range byClass[start[class]:start[class+1]] {
 				if v := origH[i]; 2*colored[v] <= h.Degree(i) {
 					active = append(active, v)
@@ -305,7 +311,7 @@ func DegreeHalving(e *sim.Engine, g *graph.CSR, inst *coloring.Instance, base []
 				return coloring.ArbResult{}, sim.Result{}, 0, fmt.Errorf("nbhood: Lemma A.1 scale %d class %d: %w", scales, class, err)
 			}
 			if scaleSpan != nil {
-				scaleSpan.Child(fmt.Sprintf("class %d: %d active", class, len(active))).Done(own)
+				scaleSpan.Child("class " + strconv.Itoa(class) + ": " + strconv.Itoa(len(active)) + " active").Done(own)
 			}
 			scaleStats = sim.Seq(scaleStats, total)
 			for _, v := range active {

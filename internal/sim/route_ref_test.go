@@ -86,7 +86,7 @@ func (r *refRouter) flush() [][]Message {
 // reference.
 func compareRouters(t *testing.T, g *graph.Graph, cfg Config, script [][]Outgoing, rounds int) {
 	t.Helper()
-	senders := graph.Vertices(g.N())
+	senders := graph.Vertices(g.N(), nil)
 	for _, shards := range []int{1, 2, 3} {
 		cfg.Shards = shards
 		arena := newRouter(new(Engine), NewNetwork(g), cfg)

@@ -28,10 +28,7 @@ package sim
 // compatible — the hook runs on the coordinator before routing, like
 // every driver.
 
-import (
-	"fmt"
-	"sync"
-)
+import "fmt"
 
 // routingShards returns the effective shard count for this config: 1
 // (sequential) unless sharding is requested and no delivery hook is
@@ -105,7 +102,7 @@ func (r *router) routeRound(senders []int, status []NodeStatus, outs [][]Outgoin
 // round's tally untouched for the sequential route.
 func (r *router) routeSharded(senders []int, status []NodeStatus, outs [][]Outgoing, s int) bool {
 	parts := r.shards(s)
-	var wg sync.WaitGroup
+	wg := &r.wg
 	for i := range parts {
 		p := &parts[i]
 		if p.lo == p.hi {
